@@ -11,10 +11,10 @@ import json
 import sys
 import time
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .approx import fptas
 from .cliquewidth import (
-    CliqueExpression,
     ExpressionError,
     check_expression_matches,
     cliquewidth_profile_set,
@@ -42,12 +42,16 @@ from .model import (
     serialize_instance,
     validate_coloring,
 )
-from .oracle import EnumerationCapError, brute_force_optimum, brute_force_profiles
-from .profiles import ProfileCapError, best_profile
+from .oracle import (
+    DEFAULT_ENUMERATION_CAP,
+    EnumerationCapError,
+    brute_force_optimum,
+    brute_force_profiles,
+)
+from .profiles import ProfileCapError
 from .treeindep import (
     AlphaCapError,
     DecompositionError,
-    TreeDecomposition,
     clique_tree_of_chordal,
     parse_tree_decomposition,
     serialize_tree_decomposition,
@@ -69,6 +73,7 @@ _INPUT_ERRORS = (
     DecompositionError,
 )
 _RESOURCE_ERRORS = (ProfileCapError, EnumerationCapError, RecognitionCapError, AlphaCapError)
+_NOT_CONVEX = "recognition failed: no A-order gives consecutive B-neighborhoods"
 
 
 class CliError(Exception):
@@ -132,95 +137,86 @@ def _emit_result(result: SolveResult, as_json: bool) -> None:
     )
 
 
-def _side_inputs(args, inst: ConflictInstance):
-    ordering = None
-    expression = None
-    td = None
-    if getattr(args, "ordering", None):
-        ordering = parse_ordering_file(_read(args.ordering), inst)
-    if getattr(args, "expression", None):
-        expression = parse_k_expression(_read(args.expression))
-    if getattr(args, "td", None):
-        td = parse_tree_decomposition(_read(args.td))
-    if getattr(args, "chordal", False):
-        td = clique_tree_of_chordal(inst)
-        if td is None:
+def _brute_solve(inst: ConflictInstance, _side, cap=None, stats=None):
+    # the profile is read off the oracle's witness, so the two always agree
+    optimum, witness = brute_force_optimum(inst, cap=cap)
+    return optimum, profile_of(inst, witness), witness
+
+
+class Method(NamedTuple):
+    """One row of the method table shared by solve, profiles and approx."""
+
+    side: str | None  # the side input the method reads
+    missing: str | None  # usage error when that side input is absent
+    cap: str  # the --*-cap option that bounds the method
+    profile_set: Callable  # (inst, side, cap=) -> the full, unpruned ProfileSet
+    solve: Callable  # (inst, side, cap=, stats=) -> (optimum, profile, witness)
+
+
+METHODS = {
+    "brute": Method(
+        None, None, "oracle_cap",
+        lambda inst, _side, cap: brute_force_profiles(inst, cap=cap), _brute_solve,
+    ),
+    # a missing ordering is recognized, never a usage error
+    "convex": Method("ordering", None, "profile_cap", convex_profile_set, solve_convex),
+    "cw": Method(
+        "expression", "--method cw needs --expression FILE",
+        "profile_cap", cliquewidth_profile_set, solve_cliquewidth,
+    ),
+    "tin": Method(
+        "td", "--method tin needs --td FILE or --chordal",
+        "profile_cap", tin_profile_set, solve_tin,
+    ),
+}
+
+
+def resolve_method(args, inst: ConflictInstance) -> tuple[str, Method, object]:
+    """The method a command runs, its table row, and the side input it reads.
+
+    Side-input files are parsed here.  Convex recognition runs at most once
+    per command: `auto` keeps the ordering its convexity test finds, and
+    `--method convex` without `--ordering` searches for one here.
+    """
+    side: dict[str, object] = {
+        "ordering": parse_ordering_file(_read(args.ordering), inst) if args.ordering else None,
+        "expression": parse_k_expression(_read(args.expression)) if args.expression else None,
+        "td": parse_tree_decomposition(_read(args.td)) if args.td else None,
+    }
+    if args.chordal:
+        side["td"] = clique_tree_of_chordal(inst)
+        if side["td"] is None:
             raise CliError("instance graph is not chordal", EXIT_INFEASIBLE)
-    return ordering, expression, td
-
-
-def _solve_by_method(
-    method: str,
-    inst: ConflictInstance,
-    ordering: ConvexOrdering | None,
-    expression: CliqueExpression | None,
-    td: TreeDecomposition | None,
-    cap: int | None,
-    oracle_cap: int | None,
-    prune: bool,
-    stats: dict,
-) -> tuple[int, tuple[int, ...], tuple[frozenset[int], ...]]:
-    if method == "brute":
-        pset = brute_force_profiles(inst, cap=oracle_cap)
-        stats["dp-cells"] = 1
-        stats["profiles-stored"] = len(pset)
-        optimum, witness = brute_force_optimum(inst, cap=oracle_cap)
-        _, profile = best_profile(pset)
-        return optimum, profile, witness
-    if method == "convex":
-        if ordering is None:
-            ordering = find_convex_ordering(inst)
-            if ordering is None:
-                raise CliError(
-                    "recognition failed: no A-order gives consecutive B-neighborhoods",
-                    EXIT_INFEASIBLE,
-                )
-        return solve_convex(inst, ordering, cap=cap, prune=prune, stats=stats)
-    if method == "cw":
-        if expression is None:
-            raise CliError("--method cw needs --expression FILE", EXIT_USAGE)
-        return solve_cliquewidth(inst, expression, cap=cap, prune=prune, stats=stats)
-    if method == "tin":
-        if td is None:
-            raise CliError("--method tin needs --td FILE or --chordal", EXIT_USAGE)
-        return solve_tin(inst, td, cap=cap, prune=prune, stats=stats)
-    raise CliError(f"unknown method {method!r}", EXIT_USAGE)
-
-
-def _auto_method(args, inst, ordering, expression, td, oracle_cap) -> str:
-    if not inst.edges:
-        # edgeless fast path: the convex component dispatch runs the linear
-        # per-vertex enumeration on every (isolated) component
-        return "convex"
-    if ordering is not None:
-        return "convex"
-    try:
-        if find_convex_ordering(inst) is not None:
-            return "convex"
-    except (OrderingError, RecognitionCapError):
-        pass
-    if td is not None:
-        return "tin"
-    if expression is not None:
-        return "cw"
-    limit = 10**8 if oracle_cap is None else oracle_cap
-    if (inst.k + 1) ** inst.n <= limit:
-        return "brute"
-    raise CliError("no applicable method: supply --td or --expression", EXIT_INFEASIBLE)
+    method = args.method
+    if method in ("auto", "convex") and side["ordering"] is None:
+        try:
+            side["ordering"] = find_convex_ordering(inst)
+        except (OrderingError, RecognitionCapError):
+            if method == "convex":
+                raise
+        if method == "convex" and side["ordering"] is None:
+            raise CliError(_NOT_CONVEX, EXIT_INFEASIBLE)
+    if method == "auto":
+        supplied = [m for m in ("convex", "tin", "cw") if side[METHODS[m].side] is not None]
+        limit = DEFAULT_ENUMERATION_CAP if args.oracle_cap is None else args.oracle_cap
+        if supplied:
+            method = supplied[0]
+        elif (inst.k + 1) ** inst.n <= limit:
+            method = "brute"
+        else:
+            raise CliError("no applicable method: supply --td or --expression", EXIT_INFEASIBLE)
+    row = METHODS[method]
+    if row.side is not None and side[row.side] is None:
+        raise CliError(row.missing, EXIT_USAGE)
+    return method, row, side[row.side] if row.side else None
 
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
-    ordering, expression, td = _side_inputs(args, inst)
     stats: dict = {}
-    method = args.method
     start = time.perf_counter()
-    if method == "auto":
-        method = _auto_method(args, inst, ordering, expression, td, args.oracle_cap)
-    optimum, profile, witness = _solve_by_method(
-        method, inst, ordering, expression, td, args.profile_cap, args.oracle_cap,
-        args.prune, stats,
-    )
+    method, row, side = resolve_method(args, inst)
+    optimum, profile, witness = row.solve(inst, side, cap=getattr(args, row.cap), stats=stats)
     stats["elapsed-ms"] = (time.perf_counter() - start) * 1000.0
     result = SolveResult(
         optimum=optimum, profile=profile, witness=witness, method=method, stats=stats
@@ -231,25 +227,8 @@ def cmd_solve(args) -> int:
 
 def cmd_profiles(args) -> int:
     inst = _load_instance(args.instance)
-    ordering, expression, td = _side_inputs(args, inst)
-    method = args.method
-    if method == "auto":
-        method = _auto_method(args, inst, ordering, expression, td, args.oracle_cap)
-    if method == "brute":
-        pset = brute_force_profiles(inst, cap=args.oracle_cap)
-    elif method == "convex":
-        pset = convex_profile_set(inst, ordering, cap=args.profile_cap)
-    elif method == "cw":
-        if expression is None:
-            raise CliError("--method cw needs --expression FILE", EXIT_USAGE)
-        pset = cliquewidth_profile_set(inst, expression, cap=args.profile_cap)
-    elif method == "tin":
-        if td is None:
-            raise CliError("--method tin needs --td FILE or --chordal", EXIT_USAGE)
-        pset = tin_profile_set(inst, td, cap=args.profile_cap)
-    else:
-        raise CliError(f"unknown method {method!r}", EXIT_USAGE)
-    text = pset.dump()
+    _, row, side = resolve_method(args, inst)
+    text = row.profile_set(inst, side, cap=getattr(args, row.cap)).dump()
     if text:
         print(text)
     return EXIT_OK
@@ -259,10 +238,7 @@ def cmd_recognize(args) -> int:
     inst = _load_instance(args.instance)
     ordering = find_convex_ordering(inst)
     if ordering is None:
-        raise CliError(
-            "recognition failed: no A-order gives consecutive B-neighborhoods",
-            EXIT_INFEASIBLE,
-        )
+        raise CliError(_NOT_CONVEX, EXIT_INFEASIBLE)
     text = ordering_file_text(ordering)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -309,35 +285,16 @@ def cmd_validate(args) -> int:
 
 def cmd_approx(args) -> int:
     inst = _load_instance(args.instance)
-    ordering, expression, td = _side_inputs(args, inst)
     try:
         eps = Fraction(args.epsilon)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"cannot parse epsilon {args.epsilon!r}", EXIT_USAGE)
     stats: dict = {}
-    method = args.method
-
-    def exact(scaled: ConflictInstance):
-        if method == "convex":
-            # the scaled instance has the same graph, so the ordering carries over
-            inner = ordering
-            if inner is None:
-                inner = find_convex_ordering(scaled)
-                if inner is None:
-                    raise CliError("recognition failed for --method convex", EXIT_INFEASIBLE)
-            return solve_convex(scaled, inner, cap=args.profile_cap, prune=True, stats=stats)
-        if method == "cw":
-            if expression is None:
-                raise CliError("--method cw needs --expression FILE", EXIT_USAGE)
-            return solve_cliquewidth(scaled, expression, cap=args.profile_cap, prune=True, stats=stats)
-        if method == "tin":
-            if td is None:
-                raise CliError("--method tin needs --td FILE or --chordal", EXIT_USAGE)
-            return solve_tin(scaled, td, cap=args.profile_cap, prune=True, stats=stats)
-        raise CliError(f"unknown method {method!r}", EXIT_USAGE)
-
     start = time.perf_counter()
-    result = fptas(inst, eps, exact)
+    method, row, side = resolve_method(args, inst)
+    cap = getattr(args, row.cap)
+    # a scaled instance has the same graph, so the side input carries over
+    result = fptas(inst, eps, lambda scaled: row.solve(scaled, side, cap=cap, stats=stats))
     stats["elapsed-ms"] = (time.perf_counter() - start) * 1000.0
     if args.json:
         payload = SolveResult(
@@ -419,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="compute the optimum and a witness")
     common(p_solve)
-    p_solve.add_argument("--prune", action="store_true", help="keep only Pareto-maximal profiles")
     p_solve.set_defaults(func=cmd_solve)
 
     p_prof = sub.add_parser("profiles", help="dump the full profile set")

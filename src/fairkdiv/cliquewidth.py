@@ -13,13 +13,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from .model import Coloring, ConflictInstance, Profile, validate_coloring
-from .profiles import (
-    DEFAULT_PROFILE_CAP,
-    ProfileCapError,
-    ProfileSet,
-    best_profile,
-    dominance_prune,
-)
+from .profiles import ProfileSet, best_profile, run_tables, store_cells, union_cells
+# unused here: kept only as the module attribute the benchmark tracer wraps
+from .profiles import dominance_prune  # noqa: F401
 
 # One bitmask of width num_labels per agent.
 LabelKey = tuple[int, ...]
@@ -68,13 +64,18 @@ class CliqueExpression:
     vertex_ids: frozenset[int]
 
 
+def _children(node: ExprNode) -> tuple[ExprNode, ...]:
+    if isinstance(node, UnionNode):
+        return (node.left, node.right)
+    if isinstance(node, (EtaNode, RhoNode)):
+        return (node.child,)
+    return ()
+
+
 def _walk(node: ExprNode):
     yield node
-    if isinstance(node, UnionNode):
-        yield from _walk(node.left)
-        yield from _walk(node.right)
-    elif isinstance(node, (EtaNode, RhoNode)):
-        yield from _walk(node.child)
+    for child in _children(node):
+        yield from _walk(child)
 
 
 def parse_k_expression(text: str) -> CliqueExpression:
@@ -255,19 +256,6 @@ def dp_node(
     Keys are per-agent label bitmasks; absent keys denote empty profile sets.
     """
     k = inst.k
-    limit = DEFAULT_PROFILE_CAP if cap is None else cap
-
-    def store(table: dict[LabelKey, set[Profile]]) -> CwTable:
-        out: CwTable = {}
-        for key, profiles in table.items():
-            if not profiles:
-                continue
-            if len(profiles) > limit:
-                raise ProfileCapError(limit)
-            pset = ProfileSet(k, profiles)
-            out[key] = dominance_prune(pset) if prune else pset
-        return out
-
     if isinstance(node, VertexNode):
         bit = 1 << (node.label - 1)
         v0 = node.vertex - 1
@@ -278,7 +266,7 @@ def dp_node(
                 inst.profits[j][v0] if idx == j else 0 for idx in range(k)
             )
             raw.setdefault(key, set()).add(profile)
-        return store(raw)
+        return store_cells(k, raw, cap, prune)
 
     if isinstance(node, UnionNode):
         left, right = child_tables
@@ -290,17 +278,17 @@ def dp_node(
                 for q1 in set1:
                     for q2 in set2:
                         bucket.add(tuple(a + b for a, b in zip(q1, q2)))
-        return store(raw)
+        return store_cells(k, raw, cap, prune)
 
     if isinstance(node, EtaNode):
         (child,) = child_tables
         pair = (1 << (node.i - 1)) | (1 << (node.j - 1))
         raw = {
-            key: set(profiles)
+            key: profiles
             for key, profiles in child.items()
             if all((mask & pair) != pair for mask in key)
         }
-        return store(raw)
+        return store_cells(k, raw, cap, prune)
 
     if isinstance(node, RhoNode):
         (child,) = child_tables
@@ -312,41 +300,28 @@ def dp_node(
                 (mask & ~bit_i) | bit_j if mask & bit_i else mask for mask in key
             )
             raw.setdefault(new_key, set()).update(profiles)
-        return store(raw)
+        return store_cells(k, raw, cap, prune)
 
     raise TypeError(f"unknown node type {type(node).__name__}")
 
 
-def _run_tables(
+def cw_tables(
     inst: ConflictInstance,
     expr: CliqueExpression,
-    cap: int | None,
-    prune: bool,
-    stats: dict,
+    cap: int | None = None,
+    prune: bool = False,
+    stats: dict | None = None,
 ) -> dict[int, CwTable]:
-    """Compute and retain the table of every node, keyed by id(node)."""
+    """Every node's table, keyed by id(node), once the expression is checked."""
     mismatch = check_expression_matches(expr, inst)
     if mismatch is not None:
         raise ExpressionError(mismatch)
-    tables: dict[int, CwTable] = {}
-
-    def visit(node: ExprNode) -> CwTable:
-        if isinstance(node, UnionNode):
-            children = [visit(node.left), visit(node.right)]
-        elif isinstance(node, (EtaNode, RhoNode)):
-            children = [visit(node.child)]
-        else:
-            children = []
-        table = dp_node(node, children, inst, cap=cap, prune=prune)
-        stats["dp-cells"] = stats.get("dp-cells", 0) + len(table)
-        stats["profiles-stored"] = stats.get("profiles-stored", 0) + sum(
-            len(s) for s in table.values()
-        )
-        tables[id(node)] = table
-        return table
-
-    visit(expr.root)
-    return tables
+    return run_tables(
+        expr.root,
+        _children,
+        lambda node, children: dp_node(node, children, inst, cap, prune),
+        stats,
+    )
 
 
 def cliquewidth_profile_set(
@@ -356,29 +331,21 @@ def cliquewidth_profile_set(
     stats: dict | None = None,
 ) -> ProfileSet:
     """Exact full profile set: union over all root label profiles."""
-    stats = stats if stats is not None else {}
-    tables = _run_tables(inst, expr, cap, False, stats)
-    union: set[Profile] = set()
-    for pset in tables[id(expr.root)].values():
-        union |= set(pset)
-    return ProfileSet(inst.k, union)
+    tables = cw_tables(inst, expr, cap, stats=stats)
+    return union_cells(inst.k, tables[id(expr.root)].values(), cap)
 
 
 def solve_cliquewidth(
     inst: ConflictInstance,
     expr: CliqueExpression,
     cap: int | None = None,
-    prune: bool = False,
+    prune: bool = True,
     stats: dict | None = None,
 ) -> tuple[int, Profile, Coloring]:
     """Optimum satisfaction level, profile, and a validated witness."""
-    stats = stats if stats is not None else {}
-    tables = _run_tables(inst, expr, cap, prune, stats)
+    tables = cw_tables(inst, expr, cap, prune, stats)
     root_table = tables[id(expr.root)]
-    union: set[Profile] = set()
-    for pset in root_table.values():
-        union |= set(pset)
-    optimum, profile = best_profile(ProfileSet(inst.k, union))
+    optimum, profile = best_profile(union_cells(inst.k, root_table.values(), cap))
 
     classes: list[set[int]] = [set() for _ in range(inst.k)]
 

@@ -19,10 +19,13 @@ from .model import Coloring, ConflictInstance, Profile, connected_components, va
 from .profiles import (
     ProfileSet,
     best_profile,
+    count_table,
     dominance_prune,
     edgeless_assignment,
     edgeless_profiles,
     merge_profile_sets,
+    store_cells,
+    union_cells,
 )
 
 DEFAULT_RECOGNITION_CAP = 1 << 18
@@ -431,7 +434,7 @@ class _ConnectedConvexDP:
         u_prev = v_prev = 0
         for j in range(len(self.ss.u)):
             u_cur, v_cur = self.ss.u[j], self.ss.v[j]
-            cur: dict[tuple[int, ...], ProfileSet] = {}
+            raw: dict[tuple[int, ...], set[Profile]] = {}
             for guess in self._guesses(u_cur):
                 if j == 0:
                     mu0 = (INF,) * self.k
@@ -465,20 +468,13 @@ class _ConnectedConvexDP:
                         delta = self._delta(guess, mu, u_prev)
                         for q in combined:
                             cell.add(tuple(a + b for a, b in zip(q, delta)))
-                result = ProfileSet(self.k, cell)
-                if self.prune:
-                    result = dominance_prune(result)
-                cur[guess] = result
-                self.stats["dp-cells"] = self.stats.get("dp-cells", 0) + 1
-                self.stats["profiles-stored"] = self.stats.get("profiles-stored", 0) + len(result)
+                raw[guess] = cell
+            cur = store_cells(self.k, raw, self.cap, self.prune)
+            count_table(self.stats, cur)
             self.tables.append(cur)
             prev = cur
             u_prev, v_prev = u_cur, v_cur
-        union: set[Profile] = set()
-        for cell in prev.values():
-            union |= set(cell)
-        final = ProfileSet(self.k, union)
-        return dominance_prune(final) if self.prune else final
+        return union_cells(self.k, prev.values(), self.cap, self.prune)
 
     def extract(self, target: Profile) -> list[set[int]]:
         """Backward walk recovering one coloring with the target profile."""
@@ -551,11 +547,10 @@ def solve_connected_convex(
     inst: ConflictInstance,
     co: ConvexOrdering,
     cap: int | None = None,
-    prune: bool = False,
     stats: dict | None = None,
 ) -> ProfileSet:
     """Full profile set of one connected convex bipartite instance."""
-    return _ConnectedConvexDP(inst, co, cap=cap, prune=prune, stats=stats).run()
+    return _ConnectedConvexDP(inst, co, cap=cap, stats=stats).run()
 
 
 def _restrict_ordering(co: ConvexOrdering, vertices: set[int], mapping: dict[int, int],
@@ -565,14 +560,21 @@ def _restrict_ordering(co: ConvexOrdering, vertices: set[int], mapping: dict[int
     return validate_convex_ordering(sub, a_sub, b_sub)
 
 
-def _component_sets(
+def _merged_components(
     inst: ConflictInstance,
-    co: ConvexOrdering,
+    ordering: ConvexOrdering | None,
     cap: int | None,
     prune: bool,
-    stats: dict,
+    stats: dict | None,
 ):
-    """Per-component profile sets plus the hooks needed for witness extraction."""
+    """Per-component profile sets and their running vector-sum merges.
+
+    Each part carries the hooks witness extraction needs; the last running
+    merge is the profile set of the whole instance.
+    """
+    co = ordering if ordering is not None else find_convex_ordering(inst)
+    if co is None:
+        raise OrderingError("graph admits no convex bipartite ordering")
     parts = []
     for comp in connected_components(inst):
         sub = comp.instance
@@ -588,7 +590,10 @@ def _component_sets(
             dp = _ConnectedConvexDP(sub, sub_co, cap=cap, prune=prune, stats=stats)
             pset = dp.run()
             parts.append((comp, pset, dp, None))
-    return parts
+    running = [ProfileSet.zero(inst.k)]
+    for _, pset, _, _ in parts:
+        running.append(merge_profile_sets(running[-1], pset, cap=cap))
+    return parts, running
 
 
 def convex_profile_set(
@@ -598,32 +603,18 @@ def convex_profile_set(
     stats: dict | None = None,
 ) -> ProfileSet:
     """Exact full profile set of a convex bipartite instance (no pruning)."""
-    stats = stats if stats is not None else {}
-    co = ordering if ordering is not None else find_convex_ordering(inst)
-    if co is None:
-        raise OrderingError("graph admits no convex bipartite ordering")
-    merged = ProfileSet.zero(inst.k)
-    for _, pset, _, _ in _component_sets(inst, co, cap, False, stats):
-        merged = merge_profile_sets(merged, pset, cap=cap)
-    return merged
+    return _merged_components(inst, ordering, cap, False, stats)[1][-1]
 
 
 def solve_convex(
     inst: ConflictInstance,
     ordering: ConvexOrdering | None = None,
     cap: int | None = None,
-    prune: bool = False,
+    prune: bool = True,
     stats: dict | None = None,
 ) -> tuple[int, Profile, Coloring]:
     """Optimum satisfaction level, its profile, and a validated witness."""
-    stats = stats if stats is not None else {}
-    co = ordering if ordering is not None else find_convex_ordering(inst)
-    if co is None:
-        raise OrderingError("graph admits no convex bipartite ordering")
-    parts = _component_sets(inst, co, cap, prune, stats)
-    running = [ProfileSet.zero(inst.k)]
-    for _, pset, _, _ in parts:
-        running.append(merge_profile_sets(running[-1], pset, cap=cap))
+    parts, running = _merged_components(inst, ordering, cap, prune, stats)
     optimum, profile = best_profile(running[-1])
 
     classes: list[set[int]] = [set() for _ in range(inst.k)]

@@ -7,7 +7,7 @@ the profile with the best minimum entry.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Collection, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .model import Profile
 
@@ -37,7 +37,7 @@ class ProfileSet:
         self._bound: Profile | None = None
 
     @classmethod
-    def zero(cls, arity: int) -> "ProfileSet":
+    def zero(cls, arity: int) -> ProfileSet:
         return cls(arity, [(0,) * arity])
 
     def __iter__(self) -> Iterator[Profile]:
@@ -84,6 +84,75 @@ def _check_cap(size: int, cap: int | None) -> None:
     limit = DEFAULT_PROFILE_CAP if cap is None else cap
     if size > limit:
         raise ProfileCapError(limit)
+
+
+# A DP table: state key -> the profiles attainable in that state; absent keys
+# denote empty sets.
+Table = dict[Hashable, ProfileSet]
+
+
+def _stored(k: int, profiles: Collection[Profile], cap: int | None, prune: bool) -> ProfileSet:
+    _check_cap(len(profiles), cap)
+    pset = ProfileSet(k, profiles)
+    return dominance_prune(pset) if prune else pset
+
+
+def store_cells(
+    k: int,
+    raw: Mapping[Hashable, Collection[Profile]],
+    cap: int | None = None,
+    prune: bool = False,
+) -> Table:
+    """A finished table from raw cells: the per-cell step of every DP.
+
+    Empty cells are dropped, each cell is checked against the cap before
+    pruning, and with prune only its Pareto-maximal members are kept.
+    """
+    return {key: _stored(k, profiles, cap, prune) for key, profiles in raw.items() if profiles}
+
+
+def union_cells(
+    k: int, cells: Iterable[ProfileSet], cap: int | None = None, prune: bool = False
+) -> ProfileSet:
+    """One set holding every member of the given cells, checked like a cell."""
+    union: set[Profile] = set()
+    for cell in cells:
+        union.update(cell)
+    return _stored(k, union, cap, prune)
+
+
+def count_table(stats: dict, table: Table) -> None:
+    """Add a stored table to the `dp-cells` and `profiles-stored` counters."""
+    stats["dp-cells"] = stats.get("dp-cells", 0) + len(table)
+    stats["profiles-stored"] = stats.get("profiles-stored", 0) + sum(map(len, table.values()))
+
+
+def run_tables(
+    root: Any,
+    children_of: Callable[[Any], Sequence[Any]],
+    node_table: Callable[[Any, list[Table]], Table],
+    stats: dict | None = None,
+) -> dict[int, Table]:
+    """Every node's table, children first, keyed by id(node).
+
+    node_table(node, child_tables) builds one node's table from its
+    children's.  The post-order comes from an explicit stack, so the depth
+    of the tree is not bounded by the recursion limit.
+    """
+    stats = stats if stats is not None else {}
+    tables: dict[int, Table] = {}
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        children = children_of(node)
+        if not expanded:
+            stack.append((node, True))
+            stack.extend((child, False) for child in children)
+            continue
+        table = node_table(node, [tables[id(child)] for child in children])
+        count_table(stats, table)
+        tables[id(node)] = table
+    return tables
 
 
 def edgeless_profiles(

@@ -16,13 +16,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .model import Coloring, ConflictInstance, Profile, validate_coloring
-from .profiles import (
-    DEFAULT_PROFILE_CAP,
-    ProfileCapError,
-    ProfileSet,
-    best_profile,
-    dominance_prune,
-)
+from .profiles import ProfileSet, best_profile, run_tables, store_cells
+# unused here: kept only as the module attribute the benchmark tracer wraps
+from .profiles import dominance_prune  # noqa: F401
 
 DEFAULT_ALPHA_NODE_CAP = 10**6
 
@@ -351,21 +347,8 @@ def tin_dp_node(
 ) -> TinTable:
     """Table of one nice node from its children's tables."""
     k = inst.k
-    limit = DEFAULT_PROFILE_CAP if cap is None else cap
-
-    def store(raw: dict[ColoringKey, set[Profile]]) -> TinTable:
-        out: TinTable = {}
-        for key, profiles in raw.items():
-            if not profiles:
-                continue
-            if len(profiles) > limit:
-                raise ProfileCapError(limit)
-            pset = ProfileSet(k, profiles)
-            out[key] = dominance_prune(pset) if prune else pset
-        return out
-
     if node.kind == "leaf":
-        return store({(): {(0,) * k}})
+        return store_cells(k, {(): {(0,) * k}}, cap, prune)
 
     if node.kind == "introduce":
         (child,) = child_tables
@@ -389,7 +372,7 @@ def tin_dp_node(
                     raw.setdefault(key, set()).update(
                         q[: color - 1] + (q[color - 1] + p,) + q[color:] for q in pset
                     )
-        return store(raw)
+        return store_cells(k, raw, cap, prune)
 
     if node.kind == "forget":
         (child,) = child_tables
@@ -400,7 +383,7 @@ def tin_dp_node(
         for child_key, pset in child.items():
             key = child_key[:pos] + child_key[pos + 1 :]
             raw.setdefault(key, set()).update(pset)
-        return store(raw)
+        return store_cells(k, raw, cap, prune)
 
     if node.kind == "join":
         first, second = child_tables
@@ -418,28 +401,25 @@ def tin_dp_node(
             for q1 in set1:
                 for q2 in set2:
                     bucket.add(tuple(a + b - w for a, b, w in zip(q1, q2, correction)))
-        return store(raw)
+        return store_cells(k, raw, cap, prune)
 
     raise AssertionError(f"unknown node kind {node.kind}")
 
 
-def _run_tables(
+def tin_tables(
     inst: ConflictInstance,
     nice: NiceTreeDecomposition,
-    cap: int | None,
-    prune: bool,
-    stats: dict,
+    cap: int | None = None,
+    prune: bool = False,
+    stats: dict | None = None,
 ) -> dict[int, TinTable]:
-    tables: dict[int, TinTable] = {}
-    for node in nice.nodes():
-        children = [tables[id(c)] for c in node.children]
-        table = tin_dp_node(node, children, inst, cap=cap, prune=prune)
-        stats["dp-cells"] = stats.get("dp-cells", 0) + len(table)
-        stats["profiles-stored"] = stats.get("profiles-stored", 0) + sum(
-            len(s) for s in table.values()
-        )
-        tables[id(node)] = table
-    return tables
+    """Every nice node's table, keyed by id(node)."""
+    return run_tables(
+        nice.root,
+        lambda node: node.children,
+        lambda node, children: tin_dp_node(node, children, inst, cap, prune),
+        stats,
+    )
 
 
 def tin_profile_set(
@@ -449,27 +429,23 @@ def tin_profile_set(
     stats: dict | None = None,
 ) -> ProfileSet:
     """Exact full profile set via the root's empty-bag cell."""
-    stats = stats if stats is not None else {}
     validate_td(inst, td)
     nice = make_nice(td)
-    tables = _run_tables(inst, nice, cap, False, stats)
-    return tables[id(nice.root)][()]
+    return tin_tables(inst, nice, cap, stats=stats)[id(nice.root)][()]
 
 
 def solve_tin(
     inst: ConflictInstance,
     td: TreeDecomposition,
     cap: int | None = None,
-    prune: bool = False,
+    prune: bool = True,
     stats: dict | None = None,
 ) -> tuple[int, Profile, Coloring]:
     """Optimum satisfaction level, profile, and a validated witness."""
-    stats = stats if stats is not None else {}
     validate_td(inst, td)
     nice = make_nice(td)
-    tables = _run_tables(inst, nice, cap, prune, stats)
-    root_set = tables[id(nice.root)][()]
-    optimum, profile = best_profile(root_set)
+    tables = tin_tables(inst, nice, cap, prune, stats)
+    optimum, profile = best_profile(tables[id(nice.root)][()])
 
     color_of: dict[int, int] = {}
 

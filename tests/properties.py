@@ -16,6 +16,7 @@ from fairkdiv.cliquewidth import (
     RhoNode,
     UnionNode,
     cliquewidth_profile_set,
+    cw_tables,
     dp_node,
     evaluate_expression,
 )
@@ -50,6 +51,7 @@ from fairkdiv.treeindep import (
     clique_tree_of_chordal,
     make_nice,
     solve_tin,
+    tin_tables,
     validate_td,
 )
 
@@ -384,9 +386,7 @@ def prop_convex_guess_hygiene(cases: int, seed: int = 405) -> None:
 
 def _cw_node_check(expr, inst) -> None:
     """Every node's table equals direct enumeration over the evaluated subgraph."""
-    from fairkdiv.cliquewidth import _run_tables
-
-    tables = _run_tables(inst, expr, None, False, {})
+    tables = cw_tables(inst, expr)
 
     def subgraph_table(node):
         sub = evaluate_expression(
@@ -463,9 +463,7 @@ def prop_cw_eta_filter(cases: int, seed: int = 503) -> None:
             vertex_ids=expr.vertex_ids,
         )
         inst = support.instance_for_expression(wrapped, rng, rng.randint(1, 2), 3)
-        from fairkdiv.cliquewidth import _run_tables
-
-        tables = _run_tables(inst, wrapped, None, False, {})
+        tables = cw_tables(inst, wrapped)
         pair = (1 << (i - 1)) | (1 << (j - 1))
         for key in tables[id(wrapped.root)]:
             assert all((mask & pair) != pair for mask in key)
@@ -483,9 +481,7 @@ def prop_cw_rho_filter(cases: int, seed: int = 504) -> None:
             vertex_ids=expr.vertex_ids,
         )
         inst = support.instance_for_expression(wrapped, rng, rng.randint(1, 2), 3)
-        from fairkdiv.cliquewidth import _run_tables
-
-        tables = _run_tables(inst, wrapped, None, False, {})
+        tables = cw_tables(inst, wrapped)
         bit = 1 << (i - 1)
         for key in tables[id(wrapped.root)]:
             assert all(not (mask & bit) for mask in key)
@@ -539,13 +535,11 @@ def _random_td_instance(rng, n_max=8, width_max=3, k_max=2, pmax=6):
 
 def prop_tin_node_soundness(cases: int, seed: int = 601) -> None:
     """Every nice node's table matches enumeration over its subtree graph."""
-    from fairkdiv.treeindep import _run_tables
-
     rng = random.Random(seed)
     for _ in range(cases):
         inst, td = _random_td_instance(rng, n_max=7)
         nice = make_nice(td)
-        tables = _run_tables(inst, nice, None, False, {})
+        tables = tin_tables(inst, nice)
         adj = inst.adjacency()
 
         def check(node):
@@ -622,13 +616,11 @@ def prop_tin_chordal_route(cases: int, seed: int = 603) -> None:
 
 def prop_tin_join_correction(cases: int, seed: int = 604) -> None:
     """Join-node profiles stay >= the shared-bag contribution per agent."""
-    from fairkdiv.treeindep import _run_tables
-
     rng = random.Random(seed)
     for _ in range(cases):
         inst, td = _random_td_instance(rng, n_max=7)
         nice = make_nice(td)
-        tables = _run_tables(inst, nice, None, False, {})
+        tables = tin_tables(inst, nice)
         for node in nice.nodes():
             if node.kind != "join":
                 continue

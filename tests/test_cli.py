@@ -7,6 +7,8 @@ import pytest
 import properties
 import support
 
+import fairkdiv.cli
+import fairkdiv.convex
 from fairkdiv.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -19,6 +21,18 @@ from fairkdiv.cli import (
 from fairkdiv.model import parse_instance
 
 T1_TEXT = "p fkd 2 0 2\nw 1 3 1\nw 2 2 2\n"
+# three equal items, k=2: several optimal colorings with different profiles
+U3_TEXT = "p fkd 3 0 2\nw 1 1 1 1\nw 2 1 1 1\n"
+U3_SIDE = {
+    "cw": ("--expression", "cw 1\n(u (v 1 1) (u (v 1 2) (v 1 3)))\n"),
+    "tin": ("--td", "s td 1 3 3\nb 1 1 2 3\n"),
+}
+# the path 1-2-3, convex with A = {1, 3} and B = {2}
+P3_TEXT = "p fkd 3 2 2\nw 1 2 5 3\nw 2 4 1 2\ne 1 2\ne 2 3\n"
+P3_SIDE = {
+    "cw": ("--expression", "cw 2\n(eta 1 2 (u (u (v 1 1) (v 1 3)) (v 2 2)))\n"),
+    "tin": ("--td", "s td 1 3 3\nb 1 1 2 3\n"),
+}
 
 
 def run_cli(argv):
@@ -186,15 +200,33 @@ class TestValidate:
         assert code == EXIT_OK
         assert "instance: ok" in out and "ordering: ok" in out
 
-    def test_validate_result_roundtrip(self, tmp_path, t1_file):
-        code, out, _ = run_cli(["solve", "--method", "brute", t1_file, "--json"])
-        result_path = tmp_path / "result.json"
-        result_path.write_text(out)
-        code, out, _ = run_cli([
-            "validate", t1_file, "--result", str(result_path),
-        ])
-        assert code == EXIT_OK
-        assert "result: ok" in out
+    def test_validate_result_roundtrip(self, tmp_path):
+        # every method's solve --json output certifies itself on its instance
+        cases = [
+            ("t1", T1_TEXT, {}, ("brute",)),
+            ("u3", U3_TEXT, U3_SIDE, ("brute", "convex", "cw", "tin")),
+            ("p3", P3_TEXT, P3_SIDE, ("convex", "cw", "tin")),
+        ]
+        for name, text, side, methods in cases:
+            instance = tmp_path / f"{name}.fkd"
+            instance.write_text(text)
+            for method in methods:
+                argv = ["solve", "--method", method, str(instance), "--json"]
+                if method in side:
+                    flag, side_text = side[method]
+                    side_path = tmp_path / f"{name}.{method}"
+                    side_path.write_text(side_text)
+                    argv += [flag, str(side_path)]
+                code, out, err = run_cli(argv)
+                assert code == EXIT_OK, (name, method, err)
+                assert json.loads(out)["method"] == method
+                result_path = tmp_path / f"{name}-{method}.json"
+                result_path.write_text(out)
+                code, out, err = run_cli([
+                    "validate", str(instance), "--result", str(result_path),
+                ])
+                assert code == EXIT_OK, (name, method, err)
+                assert "result: ok" in out
 
     def test_validate_catches_bad_witness(self, tmp_path, t1_file):
         payload = {
@@ -216,26 +248,62 @@ class TestApprox:
             "gen", "convex", "--na", "3", "--nb", "3", "--k", "2",
             "--max-profit", "6", "--seed", "4", "--out", str(tmp_path / "x"),
         ])
-        code, out, _ = run_cli([
-            "approx", str(tmp_path / "x.fkd"), "--method", "convex",
-            "--epsilon", "1/4", "--json",
-        ])
-        assert code == EXIT_OK
-        payload = json.loads(out)
-        assert payload["epsilon"] == "1/4"
-        assert payload["guarantee"] == "3/4"
-        assert payload["solver-calls"] >= 1
         code, out2, _ = run_cli([
             "solve", str(tmp_path / "x.fkd"), "--method", "brute", "--json",
         ])
         optimum = json.loads(out2)["optimum"]
-        assert payload["optimum"] >= 0.75 * optimum
+        # a bare approx resolves auto like solve does, and names what it ran
+        for flags, method in (([], "convex"), (["--method", "auto"], "convex"),
+                              (["--method", "brute"], "brute"), (["--method", "convex"], "convex")):
+            code, out, err = run_cli([
+                "approx", str(tmp_path / "x.fkd"), *flags, "--epsilon", "1/4", "--json",
+            ])
+            assert code == EXIT_OK, (flags, err)
+            payload = json.loads(out)
+            assert payload["method"] == f"approx-{method}"
+            assert payload["epsilon"] == "1/4"
+            assert payload["guarantee"] == "3/4"
+            assert payload["solver-calls"] >= 1
+            assert payload["optimum"] >= 0.75 * optimum
+            result_path = tmp_path / f"approx-{method}.json"
+            result_path.write_text(out)
+            code, _, err = run_cli([
+                "validate", str(tmp_path / "x.fkd"), "--result", str(result_path),
+            ])
+            assert code == EXIT_OK, (flags, err)
 
     def test_bad_epsilon_exit_2(self, t1_file):
         code, _, _ = run_cli([
             "approx", t1_file, "--method", "convex", "--epsilon", "fast",
         ])
         assert code == EXIT_USAGE
+
+
+class TestRecognizeOnce:
+    def test_one_search_per_command(self, tmp_path, monkeypatch):
+        run_cli([
+            "gen", "convex", "--na", "4", "--nb", "4", "--k", "2",
+            "--max-profit", "9", "--seed", "2", "--out", str(tmp_path / "g"),
+        ])
+        calls = []
+        search = fairkdiv.convex.find_convex_ordering
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(fairkdiv.cli, "find_convex_ordering", counted)
+        monkeypatch.setattr(fairkdiv.convex, "find_convex_ordering", counted)
+        instance = str(tmp_path / "g.fkd")
+        for argv in (
+            ["solve", instance],
+            ["profiles", instance],
+            ["approx", instance, "--method", "convex", "--epsilon", "1/4"],
+        ):
+            calls.clear()
+            code, _, err = run_cli(argv)
+            assert code == EXIT_OK, err
+            assert len(calls) == 1, argv
 
 
 class TestGen:

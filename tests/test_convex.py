@@ -16,8 +16,10 @@ from fairkdiv.convex import (
     stage_structure,
     validate_convex_ordering,
 )
+from fairkdiv.generators import gen_convex_bipartite
 from fairkdiv.model import ConflictInstance, profile_of, validate_coloring
 from fairkdiv.oracle import brute_force_optimum, brute_force_profiles
+from fairkdiv.profiles import ProfileCapError
 
 
 def path_a1_b1_a2_b2(k=2, profits=None):
@@ -181,11 +183,21 @@ class TestSolveConvex:
         for _ in range(30):
             na, nb = rng.randint(1, 4), rng.randint(1, 4)
             inst = support.random_convex_instance(rng, na, nb, 2, 5)
-            opt_full, _, _ = solve_convex(inst)
+            opt_full, _, _ = solve_convex(inst, prune=False)
             opt_pruned, profile, witness = solve_convex(inst, prune=True)
             assert opt_full == opt_pruned
             validate_coloring(inst, witness)
             assert profile_of(inst, witness) == profile
+
+
+    def test_stage_cells_respect_the_cap(self):
+        # the full set holds 254 profiles and one stage cell holds 72
+        inst, co = gen_convex_bipartite(4, 4, 2, 9, seed=3)
+        assert len(solve_connected_convex(inst, co)) == 254
+        with pytest.raises(ProfileCapError):
+            solve_connected_convex(inst, co, cap=48)
+        with pytest.raises(ProfileCapError):
+            convex_profile_set(inst, co, cap=48)
 
 
 class TestInvariants:
