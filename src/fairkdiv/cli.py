@@ -289,6 +289,8 @@ def cmd_approx(args) -> int:
         eps = Fraction(args.epsilon)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"cannot parse epsilon {args.epsilon!r}", EXIT_USAGE)
+    if not 0 < eps < 1:
+        raise CliError(f"epsilon must lie strictly between 0 and 1, got {eps}", EXIT_USAGE)
     stats: dict = {}
     start = time.perf_counter()
     method, row, side = resolve_method(args, inst)

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from typing import Union
 
 from .model import Coloring, ConflictInstance, Profile, validate_coloring
-from .profiles import ProfileSet, best_profile, run_tables, store_cells, union_cells
+from .profiles import (
+    ProfileSet,
+    add_sums,
+    best_profile,
+    run_tables,
+    store_cells,
+    union_cells,
+    unit_code,
+)
 # unused here: kept only as the module attribute the benchmark tracer wraps
 from .profiles import dominance_prune  # noqa: F401
 
@@ -259,13 +267,10 @@ def dp_node(
     if isinstance(node, VertexNode):
         bit = 1 << (node.label - 1)
         v0 = node.vertex - 1
-        raw: dict[LabelKey, set[Profile]] = {_zero_key(k): {(0,) * k}}
+        raw: dict[LabelKey, set[int]] = {_zero_key(k): {0}}
         for j in range(k):
             key = tuple(bit if idx == j else 0 for idx in range(k))
-            profile = tuple(
-                inst.profits[j][v0] if idx == j else 0 for idx in range(k)
-            )
-            raw.setdefault(key, set()).add(profile)
+            raw.setdefault(key, set()).add(unit_code(k, j, inst.profits[j][v0]))
         return store_cells(k, raw, cap, prune)
 
     if isinstance(node, UnionNode):
@@ -274,17 +279,14 @@ def dp_node(
         for key1, set1 in left.items():
             for key2, set2 in right.items():
                 key = tuple(a | b for a, b in zip(key1, key2))
-                bucket = raw.setdefault(key, set())
-                for q1 in set1:
-                    for q2 in set2:
-                        bucket.add(tuple(a + b for a, b in zip(q1, q2)))
+                add_sums(raw.setdefault(key, set()), set1.codes, set2.codes, cap=cap)
         return store_cells(k, raw, cap, prune)
 
     if isinstance(node, EtaNode):
         (child,) = child_tables
         pair = (1 << (node.i - 1)) | (1 << (node.j - 1))
         raw = {
-            key: profiles
+            key: profiles.codes
             for key, profiles in child.items()
             if all((mask & pair) != pair for mask in key)
         }
@@ -299,7 +301,7 @@ def dp_node(
             new_key = tuple(
                 (mask & ~bit_i) | bit_j if mask & bit_i else mask for mask in key
             )
-            raw.setdefault(new_key, set()).update(profiles)
+            raw.setdefault(new_key, set()).update(profiles.codes)
         return store_cells(k, raw, cap, prune)
 
     raise TypeError(f"unknown node type {type(node).__name__}")

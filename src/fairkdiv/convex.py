@@ -18,11 +18,13 @@ from typing import Iterable, Sequence
 from .model import Coloring, ConflictInstance, Profile, connected_components, validate_coloring
 from .profiles import (
     ProfileSet,
+    add_sums,
     best_profile,
     count_table,
     dominance_prune,
     edgeless_assignment,
     edgeless_profiles,
+    encode,
     merge_profile_sets,
     store_cells,
     union_cells,
@@ -434,7 +436,7 @@ class _ConnectedConvexDP:
         u_prev = v_prev = 0
         for j in range(len(self.ss.u)):
             u_cur, v_cur = self.ss.u[j], self.ss.v[j]
-            raw: dict[tuple[int, ...], set[Profile]] = {}
+            raw: dict[tuple[int, ...], set[int]] = {}
             for guess in self._guesses(u_cur):
                 if j == 0:
                     mu0 = (INF,) * self.k
@@ -443,15 +445,13 @@ class _ConnectedConvexDP:
                     self.stats["profile-ops"] = self.stats.get("profile-ops", 0) + len(
                         rows
                     ) * len(base)
-                    cell = {
-                        tuple(q + d for q, d in zip(p, self._delta(guess, mu0, 0)))
-                        for p in base
-                    }
+                    delta = encode(self._delta(guess, mu0, 0), self.k)
+                    cell = add_sums(set(), base.codes, (delta,), cap=self.cap)
                 else:
-                    pred_union: set[Profile] = set()
+                    pred_union: set[int] = set()
                     for tau in self._predecessors(guess, u_prev, prev):
-                        pred_union |= set(prev[tau])
-                    pred = ProfileSet(self.k, pred_union)
+                        pred_union.update(prev[tau].codes)
+                    pred = ProfileSet.from_codes(self.k, pred_union)
                     cell = set()
                     for mu in itertools.product(
                         *self._m_candidates(guess, v_prev, v_cur)
@@ -465,9 +465,8 @@ class _ConnectedConvexDP:
                             pred
                         ) * len(part)
                         combined = merge_profile_sets(pred, part, cap=self.cap)
-                        delta = self._delta(guess, mu, u_prev)
-                        for q in combined:
-                            cell.add(tuple(a + b for a, b in zip(q, delta)))
+                        delta = encode(self._delta(guess, mu, u_prev), self.k)
+                        add_sums(cell, combined.codes, (delta,), cap=self.cap)
                 raw[guess] = cell
             cur = store_cells(self.k, raw, self.cap, self.prune)
             count_table(self.stats, cur)

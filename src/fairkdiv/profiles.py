@@ -4,6 +4,15 @@ A profile set collects the k-tuples of per-agent profits attainable by some
 family of partial colorings.  Sets are combined by vector addition (merging
 independent parts), shifted by fixed contributions, and finally scanned for
 the profile with the best minimum entry.
+
+Each profile is stored as one int, its code: coordinate j (1-based) fills the
+FIELD_BITS-bit field that starts FIELD_BITS * (k - j) bits up, so coordinate 1
+is the most significant and the order of codes is the lexicographic order of
+profiles.  ConflictInstance bounds every agent's total profit by
+MAX_PROFIT_SUM < 2**FIELD_BITS, so every profile a solver builds fits its
+fields, and the sum of two codes is the code of the vector sum: no carry
+crosses a field.  Code arithmetic is linear, so a sum may also subtract a
+profile, as long as the result is a profile.
 """
 from __future__ import annotations
 
@@ -14,6 +23,9 @@ from .model import Profile
 # A set may hold up to (Q+1)^k profiles; fail loudly instead of thrashing.
 DEFAULT_PROFILE_CAP = 1 << 26
 
+FIELD_BITS = 64
+FIELD_MASK = (1 << FIELD_BITS) - 1
+
 
 class ProfileCapError(RuntimeError):
     """A profile set grew past the configured cap."""
@@ -23,61 +35,85 @@ class ProfileCapError(RuntimeError):
         super().__init__(f"profile set exceeded the cap of {cap} profiles")
 
 
-class ProfileSet:
-    """An immutable deduplicated set of equal-arity profit profiles."""
+def encode(profile: Sequence[int], arity: int) -> int:
+    """The code of a profile; ValueError if it is not a k-profile that fits."""
+    if len(profile) != arity:
+        raise ValueError(f"profile {tuple(profile)} does not have arity {arity}")
+    code = 0
+    for x in profile:
+        if not 0 <= x <= FIELD_MASK:
+            raise ValueError(f"profile {tuple(profile)} has a coordinate outside [0, 2**{FIELD_BITS})")
+        code = (code << FIELD_BITS) | x
+    return code
 
-    __slots__ = ("arity", "_profiles", "_bound")
+
+def decode(code: int, arity: int) -> Profile:
+    """The profile a code stands for."""
+    return tuple(
+        (code >> shift) & FIELD_MASK for shift in range(FIELD_BITS * (arity - 1), -1, -FIELD_BITS)
+    )
+
+
+def unit_code(arity: int, j: int, p: int) -> int:
+    """The code of the profile with p at 0-based coordinate j and zeros elsewhere."""
+    return p << (FIELD_BITS * (arity - 1 - j))
+
+
+class ProfileSet:
+    """An immutable deduplicated set of equal-arity profit profiles.
+
+    Members are held as codes in `codes`; iteration, `in` and the sorted
+    forms speak in profile tuples.
+    """
+
+    __slots__ = ("arity", "codes")
 
     def __init__(self, arity: int, profiles: Iterable[Profile]):
         self.arity = arity
-        self._profiles = frozenset(profiles)
-        for q in self._profiles:
-            if len(q) != arity:
-                raise ValueError(f"profile {q} does not have arity {arity}")
-        self._bound: Profile | None = None
+        self.codes = frozenset(encode(q, arity) for q in profiles)
+
+    @classmethod
+    def from_codes(cls, arity: int, codes: Iterable[int]) -> ProfileSet:
+        """A set of already encoded profiles (not checked)."""
+        pset = cls.__new__(cls)
+        pset.arity = arity
+        pset.codes = frozenset(codes)
+        return pset
 
     @classmethod
     def zero(cls, arity: int) -> ProfileSet:
-        return cls(arity, [(0,) * arity])
+        return cls.from_codes(arity, (0,))
 
     def __iter__(self) -> Iterator[Profile]:
-        return iter(self._profiles)
+        return (decode(code, self.arity) for code in self.codes)
 
     def __len__(self) -> int:
-        return len(self._profiles)
+        return len(self.codes)
 
-    def __contains__(self, profile: Profile) -> bool:
-        return profile in self._profiles
+    def __contains__(self, profile: object) -> bool:
+        try:
+            return encode(profile, self.arity) in self.codes  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            return False
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProfileSet):
             return NotImplemented
-        return self.arity == other.arity and self._profiles == other._profiles
+        return self.arity == other.arity and self.codes == other.codes
 
     def __hash__(self) -> int:
-        return hash((self.arity, self._profiles))
+        return hash((self.arity, self.codes))
 
     def __repr__(self) -> str:
-        return f"ProfileSet(arity={self.arity}, size={len(self._profiles)})"
+        return f"ProfileSet(arity={self.arity}, size={len(self.codes)})"
 
     def sorted_profiles(self) -> list[Profile]:
         """Canonical lexicographic ascending order."""
-        return sorted(self._profiles)
-
-    def componentwise_max(self) -> Profile:
-        """Upper bound per coordinate over all members; zeros if empty."""
-        if self._bound is None:
-            bound = [0] * self.arity
-            for q in self._profiles:
-                for j, x in enumerate(q):
-                    if x > bound[j]:
-                        bound[j] = x
-            self._bound = tuple(bound)
-        return self._bound
+        return [decode(code, self.arity) for code in sorted(self.codes)]
 
     def dump(self) -> str:
         """One profile per line, space-separated, lexicographically sorted."""
-        return "\n".join(" ".join(str(x) for x in q) for q in self.sorted_profiles())
+        return "\n".join(" ".join(map(str, q)) for q in self.sorted_profiles())
 
 
 def _check_cap(size: int, cap: int | None) -> None:
@@ -91,19 +127,19 @@ def _check_cap(size: int, cap: int | None) -> None:
 Table = dict[Hashable, ProfileSet]
 
 
-def _stored(k: int, profiles: Collection[Profile], cap: int | None, prune: bool) -> ProfileSet:
-    _check_cap(len(profiles), cap)
-    pset = ProfileSet(k, profiles)
+def _stored(k: int, codes: Collection[int], cap: int | None, prune: bool) -> ProfileSet:
+    _check_cap(len(codes), cap)
+    pset = ProfileSet.from_codes(k, codes)
     return dominance_prune(pset) if prune else pset
 
 
 def store_cells(
     k: int,
-    raw: Mapping[Hashable, Collection[Profile]],
+    raw: Mapping[Hashable, Collection[int]],
     cap: int | None = None,
     prune: bool = False,
 ) -> Table:
-    """A finished table from raw cells: the per-cell step of every DP.
+    """A finished table from raw cells of codes: the per-cell step of every DP.
 
     Empty cells are dropped, each cell is checked against the cap before
     pruning, and with prune only its Pareto-maximal members are kept.
@@ -115,9 +151,9 @@ def union_cells(
     k: int, cells: Iterable[ProfileSet], cap: int | None = None, prune: bool = False
 ) -> ProfileSet:
     """One set holding every member of the given cells, checked like a cell."""
-    union: set[Profile] = set()
+    union: set[int] = set()
     for cell in cells:
-        union.update(cell)
+        union.update(cell.codes)
     return _stored(k, union, cap, prune)
 
 
@@ -155,6 +191,28 @@ def run_tables(
     return tables
 
 
+def add_sums(
+    out: set[int],
+    left: Collection[int],
+    right: Collection[int],
+    offset: int = 0,
+    cap: int | None = None,
+) -> set[int]:
+    """Add the code a + b + offset to out for every a in left and b in right.
+
+    The vector-sum kernel of every DP.  A negative offset subtracts a
+    profile; every sum must be a profile.  out is checked against the cap
+    after each row, so a runaway product fails before it is built.
+    """
+    if len(left) > len(right):
+        left, right = right, left
+    for a in left:
+        a += offset
+        out.update([a + b for b in right])
+        _check_cap(len(out), cap)
+    return out
+
+
 def edgeless_profiles(
     k: int,
     vertex_profits: Sequence[Sequence[int]],
@@ -165,43 +223,34 @@ def edgeless_profiles(
     vertex_profits[i][j] is agent j's profit for the i-th vertex.  Starting
     from the all-zero profile, each vertex either stays unassigned or adds
     its profit to one agent's coordinate, so the result is built in
-    O(len(vertex_profits) * (Q+1)^k) set operations.
+    O(len(vertex_profits) * (Q+1)^k) set operations.  Each agent's profits
+    must sum to less than 2**FIELD_BITS.
     """
-    current: set[Profile] = {(0,) * k}
+    current: set[int] = {0}
     for row in vertex_profits:
-        additions = [(j, p) for j, p in enumerate(row) if p > 0]
-        if not additions:
-            continue
-        nxt = set(current)
-        for q in current:
-            for j, p in additions:
-                nxt.add(q[:j] + (q[j] + p,) + q[j + 1 :])
-        _check_cap(len(nxt), cap)
-        current = nxt
-    return ProfileSet(k, current)
+        additions = [unit_code(k, j, p) for j, p in enumerate(row) if p > 0]
+        if additions:
+            current = add_sums(set(current), additions, current, cap=cap)
+    return ProfileSet.from_codes(k, current)
 
 
 def merge_profile_sets(s1: ProfileSet, s2: ProfileSet, cap: int | None = None) -> ProfileSet:
-    """All pairwise vector sums {q1 + q2}, deduplicated."""
+    """All pairwise vector sums {q1 + q2}, deduplicated.
+
+    Every sum must fit the fields, as it does for sets built from one
+    instance's disjoint parts.
+    """
     if s1.arity != s2.arity:
         raise ValueError(f"arity mismatch: {s1.arity} vs {s2.arity}")
-    if len(s1) > len(s2):
-        s1, s2 = s2, s1
-    out: set[Profile] = set()
-    for q1 in s1:
-        for q2 in s2:
-            out.add(tuple(a + b for a, b in zip(q1, q2)))
-        _check_cap(len(out), cap)
-    return ProfileSet(s1.arity, out)
+    return ProfileSet.from_codes(s1.arity, add_sums(set(), s1.codes, s2.codes, cap=cap))
 
 
 def shift(s: ProfileSet, delta: Profile) -> ProfileSet:
     """Add a fixed profile to every member (cardinality preserved)."""
-    if len(delta) != s.arity:
-        raise ValueError(f"arity mismatch: {len(delta)} vs {s.arity}")
-    if not any(delta):
+    offset = encode(delta, s.arity)
+    if not offset:
         return s
-    return ProfileSet(s.arity, (tuple(a + b for a, b in zip(q, delta)) for q in s))
+    return ProfileSet.from_codes(s.arity, add_sums(set(), s.codes, (offset,)))
 
 
 def best_satisfaction(s: ProfileSet) -> int:
@@ -227,14 +276,30 @@ def dominance_prune(s: ProfileSet) -> ProfileSet:
     """Keep only Pareto-maximal members.
 
     Sound for optimum extraction (vector addition and min are monotone) but
-    never for full profile-set output.
+    never for full profile-set output.  Codes in descending order are
+    profiles in descending lexicographic order, so a member's dominators
+    all come before it.  For k <= 2 a member is then dominated iff an
+    earlier one has a last coordinate at least as large, which a running
+    maximum answers (Kung, Luccio & Preparata 1975); for k >= 3 each
+    member is checked against the front kept so far.
     """
-    ordered = sorted(s._profiles, key=lambda q: (-sum(q),) + tuple(-x for x in q))
-    kept: list[Profile] = []
-    for q in ordered:
-        if not any(all(a >= b for a, b in zip(p, q)) for p in kept):
-            kept.append(q)
-    return ProfileSet(s.arity, kept)
+    k = s.arity
+    kept: list[int] = []
+    if k <= 2:
+        top = -1
+        for code in sorted(s.codes, reverse=True):
+            last = code & FIELD_MASK
+            if last > top:
+                kept.append(code)
+                top = last
+    else:
+        front: list[Profile] = []
+        for code in sorted(s.codes, reverse=True):
+            q = decode(code, k)
+            if not any(all(a >= b for a, b in zip(p, q)) for p in front):
+                front.append(q)
+                kept.append(code)
+    return ProfileSet.from_codes(k, kept)
 
 
 def edgeless_assignment(

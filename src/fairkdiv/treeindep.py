@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .model import Coloring, ConflictInstance, Profile, validate_coloring
-from .profiles import ProfileSet, best_profile, run_tables, store_cells
+from .profiles import ProfileSet, add_sums, best_profile, run_tables, store_cells, unit_code
 # unused here: kept only as the module attribute the benchmark tracer wraps
 from .profiles import dominance_prune  # noqa: F401
 
@@ -348,7 +348,7 @@ def tin_dp_node(
     """Table of one nice node from its children's tables."""
     k = inst.k
     if node.kind == "leaf":
-        return store_cells(k, {(): {(0,) * k}}, cap, prune)
+        return store_cells(k, {(): {0}}, cap, prune)
 
     if node.kind == "introduce":
         (child,) = child_tables
@@ -357,7 +357,7 @@ def tin_dp_node(
         pos = bag_sorted.index(v)
         adj_v = inst.adjacency()[v]
         child_sorted = sorted(node.bag - {v})
-        raw: dict[ColoringKey, set[Profile]] = {}
+        raw: dict[ColoringKey, set[int]] = {}
         for child_key, pset in child.items():
             for color in range(k + 1):
                 if color > 0 and any(
@@ -366,12 +366,10 @@ def tin_dp_node(
                     continue
                 key = child_key[:pos] + (color,) + child_key[pos:]
                 if color == 0:
-                    raw.setdefault(key, set()).update(pset)
+                    raw.setdefault(key, set()).update(pset.codes)
                 else:
-                    p = inst.profits[color - 1][v]
-                    raw.setdefault(key, set()).update(
-                        q[: color - 1] + (q[color - 1] + p,) + q[color:] for q in pset
-                    )
+                    gain = unit_code(k, color - 1, inst.profits[color - 1][v])
+                    add_sums(raw.setdefault(key, set()), pset.codes, (gain,), cap=cap)
         return store_cells(k, raw, cap, prune)
 
     if node.kind == "forget":
@@ -382,7 +380,7 @@ def tin_dp_node(
         raw = {}
         for child_key, pset in child.items():
             key = child_key[:pos] + child_key[pos + 1 :]
-            raw.setdefault(key, set()).update(pset)
+            raw.setdefault(key, set()).update(pset.codes)
         return store_cells(k, raw, cap, prune)
 
     if node.kind == "join":
@@ -393,14 +391,13 @@ def tin_dp_node(
             set2 = second.get(key)
             if set2 is None:
                 continue
-            correction = [0] * k
-            for v, color in zip(bag_sorted, key):
-                if color > 0:
-                    correction[color - 1] += inst.profits[color - 1][v]
-            bucket = raw.setdefault(key, set())
-            for q1 in set1:
-                for q2 in set2:
-                    bucket.add(tuple(a + b - w for a, b, w in zip(q1, q2, correction)))
+            # both sides count the bag's own profits
+            correction = sum(
+                unit_code(k, color - 1, inst.profits[color - 1][v])
+                for v, color in zip(bag_sorted, key)
+                if color > 0
+            )
+            raw[key] = add_sums(set(), set1.codes, set2.codes, -correction, cap=cap)
         return store_cells(k, raw, cap, prune)
 
     raise AssertionError(f"unknown node kind {node.kind}")

@@ -278,6 +278,12 @@ class TestApprox:
         ])
         assert code == EXIT_USAGE
 
+    def test_out_of_range_epsilon_exit_2(self, t1_file):
+        for eps in ("2", "1", "0"):
+            code, _, err = run_cli(["approx", t1_file, "--epsilon", eps])
+            assert code == EXIT_USAGE, (eps, err)
+            assert "between 0 and 1" in err
+
 
 class TestRecognizeOnce:
     def test_one_search_per_command(self, tmp_path, monkeypatch):

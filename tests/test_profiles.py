@@ -1,8 +1,14 @@
+import random
+
 import pytest
 
 import properties
+import support
 
-from fairkdiv.oracle import brute_force_profiles
+from fairkdiv.cliquewidth import cliquewidth_profile_set, solve_cliquewidth
+from fairkdiv.convex import convex_profile_set, solve_convex
+from fairkdiv.model import MAX_PROFIT_SUM, ConflictInstance, profile_of, validate_coloring
+from fairkdiv.oracle import brute_force_optimum, brute_force_profiles
 from fairkdiv.profiles import (
     ProfileCapError,
     ProfileSet,
@@ -14,9 +20,24 @@ from fairkdiv.profiles import (
     merge_profile_sets,
     shift,
 )
+from fairkdiv.treeindep import TreeDecomposition, solve_tin, tin_profile_set
 
 T1_ROWS = [(3, 2), (1, 2)]
 T1_SET = {(0, 0), (1, 0), (3, 0), (4, 0), (0, 2), (0, 4), (1, 2), (3, 2)}
+# coordinates that sit at and next to the edges of a packed field
+EDGE_VALUES = (0, 1, 2, 7, 2**32, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1)
+
+
+def random_profiles(rng: random.Random, k: int, size: int, values=EDGE_VALUES) -> set:
+    return {tuple(rng.choice(values) for _ in range(k)) for _ in range(size)}
+
+
+def pareto_front(profiles: set) -> set:
+    """The definition: members no other member is >= in every coordinate."""
+    return {
+        q for q in profiles
+        if not any(p != q and all(a >= b for a, b in zip(p, q)) for p in profiles)
+    }
 
 
 class TestEdgeless:
@@ -78,6 +99,15 @@ class TestBestSatisfaction:
         value, profile = best_profile(ProfileSet(2, T1_SET))
         assert value == 2 and profile == (3, 2)
 
+    def test_best_profile_matches_tuple_formula(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            k = rng.randint(1, 3)
+            members = random_profiles(rng, k, rng.randint(1, 12), values=range(6))
+            best = max(min(q) for q in members)
+            want = min(q for q in pareto_front(members) if min(q) == best)
+            assert best_profile(ProfileSet(k, members)) == (best, want)
+
 
 class TestDominancePrune:
     def test_dominated_pair(self):
@@ -91,15 +121,74 @@ class TestDominancePrune:
         pruned = dominance_prune(ProfileSet(2, T1_SET))
         assert set(pruned) == {(4, 0), (3, 2), (0, 4)}
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_definition(self, k):
+        rng = random.Random(100 + k)
+        for _ in range(300):
+            for values in (range(5), EDGE_VALUES):
+                members = random_profiles(rng, k, rng.randint(0, 15), values)
+                assert set(dominance_prune(ProfileSet(k, members))) == pareto_front(members)
+
 
 class TestDumpFormat:
     def test_sorted_lines(self):
         s = ProfileSet(2, {(3, 2), (0, 4), (1, 0)})
         assert s.dump() == "0 4\n1 0\n3 2"
 
-    def test_componentwise_max(self):
-        s = ProfileSet(2, T1_SET)
-        assert s.componentwise_max() == (4, 4)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_dump_order_is_tuple_order(self, k):
+        rng = random.Random(k)
+        for _ in range(100):
+            members = random_profiles(rng, k, rng.randint(0, 20))
+            s = ProfileSet(k, members)
+            assert s.sorted_profiles() == sorted(members)
+            assert s.dump() == "\n".join(" ".join(map(str, q)) for q in sorted(members))
+
+
+class TestPackedLayout:
+    def test_rejects_profiles_that_do_not_fit(self):
+        for bad in [(-1, 0), (0, -1), (2**64, 0), (0, 2**64), (1, 2, 3), (1,)]:
+            with pytest.raises(ValueError):
+                ProfileSet(2, [bad])
+        assert set(ProfileSet(2, [(2**64 - 1, 2**64 - 1)])) == {(2**64 - 1, 2**64 - 1)}
+
+    def test_membership_of_profiles_that_do_not_fit(self):
+        # each probe would alias the member's code if it were packed unchecked
+        assert (0, 2**64) not in ProfileSet(2, [(1, 0)])
+        assert (1, -1) not in ProfileSet(2, [(0, 2**64 - 1)])
+        assert (2**64,) not in ProfileSet(1, [(2**64 - 1,)])
+        s = ProfileSet(2, [(0, 0), (3, 4)])
+        for probe in [(-1, 0), (0, 0, 0), (3,), (2**64, 0), "ab", 7]:
+            assert probe not in s
+        assert (3, 4) in s
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_agent_totals_at_the_limit(self, k):
+        """Every field full to MAX_PROFIT_SUM: no sum may carry across fields."""
+        row = [2**62, 2**61, 2**60, 2**59, 2**59 - 1]
+        assert sum(row) == MAX_PROFIT_SUM
+        profits = [row[j:] + row[:j] for j in range(k)]
+        # a path on 0..3 plus the isolated vertex 4: convex, two components
+        inst = ConflictInstance.build(5, k, [(0, 1), (1, 2), (2, 3)], profits)
+        assert inst.total_profits() == (MAX_PROFIT_SUM,) * k
+        # three children under bag 1 give join nodes whose correction is subtracted
+        td = TreeDecomposition(
+            n=5,
+            bags={1: frozenset({1, 2}), 2: frozenset({0, 1}), 3: frozenset({2, 3}), 4: frozenset({4})},
+            edges=((1, 2), (1, 3), (1, 4)),
+        )
+        expr = support.whole_graph_expression(inst)
+        want = brute_force_profiles(inst)
+        assert convex_profile_set(inst) == want
+        assert cliquewidth_profile_set(inst, expr) == want
+        assert tin_profile_set(inst, td) == want
+        optimum, _ = brute_force_optimum(inst)
+        for solve, side in ((solve_convex, None), (solve_cliquewidth, expr), (solve_tin, td)):
+            for prune in (False, True):
+                got, profile, witness = solve(inst, side, prune=prune)
+                validate_coloring(inst, witness)
+                assert profile_of(inst, witness) == profile
+                assert got == min(profile) == optimum, (solve.__name__, prune)
 
 
 class TestEdgelessAssignment:
