@@ -17,7 +17,6 @@ from .cliquewidth import (
 from .convex import (
     ConvexOrdering,
     OrderingError,
-    RecognitionCapError,
     consecutive_ones_order,
     convex_profile_set,
     find_convex_ordering,

@@ -24,7 +24,6 @@ from .cliquewidth import (
 from .convex import (
     ConvexOrdering,
     OrderingError,
-    RecognitionCapError,
     convex_profile_set,
     find_convex_ordering,
     solve_convex,
@@ -72,7 +71,7 @@ _INPUT_ERRORS = (
     ExpressionError,
     DecompositionError,
 )
-_RESOURCE_ERRORS = (ProfileCapError, EnumerationCapError, RecognitionCapError, AlphaCapError)
+_RESOURCE_ERRORS = (ProfileCapError, EnumerationCapError, AlphaCapError)
 _NOT_CONVEX = "recognition failed: no A-order gives consecutive B-neighborhoods"
 
 
@@ -191,7 +190,7 @@ def resolve_method(args, inst: ConflictInstance) -> tuple[str, Method, object]:
     if method in ("auto", "convex") and side["ordering"] is None:
         try:
             side["ordering"] = find_convex_ordering(inst)
-        except (OrderingError, RecognitionCapError):
+        except OrderingError:
             if method == "convex":
                 raise
         if method == "convex" and side["ordering"] is None:
@@ -321,25 +320,29 @@ def cmd_approx(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.family == "convex":
-        inst, ordering = gen_convex_bipartite(
-            args.na, args.nb, args.k, args.max_profit, args.seed
-        )
-        side_name, side_text = ".ordering", ordering_file_text(ordering)
-        comment = (
-            f"gen convex --na {args.na} --nb {args.nb} --k {args.k} "
-            f"--max-profit {args.max_profit} --seed {args.seed}"
-        )
-    else:
-        inst, td = gen_partial_ktree(
-            args.n, args.width, args.k, args.max_profit, args.seed, args.delete_prob
-        )
-        side_name, side_text = ".td", serialize_tree_decomposition(td)
-        comment = (
-            f"gen ktree --n {args.n} --width {args.width} --k {args.k} "
-            f"--max-profit {args.max_profit} --seed {args.seed} "
-            f"--delete-prob {args.delete_prob}"
-        )
+    # a generator reads nothing but its arguments, so its errors are usage errors
+    try:
+        if args.family == "convex":
+            inst, ordering = gen_convex_bipartite(
+                args.na, args.nb, args.k, args.max_profit, args.seed
+            )
+            side_name, side_text = ".ordering", ordering_file_text(ordering)
+            comment = (
+                f"gen convex --na {args.na} --nb {args.nb} --k {args.k} "
+                f"--max-profit {args.max_profit} --seed {args.seed}"
+            )
+        else:
+            inst, td = gen_partial_ktree(
+                args.n, args.width, args.k, args.max_profit, args.seed, args.delete_prob
+            )
+            side_name, side_text = ".td", serialize_tree_decomposition(td)
+            comment = (
+                f"gen ktree --n {args.n} --width {args.width} --k {args.k} "
+                f"--max-profit {args.max_profit} --seed {args.seed} "
+                f"--delete-prob {args.delete_prob}"
+            )
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_USAGE) from exc
     instance_text = serialize_instance(inst, comment=comment)
     if args.out:
         with open(args.out + ".fkd", "w", encoding="utf-8") as handle:
@@ -350,6 +353,19 @@ def cmd_gen(args) -> int:
     else:
         print(instance_text, end="")
     return EXIT_OK
+
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an int no smaller than low, else a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,9 +388,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--td", help="tree decomposition file (.td)")
         p.add_argument("--chordal", action="store_true", help="build a clique tree for --method tin")
         p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (results are identical)")
-        p.add_argument("--profile-cap", type=int, default=None, help="max profiles per set")
-        p.add_argument("--oracle-cap", type=int, default=None, help="max brute-force assignments")
+        p.add_argument(
+            "--threads", type=_int_at_least(1), default=1,
+            help="worker threads (results are identical)",
+        )
+        p.add_argument(
+            "--profile-cap", type=_int_at_least(0), default=None, help="max profiles per set"
+        )
+        p.add_argument(
+            "--oracle-cap", type=_int_at_least(0), default=None, help="max brute-force assignments"
+        )
 
     p_solve = sub.add_parser("solve", help="compute the optimum and a witness")
     common(p_solve)
@@ -431,9 +454,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except CliError as exc:

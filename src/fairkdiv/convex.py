@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .model import Coloring, ConflictInstance, Profile, connected_components, validate_coloring
 from .profiles import (
@@ -23,22 +23,16 @@ from .profiles import (
     count_table,
     dominance_prune,
     edgeless_assignment,
-    edgeless_profiles,
+    edgeless_profiles_unchecked,
     encode,
     merge_profile_sets,
     store_cells,
     union_cells,
 )
 
-DEFAULT_RECOGNITION_CAP = 1 << 18
-
 
 class OrderingError(ValueError):
     """The graph or a proposed ordering is not convex bipartite."""
-
-
-class RecognitionCapError(RuntimeError):
-    """Ordering search exceeded its state cap; supply an ordering instead."""
 
 
 @dataclass(frozen=True)
@@ -98,122 +92,234 @@ def validate_convex_ordering(
     return ConvexOrdering(a_order=a_list, b_vertices=tuple(sorted(b_set)), intervals=intervals)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _ordered_classes(rows: Sequence[int]) -> list[int] | None:
+    """The classes of one overlap component in their forced order, or None.
+
+    rows are masks over groups, listed so that each overlaps an earlier one.
+    A class is a maximal set of groups lying in the same rows; in every order
+    that makes the rows consecutive, the classes are consecutive and appear
+    in this order or its reverse.  The classes are kept as a doubly linked
+    list that each row refines: the classes it meets must form a run, only
+    the run's two end classes may be split, and the row's groups outside the
+    union so far become a new class at the end the run reaches.
+    """
+    members = [rows[0]]
+    prv: list[int | None] = [None]
+    nxt: list[int | None] = [None]
+    class_of = dict.fromkeys(_bits(rows[0]), 0)
+    union = rows[0]
+    head = tail = 0
+
+    def add_class(mask: int, left: int | None, right: int | None) -> None:
+        nonlocal head, tail
+        c = len(members)
+        members.append(mask)
+        prv.append(left)
+        nxt.append(right)
+        if left is None:
+            head = c
+        else:
+            nxt[left] = c
+        if right is None:
+            tail = c
+        else:
+            prv[right] = c
+        for x in _bits(mask):
+            class_of[x] = c
+
+    def split(c: int, row: int, inner_right: bool) -> None:
+        # the part of c inside the row moves to a new class on the run's side
+        inside = members[c] & row
+        if inside != members[c]:
+            members[c] &= ~row
+            if inner_right:
+                add_class(inside, c, nxt[c])
+            else:
+                add_class(inside, prv[c], c)
+
+    for row in rows[1:]:
+        hit = {class_of[x] for x in _bits(row & union)}
+        # the classes the row meets are a run iff just one starts it
+        run = [c for c in hit if prv[c] not in hit]
+        if len(run) != 1:
+            return None
+        while nxt[run[-1]] in hit:
+            run.append(nxt[run[-1]])
+        if any(members[c] & ~row for c in run[1:-1]):
+            return None
+        outside = row & ~union
+        to_left = False
+        if outside:
+            # the new class goes at an end of the list that the run reaches
+            # with a class wholly inside the row, or with its only class
+            single = len(run) == 1
+            fits_right = nxt[run[-1]] is None and (single or not members[run[-1]] & ~row)
+            fits_left = prv[run[0]] is None and (single or not members[run[0]] & ~row)
+            if not (fits_right or fits_left):
+                return None
+            to_left = not fits_right
+        if len(run) == 1:
+            split(run[0], row, not to_left)
+        else:
+            split(run[0], row, True)
+            split(run[-1], row, False)
+        if outside:
+            if to_left:
+                add_class(outside, None, head)
+            else:
+                add_class(outside, tail, None)
+            union |= outside
+    order = []
+    c: int | None = head
+    while c is not None:
+        order.append(members[c])
+        c = nxt[c]
+    return order
+
+
 def consecutive_ones_order(
     columns: Sequence[int],
     rows: Iterable[Iterable[int]],
-    state_cap: int = DEFAULT_RECOGNITION_CAP,
 ) -> list[int] | None:
     """Order the columns so every row becomes consecutive, or return None.
 
-    Columns with identical row membership are interchangeable and collapsed
-    first; the remaining search places one column class at a time, left to
-    right, rejecting any step that strands a started-but-unfinished row.
-    Exact but exponential in the worst case, hence the state cap.
+    Columns with identical row membership form a group, and groups are
+    numbered by their least column.  The result is the lexicographically
+    first sequence of group numbers under which every row is consecutive,
+    with each group's columns sorted, followed by the columns in no row,
+    sorted.
+
+    The test is polynomial and iterative.  It follows the overlap-component
+    form of the PQ-tree (Hsu, "A simple test for the consecutive ones
+    property", J. Algorithms 2002; McConnell, "A certifying algorithm for the
+    consecutive-ones property", SODA 2004).  Two rows overlap if they
+    intersect and neither contains the other.  Each overlap component fixes
+    the order of its classes up to reversal.  The components' unions nest,
+    and a component lies inside one class of the smallest component around
+    it, so each class holds the components nested directly in it and its
+    loose groups, in any order.  The lexicographically first order sorts
+    those members by the least group each can start with and turns every
+    component so that its end with the smaller such group comes first.
     """
     columns = list(columns)
     col_set = set(columns)
-    patterns: dict[int, set[int]] = {c: set() for c in columns}
-    row_sets = []
-    for row in rows:
-        members = frozenset(row)
+    patterns: dict[int, list[int]] = {c: [] for c in columns}
+    for idx, row in enumerate(rows):
+        members = set(row)
         if not members <= col_set:
             raise ValueError("row mentions a column outside the universe")
-        row_sets.append(members)
-    for idx, members in enumerate(row_sets):
         for c in members:
-            patterns[c].add(idx)
+            patterns[c].append(idx)
 
     groups: dict[frozenset[int], list[int]] = {}
     for c in columns:
         groups.setdefault(frozenset(patterns[c]), []).append(c)
     free = sorted(groups.pop(frozenset(), []))
-    group_keys = sorted(groups, key=lambda key: min(groups[key]))
-    bit_of = {key: 1 << i for i, key in enumerate(group_keys)}
+    keys = sorted(groups, key=lambda key: min(groups[key]))
+    g = len(keys)
+    full = (1 << g) - 1
+    masks: dict[int, int] = {}
+    for i, key in enumerate(keys):
+        for idx in key:
+            masks[idx] = masks.get(idx, 0) | 1 << i
+    # rows within one group or covering all groups impose nothing
+    row_masks = list(dict.fromkeys(m for m in masks.values() if m != full and m & (m - 1)))
 
-    row_masks = {
-        sum(bit_of[key] for key in group_keys if groups[key][0] in members)
-        for members in row_sets
-    }
-    full = (1 << len(group_keys)) - 1
-    # rows spanning one group or the whole universe impose nothing
-    constraints = [m for m in row_masks if m != full and m & (m - 1)]
-
-    dead: set[int] = set()
-
-    def search(placed: int) -> list[int] | None:
-        if placed == full:
-            return []
-        if placed in dead:
+    # overlap components, each row listed after one it overlaps
+    position = {m: r for r, m in enumerate(row_masks)}
+    rows_with = [0] * g
+    for i, key in enumerate(keys):
+        for idx in key:
+            if masks[idx] in position:
+                rows_with[i] |= 1 << position[masks[idx]]
+    unseen = (1 << len(row_masks)) - 1
+    components = []
+    for start, first_row in enumerate(row_masks):
+        if not unseen >> start & 1:
+            continue
+        unseen ^= 1 << start
+        comp = [first_row]
+        for row in comp:
+            near = 0
+            for x in _bits(row):
+                near |= rows_with[x]
+            for r in _bits(near & unseen):
+                other = row_masks[r]
+                if other & ~row and row & ~other:
+                    unseen ^= 1 << r
+                    comp.append(other)
+        classes = _ordered_classes(comp)
+        if classes is None:
             return None
-        if len(dead) > state_cap:
-            raise RecognitionCapError(
-                f"consecutive-ones search exceeded {state_cap} states"
-            )
-        for i, key in enumerate(group_keys):
-            bit = 1 << i
-            if placed & bit:
-                continue
-            ok = True
-            for mask in constraints:
-                if mask & bit:
-                    continue
-                if mask & placed and mask & ~placed:
-                    ok = False
-                    break
-            if ok:
-                rest = search(placed | bit)
-                if rest is not None:
-                    return [i] + rest
-        dead.add(placed)
-        return None
+        # the classes are disjoint, so their sum is the component's union
+        components.append((sum(classes), len(comp) > 1, classes))
 
-    found = search(0)
-    if found is None:
-        return None
+    # nest the components: a larger union first, a single row before a
+    # component of several rows with the same union
+    components.sort(key=lambda comp: (-comp[0].bit_count(), comp[1]))
+    root = (-1, 0)
+    nested: dict[tuple[int, int], list[int]] = {root: []}
+    covered = {root: 0}
+    innermost: dict[int, tuple[int, int]] = {}
+    for j, (union, _, classes) in enumerate(components):
+        slot = innermost.get((union & -union).bit_length() - 1, root)
+        nested[slot].append(j)
+        covered[slot] |= union
+        for ci, cls in enumerate(classes):
+            nested[j, ci] = []
+            covered[j, ci] = 0
+            for x in _bits(cls):
+                innermost[x] = (j, ci)
+
+    # node i < g is group i, node g + j is component j; first[node] is the
+    # least group the node's part of the order can start with
+    first = list(range(g)) + [0] * len(components)
+
+    def slot_nodes(slot: tuple[int, int], mask: int) -> list[int]:
+        nodes = [g + j for j in nested[slot]] + list(_bits(mask & ~covered[slot]))
+        nodes.sort(key=first.__getitem__)
+        return nodes
+
+    # inner components first; each one's slots in the order it is emitted
+    emitted: list[list[list[int]]] = [[] for _ in components]
+    for j in range(len(components) - 1, -1, -1):
+        slots = [slot_nodes((j, ci), cls) for ci, cls in enumerate(components[j][2])]
+        start, end = first[slots[0][0]], first[slots[-1][0]]
+        first[g + j] = min(start, end)
+        emitted[j] = slots[::-1] if end < start else slots
+
     order: list[int] = []
-    for i in found:
-        order.extend(sorted(groups[group_keys[i]]))
+    stack = slot_nodes(root, full)[::-1]
+    while stack:
+        node = stack.pop()
+        if node < g:
+            order.extend(sorted(groups[keys[node]]))
+        else:
+            for nodes in reversed(emitted[node - g]):
+                stack.extend(reversed(nodes))
     order.extend(free)
     return order
-
-
-def _two_color(inst: ConflictInstance, comp: Sequence[int]) -> tuple[set[int], set[int]] | None:
-    adj = inst.adjacency()
-    color: dict[int, int] = {}
-    for start in comp:
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y in adj[x]:
-                if y not in color:
-                    color[y] = 1 - color[x]
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    return None
-    side0 = {v for v in comp if color[v] == 0}
-    side1 = {v for v in comp if color[v] == 1}
-    return side0, side1
 
 
 def find_convex_ordering(
     inst: ConflictInstance,
     bipartition: tuple[Iterable[int], Iterable[int]] | None = None,
-    state_cap: int = DEFAULT_RECOGNITION_CAP,
 ) -> ConvexOrdering | None:
-    """Search for an A-order witnessing convexity, or return None.
+    """Find an A-order witnessing convexity, or return None.
 
-    With no bipartition given, each component is 2-colored and both side
-    choices are tried.  Raises OrderingError on non-bipartite input.
+    Each connected component is 2-colored in one search.  With no
+    bipartition given, the side holding the component's least vertex is
+    tried as A first, then the other side.  Raises OrderingError on
+    non-bipartite input.
     """
-    adj = inst.adjacency()
-
-    def component_order(a_side: list[int], b_side: list[int]) -> list[int] | None:
-        rows = [adj[b] for b in b_side]
-        return consecutive_ones_order(a_side, rows, state_cap=state_cap)
-
     fixed_a: frozenset[int] | None = None
     if bipartition is not None:
         fixed_a = frozenset(bipartition[0])
@@ -228,36 +334,44 @@ def find_convex_ordering(
             if (u in fixed_a) == (v in fixed_a):
                 raise OrderingError(f"edge ({u + 1},{v + 1}) does not cross the bipartition")
 
+    adj = inst.adjacency()
+    color = [-1] * inst.n
     a_order: list[int] = []
     b_side_all: list[int] = []
-    for comp in connected_components(inst):
-        verts = list(comp.vertices)
-        if len(verts) == 1:
-            if fixed_a is not None and verts[0] not in fixed_a:
-                b_side_all.append(verts[0])
-            else:
-                a_order.append(verts[0])
+    for start in range(inst.n):
+        if color[start] >= 0:
             continue
+        # start is the component's least vertex; its side gets color 0
+        color[start] = 0
+        comp = [start]
+        for v in comp:
+            for w in adj[v]:
+                if color[w] < 0:
+                    color[w] = 1 - color[v]
+                    comp.append(w)
+                elif color[w] == color[v]:
+                    raise OrderingError("graph is not bipartite: odd cycle found")
+        if len(comp) == 1:
+            if fixed_a is not None and start not in fixed_a:
+                b_side_all.append(start)
+            else:
+                a_order.append(start)
+            continue
+        comp.sort()
         if fixed_a is not None:
-            candidates = [(sorted(set(verts) & fixed_a), sorted(set(verts) - fixed_a))]
+            first = [v for v in comp if v in fixed_a]
+            candidates = [(first, [v for v in comp if v not in fixed_a])]
         else:
-            sides = _two_color(inst, verts)
-            if sides is None:
-                raise OrderingError("graph is not bipartite: odd cycle found")
-            side0, side1 = sides
-            first, second = (side0, side1) if min(verts) in side0 else (side1, side0)
-            candidates = [
-                (sorted(first), sorted(second)),
-                (sorted(second), sorted(first)),
-            ]
-        order = None
+            first = [v for v in comp if not color[v]]
+            second = [v for v in comp if color[v]]
+            candidates = [(first, second), (second, first)]
         for a_side, b_side in candidates:
-            order = component_order(a_side, b_side)
+            order = consecutive_ones_order(a_side, [adj[b] for b in b_side])
             if order is not None:
                 a_order.extend(order)
                 b_side_all.extend(b_side)
                 break
-        if order is None:
+        else:
             return None
     return validate_convex_ordering(inst, a_order, b_side_all)
 
@@ -441,7 +555,7 @@ class _ConnectedConvexDP:
                 if j == 0:
                     mu0 = (INF,) * self.k
                     rows = self._stage_rows(guess, mu0, 0, u_cur, 0, v_cur, restrict_b=False)
-                    base = edgeless_profiles(self.k, [r[2] for r in rows], cap=self.cap)
+                    base = edgeless_profiles_unchecked(self.k, [r[2] for r in rows], cap=self.cap)
                     self.stats["profile-ops"] = self.stats.get("profile-ops", 0) + len(
                         rows
                     ) * len(base)
@@ -460,7 +574,9 @@ class _ConnectedConvexDP:
                         if len(finite) != len(set(finite)):
                             continue
                         rows = self._stage_rows(guess, mu, u_prev, u_cur, v_prev, v_cur)
-                        part = edgeless_profiles(self.k, [r[2] for r in rows], cap=self.cap)
+                        part = edgeless_profiles_unchecked(
+                            self.k, [r[2] for r in rows], cap=self.cap
+                        )
                         self.stats["profile-ops"] = self.stats.get("profile-ops", 0) + len(
                             pred
                         ) * len(part)
@@ -497,7 +613,7 @@ class _ConnectedConvexDP:
                 if any(x < 0 for x in rest):
                     continue
                 rows = self._stage_rows(guess, mu, u_prev, u_cur, v_prev, v_cur)
-                part = edgeless_profiles(self.k, [r[2] for r in rows], cap=self.cap)
+                part = edgeless_profiles_unchecked(self.k, [r[2] for r in rows], cap=self.cap)
                 for q_new in part.sorted_profiles():
                     q_old = tuple(r - x for r, x in zip(rest, q_new))
                     if any(x < 0 for x in q_old):
@@ -579,7 +695,7 @@ def _merged_components(
         sub = comp.instance
         if not sub.edges:
             rows = [tuple(sub.profits[j][v] for j in range(sub.k)) for v in range(sub.n)]
-            pset = edgeless_profiles(sub.k, rows, cap=cap)
+            pset = edgeless_profiles_unchecked(sub.k, rows, cap=cap)
             if prune:
                 pset = dominance_prune(pset)
             parts.append((comp, pset, None, rows))

@@ -27,6 +27,8 @@ def gen_convex_bipartite(
     """
     if na < 0 or nb < 0:
         raise ValueError("side sizes must be nonnegative")
+    if max_profit < 0:
+        raise ValueError("max_profit must be nonnegative")
     rng = random.Random(seed)
     edges = []
     for b in range(nb):
@@ -64,6 +66,8 @@ def gen_partial_ktree(
     """
     if not (0.0 <= delete_prob <= 1.0):
         raise ValueError("delete_prob must lie in [0, 1]")
+    if max_profit < 0:
+        raise ValueError("max_profit must be nonnegative")
     rng = random.Random(seed)
     if n == 0:
         inst = ConflictInstance.build(0, k, [], [[] for _ in range(k)])

@@ -12,10 +12,15 @@ profiles.  ConflictInstance bounds every agent's total profit by
 MAX_PROFIT_SUM < 2**FIELD_BITS, so every profile a solver builds fits its
 fields, and the sum of two codes is the code of the vector sum: no carry
 crosses a field.  Code arithmetic is linear, so a sum may also subtract a
-profile, as long as the result is a profile.
+profile, as long as the result is a profile.  merge_profile_sets, shift and
+edgeless_profiles check that their sums fit and raise ValueError otherwise;
+add_sums and edgeless_profiles_unchecked, which the solvers' inner loops
+call, rely on the instance bound.
 """
 from __future__ import annotations
 
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Any, Callable, Collection, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .model import Profile
@@ -213,6 +218,34 @@ def add_sums(
     return out
 
 
+def _field_maxima(codes: Collection[int], arity: int) -> list[int]:
+    """Each coordinate's largest value over the codes (0 for no codes)."""
+    return [
+        max(((code >> shift) & FIELD_MASK for code in codes), default=0)
+        for shift in range(FIELD_BITS * (arity - 1), -1, -FIELD_BITS)
+    ]
+
+
+@lru_cache(maxsize=None)
+def _top_bits(arity: int) -> int:
+    """The mask of the most significant bit of every field."""
+    return ((1 << FIELD_BITS * arity) - 1) // FIELD_MASK << (FIELD_BITS - 1)
+
+
+def _check_sums_fit(arity: int, left: Collection[int], right: Collection[int]) -> None:
+    """ValueError if a left code plus a right code could carry out of a field.
+
+    Fields below 2**(FIELD_BITS - 1) in both operands cannot carry, which
+    one OR per operand shows; otherwise the per-field maxima are added.
+    """
+    if not reduce(or_, right, reduce(or_, left, 0)) & _top_bits(arity):
+        return
+    maxima = zip(_field_maxima(left, arity), _field_maxima(right, arity))
+    for j, (a, b) in enumerate(maxima):
+        if a + b > FIELD_MASK:
+            raise ValueError(f"coordinate {j + 1} of a sum could reach 2**{FIELD_BITS}")
+
+
 def edgeless_profiles(
     k: int,
     vertex_profits: Sequence[Sequence[int]],
@@ -223,8 +256,24 @@ def edgeless_profiles(
     vertex_profits[i][j] is agent j's profit for the i-th vertex.  Starting
     from the all-zero profile, each vertex either stays unassigned or adds
     its profit to one agent's coordinate, so the result is built in
-    O(len(vertex_profits) * (Q+1)^k) set operations.  Each agent's profits
-    must sum to less than 2**FIELD_BITS.
+    O(len(vertex_profits) * (Q+1)^k) set operations.  ValueError if an
+    agent's positive profits sum to 2**FIELD_BITS or more.
+    """
+    for j, column in enumerate(zip(*vertex_profits)):
+        if sum(p for p in column if p > 0) > FIELD_MASK:
+            raise ValueError(f"profits of agent {j + 1} sum to 2**{FIELD_BITS} or more")
+    return edgeless_profiles_unchecked(k, vertex_profits, cap)
+
+
+def edgeless_profiles_unchecked(
+    k: int,
+    vertex_profits: Sequence[Sequence[int]],
+    cap: int | None = None,
+) -> ProfileSet:
+    """edgeless_profiles without the check that each agent's sum fits a field.
+
+    For the solvers' hot loops: the profits of a ConflictInstance's vertices
+    sum to at most MAX_PROFIT_SUM per agent, so their sums always fit.
     """
     current: set[int] = {0}
     for row in vertex_profits:
@@ -237,19 +286,24 @@ def edgeless_profiles(
 def merge_profile_sets(s1: ProfileSet, s2: ProfileSet, cap: int | None = None) -> ProfileSet:
     """All pairwise vector sums {q1 + q2}, deduplicated.
 
-    Every sum must fit the fields, as it does for sets built from one
-    instance's disjoint parts.
+    ValueError if a coordinate of a sum could reach 2**FIELD_BITS, which
+    sets built from one instance's disjoint parts never do.
     """
     if s1.arity != s2.arity:
         raise ValueError(f"arity mismatch: {s1.arity} vs {s2.arity}")
+    _check_sums_fit(s1.arity, s1.codes, s2.codes)
     return ProfileSet.from_codes(s1.arity, add_sums(set(), s1.codes, s2.codes, cap=cap))
 
 
 def shift(s: ProfileSet, delta: Profile) -> ProfileSet:
-    """Add a fixed profile to every member (cardinality preserved)."""
+    """Add a fixed profile to every member (cardinality preserved).
+
+    ValueError if a coordinate of a sum could reach 2**FIELD_BITS.
+    """
     offset = encode(delta, s.arity)
     if not offset:
         return s
+    _check_sums_fit(s.arity, s.codes, (offset,))
     return ProfileSet.from_codes(s.arity, add_sums(set(), s.codes, (offset,)))
 
 

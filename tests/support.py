@@ -2,7 +2,8 @@
 
 Everything here stays deliberately independent of the solver code paths it
 is used to check: the MIS enumerator recurses over vertices directly, the
-consecutive-ones checker tries every column permutation, and the random
+consecutive-ones checker tries every column permutation, the
+consecutive-ones search tries column groups left to right, and the random
 families build graphs from raw edge lists.
 """
 from __future__ import annotations
@@ -18,7 +19,8 @@ from fairkdiv.cliquewidth import (
     VertexNode,
     evaluate_expression,
 )
-from fairkdiv.model import ConflictInstance
+from fairkdiv.convex import ConvexOrdering, validate_convex_ordering
+from fairkdiv.model import ConflictInstance, connected_components
 
 
 def random_instance(rng: random.Random, n: int, k: int, pmax: int, density: float = 0.4) -> ConflictInstance:
@@ -129,6 +131,134 @@ def c1p_by_permutations(columns: list[int], rows: list[set[int]]) -> bool:
         ):
             return True
     return False
+
+
+def c1p_first_by_search(columns: list[int], rows: list[set[int]]) -> list[int] | None:
+    """The lexicographically first consecutive-ones order, by exhaustive search.
+
+    Columns with identical row membership form a group, numbered by least
+    column.  Groups are placed left to right, smallest number first, and a
+    step that strands a started but unfinished row is rejected; dead sets of
+    placed groups are remembered.  The first complete placement is the
+    lexicographically first valid group sequence; each group's columns are
+    emitted sorted, then the columns in no row.  Exponential in the worst
+    case, so only for small matrices.
+    """
+    columns = list(columns)
+    col_set = set(columns)
+    patterns: dict[int, set[int]] = {c: set() for c in columns}
+    row_sets = []
+    for row in rows:
+        members = frozenset(row)
+        if not members <= col_set:
+            raise ValueError("row mentions a column outside the universe")
+        row_sets.append(members)
+    for idx, members in enumerate(row_sets):
+        for c in members:
+            patterns[c].add(idx)
+
+    groups: dict[frozenset[int], list[int]] = {}
+    for c in columns:
+        groups.setdefault(frozenset(patterns[c]), []).append(c)
+    free = sorted(groups.pop(frozenset(), []))
+    group_keys = sorted(groups, key=lambda key: min(groups[key]))
+    bit_of = {key: 1 << i for i, key in enumerate(group_keys)}
+
+    row_masks = {
+        sum(bit_of[key] for key in group_keys if groups[key][0] in members)
+        for members in row_sets
+    }
+    full = (1 << len(group_keys)) - 1
+    # rows spanning one group or the whole universe impose nothing
+    constraints = [m for m in row_masks if m != full and m & (m - 1)]
+
+    dead: set[int] = set()
+
+    def search(placed: int) -> list[int] | None:
+        if placed == full:
+            return []
+        if placed in dead:
+            return None
+        for i, key in enumerate(group_keys):
+            bit = 1 << i
+            if placed & bit:
+                continue
+            ok = True
+            for mask in constraints:
+                if mask & bit:
+                    continue
+                if mask & placed and mask & ~placed:
+                    ok = False
+                    break
+            if ok:
+                rest = search(placed | bit)
+                if rest is not None:
+                    return [i] + rest
+        dead.add(placed)
+        return None
+
+    found = search(0)
+    if found is None:
+        return None
+    order: list[int] = []
+    for i in found:
+        order.extend(sorted(groups[group_keys[i]]))
+    order.extend(free)
+    return order
+
+
+def convex_ordering_by_search(inst: ConflictInstance) -> ConvexOrdering | None:
+    """The ordering find_convex_ordering specifies, built on c1p_first_by_search.
+
+    For bipartite instances.  Components in order of least vertex; an isolated vertex goes to A; the
+    side holding a component's least vertex is tried as A first.
+    """
+    adj = inst.adjacency()
+    a_order: list[int] = []
+    b_side_all: list[int] = []
+    for comp in connected_components(inst):
+        verts = comp.vertices
+        if len(verts) == 1:
+            a_order.append(verts[0])
+            continue
+        side = {verts[0]: 0}
+        stack = [verts[0]]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in side:
+                    side[w] = 1 - side[v]
+                    stack.append(w)
+        first = sorted(v for v in verts if side[v] == 0)
+        second = sorted(v for v in verts if side[v] == 1)
+        for a_side, b_side in ((first, second), (second, first)):
+            order = c1p_first_by_search(a_side, [set(adj[b]) for b in b_side])
+            if order is not None:
+                a_order.extend(order)
+                b_side_all.extend(b_side)
+                break
+        else:
+            return None
+    return validate_convex_ordering(inst, a_order, b_side_all)
+
+
+def shuffled_convex_instance(
+    rng: random.Random, parts: list[tuple[int, int]], k: int, pmax: int
+) -> ConflictInstance:
+    """Disjoint convex parts (na, nb), each B-vertex on a random A-interval, ids permuted."""
+    n = sum(na + nb for na, nb in parts)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = []
+    base = 0
+    for na, nb in parts:
+        for b in range(nb):
+            lo = rng.randrange(na)
+            hi = rng.randrange(lo, na)
+            edges.extend((perm[base + a], perm[base + na + b]) for a in range(lo, hi + 1))
+        base += na + nb
+    profits = [[rng.randint(0, pmax) for _ in range(n)] for _ in range(k)]
+    return ConflictInstance.build(n=n, k=k, edges=edges, profits=profits)
 
 
 def check_result_schema(payload: dict, k: int) -> None:

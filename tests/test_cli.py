@@ -187,6 +187,18 @@ class TestRecognize:
         assert "consecutive" in err
 
 
+    def test_path_of_5000_vertices(self, tmp_path):
+        n = 5000
+        lines = [f"p fkd {n} {n - 1} 1", "w 1 " + " ".join(["1"] * n)]
+        lines += [f"e {v} {v + 1}" for v in range(1, n)]
+        path = tmp_path / "path.fkd"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(["recognize", str(path)])
+        assert code == EXIT_OK, err
+        ordering = parse_ordering_file(out, parse_instance(path.read_text()))
+        assert len(ordering.a_order) == n // 2
+
+
 class TestValidate:
     def test_validate_everything(self, tmp_path):
         run_cli([
@@ -310,6 +322,36 @@ class TestRecognizeOnce:
             code, _, err = run_cli(argv)
             assert code == EXIT_OK, err
             assert len(calls) == 1, argv
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen", "convex", "--na", "3", "--nb", "3", "--k", "0", "--seed", "1"], "agent count"),
+            (["gen", "convex", "--na", "-1", "--nb", "3", "--seed", "1"], "side sizes"),
+            (["gen", "ktree", "--n", "5", "--width", "7", "--seed", "1"], "width"),
+            (["gen", "ktree", "--n", "5", "--width", "2", "--delete-prob", "2", "--seed", "1"],
+             "delete_prob"),
+            (["gen", "convex", "--na", "3", "--nb", "3", "--max-profit", "-5", "--seed", "1"],
+             "max_profit"),
+            (["gen", "ktree", "--n", "5", "--width", "2", "--max-profit", "-5", "--seed", "1"],
+             "max_profit"),
+        ],
+        ids=["k-0", "na-negative", "width-above-n", "delete-prob-2",
+             "convex-max-profit-negative", "ktree-max-profit-negative"],
+    )
+    def test_gen_out_of_range_exit_2(self, argv, message):
+        code, out, err = run_cli(argv)
+        assert code == EXIT_USAGE, err
+        assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--profile-cap", "--oracle-cap"])
+    def test_negative_cap_exit_2(self, t1_file, flag):
+        code, _, err = run_cli(["solve", "--method", "brute", t1_file, flag, "-1"])
+        assert code == EXIT_USAGE
+        assert flag in err and "at least 0" in err
 
 
 class TestGen:

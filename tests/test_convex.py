@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -100,6 +101,68 @@ class TestFindOrdering:
                     if r:
                         ps = sorted(pos[c] for c in r)
                         assert ps[-1] - ps[0] + 1 == len(ps)
+
+    def test_row_outside_the_columns_raises(self):
+        with pytest.raises(ValueError, match="outside the universe"):
+            consecutive_ones_order([1, 2, 3], [{1, 2}, {3, 4}])
+
+    def test_c1p_order_matches_the_search(self):
+        # the lexicographically first group sequence, as the search defines it
+        rng = random.Random(41)
+        outcomes = {True: 0, False: 0}
+        for case in range(2400):
+            ncols = rng.randint(0, 12)
+            columns = rng.sample(range(-20, 60), ncols)
+            hidden = columns[:]
+            rng.shuffle(hidden)
+            rows = []
+            for _ in range(rng.randint(0, 10)):
+                if case % 2 == 0 and ncols:
+                    lo = rng.randrange(ncols)
+                    rows.append(set(hidden[lo:rng.randint(lo + 1, ncols)]))
+                else:
+                    rows.append(set(rng.sample(columns, rng.randint(0, ncols))))
+            want = support.c1p_first_by_search(columns, rows)
+            assert consecutive_ones_order(columns, rows) == want, (columns, rows)
+            outcomes[want is not None] += 1
+        assert min(outcomes.values()) >= 300, outcomes
+
+    def test_ordering_matches_the_search_on_shuffled_parts(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            parts = [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 4))]
+            inst = support.shuffled_convex_instance(rng, parts, 1, 3)
+            co = find_convex_ordering(inst)
+            assert co is not None
+            assert co == support.convex_ordering_by_search(inst)
+
+
+class TestRecognitionScale:
+    def test_shuffled_160_plus_160(self):
+        inst, _ = gen_convex_bipartite(160, 160, 2, 10, seed=5)
+        perm = list(range(inst.n))
+        random.Random(5).shuffle(perm)
+        profits = [[0] * inst.n for _ in range(inst.k)]
+        for j, row in enumerate(inst.profits):
+            for v, p in enumerate(row):
+                profits[j][perm[v]] = p
+        shuffled = ConflictInstance.build(
+            inst.n, inst.k, [(perm[u], perm[v]) for u, v in inst.edges], profits
+        )
+        start = time.perf_counter()
+        co = find_convex_ordering(shuffled)
+        elapsed = time.perf_counter() - start
+        assert co is not None
+        validate_convex_ordering(shuffled, co.a_order, co.b_vertices)
+        assert elapsed < 1.0, elapsed
+
+    def test_path_of_5000_vertices(self):
+        n = 5000
+        inst = ConflictInstance.build(n, 1, [(v, v + 1) for v in range(n - 1)], [[1] * n])
+        co = find_convex_ordering(inst)
+        assert co is not None
+        assert co.a_order == tuple(range(0, n, 2))
+        validate_convex_ordering(inst, co.a_order, co.b_vertices)
 
 
 class TestStageStructure:

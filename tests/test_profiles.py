@@ -162,6 +162,27 @@ class TestPackedLayout:
             assert probe not in s
         assert (3, 4) in s
 
+    def test_sums_that_would_carry_raise(self):
+        # each sum reaches 2**64 in coordinate 2, which packed codes would
+        # carry into coordinate 1
+        with pytest.raises(ValueError, match="coordinate 2"):
+            merge_profile_sets(ProfileSet(2, [(0, 2**64 - 1)]), ProfileSet(2, [(0, 1)]))
+        with pytest.raises(ValueError, match="coordinate 2"):
+            shift(ProfileSet(2, [(0, 2**64 - 1)]), (0, 1))
+        with pytest.raises(ValueError, match="agent 2"):
+            edgeless_profiles(2, [(0, 2**63), (0, 2**63)])
+
+    def test_sums_up_to_the_field_limit(self):
+        top = 2**64 - 1
+        merged = merge_profile_sets(
+            ProfileSet(2, [(2**63, 0), (0, 2**64 - 2)]), ProfileSet(2, [(2**63 - 1, 1), (0, 0)])
+        )
+        assert set(merged) == {(2**63, 0), (0, 2**64 - 2), (top, 1), (2**63 - 1, top)}
+        assert set(shift(ProfileSet(2, [(0, 2**63)]), (1, 2**63 - 1))) == {(1, top)}
+        assert set(edgeless_profiles(2, [(0, 2**63), (5, 2**63 - 1)])) == {
+            (0, 0), (0, 2**63), (0, 2**63 - 1), (0, top), (5, 0), (5, 2**63),
+        }
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_agent_totals_at_the_limit(self, k):
         """Every field full to MAX_PROFIT_SUM: no sum may carry across fields."""
