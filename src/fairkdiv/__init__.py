@@ -4,7 +4,7 @@ Exact pseudo-polynomial solvers (convex bipartite, bounded clique-width,
 bounded tree-independence number), a brute-force oracle, and an FPTAS
 wrapper, plus instance file I/O and generators.
 """
-from .approx import FptasResult, ScaledInstance, fptas, scale_profits
+from .approx import FptasResult, fptas, scale_profits
 from .cliquewidth import (
     CliqueExpression,
     ExpressionError,

@@ -20,28 +20,18 @@ from .model import Coloring, ConflictInstance, Profile, max_total_profit, profil
 ExactSolver = Callable[[ConflictInstance], tuple[int, Profile, Coloring]]
 
 
-@dataclass(frozen=True)
-class ScaledInstance:
-    """An instance with profits floor-divided by an integer factor."""
-
-    source: ConflictInstance
-    factor: int
-    instance: ConflictInstance
-
-
-def scale_profits(inst: ConflictInstance, factor: int) -> ScaledInstance:
+def scale_profits(inst: ConflictInstance, factor: int) -> ConflictInstance:
     """Floor-divide every profit by factor (factor 1 is the identity)."""
     if factor < 1:
         raise ValueError("scale factor must be a positive integer")
     if factor == 1:
-        return ScaledInstance(source=inst, factor=1, instance=inst)
-    scaled = ConflictInstance(
+        return inst
+    return ConflictInstance(
         n=inst.n,
         k=inst.k,
         edges=inst.edges,
         profits=tuple(tuple(p // factor for p in row) for row in inst.profits),
     )
-    return ScaledInstance(source=inst, factor=factor, instance=scaled)
 
 
 @dataclass
@@ -86,8 +76,7 @@ def fptas(
     while True:
         # big_q > 0 implies n >= 1 here
         factor = max(1, int(eps * guess / (2 * inst.n)))
-        scaled = scale_profits(inst, factor)
-        _, _, witness = exact_solver(scaled.instance)
+        _, _, witness = exact_solver(scale_profits(inst, factor))
         calls += 1
         true_profile = profile_of(inst, witness)
         value = satisfaction_level(true_profile)

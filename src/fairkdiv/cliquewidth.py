@@ -10,15 +10,19 @@ with exactly that label footprint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from operator import or_
+from typing import Iterator, Union
 
 from .model import Coloring, ConflictInstance, Profile, validate_coloring
 from .profiles import (
     ProfileSet,
-    add_sums,
+    Step,
     best_profile,
+    build_table,
+    encode,
+    extract_coloring,
+    post_order,
     run_tables,
-    store_cells,
     union_cells,
     unit_code,
 )
@@ -61,6 +65,7 @@ class RhoNode:
 
 
 ExprNode = Union[VertexNode, UnionNode, EtaNode, RhoNode]
+_OPERATIONS = {"u": UnionNode, "eta": EtaNode, "rho": RhoNode}
 
 
 @dataclass(frozen=True)
@@ -80,10 +85,8 @@ def _children(node: ExprNode) -> tuple[ExprNode, ...]:
     return ()
 
 
-def _walk(node: ExprNode):
-    yield node
-    for child in _children(node):
-        yield from _walk(child)
+def _walk(node: ExprNode) -> list[ExprNode]:
+    return post_order(node, _children)
 
 
 def parse_k_expression(text: str) -> CliqueExpression:
@@ -135,8 +138,11 @@ def parse_k_expression(text: str) -> CliqueExpression:
         pos += 1
         return value
 
-    def expr() -> ExprNode:
-        nonlocal pos
+    # An open u/eta/rho node waits on the stack as (op, labels, children)
+    # until its last child is parsed, so nesting depth is not bounded by the
+    # recursion limit.
+    stack: list[tuple[str, tuple[int, ...], list[ExprNode]]] = []
+    while True:
         expect("(")
         if pos >= len(tokens):
             raise ExpressionError("unexpected end of input")
@@ -149,22 +155,31 @@ def parse_k_expression(text: str) -> CliqueExpression:
             if vertex < 1:
                 raise ExpressionError(f"vertex id {vertex} out of range")
             node: ExprNode = VertexNode(label=label, vertex=vertex)
-        elif op == "u":
-            node = UnionNode(left=expr(), right=expr())
-        elif op in ("eta", "rho"):
-            i, j = number(), number()
-            if i < 1 or j < 1:
-                raise ExpressionError(f"label out of range in {op}")
-            if i == j:
-                raise ExpressionError(f"{op} requires two distinct labels, got {i} twice")
-            child = expr()
-            node = EtaNode(i, j, child) if op == "eta" else RhoNode(i, j, child)
+        elif op in _OPERATIONS:
+            labels: tuple[int, ...] = ()
+            if op != "u":
+                i, j = labels = (number(), number())
+                if i < 1 or j < 1:
+                    raise ExpressionError(f"label out of range in {op}")
+                if i == j:
+                    raise ExpressionError(f"{op} requires two distinct labels, got {i} twice")
+            stack.append((op, labels, []))
+            continue
         else:
             raise ExpressionError(f"unknown operation {op!r}")
         expect(")")
-        return node
-
-    root = expr()
+        # close every open node this one completes; the root closes the loop
+        while stack:
+            op, labels, children = stack[-1]
+            children.append(node)
+            if op == "u" and len(children) < 2:
+                break
+            stack.pop()
+            node = _OPERATIONS[op](*labels, *children)
+            expect(")")
+        else:
+            break
+    root = node
     if pos != len(tokens):
         raise ExpressionError(f"trailing input after expression: {tokens[pos]!r}")
 
@@ -198,32 +213,32 @@ class LabeledGraph:
 
 
 def evaluate_expression(expr: CliqueExpression) -> LabeledGraph:
-    """Build the labeled graph an expression describes."""
+    """Build the labeled graph an expression describes.
 
-    def build(node: ExprNode) -> tuple[dict[int, int], set[tuple[int, int]]]:
+    Each subexpression's vertices are kept as lists per label, so a union,
+    an edge-add or a relabel touches only the classes it names.
+    """
+    classes: dict[int, dict[int, list[int]]] = {}  # id(node) -> label -> vertices
+    edges: set[tuple[int, int]] = set()
+    for node in _walk(expr.root):
         if isinstance(node, VertexNode):
-            return {node.vertex: node.label}, set()
+            classes[id(node)] = {node.label: [node.vertex]}
+            continue
         if isinstance(node, UnionNode):
-            l_labels, l_edges = build(node.left)
-            r_labels, r_edges = build(node.right)
-            l_labels.update(r_labels)
-            l_edges |= r_edges
-            return l_labels, l_edges
-        labels, edges = build(node.child)
+            mine = classes.pop(id(node.left))
+            for label, vertices in classes.pop(id(node.right)).items():
+                mine.setdefault(label, []).extend(vertices)
+        else:
+            mine = classes.pop(id(node.child))
         if isinstance(node, EtaNode):
-            side_i = [v for v, lab in labels.items() if lab == node.i]
-            side_j = [v for v, lab in labels.items() if lab == node.j]
-            for x in side_i:
-                for y in side_j:
+            for x in mine.get(node.i, ()):
+                for y in mine.get(node.j, ()):
                     edges.add((min(x, y), max(x, y)))
-            return labels, edges
-        # relabel i -> j
-        for v, lab in labels.items():
-            if lab == node.i:
-                labels[v] = node.j
-        return labels, edges
-
-    labels, edges = build(expr.root)
+        elif isinstance(node, RhoNode):
+            moved = mine.pop(node.i, [])
+            mine.setdefault(node.j, []).extend(moved)
+        classes[id(node)] = mine
+    labels = {v: label for label, vertices in classes[id(expr.root)].items() for v in vertices}
     return LabeledGraph(labels=labels, edges=frozenset(edges))
 
 
@@ -248,8 +263,39 @@ def check_expression_matches(expr: CliqueExpression, inst: ConflictInstance) -> 
     return None
 
 
-def _zero_key(k: int) -> LabelKey:
-    return (0,) * k
+def cw_steps(node: ExprNode, child_tables: list[CwTable], inst: ConflictInstance) -> Iterator[Step]:
+    """The steps of one expression node (see profiles.Step) over its children's keys.
+
+    Keys are per-agent label bitmasks.  A vertex leaves every agent's key
+    empty (unassigned) or gives one agent its label and its profit; a union
+    ORs one key of each side; an edge-add keeps the keys in which no agent
+    holds both labels; a relabel moves label i to j in every mask.
+    """
+    k = inst.k
+    if isinstance(node, VertexNode):
+        bit = 1 << (node.label - 1)
+        v0 = node.vertex - 1
+        yield (0,) * k, (), 0, None
+        for j in range(k):
+            key = tuple(bit if idx == j else 0 for idx in range(k))
+            yield key, (), unit_code(k, j, inst.profits[j][v0]), (v0, j)
+    elif isinstance(node, UnionNode):
+        left, right = child_tables
+        for key1 in left:
+            for key2 in right:
+                yield tuple(map(or_, key1, key2)), (key1, key2), 0, None
+    elif isinstance(node, EtaNode):
+        pair = (1 << (node.i - 1)) | (1 << (node.j - 1))
+        for key in child_tables[0]:
+            if all((mask & pair) != pair for mask in key):
+                yield key, (key,), 0, None
+    elif isinstance(node, RhoNode):
+        bit_i = 1 << (node.i - 1)
+        bit_j = 1 << (node.j - 1)
+        for key in child_tables[0]:
+            yield tuple((m & ~bit_i) | bit_j if m & bit_i else m for m in key), (key,), 0, None
+    else:
+        raise TypeError(f"unknown node type {type(node).__name__}")
 
 
 def dp_node(
@@ -259,52 +305,8 @@ def dp_node(
     cap: int | None = None,
     prune: bool = False,
 ) -> CwTable:
-    """Table of one expression node from its children's tables.
-
-    Keys are per-agent label bitmasks; absent keys denote empty profile sets.
-    """
-    k = inst.k
-    if isinstance(node, VertexNode):
-        bit = 1 << (node.label - 1)
-        v0 = node.vertex - 1
-        raw: dict[LabelKey, set[int]] = {_zero_key(k): {0}}
-        for j in range(k):
-            key = tuple(bit if idx == j else 0 for idx in range(k))
-            raw.setdefault(key, set()).add(unit_code(k, j, inst.profits[j][v0]))
-        return store_cells(k, raw, cap, prune)
-
-    if isinstance(node, UnionNode):
-        left, right = child_tables
-        raw = {}
-        for key1, set1 in left.items():
-            for key2, set2 in right.items():
-                key = tuple(a | b for a, b in zip(key1, key2))
-                add_sums(raw.setdefault(key, set()), set1.codes, set2.codes, cap=cap)
-        return store_cells(k, raw, cap, prune)
-
-    if isinstance(node, EtaNode):
-        (child,) = child_tables
-        pair = (1 << (node.i - 1)) | (1 << (node.j - 1))
-        raw = {
-            key: profiles.codes
-            for key, profiles in child.items()
-            if all((mask & pair) != pair for mask in key)
-        }
-        return store_cells(k, raw, cap, prune)
-
-    if isinstance(node, RhoNode):
-        (child,) = child_tables
-        bit_i = 1 << (node.i - 1)
-        bit_j = 1 << (node.j - 1)
-        raw = {}
-        for key, profiles in child.items():
-            new_key = tuple(
-                (mask & ~bit_i) | bit_j if mask & bit_i else mask for mask in key
-            )
-            raw.setdefault(new_key, set()).update(profiles.codes)
-        return store_cells(k, raw, cap, prune)
-
-    raise TypeError(f"unknown node type {type(node).__name__}")
+    """Table of one expression node from its children's tables (see cw_steps)."""
+    return build_table(inst.k, cw_steps(node, child_tables, inst), child_tables, cap, prune)
 
 
 def cw_tables(
@@ -349,49 +351,16 @@ def solve_cliquewidth(
     root_table = tables[id(expr.root)]
     optimum, profile = best_profile(union_cells(inst.k, root_table.values(), cap))
 
-    classes: list[set[int]] = [set() for _ in range(inst.k)]
-
-    def descend(node: ExprNode, key: LabelKey, target: Profile) -> None:
-        table = tables[id(node)]
-        if isinstance(node, VertexNode):
-            for j, mask in enumerate(key):
-                if mask:
-                    classes[j].add(node.vertex - 1)
-            return
-        if isinstance(node, UnionNode):
-            left, right = tables[id(node.left)], tables[id(node.right)]
-            for key1 in sorted(left):
-                for key2 in sorted(right):
-                    if tuple(a | b for a, b in zip(key1, key2)) != key:
-                        continue
-                    for q1 in sorted(left[key1]):
-                        q2 = tuple(t - a for t, a in zip(target, q1))
-                        if all(x >= 0 for x in q2) and q2 in right[key2]:
-                            descend(node.left, key1, q1)
-                            descend(node.right, key2, q2)
-                            return
-            raise AssertionError("union decomposition lost the target profile")
-        if isinstance(node, EtaNode):
-            descend(node.child, key, target)
-            return
-        if isinstance(node, RhoNode):
-            bit_i = 1 << (node.i - 1)
-            bit_j = 1 << (node.j - 1)
-            child = tables[id(node.child)]
-            for child_key in sorted(child):
-                mapped = tuple(
-                    (m & ~bit_i) | bit_j if m & bit_i else m for m in child_key
-                )
-                if mapped == key and target in child[child_key]:
-                    descend(node.child, child_key, target)
-                    return
-            raise AssertionError("relabel decomposition lost the target profile")
-        raise TypeError(type(node).__name__)
-
-    start_key = next(
-        key for key in sorted(root_table) if profile in root_table[key]
+    target = encode(profile, inst.k)
+    start_key = next(key for key in sorted(root_table) if target in root_table[key].codes)
+    witness = extract_coloring(
+        inst.k,
+        expr.root,
+        start_key,
+        target,
+        _children,
+        lambda node, child_tables: cw_steps(node, child_tables, inst),
+        tables,
     )
-    descend(expr.root, start_key, profile)
-    witness = tuple(frozenset(c) for c in classes)
     validate_coloring(inst, witness)
     return optimum, profile, witness

@@ -14,16 +14,16 @@ fields, and the sum of two codes is the code of the vector sum: no carry
 crosses a field.  Code arithmetic is linear, so a sum may also subtract a
 profile, as long as the result is a profile.  merge_profile_sets, shift and
 edgeless_profiles check that their sums fit and raise ValueError otherwise;
-add_sums and edgeless_profiles_unchecked, which the solvers' inner loops
-call, rely on the instance bound.
+add_sums, build_table and edgeless_profiles_unchecked, which the solvers'
+inner loops call, rely on the instance bound.
 """
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from operator import or_
+from operator import itemgetter, or_
 from typing import Any, Callable, Collection, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .model import Profile
+from .model import Coloring, Profile
 
 # A set may hold up to (Q+1)^k profiles; fail loudly instead of thrashing.
 DEFAULT_PROFILE_CAP = 1 << 26
@@ -135,7 +135,8 @@ Table = dict[Hashable, ProfileSet]
 def _stored(k: int, codes: Collection[int], cap: int | None, prune: bool) -> ProfileSet:
     _check_cap(len(codes), cap)
     pset = ProfileSet.from_codes(k, codes)
-    return dominance_prune(pset) if prune else pset
+    # a single profile is its own Pareto front
+    return dominance_prune(pset) if prune and len(pset) > 1 else pset
 
 
 def store_cells(
@@ -168,32 +169,120 @@ def count_table(stats: dict, table: Table) -> None:
     stats["profiles-stored"] = stats.get("profiles-stored", 0) + sum(map(len, table.values()))
 
 
+def post_order(root: Any, children_of: Callable[[Any], Sequence[Any]]) -> list[Any]:
+    """The nodes of a tree, children first, left to right: a reversed right-to-left pre-order."""
+    out: list[Any] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(children_of(node))
+    out.reverse()
+    return out
+
+
 def run_tables(
     root: Any,
     children_of: Callable[[Any], Sequence[Any]],
     node_table: Callable[[Any, list[Table]], Table],
     stats: dict | None = None,
 ) -> dict[int, Table]:
-    """Every node's table, children first, keyed by id(node).
-
-    node_table(node, child_tables) builds one node's table from its
-    children's.  The post-order comes from an explicit stack, so the depth
-    of the tree is not bounded by the recursion limit.
-    """
+    """Every node's table, keyed by id(node): node_table(node, child_tables) in post-order."""
     stats = stats if stats is not None else {}
     tables: dict[int, Table] = {}
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        children = children_of(node)
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((child, False) for child in children)
-            continue
-        table = node_table(node, [tables[id(child)] for child in children])
+    for node in post_order(root, children_of):
+        table = node_table(node, [tables[id(child)] for child in children_of(node)])
         count_table(stats, table)
         tables[id(node)] = table
     return tables
+
+
+# One transition of a tree DP: the cell `key` receives the sum of one cell per
+# child (named by `child_keys`, in child order) plus the code `offset`, and
+# `assigned` is the (vertex, agent) pair the step colors, or None.  A node
+# kind's steps are generated from the node and its children's tables, so the
+# forward pass (build_table) and the witness walk (extract_coloring) read one
+# description of each transition.
+Step = tuple[Hashable, tuple[Hashable, ...], int, tuple[int, int] | None]
+
+
+def build_table(
+    k: int,
+    steps: Iterable[Step],
+    child_tables: list[Table],
+    cap: int | None = None,
+    prune: bool = False,
+) -> Table:
+    """One node's table from its steps: a loop specialised by the arity."""
+    raw: dict[Hashable, Collection[int]] = {}
+    if not child_tables:
+        for key, _, offset, _ in steps:
+            raw.setdefault(key, set()).add(offset)
+    elif len(child_tables) == 1:
+        (child,) = child_tables
+        for key, (child_key,), offset, _ in steps:
+            codes = child[child_key].codes
+            if offset:
+                codes = [c + offset for c in codes]
+            cell = raw.get(key)
+            if cell is None:
+                raw[key] = codes  # copied only if a second step reaches this cell
+            else:
+                if not isinstance(cell, set):
+                    cell = raw[key] = set(cell)
+                cell.update(codes)
+    else:
+        left, right = child_tables
+        for key, (key1, key2), offset, _ in steps:
+            add_sums(raw.setdefault(key, set()), left[key1].codes, right[key2].codes, offset, cap)
+    return store_cells(k, raw, cap, prune)
+
+
+def extract_coloring(
+    k: int,
+    root: Any,
+    key: Hashable,
+    target: int,
+    children_of: Callable[[Any], Sequence[Any]],
+    steps_of: Callable[[Any, list[Table]], Iterable[Step]],
+    tables: Mapping[int, Table],
+) -> Coloring:
+    """A coloring whose profile is the code target, from the root's cell key.
+
+    An explicit-stack walk down the tree: at each node the steps into the
+    current cell are tried in child-key order, and the first whose children
+    hold the rest of the target is taken.  A binary step splits the target
+    at the smallest code of its first child's cell that leaves a member of
+    the second.  A difference in which a field would go negative is either
+    negative or borrows, leaving a field of 2**(FIELD_BITS - 1) or more; no
+    member is either, so no sign check is needed.
+    """
+    classes: list[set[int]] = [set() for _ in range(k)]
+    stack = [(root, key, target)]
+    while stack:
+        node, key, target = stack.pop()
+        children = children_of(node)
+        cells = [tables[id(child)] for child in children]
+        steps = [step for step in steps_of(node, cells) if step[0] == key]
+        steps.sort(key=itemgetter(1))
+        for _, child_keys, offset, assigned in steps:
+            rest = target - offset
+            if not cells:
+                parts = () if rest == 0 else None
+            elif len(cells) == 1:
+                parts = (rest,) if rest in cells[0][child_keys[0]].codes else None
+            else:
+                second = cells[1][child_keys[1]].codes
+                first = sorted(cells[0][child_keys[0]].codes)
+                parts = next(((a, rest - a) for a in first if rest - a in second), None)
+            if parts is not None:
+                break
+        else:
+            raise AssertionError(f"no step of {type(node).__name__} derives the target")
+        if assigned is not None:
+            classes[assigned[1]].add(assigned[0])
+        stack.extend(zip(children, child_keys, parts))
+    return tuple(frozenset(c) for c in classes)
 
 
 def add_sums(
@@ -275,12 +364,16 @@ def edgeless_profiles_unchecked(
     For the solvers' hot loops: the profits of a ConflictInstance's vertices
     sum to at most MAX_PROFIT_SUM per agent, so their sums always fit.
     """
-    current: set[int] = {0}
+    current = {0}
     for row in vertex_profits:
-        additions = [unit_code(k, j, p) for j, p in enumerate(row) if p > 0]
-        if additions:
-            current = add_sums(set(current), additions, current, cap=cap)
+        current = _edgeless_stage(k, current, row, cap)
     return ProfileSet.from_codes(k, current)
+
+
+def _edgeless_stage(k: int, current: set[int], row: Sequence[int], cap: int | None) -> set[int]:
+    """The codes over one more vertex: each code, plus each positive profit of row."""
+    additions = [unit_code(k, j, p) for j, p in enumerate(row) if p > 0]
+    return add_sums(set(current), additions, current, cap=cap) if additions else current
 
 
 def merge_profile_sets(s1: ProfileSet, s2: ProfileSet, cap: int | None = None) -> ProfileSet:
@@ -367,29 +460,23 @@ def edgeless_assignment(
     is assigned only when its profit actually moves the profile.  target must
     be a member of edgeless_profiles(k, vertex_profits).
     """
-    zero = (0,) * k
-    stages: list[set[Profile]] = [{zero}]
+    stages = [{0}]
     for row in vertex_profits:
-        additions = [(j, p) for j, p in enumerate(row) if p > 0]
-        nxt = set(stages[-1])
-        for q in stages[-1]:
-            for j, p in additions:
-                nxt.add(q[:j] + (q[j] + p,) + q[j + 1 :])
-        stages.append(nxt)
-    if target not in stages[-1]:
+        stages.append(_edgeless_stage(k, stages[-1], row, None))
+    if target not in ProfileSet.from_codes(k, stages[-1]):
         raise ValueError(f"profile {target} not attainable")
     assignment = [0] * len(vertex_profits)
-    current = target
+    current = encode(target, k)
     for i in range(len(vertex_profits) - 1, -1, -1):
         if current in stages[i]:
             continue
+        fields = decode(current, k)
         for j, p in enumerate(vertex_profits[i]):
-            if p > 0 and current[j] >= p:
-                prev = current[:j] + (current[j] - p,) + current[j + 1 :]
-                if prev in stages[i]:
-                    assignment[i] = j + 1
-                    current = prev
-                    break
+            prev = current - unit_code(k, j, p)
+            if 0 < p <= fields[j] and prev in stages[i]:
+                assignment[i] = j + 1
+                current = prev
+                break
         else:
             raise AssertionError("backtracking lost the target profile")
     return assignment

@@ -13,10 +13,21 @@ maximum cardinality search) have bags that are cliques.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from operator import attrgetter, getitem
+from typing import Iterable, Iterator
 
 from .model import Coloring, ConflictInstance, Profile, validate_coloring
-from .profiles import ProfileSet, add_sums, best_profile, run_tables, store_cells, unit_code
+from .profiles import (
+    ProfileSet,
+    Step,
+    best_profile,
+    build_table,
+    encode,
+    extract_coloring,
+    post_order,
+    run_tables,
+    unit_code,
+)
 # unused here: kept only as the module attribute the benchmark tracer wraps
 from .profiles import dominance_prune  # noqa: F401
 
@@ -140,17 +151,15 @@ def serialize_tree_decomposition(td: TreeDecomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def bag_independence_number(
-    inst: ConflictInstance, bag: Iterable[int], node_cap: int = DEFAULT_ALPHA_NODE_CAP
-) -> int:
+def bag_independence_number(inst: ConflictInstance, bag: Iterable[int]) -> int:
     """Exact independence number of the induced bag subgraph (branch and bound)."""
     adj = inst.adjacency()
     nodes = [0]
 
     def alpha(vertices: frozenset[int]) -> int:
         nodes[0] += 1
-        if nodes[0] > node_cap:
-            raise AlphaCapError(f"bag independence search exceeded {node_cap} nodes")
+        if nodes[0] > DEFAULT_ALPHA_NODE_CAP:
+            raise AlphaCapError(f"bag independence search exceeded {DEFAULT_ALPHA_NODE_CAP} nodes")
         if not vertices:
             return 0
         v = max(vertices, key=lambda x: (len(adj[x] & vertices), -x))
@@ -163,11 +172,7 @@ def bag_independence_number(
     return alpha(frozenset(bag))
 
 
-def validate_td(
-    inst: ConflictInstance,
-    td: TreeDecomposition,
-    alpha_node_cap: int = DEFAULT_ALPHA_NODE_CAP,
-) -> tuple[int, int]:
+def validate_td(inst: ConflictInstance, td: TreeDecomposition) -> tuple[int, int]:
     """Check the three decomposition axioms; return (width, independence number).
 
     Axioms: every vertex in a bag, every edge inside a bag, and per-vertex
@@ -210,7 +215,7 @@ def validate_td(
             )
     ell = 0
     for bag_id in sorted(td.bags):
-        ell = max(ell, bag_independence_number(inst, td.bags[bag_id], alpha_node_cap))
+        ell = max(ell, bag_independence_number(inst, td.bags[bag_id]))
     return td.width(), ell
 
 
@@ -247,17 +252,10 @@ class NiceTreeDecomposition:
 
     def nodes(self) -> list[NiceNode]:
         """Post-order: children before parents."""
-        out: list[NiceNode] = []
-        stack: list[tuple[NiceNode, bool]] = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                out.append(node)
-            else:
-                stack.append((node, True))
-                for child in node.children:
-                    stack.append((child, False))
-        return out
+        return post_order(self.root, _children)
+
+
+_children = attrgetter("children")
 
 
 def _introduce_chain(base: NiceNode, vertices: Iterable[int]) -> NiceNode:
@@ -288,21 +286,25 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
         neigh[x].append(y)
         neigh[y].append(x)
 
-    def build(bag_id: int, parent: int | None) -> NiceNode:
+    def below(item: tuple[int, int | None]) -> list[tuple[int, int]]:
+        bag_id, parent = item
+        return [(c, bag_id) for c in sorted(neigh[bag_id]) if c != parent]
+
+    built: dict[int, NiceNode] = {}
+    for bag_id, parent in post_order((root_id, None), below):
         bag = td.bags[bag_id]
-        children = [build(c, bag_id) for c in sorted(neigh[bag_id]) if c != parent]
-        if not children:
-            return _introduce_chain(NiceNode(kind="leaf", bag=frozenset()), bag)
+        children = [built.pop(c) for c, _ in below((bag_id, parent))]
         bridges = []
-        for child in children:
+        # a bag without children grows from an empty leaf
+        for child in children or [NiceNode(kind="leaf", bag=frozenset())]:
             lowered = _forget_chain(child, child.bag - bag)
             bridges.append(_introduce_chain(lowered, bag - lowered.bag))
         node = bridges[0]
         for other in bridges[1:]:
             node = NiceNode(kind="join", bag=bag, children=(node, other))
-        return node
+        built[bag_id] = node
 
-    top = build(root_id, None)
+    top = built[root_id]
     root = _forget_chain(top, top.bag)
     nice = NiceTreeDecomposition(root=root)
     for node in nice.nodes():
@@ -338,6 +340,50 @@ def enumerate_bag_colorings(inst: ConflictInstance, bag: Iterable[int]) -> list[
     return out
 
 
+def tin_steps(
+    node: NiceNode, child_tables: list[TinTable], inst: ConflictInstance
+) -> Iterator[Step]:
+    """The steps of one nice node (see profiles.Step) over its children's keys.
+
+    Keys are bag colorings aligned to sorted(bag).  Introduce extends a key
+    by the vertex's color (any agent none of its colored bag neighbours
+    has, or 0) and adds that agent's profit; forget drops the vertex's
+    entry; join pairs equal keys and subtracts the bag's profits, which
+    both sides count.
+    """
+    k = inst.k
+    if node.kind == "leaf":
+        yield (), (), 0, None
+    elif node.kind == "introduce":
+        v = node.vertex
+        pos = sorted(node.bag).index(v)
+        adj_v = inst.adjacency()[v]
+        neighbours = [i for i, w in enumerate(sorted(node.bag - {v})) if w in adj_v]
+        colors = [(j + 1, (j + 1,), unit_code(k, j, inst.profits[j][v]), (v, j)) for j in range(k)]
+        for child_key in child_tables[0]:
+            head, tail, child_keys = child_key[:pos], child_key[pos:], (child_key,)
+            used = {child_key[i] for i in neighbours}
+            yield head + (0,) + tail, child_keys, 0, None
+            for color, entry, gain, assigned in colors:
+                if color not in used:
+                    yield head + entry + tail, child_keys, gain, assigned
+    elif node.kind == "forget":
+        pos = sorted(node.bag | {node.vertex}).index(node.vertex)
+        for child_key in child_tables[0]:
+            yield child_key[:pos] + child_key[pos + 1 :], (child_key,), 0, None
+    elif node.kind == "join":
+        first, second = child_tables
+        # the code of each bag vertex's profit, by color (0 for uncolored)
+        gains = [
+            (0, *(unit_code(k, j, inst.profits[j][v]) for j in range(k))) for v in sorted(node.bag)
+        ]
+        for key in first:
+            if key in second:
+                yield key, (key, key), -sum(map(getitem, gains, key)), None
+    else:
+        raise AssertionError(f"unknown node kind {node.kind}")
+
+
 def tin_dp_node(
     node: NiceNode,
     child_tables: list[TinTable],
@@ -346,61 +392,7 @@ def tin_dp_node(
     prune: bool = False,
 ) -> TinTable:
     """Table of one nice node from its children's tables."""
-    k = inst.k
-    if node.kind == "leaf":
-        return store_cells(k, {(): {0}}, cap, prune)
-
-    if node.kind == "introduce":
-        (child,) = child_tables
-        v = node.vertex
-        bag_sorted = sorted(node.bag)
-        pos = bag_sorted.index(v)
-        adj_v = inst.adjacency()[v]
-        child_sorted = sorted(node.bag - {v})
-        raw: dict[ColoringKey, set[int]] = {}
-        for child_key, pset in child.items():
-            for color in range(k + 1):
-                if color > 0 and any(
-                    child_key[i] == color for i, w in enumerate(child_sorted) if w in adj_v
-                ):
-                    continue
-                key = child_key[:pos] + (color,) + child_key[pos:]
-                if color == 0:
-                    raw.setdefault(key, set()).update(pset.codes)
-                else:
-                    gain = unit_code(k, color - 1, inst.profits[color - 1][v])
-                    add_sums(raw.setdefault(key, set()), pset.codes, (gain,), cap=cap)
-        return store_cells(k, raw, cap, prune)
-
-    if node.kind == "forget":
-        (child,) = child_tables
-        v = node.vertex
-        child_sorted = sorted(node.bag | {v})
-        pos = child_sorted.index(v)
-        raw = {}
-        for child_key, pset in child.items():
-            key = child_key[:pos] + child_key[pos + 1 :]
-            raw.setdefault(key, set()).update(pset.codes)
-        return store_cells(k, raw, cap, prune)
-
-    if node.kind == "join":
-        first, second = child_tables
-        bag_sorted = sorted(node.bag)
-        raw = {}
-        for key, set1 in first.items():
-            set2 = second.get(key)
-            if set2 is None:
-                continue
-            # both sides count the bag's own profits
-            correction = sum(
-                unit_code(k, color - 1, inst.profits[color - 1][v])
-                for v, color in zip(bag_sorted, key)
-                if color > 0
-            )
-            raw[key] = add_sums(set(), set1.codes, set2.codes, -correction, cap=cap)
-        return store_cells(k, raw, cap, prune)
-
-    raise AssertionError(f"unknown node kind {node.kind}")
+    return build_table(inst.k, tin_steps(node, child_tables, inst), child_tables, cap, prune)
 
 
 def tin_tables(
@@ -413,7 +405,7 @@ def tin_tables(
     """Every nice node's table, keyed by id(node)."""
     return run_tables(
         nice.root,
-        lambda node: node.children,
+        _children,
         lambda node, children: tin_dp_node(node, children, inst, cap, prune),
         stats,
     )
@@ -443,56 +435,14 @@ def solve_tin(
     nice = make_nice(td)
     tables = tin_tables(inst, nice, cap, prune, stats)
     optimum, profile = best_profile(tables[id(nice.root)][()])
-
-    color_of: dict[int, int] = {}
-
-    def descend(node: NiceNode, key: ColoringKey, target: Profile) -> None:
-        if node.kind == "leaf":
-            return
-        if node.kind == "introduce":
-            v = node.vertex
-            bag_sorted = sorted(node.bag)
-            pos = bag_sorted.index(v)
-            color = key[pos]
-            child_key = key[:pos] + key[pos + 1 :]
-            if color > 0:
-                assert color_of.setdefault(v, color) == color
-                p = inst.profits[color - 1][v]
-                target = target[: color - 1] + (target[color - 1] - p,) + target[color:]
-            descend(node.children[0], child_key, target)
-            return
-        if node.kind == "forget":
-            v = node.vertex
-            child_sorted = sorted(node.bag | {v})
-            pos = child_sorted.index(v)
-            child = tables[id(node.children[0])]
-            for color in range(inst.k + 1):
-                child_key = key[:pos] + (color,) + key[pos:]
-                pset = child.get(child_key)
-                if pset is not None and target in pset:
-                    descend(node.children[0], child_key, target)
-                    return
-            raise AssertionError("forget decomposition lost the target profile")
-        if node.kind == "join":
-            first, second = node.children
-            t1, t2 = tables[id(first)], tables[id(second)]
-            bag_sorted = sorted(node.bag)
-            correction = [0] * inst.k
-            for v, color in zip(bag_sorted, key):
-                if color > 0:
-                    correction[color - 1] += inst.profits[color - 1][v]
-            for q1 in sorted(t1[key]):
-                q2 = tuple(t - a + w for t, a, w in zip(target, q1, correction))
-                if all(x >= 0 for x in q2) and q2 in t2[key]:
-                    descend(first, key, q1)
-                    descend(second, key, q2)
-                    return
-            raise AssertionError("join decomposition lost the target profile")
-        raise AssertionError(node.kind)
-
-    descend(nice.root, (), profile)
-    witness = tuple(
-        frozenset(v for v, c in color_of.items() if c == j + 1) for j in range(inst.k)
+    witness = extract_coloring(
+        inst.k,
+        nice.root,
+        (),
+        encode(profile, inst.k),
+        _children,
+        lambda node, child_tables: tin_steps(node, child_tables, inst),
+        tables,
     )
     validate_coloring(inst, witness)
     return optimum, profile, witness

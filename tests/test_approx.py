@@ -13,17 +13,17 @@ from fairkdiv.oracle import brute_force_optimum
 class TestScaleProfits:
     def test_identity(self, t1_instance):
         scaled = scale_profits(t1_instance, 1)
-        assert scaled.instance is t1_instance
+        assert scaled is t1_instance
 
     def test_floor_division(self):
         inst = ConflictInstance.build(3, 1, [], [[10, 7, 3]])
         scaled = scale_profits(inst, 5)
-        assert scaled.instance.profits == ((2, 1, 0),)
-        assert scaled.instance.edges == inst.edges
+        assert scaled.profits == ((2, 1, 0),)
+        assert scaled.edges == inst.edges
 
     def test_all_below_factor(self):
         inst = ConflictInstance.build(3, 1, [], [[4, 2, 1]])
-        assert scale_profits(inst, 5).instance.profits == ((0, 0, 0),)
+        assert scale_profits(inst, 5).profits == ((0, 0, 0),)
 
     def test_bad_factor(self):
         inst = ConflictInstance.build(1, 1, [], [[1]])

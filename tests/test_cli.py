@@ -409,6 +409,52 @@ class TestOrderingFileFormat:
         assert "not an interval" in err
 
 
+def path_text(n):
+    """The path 1-2-...-n with one agent and unit profits."""
+    lines = [f"p fkd {n} {n - 1} 1", "w 1 " + " ".join(["1"] * n)]
+    lines += [f"e {v} {v + 1}" for v in range(1, n)]
+    return "\n".join(lines) + "\n"
+
+
+class TestDeepInputs:
+    """Decompositions and expressions far deeper than the recursion limit."""
+
+    def solve_and_validate(self, tmp_path, n, argv):
+        instance = tmp_path / "path.fkd"
+        instance.write_text(path_text(n))
+        code, out, err = run_cli(["solve", str(instance), "--json", *argv])
+        assert code == EXIT_OK, err
+        assert json.loads(out)["optimum"] == n // 2
+        result = tmp_path / "result.json"
+        result.write_text(out)
+        code, out, err = run_cli(["validate", str(instance), "--result", str(result)])
+        assert code == EXIT_OK, err
+        assert "result: ok" in out
+
+    def test_tin_on_path_of_5000_vertices(self, tmp_path):
+        n = 5000
+        lines = [f"s td {n - 1} 2 {n}"]
+        lines += [f"b {i} {i} {i + 1}" for i in range(1, n)]
+        lines += [f"{i} {i + 1}" for i in range(1, n - 1)]
+        td = tmp_path / "path.td"
+        td.write_text("\n".join(lines) + "\n")
+        self.solve_and_validate(tmp_path, n, ["--method", "tin", "--td", str(td)])
+
+    def test_chordal_on_path_of_1000_vertices(self, tmp_path):
+        self.solve_and_validate(tmp_path, 1000, ["--method", "tin", "--chordal"])
+
+    def test_cw_on_linear_expression_of_2000_vertices(self, tmp_path):
+        # the end of the path so far carries label 2, dead vertices label 3
+        node = "(v 2 1)"
+        for v in range(2, 2001):
+            node = f"(rho 1 2 (rho 2 3 (eta 1 2 (u {node} (v 1 {v})))))"
+        expression = tmp_path / "path.cw"
+        expression.write_text("cw 3\n" + node + "\n")
+        self.solve_and_validate(
+            tmp_path, 2000, ["--method", "cw", "--expression", str(expression)]
+        )
+
+
 class TestThreadsFlag:
     def test_accepted_and_validated(self, t1_file):
         code, out, _ = run_cli([
