@@ -55,7 +55,6 @@ from .treeindep import (
     NiceTreeDecomposition,
     TreeDecomposition,
     clique_tree_of_chordal,
-    enumerate_bag_colorings,
     make_nice,
     parse_tree_decomposition,
     solve_tin,

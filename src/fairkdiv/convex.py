@@ -21,6 +21,7 @@ from .profiles import (
     add_sums,
     best_profile,
     count_table,
+    decode,
     dominance_prune,
     edgeless_assignment,
     edgeless_profiles_unchecked,
@@ -28,6 +29,7 @@ from .profiles import (
     merge_profile_sets,
     store_cells,
     union_cells,
+    unit_code,
 )
 
 
@@ -408,7 +410,150 @@ def stage_structure(co: ConvexOrdering) -> StageStructure:
     return StageStructure(b_order=b_order, u=u, v=tuple(v))
 
 
-INF = None  # sentinel for "agent takes no new B-vertex this stage"
+# One agent's choice at a stage: (id of its profit column, code of the
+# profits of its guessed A-vertex, if new, and of mu, the stage-position bit
+# of mu, or 0 if it takes no new B-vertex).
+Option = tuple[int, int, int]
+
+
+def _delta(combo: Sequence[Option]) -> int:
+    """The code of the profits that a choice's guess and mu take themselves."""
+    return sum(opt[1] for opt in combo)
+
+
+class _Stage:
+    """One stage's profit columns, edgeless parts and predecessor groups.
+
+    Stage j adds the A-positions (u_prev, u_cur] and the B-positions
+    (v_prev, v_cur]; vertices lists them, A first, and a mask over their
+    indices is a set of stage positions.  options[l][g] holds agent l's
+    Options when it guesses g as its largest A-position so far: one per new
+    B-position mu not adjacent to g, then one with no mu.  A column entry is
+    zeroed wherever taking the vertex would contradict the guessed largest
+    A-vertex, the guessed first new B-vertex, or adjacency to either.  The
+    first stage has no earlier B-vertices to guard, so its only option has
+    no mu and its B-vertices are not restricted by it.  Each column is built
+    once per stage and interned.
+
+    A choice's residual rows are its columns side by side, less the
+    positions its guess and mu take, so its options and that mask fix the
+    rows and their edgeless part, which is built once.  The previous table
+    is grouped once per pattern of decided agents (guess entries <= u_prev),
+    and each predecessor union is built once per key.
+    """
+
+    def __init__(self, dp: _ConnectedConvexDP, j: int):
+        ss, k = dp.ss, dp.k
+        self.k, self.cap = k, dp.cap
+        self.u_prev = ss.u[j - 1] if j else 0
+        # the first stage extends the empty prefix, whose one cell is {0}
+        self.prev = dp.tables[j - 1] if j else {(0,) * k: ProfileSet.zero(k)}
+        a_pos = range(self.u_prev + 1, ss.u[j] + 1)
+        b_pos = range(ss.v[j - 1] + 1 if j else 1, ss.v[j] + 1)
+        na = len(a_pos)
+        self.vertices = [dp.co.a_order[i - 1] for i in a_pos] + [ss.b_order[m - 1] for m in b_pos]
+        b_iv = [dp.b_interval[m - 1] for m in b_pos]
+        ids: dict[tuple[int, ...], int] = {}  # column -> its index in self.columns
+
+        def intern(col: list[int]) -> int:
+            return ids.setdefault(tuple(col), len(ids))
+
+        self.options: list[list[list[Option]]] = []
+        for l, profits in enumerate(dp.inst.profits):
+            pa = [profits[v] for v in self.vertices[:na]]
+            pb = [profits[v] for v in self.vertices[na:]]
+            per_guess = []
+            for g in range(ss.u[j] + 1):
+                own = unit_code(k, l, pa[g - self.u_prev - 1]) if g > self.u_prev else 0
+                free = [g == 0 or not lo <= g <= hi for lo, hi in b_iv]
+                a_col = [p if i <= g else 0 for i, p in zip(a_pos, pa)]
+                if not j:
+                    b_col = [p if f else 0 for p, f in zip(pb, free)]
+                    per_guess.append([(intern(a_col + b_col), own, 0)])
+                    continue
+                opts = []
+                for x, (lo, hi) in enumerate(b_iv):
+                    if free[x]:
+                        col = [0 if lo <= i <= hi else p for i, p in zip(a_pos, a_col)]
+                        col += [p if y >= x and free[y] else 0 for y, p in enumerate(pb)]
+                        opts.append((intern(col), own + unit_code(k, l, pb[x]), 1 << na + x))
+                opts.append((intern(a_col + [0] * len(pb)), own, 0))
+                per_guess.append(opts)
+            self.options.append(per_guess)
+        self.columns = list(ids)
+        self.parts: dict[tuple[tuple[Option, ...], int], ProfileSet] = {}
+        self.groups: dict[tuple[bool, ...], dict[tuple, list[tuple[int, ...]]]] = {}
+        self.unions: dict[tuple, ProfileSet] = {}
+
+    def choices(self, guess: tuple[int, ...]) -> Iterator[tuple[tuple[Option, ...], int]]:
+        """(options, mask of taken positions) per allowed mu, in product order."""
+        taken = sum(1 << g - self.u_prev - 1 for g in guess if g > self.u_prev)
+        for combo in itertools.product(*map(list.__getitem__, self.options, guess)):
+            drop = taken
+            for opt in combo:
+                if drop & opt[2]:
+                    break  # two agents start at the same B-vertex
+                drop |= opt[2]
+            else:
+                yield combo, drop
+
+    def rows(self, combo: tuple[Option, ...], drop: int) -> list[tuple[int, ...]]:
+        """The residual vertices' per-agent profits, in stage order."""
+        columns = zip(*(self.columns[opt[0]] for opt in combo))
+        return [row for p, row in enumerate(columns) if not drop >> p & 1]
+
+    def part(self, combo: tuple[Option, ...], drop: int) -> ProfileSet:
+        """The edgeless profile set of the choice's residual rows."""
+        key = (combo, drop)
+        pset = self.parts.get(key)
+        if pset is None:
+            rows = self.rows(combo, drop)
+            pset = self.parts[key] = edgeless_profiles_unchecked(self.k, rows, cap=self.cap)
+        return pset
+
+    def key(self, guess: tuple[int, ...]) -> tuple[int | None, ...]:
+        """The guess's decided entries, None where it names a new A-vertex."""
+        return tuple(g if g <= self.u_prev else None for g in guess)
+
+    def predecessors(self, key: tuple[int | None, ...]) -> list[tuple[int, ...]]:
+        """The previous table's keys that agree with the decided entries."""
+        if None not in key:
+            return [key] if key in self.prev else []
+        pattern = tuple(g is not None for g in key)
+        groups = self.groups.get(pattern)
+        if groups is None:
+            groups = self.groups[pattern] = {}
+            for tau in self.prev:
+                groups.setdefault(tuple(t if d else None for t, d in zip(tau, pattern)), []).append(tau)
+        return groups.get(key, [])
+
+    def pred_union(self, guess: tuple[int, ...]) -> ProfileSet:
+        """The union of the previous cells consistent with the guess."""
+        key = self.key(guess)
+        pset = self.unions.get(key)
+        if pset is None:
+            taus = self.predecessors(key)
+            if len(taus) == 1:
+                pset = self.prev[taus[0]]
+            else:
+                codes = frozenset().union(*(self.prev[tau].codes for tau in taus))
+                pset = ProfileSet.from_codes(self.k, codes)
+            self.unions[key] = pset
+        return pset
+
+    def record(self, classes: list[set[int]], guess, combo, drop: int, q_new: int) -> None:
+        """Color the choice's new guessed A-vertices and mu, and the residual
+        vertices that realize q_new."""
+        for l, (g, opt) in enumerate(zip(guess, combo)):
+            if g > self.u_prev:
+                classes[l].add(self.vertices[g - self.u_prev - 1])
+            if opt[2]:
+                classes[l].add(self.vertices[opt[2].bit_length() - 1])
+        kept = [v for p, v in enumerate(self.vertices) if not drop >> p & 1]
+        assignment = edgeless_assignment(self.k, self.rows(combo, drop), decode(q_new, self.k))
+        for vertex, agent in zip(kept, assignment):
+            if agent > 0:
+                classes[agent - 1].add(vertex)
 
 
 class _ConnectedConvexDP:
@@ -431,29 +576,11 @@ class _ConnectedConvexDP:
         self.stats = stats if stats is not None else {}
         self.k = inst.k
         self.ss = stage_structure(co)
-        self.s = len(co.a_order)
-        self.t = len(co.b_vertices)
-        if self.ss.u[-1] != self.s or self.ss.v[-1] != self.t:
+        if self.ss.u[-1] != len(co.a_order) or self.ss.v[-1] != len(co.b_vertices):
             raise ValueError("ordering does not describe a connected graph")
         # (lo, hi) per b_order position, 1-based
         self.b_interval = [co.intervals[b] for b in self.ss.b_order]
         self.tables: list[dict[tuple[int, ...], ProfileSet]] = []
-
-    def _a_vertex(self, i: int) -> int:
-        return self.co.a_order[i - 1]
-
-    def _b_vertex(self, m: int) -> int:
-        return self.ss.b_order[m - 1]
-
-    def _adjacent(self, a_pos: int, b_pos: int) -> bool:
-        lo, hi = self.b_interval[b_pos - 1]
-        return lo <= a_pos <= hi
-
-    def _profit_a(self, agent: int, a_pos: int) -> int:
-        return self.inst.profits[agent][self._a_vertex(a_pos)]
-
-    def _profit_b(self, agent: int, b_pos: int) -> int:
-        return self.inst.profits[agent][self._b_vertex(b_pos)]
 
     def _guesses(self, upper: int):
         for combo in itertools.product(range(upper + 1), repeat=self.k):
@@ -461,201 +588,68 @@ class _ConnectedConvexDP:
             if len(nonzero) == len(set(nonzero)):
                 yield combo
 
-    def _m_candidates(self, guess: tuple[int, ...], v_prev: int, v_cur: int) -> list[list[int | None]]:
-        cands: list[list[int | None]] = []
-        for i_l in guess:
-            options: list[int | None] = [
-                m
-                for m in range(v_prev + 1, v_cur + 1)
-                if i_l == 0 or not self._adjacent(i_l, m)
-            ]
-            options.append(INF)
-            cands.append(options)
-        return cands
-
-    def _stage_rows(
-        self,
-        guess: tuple[int, ...],
-        mu: tuple[int | None, ...],
-        u_prev: int,
-        u_cur: int,
-        v_prev: int,
-        v_cur: int,
-        restrict_b: bool = True,
-    ) -> list[tuple[str, int, tuple[int, ...]]]:
-        """Vertices of the stage's residual graph with adjusted profits.
-
-        Each entry is (kind, position, per-agent profits); profits are zeroed
-        wherever taking the vertex would contradict the guessed largest
-        A-vertex, the guessed first new B-vertex, or adjacency to either.
-        The first stage has no earlier B-vertices to guard, so it skips the
-        first-new-B restriction (restrict_b=False).
-        """
-        taken_a = {i for i in guess if i > u_prev}
-        taken_b = {m for m in mu if m is not INF}
-        rows = []
-        for i in range(u_prev + 1, u_cur + 1):
-            if i in taken_a:
-                continue
-            per_agent = []
-            for l in range(self.k):
-                i_l, m_l = guess[l], mu[l]
-                if i > max(i_l, u_prev):
-                    per_agent.append(0)
-                elif m_l is not INF and self._adjacent(i, m_l):
-                    per_agent.append(0)
-                else:
-                    per_agent.append(self._profit_a(l, i))
-            rows.append(("a", i, tuple(per_agent)))
-        for m in range(v_prev + 1, v_cur + 1):
-            if m in taken_b:
-                continue
-            per_agent = []
-            for l in range(self.k):
-                i_l, m_l = guess[l], mu[l]
-                if restrict_b and (m_l is INF or m < m_l):
-                    per_agent.append(0)
-                elif i_l > 0 and self._adjacent(i_l, m):
-                    per_agent.append(0)
-                else:
-                    per_agent.append(self._profit_b(l, m))
-            rows.append(("b", m, tuple(per_agent)))
-        return rows
-
-    def _delta(
-        self, guess: tuple[int, ...], mu: tuple[int | None, ...], u_prev: int
-    ) -> Profile:
-        out = []
-        for l in range(self.k):
-            d = 0
-            if guess[l] > u_prev:
-                d += self._profit_a(l, guess[l])
-            if mu[l] is not INF:
-                d += self._profit_b(l, mu[l])
-            out.append(d)
-        return tuple(out)
-
-    def _predecessors(self, guess: tuple[int, ...], u_prev: int, table: dict):
-        """Previous-stage guesses consistent with the current one.
-
-        Coordinates already decided at the previous stage (guess <= u_prev)
-        must match; coordinates pointing at a new A-vertex are unconstrained.
-        """
-        for tau in table:
-            if all(t == g for t, g in zip(tau, guess) if g <= u_prev):
-                yield tau
-
     def run(self) -> ProfileSet:
-        prev: dict[tuple[int, ...], ProfileSet] = {}
-        u_prev = v_prev = 0
-        for j in range(len(self.ss.u)):
-            u_cur, v_cur = self.ss.u[j], self.ss.v[j]
-            raw: dict[tuple[int, ...], set[int]] = {}
+        """Build the stage tables; a cell is pred ⊕ ∪_mu (part_mu + delta_mu).
+
+        Vector addition distributes over union, so each guess merges its
+        predecessor union once with the union of its shifted parts.
+        profile-ops counts |pred| * |part_mu| per mu, the work of merging per
+        mu, and |rows| * |part| at the first stage, whose pred is {0}.
+        """
+        ops = 0
+        for j, u_cur in enumerate(self.ss.u):
+            stage = _Stage(self, j)
+            raw: dict[tuple[int, ...], frozenset[int]] = {}
             for guess in self._guesses(u_cur):
-                if j == 0:
-                    mu0 = (INF,) * self.k
-                    rows = self._stage_rows(guess, mu0, 0, u_cur, 0, v_cur, restrict_b=False)
-                    base = edgeless_profiles_unchecked(self.k, [r[2] for r in rows], cap=self.cap)
-                    self.stats["profile-ops"] = self.stats.get("profile-ops", 0) + len(
-                        rows
-                    ) * len(base)
-                    delta = encode(self._delta(guess, mu0, 0), self.k)
-                    cell = add_sums(set(), base.codes, (delta,), cap=self.cap)
-                else:
-                    pred_union: set[int] = set()
-                    for tau in self._predecessors(guess, u_prev, prev):
-                        pred_union.update(prev[tau].codes)
-                    pred = ProfileSet.from_codes(self.k, pred_union)
-                    cell = set()
-                    for mu in itertools.product(
-                        *self._m_candidates(guess, v_prev, v_cur)
-                    ):
-                        finite = [m for m in mu if m is not INF]
-                        if len(finite) != len(set(finite)):
-                            continue
-                        rows = self._stage_rows(guess, mu, u_prev, u_cur, v_prev, v_cur)
-                        part = edgeless_profiles_unchecked(
-                            self.k, [r[2] for r in rows], cap=self.cap
-                        )
-                        self.stats["profile-ops"] = self.stats.get("profile-ops", 0) + len(
-                            pred
-                        ) * len(part)
-                        combined = merge_profile_sets(pred, part, cap=self.cap)
-                        delta = encode(self._delta(guess, mu, u_prev), self.k)
-                        add_sums(cell, combined.codes, (delta,), cap=self.cap)
-                raw[guess] = cell
+                pred = stage.pred_union(guess)
+                shifted: set[int] = set()
+                for combo, drop in stage.choices(guess):
+                    part = stage.part(combo, drop)
+                    ops += (len(pred) if j else len(stage.vertices) - drop.bit_count()) * len(part)
+                    add_sums(shifted, part.codes, (_delta(combo),), cap=self.cap)
+                combined = merge_profile_sets(pred, ProfileSet.from_codes(self.k, shifted), cap=self.cap)
+                raw[guess] = combined.codes
             cur = store_cells(self.k, raw, self.cap, self.prune)
             count_table(self.stats, cur)
             self.tables.append(cur)
-            prev = cur
-            u_prev, v_prev = u_cur, v_cur
-        return union_cells(self.k, prev.values(), self.cap, self.prune)
+        self.stats["profile-ops"] = self.stats.get("profile-ops", 0) + ops
+        return union_cells(self.k, self.tables[-1].values(), self.cap, self.prune)
 
     def extract(self, target: Profile) -> list[set[int]]:
-        """Backward walk recovering one coloring with the target profile."""
+        """Backward walk recovering one coloring with the target profile.
+
+        At each stage the mu choices, the part's members in ascending order
+        and the previous keys in sorted order are tried, and the first whose
+        previous cell holds the rest of the target is taken.  A difference
+        with a negative field is no member (see profiles.extract_coloring).
+        """
         final = self.tables[-1]
-        start = next(
-            g for g in sorted(final) if target in final[g]
-        )
+        guess = next(g for g in sorted(final) if target in final[g])
+        want = encode(target, self.k)
         classes: list[set[int]] = [set() for _ in range(self.k)]
-        guess, want = start, target
-        for j in range(len(self.ss.u) - 1, 0, -1):
-            u_cur, v_cur = self.ss.u[j], self.ss.v[j]
-            u_prev, v_prev = self.ss.u[j - 1], self.ss.v[j - 1]
-            prev_table = self.tables[j - 1]
+        for j in range(len(self.ss.u) - 1, -1, -1):
+            stage = _Stage(self, j)
+            taus = sorted(stage.predecessors(stage.key(guess)))
             found = None
-            for mu in itertools.product(*self._m_candidates(guess, v_prev, v_cur)):
-                finite = [m for m in mu if m is not INF]
-                if len(finite) != len(set(finite)):
-                    continue
-                delta = self._delta(guess, mu, u_prev)
-                rest = tuple(w - d for w, d in zip(want, delta))
-                if any(x < 0 for x in rest):
-                    continue
-                rows = self._stage_rows(guess, mu, u_prev, u_cur, v_prev, v_cur)
-                part = edgeless_profiles_unchecked(self.k, [r[2] for r in rows], cap=self.cap)
-                for q_new in part.sorted_profiles():
-                    q_old = tuple(r - x for r, x in zip(rest, q_new))
-                    if any(x < 0 for x in q_old):
-                        continue
-                    for tau in sorted(self._predecessors(guess, u_prev, prev_table)):
-                        if q_old in prev_table[tau]:
-                            found = (mu, rows, q_new, tau, q_old)
-                            break
-                    if found:
-                        break
+            for combo, drop in stage.choices(guess):
+                rest = want - _delta(combo)
+                found = next(
+                    (
+                        (combo, drop, q_new, tau, rest - q_new)
+                        for q_new in sorted(stage.part(combo, drop).codes)
+                        for tau in taus
+                        if rest - q_new in stage.prev[tau].codes
+                    ),
+                    None,
+                )
                 if found:
                     break
             if found is None:
                 raise AssertionError("stage decomposition lost the target profile")
-            mu, rows, q_new, tau, q_old = found
-            self._record_stage(classes, guess, mu, rows, q_new, u_prev)
-            guess, want = tau, q_old
-        mu0 = (INF,) * self.k
-        rows = self._stage_rows(guess, mu0, 0, self.ss.u[0], 0, self.ss.v[0], restrict_b=False)
-        q_new = tuple(w - d for w, d in zip(want, self._delta(guess, mu0, 0)))
-        self._record_stage(classes, guess, mu0, rows, q_new, 0)
+            combo, drop, q_new, tau, want = found
+            stage.record(classes, guess, combo, drop, q_new)
+            guess = tau
         return classes
-
-    def _record_stage(
-        self,
-        classes: list[set[int]],
-        guess: tuple[int, ...],
-        mu: tuple[int | None, ...],
-        rows: list[tuple[str, int, tuple[int, ...]]],
-        q_new: Profile,
-        u_prev: int,
-    ) -> None:
-        for l in range(self.k):
-            if guess[l] > u_prev:
-                classes[l].add(self._a_vertex(guess[l]))
-            if mu[l] is not INF:
-                classes[l].add(self._b_vertex(mu[l]))
-        assignment = edgeless_assignment(self.k, [r[2] for r in rows], q_new)
-        for (kind, pos, _), agent in zip(rows, assignment):
-            if agent > 0:
-                vertex = self._a_vertex(pos) if kind == "a" else self._b_vertex(pos)
-                classes[agent - 1].add(vertex)
 
 
 def solve_connected_convex(

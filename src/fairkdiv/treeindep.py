@@ -176,21 +176,23 @@ def validate_td(inst: ConflictInstance, td: TreeDecomposition) -> tuple[int, int
     """Check the three decomposition axioms; return (width, independence number).
 
     Axioms: every vertex in a bag, every edge inside a bag, and per-vertex
-    bag sets connected in the tree.
+    bag sets connected in the tree.  One pass over the bags lists each
+    vertex's holders, so an edge intersects two holder sets and a vertex's
+    connectivity walk visits only its own holders.
     """
     if td.n != inst.n:
         raise DecompositionError(f"decomposition is for {td.n} vertices, instance has {inst.n}")
-    covered: set[int] = set()
-    for bag in td.bags.values():
+    holders: list[set[int]] = [set() for _ in range(inst.n)]
+    for bag_id, bag in td.bags.items():
         for v in bag:
             if not (0 <= v < inst.n):
                 raise DecompositionError(f"bag vertex {v + 1} out of range")
-        covered |= bag
-    missing = sorted(set(range(inst.n)) - covered)
+            holders[v].add(bag_id)
+    missing = [v for v in range(inst.n) if not holders[v]]
     if missing:
         raise DecompositionError(f"axiom 1 violated: vertex {missing[0] + 1} is in no bag")
     for u, v in inst.edges:
-        if not any(u in bag and v in bag for bag in td.bags.values()):
+        if holders[u].isdisjoint(holders[v]):
             raise DecompositionError(
                 f"axiom 2 violated: edge ({u + 1},{v + 1}) is inside no bag"
             )
@@ -199,17 +201,16 @@ def validate_td(inst: ConflictInstance, td: TreeDecomposition) -> tuple[int, int
         neigh[x].append(y)
         neigh[y].append(x)
     for v in range(inst.n):
-        holders = {i for i, bag in td.bags.items() if v in bag}
-        start = min(holders)
+        start = min(holders[v])
         seen = {start}
         frontier = [start]
         while frontier:
             x = frontier.pop()
             for y in neigh[x]:
-                if y in holders and y not in seen:
+                if y in holders[v] and y not in seen:
                     seen.add(y)
                     frontier.append(y)
-        if seen != holders:
+        if seen != holders[v]:
             raise DecompositionError(
                 f"axiom 3 violated: bags containing vertex {v + 1} are disconnected"
             )
@@ -310,34 +311,6 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     for node in nice.nodes():
         node.check()
     return nice
-
-
-def enumerate_bag_colorings(inst: ConflictInstance, bag: Iterable[int]) -> list[ColoringKey]:
-    """All maps bag -> {0..k} whose positive classes are bag-independent.
-
-    Returned tuples align with sorted(bag); deterministic lexicographic order.
-    """
-    vertices = sorted(bag)
-    adj = inst.adjacency()
-    out: list[ColoringKey] = []
-    colors = [0] * len(vertices)
-
-    def extend(i: int) -> None:
-        if i == len(vertices):
-            out.append(tuple(colors))
-            return
-        v = vertices[i]
-        for c in range(inst.k + 1):
-            if c > 0 and any(
-                colors[j] == c for j, w in enumerate(vertices[:i]) if w in adj[v]
-            ):
-                continue
-            colors[i] = c
-            extend(i + 1)
-        colors[i] = 0
-
-    extend(0)
-    return out
 
 
 def tin_steps(

@@ -55,6 +55,24 @@ def random_convex_instance(
     return ConflictInstance.build(n=na + nb, k=k, edges=edges, profits=profits)
 
 
+def enumerate_bag_colorings(inst: ConflictInstance, bag) -> list[tuple[int, ...]]:
+    """All maps bag -> {0..k} whose positive classes are bag-independent.
+
+    Returned tuples align with sorted(bag), in lexicographic order.
+    """
+    vertices = sorted(bag)
+    adj = inst.adjacency()
+    conflicts = [
+        (i, j) for i, j in itertools.combinations(range(len(vertices)), 2)
+        if vertices[j] in adj[vertices[i]]
+    ]
+    return [
+        colors
+        for colors in itertools.product(range(inst.k + 1), repeat=len(vertices))
+        if not any(colors[i] and colors[i] == colors[j] for i, j in conflicts)
+    ]
+
+
 def random_expression(rng: random.Random, max_leaves: int, num_labels: int) -> CliqueExpression:
     counter = [0]
 

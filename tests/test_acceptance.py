@@ -194,6 +194,8 @@ def test_criterion_8_complexity_smoke():
     ]
     rng = random.Random(2008)
     lines = []
+    # the counts pin what profile-ops measures: |pred| * |part| per (guess, mu)
+    pinned = {1: [166, 213], 2: [6276, 7160]}
     for k in (1, 2):
         base = [[rng.randint(1, 5) for _ in range(na + nb)] for _ in range(k)]
         double = [[2 * p + rng.randint(0, 1) for p in row] for row in base]
@@ -204,6 +206,7 @@ def test_criterion_8_complexity_smoke():
             stats: dict = {}
             solve_connected_convex(inst, co, stats=stats)
             ratios.append(stats["profile-ops"])
+        assert ratios == pinned[k], ratios
         factor = ratios[1] / ratios[0]
         bound = 8 * 2 ** (2 * k)
         lines.append(f"k={k}: work {ratios[0]} -> {ratios[1]}, factor {factor:.2f} <= {bound}")

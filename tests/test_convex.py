@@ -252,6 +252,20 @@ class TestSolveConvex:
             validate_coloring(inst, witness)
             assert profile_of(inst, witness) == profile
 
+    def test_three_agents_match_the_oracle(self):
+        # k = 3 reaches all 2^3 patterns of decided guess entries
+        rng = random.Random(10)
+        for case in range(100):
+            if rng.random() < 0.5:
+                parts = [(rng.randint(1, 4), rng.randint(1, 3))]
+            else:
+                parts = [(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(2)]
+            inst = support.shuffled_convex_instance(rng, parts, 3, 4)
+            assert convex_profile_set(inst) == brute_force_profiles(inst), case
+            opt, profile, witness = solve_convex(inst, prune=True)
+            assert opt == brute_force_optimum(inst)[0], case
+            validate_coloring(inst, witness)
+            assert profile_of(inst, witness) == profile
 
     def test_stage_cells_respect_the_cap(self):
         # the full set holds 254 profiles and one stage cell holds 72

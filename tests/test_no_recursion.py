@@ -14,7 +14,6 @@ ALLOWED = {
     "oracle.brute_force_profiles.extend": "reference enumerator; depth n, bounded by the enumeration cap",
     "oracle.brute_force_optimum.extend": "reference enumerator; depth n, bounded by the enumeration cap",
     "treeindep.bag_independence_number.alpha": "depth at most the bag size",
-    "treeindep.enumerate_bag_colorings.extend": "depth at most the bag size",
 }
 
 

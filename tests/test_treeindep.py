@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -13,7 +14,6 @@ from fairkdiv.treeindep import (
     NiceNode,
     TreeDecomposition,
     clique_tree_of_chordal,
-    enumerate_bag_colorings,
     make_nice,
     parse_tree_decomposition,
     serialize_tree_decomposition,
@@ -87,6 +87,17 @@ class TestValidate:
         with pytest.raises(DecompositionError, match="axiom 3"):
             validate_td(inst, td)
 
+    def test_path_of_20000_vertices(self):
+        # per-vertex holder lists keep the axiom checks linear in the bags
+        n = 20000
+        inst = ConflictInstance.build(n, 1, [(v, v + 1) for v in range(n - 1)], [[1] * n])
+        bags = {i: frozenset({i, i + 1}) for i in range(n - 1)}
+        td = TreeDecomposition(n=n, bags=bags, edges=tuple((i, i + 1) for i in range(n - 2)))
+        start = time.perf_counter()
+        assert validate_td(inst, td) == (1, 1)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, elapsed
+
 
 class TestMakeNice:
     def test_p3_chain(self):
@@ -127,15 +138,15 @@ class TestMakeNice:
 class TestEnumerateBagColorings:
     def test_edge_one_agent(self):
         inst = ConflictInstance.build(2, 1, [(0, 1)], [[1, 1]])
-        assert enumerate_bag_colorings(inst, {0, 1}) == [(0, 0), (0, 1), (1, 0)]
+        assert support.enumerate_bag_colorings(inst, {0, 1}) == [(0, 0), (0, 1), (1, 0)]
 
     def test_empty_bag(self):
         inst = ConflictInstance.build(2, 1, [(0, 1)], [[1, 1]])
-        assert enumerate_bag_colorings(inst, set()) == [()]
+        assert support.enumerate_bag_colorings(inst, set()) == [()]
 
     def test_independent_pair_two_agents(self):
         inst = ConflictInstance.build(2, 2, [], [[1, 1]] * 2)
-        assert len(enumerate_bag_colorings(inst, {0, 1})) == 9
+        assert len(support.enumerate_bag_colorings(inst, {0, 1})) == 9
 
 
 class TestDpNode:
