@@ -7,33 +7,13 @@ bad instance), 2 usage error, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .approx import fptas
-from .cliquewidth import (
-    ExpressionError,
-    check_expression_matches,
-    cliquewidth_profile_set,
-    parse_k_expression,
-    solve_cliquewidth,
-)
-from .convex import (
-    ConvexOrdering,
-    OrderingError,
-    convex_profile_set,
-    find_convex_ordering,
-    solve_convex,
-    validate_convex_ordering,
-)
-from .generators import gen_convex_bipartite, gen_partial_ktree
 from .model import (
+    CapError,
     ConflictInstance,
-    InstanceFormatError,
-    InvalidColoringError,
     SolveResult,
     parse_instance,
     profile_of,
@@ -41,38 +21,28 @@ from .model import (
     serialize_instance,
     validate_coloring,
 )
-from .oracle import (
-    DEFAULT_ENUMERATION_CAP,
-    EnumerationCapError,
-    brute_force_optimum,
-    brute_force_profiles,
-)
-from .profiles import ProfileCapError
-from .treeindep import (
-    AlphaCapError,
-    DecompositionError,
-    clique_tree_of_chordal,
-    parse_tree_decomposition,
-    serialize_tree_decomposition,
-    solve_tin,
-    tin_profile_set,
-    validate_td,
-)
+
+if TYPE_CHECKING:
+    from .convex import ConvexOrdering
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-_INPUT_ERRORS = (
-    InstanceFormatError,
-    InvalidColoringError,
-    OrderingError,
-    ExpressionError,
-    DecompositionError,
-)
-_RESOURCE_ERRORS = (ProfileCapError, EnumerationCapError, AlphaCapError)
 _NOT_CONVEX = "recognition failed: no A-order gives consecutive B-neighborhoods"
+
+
+def _module(name: str):
+    """The package module `name`, imported on first use.
+
+    Loading the CLI imports no solver: each command imports only the modules
+    it runs, because without cached bytecode every import compiles a file.
+    The import statement (not importlib) keeps `-X importtime` reporting it.
+    """
+    qualified = f"{__package__}.{name}"
+    __import__(qualified)
+    return sys.modules[qualified]
 
 
 class CliError(Exception):
@@ -95,6 +65,7 @@ def _load_instance(path: str) -> ConflictInstance:
 
 def parse_ordering_file(text: str, inst: ConflictInstance) -> ConvexOrdering:
     """Ordering file: line `A: <ids...>` (in order) and line `B: <ids...>`."""
+    convex = _module("convex")
     a_ids: list[int] | None = None
     b_ids: list[int] | None = None
     for raw in text.splitlines():
@@ -106,10 +77,10 @@ def parse_ordering_file(text: str, inst: ConflictInstance) -> ConvexOrdering:
         elif line.startswith("B:"):
             b_ids = [int(x) - 1 for x in line[2:].split()]
         else:
-            raise OrderingError(f"unexpected ordering line: {line!r}")
+            raise convex.OrderingError(f"unexpected ordering line: {line!r}")
     if a_ids is None or b_ids is None:
-        raise OrderingError("ordering file needs one 'A:' and one 'B:' line")
-    return validate_convex_ordering(inst, a_ids, b_ids)
+        raise convex.OrderingError("ordering file needs one 'A:' and one 'B:' line")
+    return convex.validate_convex_ordering(inst, a_ids, b_ids)
 
 
 def ordering_file_text(ordering: ConvexOrdering) -> str:
@@ -120,6 +91,8 @@ def ordering_file_text(ordering: ConvexOrdering) -> str:
 
 def _emit_result(result: SolveResult, as_json: bool) -> None:
     if as_json:
+        import json
+
         print(json.dumps(result.to_json_dict(), sort_keys=True))
         return
     print(f"optimum: {result.optimum}")
@@ -136,36 +109,34 @@ def _emit_result(result: SolveResult, as_json: bool) -> None:
     )
 
 
-def _brute_solve(inst: ConflictInstance, _side, cap=None, stats=None):
-    # the profile is read off the oracle's witness, so the two always agree
-    optimum, witness = brute_force_optimum(inst, cap=cap)
-    return optimum, profile_of(inst, witness), witness
-
-
 class Method(NamedTuple):
     """One row of the method table shared by solve, profiles and approx."""
 
+    module: str  # the package module that defines the two functions below
     side: str | None  # the side input the method reads
     missing: str | None  # usage error when that side input is absent
     cap: str  # the --*-cap option that bounds the method
-    profile_set: Callable  # (inst, side, cap=) -> the full, unpruned ProfileSet
-    solve: Callable  # (inst, side, cap=, stats=) -> (optimum, profile, witness)
+    profile_set: str  # (inst, side, cap=) -> the full, unpruned ProfileSet
+    solve: str  # (inst, side, cap=, stats=) -> (optimum, profile, witness)
+
+    def function(self, kind: str) -> Callable:
+        """The row's `profile_set` or `solve` function, looked up in its module now."""
+        return getattr(_module(self.module), getattr(self, kind))
 
 
 METHODS = {
-    "brute": Method(
-        None, None, "oracle_cap",
-        lambda inst, _side, cap: brute_force_profiles(inst, cap=cap), _brute_solve,
-    ),
+    "brute": Method("oracle", None, None, "oracle_cap", "brute_profile_set", "solve_brute"),
     # a missing ordering is recognized, never a usage error
-    "convex": Method("ordering", None, "profile_cap", convex_profile_set, solve_convex),
+    "convex": Method(
+        "convex", "ordering", None, "profile_cap", "convex_profile_set", "solve_convex"
+    ),
     "cw": Method(
-        "expression", "--method cw needs --expression FILE",
-        "profile_cap", cliquewidth_profile_set, solve_cliquewidth,
+        "cliquewidth", "expression", "--method cw needs --expression FILE",
+        "profile_cap", "cliquewidth_profile_set", "solve_cliquewidth",
     ),
     "tin": Method(
-        "td", "--method tin needs --td FILE or --chordal",
-        "profile_cap", tin_profile_set, solve_tin,
+        "treeindep", "td", "--method tin needs --td FILE or --chordal",
+        "profile_cap", "tin_profile_set", "solve_tin",
     ),
 }
 
@@ -179,28 +150,33 @@ def resolve_method(args, inst: ConflictInstance) -> tuple[str, Method, object]:
     """
     side: dict[str, object] = {
         "ordering": parse_ordering_file(_read(args.ordering), inst) if args.ordering else None,
-        "expression": parse_k_expression(_read(args.expression)) if args.expression else None,
-        "td": parse_tree_decomposition(_read(args.td)) if args.td else None,
+        "expression": (
+            _module("cliquewidth").parse_k_expression(_read(args.expression))
+            if args.expression else None
+        ),
+        "td": _module("treeindep").parse_tree_decomposition(_read(args.td)) if args.td else None,
     }
     if args.chordal:
-        side["td"] = clique_tree_of_chordal(inst)
+        side["td"] = _module("treeindep").clique_tree_of_chordal(inst)
         if side["td"] is None:
             raise CliError("instance graph is not chordal", EXIT_INFEASIBLE)
     method = args.method
     if method in ("auto", "convex") and side["ordering"] is None:
+        convex = _module("convex")
         try:
-            side["ordering"] = find_convex_ordering(inst)
-        except OrderingError:
+            side["ordering"] = convex.find_convex_ordering(inst)
+        except convex.OrderingError:
             if method == "convex":
                 raise
         if method == "convex" and side["ordering"] is None:
             raise CliError(_NOT_CONVEX, EXIT_INFEASIBLE)
     if method == "auto":
         supplied = [m for m in ("convex", "tin", "cw") if side[METHODS[m].side] is not None]
-        limit = DEFAULT_ENUMERATION_CAP if args.oracle_cap is None else args.oracle_cap
         if supplied:
             method = supplied[0]
-        elif (inst.k + 1) ** inst.n <= limit:
+        elif (inst.k + 1) ** inst.n <= (
+            _module("oracle").DEFAULT_ENUMERATION_CAP if args.oracle_cap is None else args.oracle_cap
+        ):
             method = "brute"
         else:
             raise CliError("no applicable method: supply --td or --expression", EXIT_INFEASIBLE)
@@ -212,10 +188,11 @@ def resolve_method(args, inst: ConflictInstance) -> tuple[str, Method, object]:
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
+    method, row, side = resolve_method(args, inst)
+    solve = row.function("solve")  # imported before the clock starts
     stats: dict = {}
     start = time.perf_counter()
-    method, row, side = resolve_method(args, inst)
-    optimum, profile, witness = row.solve(inst, side, cap=getattr(args, row.cap), stats=stats)
+    optimum, profile, witness = solve(inst, side, cap=getattr(args, row.cap), stats=stats)
     stats["elapsed-ms"] = (time.perf_counter() - start) * 1000.0
     result = SolveResult(
         optimum=optimum, profile=profile, witness=witness, method=method, stats=stats
@@ -227,7 +204,7 @@ def cmd_solve(args) -> int:
 def cmd_profiles(args) -> int:
     inst = _load_instance(args.instance)
     _, row, side = resolve_method(args, inst)
-    text = row.profile_set(inst, side, cap=getattr(args, row.cap)).dump()
+    text = row.function("profile_set")(inst, side, cap=getattr(args, row.cap)).dump()
     if text:
         print(text)
     return EXIT_OK
@@ -235,7 +212,7 @@ def cmd_profiles(args) -> int:
 
 def cmd_recognize(args) -> int:
     inst = _load_instance(args.instance)
-    ordering = find_convex_ordering(inst)
+    ordering = _module("convex").find_convex_ordering(inst)
     if ordering is None:
         raise CliError(_NOT_CONVEX, EXIT_INFEASIBLE)
     text = ordering_file_text(ordering)
@@ -254,16 +231,20 @@ def cmd_validate(args) -> int:
         ordering = parse_ordering_file(_read(args.ordering), inst)
         print(f"ordering: ok (|A|={len(ordering.a_order)}, |B|={len(ordering.b_vertices)})")
     if args.td:
-        td = parse_tree_decomposition(_read(args.td))
-        width, ell = validate_td(inst, td)
+        treeindep = _module("treeindep")
+        td = treeindep.parse_tree_decomposition(_read(args.td))
+        width, ell = treeindep.validate_td(inst, td)
         print(f"td: ok (bags={len(td.bags)}, width={width}, independence={ell})")
     if args.expression:
-        expression = parse_k_expression(_read(args.expression))
-        mismatch = check_expression_matches(expression, inst)
+        cliquewidth = _module("cliquewidth")
+        expression = cliquewidth.parse_k_expression(_read(args.expression))
+        mismatch = cliquewidth.check_expression_matches(expression, inst)
         if mismatch is not None:
             raise CliError(f"expression: {mismatch}", EXIT_INFEASIBLE)
         print(f"expression: ok (labels={expression.num_labels})")
     if args.result:
+        import json
+
         payload = json.loads(_read(args.result))
         witness = payload.get("witness")
         if witness is None:
@@ -283,6 +264,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_approx(args) -> int:
+    from fractions import Fraction
+
     inst = _load_instance(args.instance)
     try:
         eps = Fraction(args.epsilon)
@@ -290,14 +273,18 @@ def cmd_approx(args) -> int:
         raise CliError(f"cannot parse epsilon {args.epsilon!r}", EXIT_USAGE)
     if not 0 < eps < 1:
         raise CliError(f"epsilon must lie strictly between 0 and 1, got {eps}", EXIT_USAGE)
+    method, row, side = resolve_method(args, inst)
+    # both imported before the clock starts
+    solve, fptas = row.function("solve"), _module("approx").fptas
+    cap = getattr(args, row.cap)
     stats: dict = {}
     start = time.perf_counter()
-    method, row, side = resolve_method(args, inst)
-    cap = getattr(args, row.cap)
     # a scaled instance has the same graph, so the side input carries over
-    result = fptas(inst, eps, lambda scaled: row.solve(scaled, side, cap=cap, stats=stats))
+    result = fptas(inst, eps, lambda scaled: solve(scaled, side, cap=cap, stats=stats))
     stats["elapsed-ms"] = (time.perf_counter() - start) * 1000.0
     if args.json:
+        import json
+
         payload = SolveResult(
             optimum=result.value,
             profile=result.profile,
@@ -320,10 +307,11 @@ def cmd_approx(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    generators = _module("generators")
     # a generator reads nothing but its arguments, so its errors are usage errors
     try:
         if args.family == "convex":
-            inst, ordering = gen_convex_bipartite(
+            inst, ordering = generators.gen_convex_bipartite(
                 args.na, args.nb, args.k, args.max_profit, args.seed
             )
             side_name, side_text = ".ordering", ordering_file_text(ordering)
@@ -332,10 +320,10 @@ def cmd_gen(args) -> int:
                 f"--max-profit {args.max_profit} --seed {args.seed}"
             )
         else:
-            inst, td = gen_partial_ktree(
+            inst, td = generators.gen_partial_ktree(
                 args.n, args.width, args.k, args.max_profit, args.seed, args.delete_prob
             )
-            side_name, side_text = ".td", serialize_tree_decomposition(td)
+            side_name, side_text = ".td", _module("treeindep").serialize_tree_decomposition(td)
             comment = (
                 f"gen ktree --n {args.n} --width {args.width} --k {args.k} "
                 f"--max-profit {args.max_profit} --seed {args.seed} "
@@ -459,13 +447,10 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except _RESOURCE_ERRORS as exc:
+    except CapError as exc:  # never a bare RuntimeError: RecursionError is one
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ValueError as exc:
+    except ValueError as exc:  # every input error subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -6,10 +6,13 @@ given seed reproduces the same instance bytes on any platform.
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
-from .convex import ConvexOrdering, validate_convex_ordering
 from .model import ConflictInstance
-from .treeindep import TreeDecomposition
+
+if TYPE_CHECKING:
+    from .convex import ConvexOrdering
+    from .treeindep import TreeDecomposition
 
 
 def gen_convex_bipartite(
@@ -25,6 +28,8 @@ def gen_convex_bipartite(
     interval drawn uniformly from all na*(na+1)/2 nonempty intervals of A
     (B-vertices are isolated when na = 0).
     """
+    from .convex import validate_convex_ordering  # only this generator needs it
+
     if na < 0 or nb < 0:
         raise ValueError("side sizes must be nonnegative")
     if max_profit < 0:
@@ -64,6 +69,8 @@ def gen_partial_ktree(
     edge independently with delete_prob.  With delete_prob = 0 the graph is
     chordal.  The emitted decomposition stays valid for any edge subset.
     """
+    from .treeindep import TreeDecomposition  # only this generator needs it
+
     if not (0.0 <= delete_prob <= 1.0):
         raise ValueError("delete_prob must lie in [0, 1]")
     if max_profit < 0:

@@ -34,6 +34,10 @@ class InvalidColoringError(ValueError):
     """A candidate coloring violates disjointness or independence."""
 
 
+class CapError(RuntimeError):
+    """A solver stopped at a configured resource cap (CLI exit 3)."""
+
+
 @dataclass(frozen=True)
 class ConflictInstance:
     """Conflict graph plus one nonnegative integer profit row per agent.

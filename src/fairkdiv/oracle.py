@@ -7,13 +7,13 @@ inside one class.
 """
 from __future__ import annotations
 
-from .model import Coloring, ConflictInstance, Profile
+from .model import CapError, Coloring, ConflictInstance, Profile, profile_of
 from .profiles import ProfileSet
 
 DEFAULT_ENUMERATION_CAP = 10**8
 
 
-class EnumerationCapError(RuntimeError):
+class EnumerationCapError(CapError):
     """The (k+1)^n search space exceeds the configured cap."""
 
     def __init__(self, size: int, cap: int):
@@ -89,3 +89,17 @@ def brute_force_optimum(inst: ConflictInstance, cap: int | None = None) -> tuple
         frozenset(v for v, c in enumerate(best_assignment) if c == j + 1) for j in range(k)
     )
     return best_value, witness
+
+
+def brute_profile_set(inst: ConflictInstance, _side=None, cap: int | None = None) -> ProfileSet:
+    """`brute_force_profiles` in the solvers' (inst, side, cap=) shape; no side input."""
+    return brute_force_profiles(inst, cap=cap)
+
+
+def solve_brute(
+    inst: ConflictInstance, _side=None, cap: int | None = None, stats: dict | None = None
+) -> tuple[int, Profile, Coloring]:
+    """`brute_force_optimum` in the solvers' (inst, side, cap=, stats=) shape."""
+    # the profile is read off the oracle's witness, so the two always agree
+    optimum, witness = brute_force_optimum(inst, cap=cap)
+    return optimum, profile_of(inst, witness), witness

@@ -23,7 +23,7 @@ from functools import lru_cache, reduce
 from operator import itemgetter, or_
 from typing import Any, Callable, Collection, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .model import Coloring, Profile
+from .model import CapError, Coloring, Profile
 
 # A set may hold up to (Q+1)^k profiles; fail loudly instead of thrashing.
 DEFAULT_PROFILE_CAP = 1 << 26
@@ -32,7 +32,7 @@ FIELD_BITS = 64
 FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
-class ProfileCapError(RuntimeError):
+class ProfileCapError(CapError):
     """A profile set grew past the configured cap."""
 
     def __init__(self, cap: int):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import attrgetter, getitem
 from typing import Iterable, Iterator
 
-from .model import Coloring, ConflictInstance, Profile, validate_coloring
+from .model import CapError, Coloring, ConflictInstance, Profile, validate_coloring
 from .profiles import (
     ProfileSet,
     Step,
@@ -42,7 +42,7 @@ class DecompositionError(ValueError):
     """Structural or axiom failure of a tree decomposition."""
 
 
-class AlphaCapError(RuntimeError):
+class AlphaCapError(CapError):
     """Bag independence-number search exceeded its node cap."""
 
 

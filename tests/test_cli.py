@@ -7,8 +7,8 @@ import pytest
 import properties
 import support
 
-import fairkdiv.cli
 import fairkdiv.convex
+import fairkdiv.treeindep
 from fairkdiv.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -103,6 +103,35 @@ class TestSolve:
         ])
         assert code == EXIT_RESOURCE
         assert "cap" in err
+
+    @pytest.mark.parametrize("command", ["solve", "profiles"])
+    @pytest.mark.parametrize("method", ["tin", "cw", "convex"])
+    def test_profile_cap_exit_3(self, tmp_path, command, method):
+        instance = tmp_path / "p3.fkd"
+        instance.write_text(P3_TEXT)
+        argv = [command, "--method", method, str(instance), "--profile-cap", "1"]
+        if method in P3_SIDE:
+            flag, side_text = P3_SIDE[method]
+            side_path = tmp_path / f"p3.{method}"
+            side_path.write_text(side_text)
+            argv += [flag, str(side_path)]
+        code, out, err = run_cli(argv)
+        assert code == EXIT_RESOURCE, err
+        assert "cap" in err and "Traceback" not in err
+        assert out == ""
+
+    def test_runtime_error_is_not_a_cap(self, tmp_path, monkeypatch):
+        # exit 3 is for CapError alone; a RecursionError is a bug, not a resource limit
+        def overflow(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(fairkdiv.treeindep, "solve_tin", overflow)
+        instance = tmp_path / "p3.fkd"
+        instance.write_text(P3_TEXT)
+        td = tmp_path / "p3.td"
+        td.write_text(P3_SIDE["tin"][1])
+        with pytest.raises(RecursionError):
+            main(["solve", "--method", "tin", str(instance), "--td", str(td)])
 
     def test_bad_instance_exit_1(self, tmp_path):
         path = tmp_path / "bad.fkd"
@@ -310,7 +339,6 @@ class TestRecognizeOnce:
             calls.append(1)
             return search(*args, **kwargs)
 
-        monkeypatch.setattr(fairkdiv.cli, "find_convex_ordering", counted)
         monkeypatch.setattr(fairkdiv.convex, "find_convex_ordering", counted)
         instance = str(tmp_path / "g.fkd")
         for argv in (

@@ -5,6 +5,7 @@ import pytest
 import support
 
 from fairkdiv.model import (
+    CapError,
     ConflictInstance,
     InstanceFormatError,
     InvalidColoringError,
@@ -160,6 +161,18 @@ class TestSolveResultJson:
         payload = result.to_json_dict()
         assert payload["witness"] == [[1, 3], [2]]
         support.check_result_schema(payload, 2)
+
+
+class TestCapError:
+    def test_every_cap_error_shares_the_base(self):
+        # the CLI maps CapError, and only CapError, to exit 3
+        from fairkdiv.oracle import EnumerationCapError
+        from fairkdiv.profiles import ProfileCapError
+        from fairkdiv.treeindep import AlphaCapError
+
+        for cls in (EnumerationCapError, ProfileCapError, AlphaCapError):
+            assert issubclass(cls, CapError) and not issubclass(cls, ValueError), cls
+        assert not issubclass(RecursionError, CapError)
 
 
 class TestInvariants:
