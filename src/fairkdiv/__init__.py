@@ -43,6 +43,7 @@ _EXPORTS = {
         "parse_instance",
         "profile_of",
         "satisfaction_level",
+        "satisfaction_upper_bound",
         "serialize_instance",
         "validate_coloring",
     ),

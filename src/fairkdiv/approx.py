@@ -2,11 +2,18 @@
 
 The exact solvers run in time polynomial in the largest total profit, so
 dividing all profits by a factor K trades accuracy for speed.  The wrapper
-guesses the optimum by halving from the trivial upper bound, picks K so that
-the total rounding loss stays below half an epsilon-fraction of the guess,
-solves the scaled instance exactly, and re-scores the returned coloring with
-the original profits; the first guess whose witness certifies itself is
-accepted.
+guesses the optimum by halving from a certified upper bound U on it, picks K
+so that the total rounding loss stays below half an epsilon-fraction of the
+guess, solves the scaled instance exactly, and re-scores the returned
+coloring with the original profits; the first guess whose witness certifies
+itself is accepted.
+
+U = min(min_j T_j, floor(sum_v max_j p_j(v) / k)), T_j being agent j's total
+profit.  No coloring gives agent j more than T_j, and the k agents share one
+pool of items, so together they get at most sum_v max_j p_j(v) and the least
+of their k totals is at most the floor of the mean.  U is often below
+(1 - epsilon) * Q, where a guess at Q, the largest T_j, could never be
+accepted; starting at U skips that call.
 """
 from __future__ import annotations
 
@@ -14,7 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .model import Coloring, ConflictInstance, Profile, max_total_profit, profile_of, satisfaction_level
+from .model import (
+    Coloring,
+    ConflictInstance,
+    Profile,
+    profile_of,
+    satisfaction_level,
+    satisfaction_upper_bound,
+)
 
 # An exact solver takes an instance and returns (optimum, profile, witness).
 ExactSolver = Callable[[ConflictInstance], tuple[int, Profile, Coloring]]
@@ -41,6 +55,7 @@ class FptasResult:
     witness: Coloring
     epsilon: Fraction
     solver_calls: int
+    upper_bound: int  # U, the first guess: no coloring's satisfaction exceeds it
 
 
 def fptas(
@@ -50,31 +65,36 @@ def fptas(
 ) -> FptasResult:
     """A coloring whose true satisfaction level is >= (1 - epsilon) * optimum.
 
-    Guess-and-scale: for g = Q, ceil(Q/2), ..., 1 set K = max(1, floor(
+    Guess-and-scale: for g = U, ceil(U/2), ..., 1 set K = max(1, floor(
     epsilon*g / (2n))), solve the scaled instance exactly, lift the witness,
     and accept as soon as its true satisfaction reaches (1 - epsilon) * g.
-    Uses at most ceil(log2(Q+1)) + 1 exact-solver calls.
+    U >= OPT (see the module docstring), so an acceptance at g >= OPT gives
+    a value >= (1 - epsilon) * OPT, and the first guess g <= OPT is accepted
+    because the rounding loses at most epsilon * g / 2.  Uses at most
+    ceil(log2(U+1)) + 1 <= ceil(log2(Q+1)) + 1 exact-solver calls, and none
+    when U = 0, where the optimum is 0.
     """
     eps = Fraction(epsilon)
     if not (0 < eps < 1):
         raise ValueError(f"epsilon must lie strictly between 0 and 1, got {eps}")
     empty: Coloring = tuple(frozenset() for _ in range(inst.k))
-    big_q = max_total_profit(inst)
-    if big_q == 0:
+    bound = satisfaction_upper_bound(inst)
+    if bound == 0:
         return FptasResult(
             value=0,
             profile=(0,) * inst.k,
             witness=empty,
             epsilon=eps,
             solver_calls=0,
+            upper_bound=0,
         )
 
     best_value = 0
     best_witness = empty
     calls = 0
-    guess = big_q
+    guess = bound
     while True:
-        # big_q > 0 implies n >= 1 here
+        # bound > 0 implies n >= 1 here
         factor = max(1, int(eps * guess / (2 * inst.n)))
         _, _, witness = exact_solver(scale_profits(inst, factor))
         calls += 1
@@ -90,6 +110,7 @@ def fptas(
                 witness=witness,
                 epsilon=eps,
                 solver_calls=calls,
+                upper_bound=bound,
             )
         if guess == 1:
             break
@@ -100,4 +121,5 @@ def fptas(
         witness=best_witness,
         epsilon=eps,
         solver_calls=calls,
+        upper_bound=bound,
     )

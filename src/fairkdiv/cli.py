@@ -144,23 +144,25 @@ METHODS = {
 def resolve_method(args, inst: ConflictInstance) -> tuple[str, Method, object]:
     """The method a command runs, its table row, and the side input it reads.
 
-    Side-input files are parsed here.  Convex recognition runs at most once
-    per command: `auto` keeps the ordering its convexity test finds, and
-    `--method convex` without `--ordering` searches for one here.
+    Side-input files are parsed here: all of them for `auto`, and only the
+    method's own for an explicit `--method` (`--chordal` is tin's).  Convex
+    recognition runs at most once per command: `auto` keeps the ordering its
+    convexity test finds, and `--method convex` without `--ordering` searches
+    for one here.
     """
-    side: dict[str, object] = {
-        "ordering": parse_ordering_file(_read(args.ordering), inst) if args.ordering else None,
-        "expression": (
-            _module("cliquewidth").parse_k_expression(_read(args.expression))
-            if args.expression else None
-        ),
-        "td": _module("treeindep").parse_tree_decomposition(_read(args.td)) if args.td else None,
-    }
-    if args.chordal:
+    method = args.method
+    reads = {"ordering", "expression", "td"} if method == "auto" else {METHODS[method].side}
+    side: dict[str, object] = dict.fromkeys(("ordering", "expression", "td"))
+    if args.ordering and "ordering" in reads:
+        side["ordering"] = parse_ordering_file(_read(args.ordering), inst)
+    if args.expression and "expression" in reads:
+        side["expression"] = _module("cliquewidth").parse_k_expression(_read(args.expression))
+    if args.td and "td" in reads:
+        side["td"] = _module("treeindep").parse_tree_decomposition(_read(args.td))
+    if args.chordal and "td" in reads:
         side["td"] = _module("treeindep").clique_tree_of_chordal(inst)
         if side["td"] is None:
             raise CliError("instance graph is not chordal", EXIT_INFEASIBLE)
-    method = args.method
     if method in ("auto", "convex") and side["ordering"] is None:
         convex = _module("convex")
         try:
@@ -295,6 +297,7 @@ def cmd_approx(args) -> int:
         payload["epsilon"] = str(result.epsilon)
         payload["guarantee"] = str(1 - result.epsilon)
         payload["solver-calls"] = result.solver_calls
+        payload["upper-bound"] = result.upper_bound
         print(json.dumps(payload, sort_keys=True))
     else:
         print(f"value: {result.value} (>= {1 - result.epsilon} of optimum)")

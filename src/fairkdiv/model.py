@@ -117,6 +117,11 @@ def max_total_profit(inst: ConflictInstance) -> int:
     return max(inst.total_profits())
 
 
+def satisfaction_upper_bound(inst: ConflictInstance) -> int:
+    """U = min(min_j T_j, floor(sum_v max_j p_j(v) / k)): no coloring's satisfaction exceeds it."""
+    return min(min(inst.total_profits()), sum(map(max, zip(*inst.profits))) // inst.k)
+
+
 def satisfaction_level(profile: Sequence[int]) -> int:
     """Minimum entry of a profit profile: the least happy agent's profit."""
     return min(profile)

@@ -35,6 +35,7 @@ from fairkdiv.model import (
     parse_instance,
     profile_of,
     satisfaction_level,
+    satisfaction_upper_bound,
     serialize_instance,
     validate_coloring,
 )
@@ -685,6 +686,53 @@ def prop_fptas_exact_when_unscaled(cases: int, seed: int = 703) -> None:
         assert result.value == opt
 
 
+def prop_fptas_upper_bound(cases: int, seed: int = 704) -> None:
+    """U bounds the optimum, bounds the calls, and starting there keeps the guarantee.
+
+    Three families in turn: convex instances with k = 1-3; disjoint wishes
+    with equal totals, where U = Q; and one agent that values nothing, where
+    U = 0 and no exact call is made.
+    """
+    from fractions import Fraction
+
+    rng = random.Random(seed)
+    for case in range(cases):
+        family = case % 3
+        k = rng.randint(1, 3)
+        size = 6 - k  # n <= 2 * size keeps (k+1)^n small for the oracle
+        inst, ordering = gen_convex_bipartite(rng.randint(1, size), rng.randint(1, size),
+                                              k, 9, rng.randrange(1 << 30))
+        if family == 1:
+            # agent j values only its own block of vertices, all blocks alike
+            block = inst.n // k
+            values = [rng.randint(1, 9) for _ in range(block)]
+            owned = rng.sample(range(inst.n), block * k)
+            profits = [[0] * inst.n for _ in range(k)]
+            for j in range(k):
+                for v, value in zip(owned[j * block:(j + 1) * block], rng.sample(values, block)):
+                    profits[j][v] = value
+            inst = ConflictInstance.build(inst.n, k, inst.edges, profits)
+        elif family == 2:
+            profits = [list(row) for row in inst.profits]
+            profits[rng.randrange(k)] = [0] * inst.n
+            inst = ConflictInstance.build(inst.n, k, inst.edges, profits)
+        eps = rng.choice([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)])
+        result = fptas(inst, eps, _convex_exact(ordering))
+        bound = satisfaction_upper_bound(inst)
+        assert result.upper_bound == bound
+        if family == 1:
+            assert bound == max_total_profit(inst)
+        if family == 2:
+            assert (bound, result.solver_calls, result.value) == (0, 0, 0)
+            assert all(not cls for cls in result.witness)
+        opt, _ = brute_force_optimum(inst)
+        assert bound >= opt, f"case {case}: U = {bound} < OPT = {opt}"
+        # ceil(log2(U+1)) == U.bit_length() for U >= 0
+        assert result.solver_calls <= bound.bit_length() + 1
+        validate_coloring(inst, result.witness)
+        assert result.value >= (1 - eps) * opt
+
+
 # ----------------------------------------------------------------------- cli
 
 def prop_generator_outputs_valid(cases: int, seed: int = 801) -> None:
@@ -803,6 +851,7 @@ ALL_PROPERTIES = [
     prop_fptas_guarantee,
     prop_fptas_call_bound,
     prop_fptas_exact_when_unscaled,
+    prop_fptas_upper_bound,
     prop_generator_outputs_valid,
     prop_cli_json_schema,
     prop_cli_determinism,

@@ -1,12 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 import properties
+import support
 
 from fairkdiv.approx import fptas, scale_profits
 from fairkdiv.convex import solve_convex
-from fairkdiv.model import ConflictInstance, validate_coloring
+from fairkdiv.model import (
+    ConflictInstance,
+    max_total_profit,
+    satisfaction_upper_bound,
+    validate_coloring,
+)
 from fairkdiv.oracle import brute_force_optimum
 
 
@@ -54,10 +61,6 @@ class TestFptas:
             fptas(inst, Fraction(3, 2), lambda sub: solve_convex(sub))
 
     def test_guarantee_on_small_convex(self):
-        import random
-
-        import support
-
         rng = random.Random(23)
         for _ in range(25):
             na, nb = rng.randint(1, 4), rng.randint(1, 4)
@@ -67,6 +70,27 @@ class TestFptas:
                 opt, _ = brute_force_optimum(inst)
                 assert result.value >= (1 - Fraction(eps)) * opt
                 validate_coloring(inst, result.witness)
+
+    def test_agent_valuing_nothing_makes_no_call(self):
+        inst = ConflictInstance.build(
+            8, 2, [(0, 4), (1, 5), (2, 6), (3, 7)], [[900, 800, 700, 600, 500, 400, 300, 200], [0] * 8]
+        )
+        result = fptas(inst, "1/4", lambda sub: solve_convex(sub))
+        assert (result.value, result.solver_calls, result.upper_bound) == (0, 0, 0)
+        assert result.witness == (frozenset(), frozenset())
+
+    def test_bench_shaped_instance_takes_one_call(self):
+        # three convex parts of 6+6 vertices, k = 2, profits up to 1000
+        inst = support.shuffled_convex_instance(random.Random(0), [(6, 6)] * 3, 2, 1000)
+        eps = Fraction(1, 4)
+        bound = satisfaction_upper_bound(inst)
+        # a first guess at Q can never be accepted: every value is <= OPT <= U < (1 - eps) * Q
+        assert bound < (1 - eps) * max_total_profit(inst)
+        result = fptas(inst, eps, lambda sub: solve_convex(sub))
+        assert result.solver_calls == 1
+        assert result.upper_bound == bound
+        validate_coloring(inst, result.witness)
+        assert result.value >= (1 - eps) * solve_convex(inst)[0]
 
 
 class TestInvariants:
@@ -78,3 +102,6 @@ class TestInvariants:
 
     def test_exact_when_unscaled(self):
         properties.prop_fptas_exact_when_unscaled(60)
+
+    def test_upper_bound(self):
+        properties.prop_fptas_upper_bound(150)

@@ -18,7 +18,12 @@ from fairkdiv.cli import (
     ordering_file_text,
     parse_ordering_file,
 )
-from fairkdiv.model import parse_instance
+from fairkdiv.model import (
+    ConflictInstance,
+    parse_instance,
+    satisfaction_upper_bound,
+    serialize_instance,
+)
 
 T1_TEXT = "p fkd 2 0 2\nw 1 3 1\nw 2 2 2\n"
 # three equal items, k=2: several optimal colorings with different profiles
@@ -169,6 +174,44 @@ class TestSolve:
         assert code == EXIT_OK
 
 
+class TestSideInputs:
+    """An explicit --method reads only its own side input; auto reads them all."""
+
+    @pytest.fixture(autouse=True)
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p3.fkd").write_text(P3_TEXT)
+        (tmp_path / "p3.td").write_text(P3_SIDE["tin"][1])
+        (tmp_path / "bad.cw").write_text("garbage\n")
+        (tmp_path / "bad.td").write_text("garbage\n")
+        # the 4-cycle: convex, not chordal
+        (tmp_path / "c4.fkd").write_text("p fkd 4 4 1\nw 1 1 1 1 1\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "p3.fkd", "--method", "tin", "--td", "p3.td", "--expression", "bad.cw"],
+        ["solve", "p3.fkd", "--method", "convex", "--td", "bad.td", "--expression", "bad.cw"],
+        ["solve", "p3.fkd", "--method", "brute", "--td", "bad.td", "--expression", "bad.cw"],
+        ["profiles", "p3.fkd", "--method", "tin", "--td", "p3.td", "--expression", "bad.cw"],
+        ["approx", "p3.fkd", "--method", "tin", "--td", "p3.td", "--expression", "bad.cw",
+         "--epsilon", "1/4"],
+        ["solve", "c4.fkd", "--method", "convex", "--chordal"],
+    ])
+    def test_unused_side_inputs_are_not_read(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == EXIT_OK, err
+        assert out
+
+    def test_chordal_still_checked_for_tin(self):
+        code, _, err = run_cli(["solve", "c4.fkd", "--method", "tin", "--chordal"])
+        assert code == EXIT_INFEASIBLE
+        assert "not chordal" in err
+
+    def test_auto_still_parses_every_side_input(self):
+        code, _, err = run_cli(["solve", "p3.fkd", "--td", "p3.td", "--expression", "bad.cw"])
+        assert code == EXIT_INFEASIBLE
+        assert "expected '('" in err
+
+
 class TestProfiles:
     def test_dump_is_sorted(self, t1_file):
         code, out, _ = run_cli(["profiles", "--method", "brute", t1_file])
@@ -293,6 +336,8 @@ class TestApprox:
             "solve", str(tmp_path / "x.fkd"), "--method", "brute", "--json",
         ])
         optimum = json.loads(out2)["optimum"]
+        # the certified bound: no coloring beats it, and brute force agrees
+        assert optimum <= satisfaction_upper_bound(parse_instance((tmp_path / "x.fkd").read_text()))
         # a bare approx resolves auto like solve does, and names what it ran
         for flags, method in (([], "convex"), (["--method", "auto"], "convex"),
                               (["--method", "brute"], "brute"), (["--method", "convex"], "convex")):
@@ -305,6 +350,8 @@ class TestApprox:
             assert payload["epsilon"] == "1/4"
             assert payload["guarantee"] == "3/4"
             assert payload["solver-calls"] >= 1
+            assert payload["solver-calls"] <= payload["upper-bound"].bit_length() + 1
+            assert payload["optimum"] <= optimum <= payload["upper-bound"]
             assert payload["optimum"] >= 0.75 * optimum
             result_path = tmp_path / f"approx-{method}.json"
             result_path.write_text(out)
@@ -312,6 +359,22 @@ class TestApprox:
                 "validate", str(tmp_path / "x.fkd"), "--result", str(result_path),
             ])
             assert code == EXIT_OK, (flags, err)
+
+    def test_zero_optimum_makes_no_call(self, tmp_path):
+        # the second agent values nothing, so the optimum is 0
+        inst = ConflictInstance.build(
+            8, 2, [(0, 4), (1, 5), (2, 6), (3, 7)], [[900, 800, 700, 600, 500, 400, 300, 200], [0] * 8]
+        )
+        path = tmp_path / "z.fkd"
+        path.write_text(serialize_instance(inst))
+        code, out, err = run_cli(["approx", str(path), "--epsilon", "1/4", "--json"])
+        assert code == EXIT_OK, err
+        payload = json.loads(out)
+        assert (payload["optimum"], payload["solver-calls"], payload["upper-bound"]) == (0, 0, 0)
+        result_path = tmp_path / "z.json"
+        result_path.write_text(out)
+        code, _, err = run_cli(["validate", str(path), "--result", str(result_path)])
+        assert code == EXIT_OK, err
 
     def test_bad_epsilon_exit_2(self, t1_file):
         code, _, _ = run_cli([

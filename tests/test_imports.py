@@ -46,6 +46,7 @@ def p3(tmp_path):
     (tmp_path / "p3.fkd").write_text(P3_TEXT)
     (tmp_path / "p3.td").write_text(P3_TD)
     (tmp_path / "p3.cw").write_text(P3_CW)
+    (tmp_path / "bad.cw").write_text("garbage\n")
     return tmp_path
 
 
@@ -63,6 +64,9 @@ def test_import_package_loads_no_submodule(tmp_path):
          {"fairkdiv.profiles", "fairkdiv.treeindep"}),
         (["solve", "p3.fkd", "--method", "tin", "--td", "p3.td", "--json"],
          {"fairkdiv.profiles", "fairkdiv.treeindep", "json"}),
+        # an explicit method reads no other method's side input
+        (["solve", "p3.fkd", "--method", "tin", "--td", "p3.td", "--expression", "bad.cw"],
+         {"fairkdiv.profiles", "fairkdiv.treeindep"}),
         (["profiles", "p3.fkd", "--method", "cw", "--expression", "p3.cw"],
          {"fairkdiv.profiles", "fairkdiv.cliquewidth"}),
         (["recognize", "p3.fkd"], {"fairkdiv.profiles", "fairkdiv.convex"}),
@@ -72,7 +76,7 @@ def test_import_package_loads_no_submodule(tmp_path):
         (["approx", "p3.fkd", "--method", "convex", "--epsilon", "1/4"],
          {"fairkdiv.profiles", "fairkdiv.convex", "fairkdiv.approx", "fractions"}),
     ],
-    ids=["tin-solve", "tin-solve-json", "cw-profiles", "recognize", "gen-ktree", "brute-solve",
+    ids=["tin-solve", "tin-solve-json", "tin-solve-unused-expression", "cw-profiles", "recognize", "gen-ktree", "brute-solve",
          "approx-convex"],
 )
 def test_command_loads_only_what_it_runs(p3, argv, loaded):

@@ -15,6 +15,7 @@ from fairkdiv.model import (
     parse_instance,
     profile_of,
     satisfaction_level,
+    satisfaction_upper_bound,
     serialize_instance,
     validate_coloring,
 )
@@ -147,6 +148,25 @@ class TestMaxTotalProfit:
         assert max_total_profit(empty) == 0
         inst = ConflictInstance.build(3, 2, [], [[1, 1, 1], [5, 0, 0]])
         assert max_total_profit(inst) == 5
+
+
+class TestSatisfactionUpperBound:
+    def test_examples(self):
+        assert satisfaction_upper_bound(ConflictInstance.build(0, 1, [], [[]])) == 0
+        # k = 1: the bound is the one total
+        assert satisfaction_upper_bound(ConflictInstance.build(2, 1, [], [[3, 4]])) == 7
+        # the least total binds: (3, 5), pooled 7 // 2 = 3
+        inst = ConflictInstance.build(3, 2, [], [[1, 1, 1], [5, 0, 0]])
+        assert satisfaction_upper_bound(inst) == 3
+        # both agents want the same items: pooled 6 // 2 = 3, below the totals 6
+        inst = ConflictInstance.build(2, 2, [], [[3, 3], [3, 3]])
+        assert satisfaction_upper_bound(inst) == 3
+        # disjoint wishes with equal totals: the bound is Q, and it is reached
+        inst = ConflictInstance.build(2, 2, [], [[4, 0], [0, 4]])
+        assert satisfaction_upper_bound(inst) == 4 == max_total_profit(inst)
+        # an agent that values nothing
+        inst = ConflictInstance.build(2, 2, [], [[4, 5], [0, 0]])
+        assert satisfaction_upper_bound(inst) == 0
 
 
 class TestSolveResultJson:
