@@ -70,27 +70,26 @@ def fptas(
     and accept as soon as its true satisfaction reaches (1 - epsilon) * g.
     U >= OPT (see the module docstring), so an acceptance at g >= OPT gives
     a value >= (1 - epsilon) * OPT, and the first guess g <= OPT is accepted
-    because the rounding loses at most epsilon * g / 2.  Uses at most
+    because the rounding loses at most epsilon * g / 2.  A call at K = 1
+    solves the instance itself, so its witness is optimal and is returned
+    whatever the guess; g = 1 always has K = 1.  Uses at most
     ceil(log2(U+1)) + 1 <= ceil(log2(Q+1)) + 1 exact-solver calls, and none
     when U = 0, where the optimum is 0.
     """
     eps = Fraction(epsilon)
     if not (0 < eps < 1):
         raise ValueError(f"epsilon must lie strictly between 0 and 1, got {eps}")
-    empty: Coloring = tuple(frozenset() for _ in range(inst.k))
     bound = satisfaction_upper_bound(inst)
     if bound == 0:
         return FptasResult(
             value=0,
             profile=(0,) * inst.k,
-            witness=empty,
+            witness=tuple(frozenset() for _ in range(inst.k)),
             epsilon=eps,
             solver_calls=0,
             upper_bound=0,
         )
 
-    best_value = 0
-    best_witness = empty
     calls = 0
     guess = bound
     while True:
@@ -100,10 +99,7 @@ def fptas(
         calls += 1
         true_profile = profile_of(inst, witness)
         value = satisfaction_level(true_profile)
-        if value > best_value:
-            best_value = value
-            best_witness = witness
-        if value >= (1 - eps) * guess:
+        if factor == 1 or value >= (1 - eps) * guess:
             return FptasResult(
                 value=value,
                 profile=true_profile,
@@ -112,14 +108,4 @@ def fptas(
                 solver_calls=calls,
                 upper_bound=bound,
             )
-        if guess == 1:
-            break
         guess = (guess + 1) // 2
-    return FptasResult(
-        value=best_value,
-        profile=profile_of(inst, best_witness),
-        witness=best_witness,
-        epsilon=eps,
-        solver_calls=calls,
-        upper_bound=bound,
-    )

@@ -275,25 +275,25 @@ def cw_steps(node: ExprNode, child_tables: list[CwTable], inst: ConflictInstance
     if isinstance(node, VertexNode):
         bit = 1 << (node.label - 1)
         v0 = node.vertex - 1
-        yield (0,) * k, (), 0, None
+        yield (0,) * k, (), 0, ()
         for j in range(k):
             key = tuple(bit if idx == j else 0 for idx in range(k))
-            yield key, (), unit_code(k, j, inst.profits[j][v0]), (v0, j)
+            yield key, (), unit_code(k, j, inst.profits[j][v0]), ((v0, j),)
     elif isinstance(node, UnionNode):
         left, right = child_tables
         for key1 in left:
             for key2 in right:
-                yield tuple(map(or_, key1, key2)), (key1, key2), 0, None
+                yield tuple(map(or_, key1, key2)), (key1, key2), 0, ()
     elif isinstance(node, EtaNode):
         pair = (1 << (node.i - 1)) | (1 << (node.j - 1))
         for key in child_tables[0]:
             if all((mask & pair) != pair for mask in key):
-                yield key, (key,), 0, None
+                yield key, (key,), 0, ()
     elif isinstance(node, RhoNode):
         bit_i = 1 << (node.i - 1)
         bit_j = 1 << (node.j - 1)
         for key in child_tables[0]:
-            yield tuple((m & ~bit_i) | bit_j if m & bit_i else m for m in key), (key,), 0, None
+            yield tuple((m & ~bit_i) | bit_j if m & bit_i else m for m in key), (key,), 0, ()
     else:
         raise TypeError(f"unknown node type {type(node).__name__}")
 

@@ -13,24 +13,25 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import partial
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .model import Coloring, ConflictInstance, Profile, connected_components, validate_coloring
 from .profiles import (
     ProfileSet,
-    add_sums,
+    Step,
+    Table,
     best_profile,
-    count_table,
-    decode,
-    dominance_prune,
-    edgeless_assignment,
-    edgeless_profiles_unchecked,
+    build_table,
     encode,
+    extract_coloring,
     merge_profile_sets,
-    store_cells,
+    run_tables,
     union_cells,
     unit_code,
 )
+# unused here: kept only as the module attribute the benchmark tracer wraps
+from .profiles import dominance_prune  # noqa: F401
 
 
 class OrderingError(ValueError):
@@ -412,17 +413,84 @@ def stage_structure(co: ConvexOrdering) -> StageStructure:
 
 # One agent's choice at a stage: (id of its profit column, code of the
 # profits of its guessed A-vertex, if new, and of mu, the stage-position bit
-# of mu, or 0 if it takes no new B-vertex).
-Option = tuple[int, int, int]
+# of mu, or 0 if it takes no new B-vertex, and the (vertex, agent) pairs of
+# that A-vertex and mu).
+Option = tuple[int, int, int, tuple[tuple[int, int], ...]]
 
 
-def _delta(combo: Sequence[Option]) -> int:
-    """The code of the profits that a choice's guess and mu take themselves."""
-    return sum(opt[1] for opt in combo)
+class _Node:
+    """One node of a component's DP tree.
+
+    make turns the children's tables into the node's steps (see
+    profiles.Step).  The forward pass keeps them in steps, and the witness
+    walk reads them back instead of building them again.
+    """
+
+    __slots__ = ("make", "children", "steps")
+
+    def __init__(self, make: Callable[[list[Table]], list[Step]], *children: _Node):
+        self.make = make
+        self.children = children
+        self.steps: list[Step] = []
+
+
+def _children(node: _Node) -> tuple[_Node, ...]:
+    return node.children
+
+
+def _kept_steps(node: _Node, child_tables: list[Table]) -> list[Step]:
+    return node.steps
+
+
+def _tables(
+    k: int, root: _Node, cap: int | None, prune: bool, stats: dict | None
+) -> dict[int, Table]:
+    """Every node's table, keyed by id(node); each node keeps the steps it was built from."""
+
+    def node_table(node: _Node, child_tables: list[Table]) -> Table:
+        node.steps = node.make(child_tables)
+        return build_table(k, node.steps, child_tables, cap, prune)
+
+    return run_tables(root, _children, node_table, stats)
+
+
+def _vertex_chain(
+    k: int, vertices: Sequence[int], rows: Mapping[Hashable, Sequence[Sequence[int]]]
+) -> _Node:
+    """Each key's edgeless part, a subset-sum over vertices: a leaf, then one node per vertex.
+
+    The leaf holds {0} under every key of rows.  rows[key][i] is each
+    agent's profit for vertices[i] in that key's part, and the i-th node
+    keeps every key with the vertex unassigned or given to one agent whose
+    profit is positive.
+    """
+
+    def vertex_steps(i: int, vertex: int, child_tables: list[Table]) -> list[Step]:
+        steps: list[Step] = []
+        for key in child_tables[0]:
+            child_keys = (key,)
+            steps.append((key, child_keys, 0, ()))
+            for agent, p in enumerate(rows[key][i]):
+                if p > 0:
+                    steps.append((key, child_keys, unit_code(k, agent, p), ((vertex, agent),)))
+        return steps
+
+    node = _Node(lambda child_tables: [(key, (), 0, ()) for key in rows])
+    for i, vertex in enumerate(vertices):
+        node = _Node(partial(vertex_steps, i, vertex), node)
+    return node
+
+
+def _guesses(upper: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Every key of a stage whose largest A-position is upper: no nonzero entry repeats."""
+    for combo in itertools.product(range(upper + 1), repeat=k):
+        nonzero = [x for x in combo if x > 0]
+        if len(nonzero) == len(set(nonzero)):
+            yield combo
 
 
 class _Stage:
-    """One stage's profit columns, edgeless parts and predecessor groups.
+    """One stage's profit columns and choices, and the steps of its node kinds.
 
     Stage j adds the A-positions (u_prev, u_cur] and the B-positions
     (v_prev, v_cur]; vertices lists them, A first, and a mask over their
@@ -435,129 +503,137 @@ class _Stage:
     no mu and its B-vertices are not restricted by it.  Each column is built
     once per stage and interned.
 
-    A choice's residual rows are its columns side by side, less the
-    positions its guess and mu take, so its options and that mask fix the
-    rows and their edgeless part, which is built once.  The previous table
-    is grouped once per pattern of decided agents (guess entries <= u_prev),
-    and each predecessor union is built once per key.
+    A choice is one Option per agent and the mask of the positions its guess
+    and mu take.  Its rows are its columns side by side with the taken
+    positions zeroed, so equal choices of different guesses share one part.
+    A stage is four node kinds: pred_steps unions the previous cells that
+    agree with each guess wherever it names a position already passed; a
+    vertex chain builds every choice's edgeless part; shift_steps adds each
+    choice's delta, the profits its guess and mu take, and colors those
+    vertices; and stage_steps adds each guess's predecessor union to its
+    shifted parts.
     """
 
     def __init__(self, dp: _ConnectedConvexDP, j: int):
         ss, k = dp.ss, dp.k
-        self.k, self.cap = k, dp.cap
-        self.u_prev = ss.u[j - 1] if j else 0
-        # the first stage extends the empty prefix, whose one cell is {0}
-        self.prev = dp.tables[j - 1] if j else {(0,) * k: ProfileSet.zero(k)}
-        a_pos = range(self.u_prev + 1, ss.u[j] + 1)
+        self.j, self.k = j, k
+        u_prev = self.u_prev = ss.u[j - 1] if j else 0
+        a_pos = range(u_prev + 1, ss.u[j] + 1)
         b_pos = range(ss.v[j - 1] + 1 if j else 1, ss.v[j] + 1)
-        na = len(a_pos)
+        na = self.na = len(a_pos)
         self.vertices = [dp.co.a_order[i - 1] for i in a_pos] + [ss.b_order[m - 1] for m in b_pos]
         b_iv = [dp.b_interval[m - 1] for m in b_pos]
-        ids: dict[tuple[int, ...], int] = {}  # column -> its index in self.columns
+        ids: dict[tuple[int, ...], int] = {}  # column -> its index in columns
 
         def intern(col: list[int]) -> int:
             return ids.setdefault(tuple(col), len(ids))
 
-        self.options: list[list[list[Option]]] = []
+        options: list[list[list[Option]]] = []
         for l, profits in enumerate(dp.inst.profits):
             pa = [profits[v] for v in self.vertices[:na]]
             pb = [profits[v] for v in self.vertices[na:]]
             per_guess = []
             for g in range(ss.u[j] + 1):
-                own = unit_code(k, l, pa[g - self.u_prev - 1]) if g > self.u_prev else 0
+                own = unit_code(k, l, pa[g - u_prev - 1]) if g > u_prev else 0
+                own_pair = ((self.vertices[g - u_prev - 1], l),) if g > u_prev else ()
                 free = [g == 0 or not lo <= g <= hi for lo, hi in b_iv]
                 a_col = [p if i <= g else 0 for i, p in zip(a_pos, pa)]
                 if not j:
                     b_col = [p if f else 0 for p, f in zip(pb, free)]
-                    per_guess.append([(intern(a_col + b_col), own, 0)])
+                    per_guess.append([(intern(a_col + b_col), own, 0, own_pair)])
                     continue
                 opts = []
                 for x, (lo, hi) in enumerate(b_iv):
                     if free[x]:
                         col = [0 if lo <= i <= hi else p for i, p in zip(a_pos, a_col)]
                         col += [p if y >= x and free[y] else 0 for y, p in enumerate(pb)]
-                        opts.append((intern(col), own + unit_code(k, l, pb[x]), 1 << na + x))
-                opts.append((intern(a_col + [0] * len(pb)), own, 0))
+                        code = own + unit_code(k, l, pb[x])
+                        pairs = own_pair + ((self.vertices[na + x], l),)
+                        opts.append((intern(col), code, 1 << na + x, pairs))
+                opts.append((intern(a_col + [0] * len(pb)), own, 0, own_pair))
                 per_guess.append(opts)
-            self.options.append(per_guess)
-        self.columns = list(ids)
-        self.parts: dict[tuple[tuple[Option, ...], int], ProfileSet] = {}
-        self.groups: dict[tuple[bool, ...], dict[tuple, list[tuple[int, ...]]]] = {}
-        self.unions: dict[tuple, ProfileSet] = {}
+            options.append(per_guess)
+        columns = list(ids)
 
-    def choices(self, guess: tuple[int, ...]) -> Iterator[tuple[tuple[Option, ...], int]]:
-        """(options, mask of taken positions) per allowed mu, in product order."""
-        taken = sum(1 << g - self.u_prev - 1 for g in guess if g > self.u_prev)
-        for combo in itertools.product(*map(list.__getitem__, self.options, guess)):
-            drop = taken
-            for opt in combo:
-                if drop & opt[2]:
-                    break  # two agents start at the same B-vertex
-                drop |= opt[2]
-            else:
-                yield combo, drop
+        zero = (0,) * k
+        self.rows: dict[tuple[tuple[Option, ...], int], list[tuple[int, ...]]] = {}
+        self.shifts: list[Step] = []
+        for guess in _guesses(ss.u[j], k):
+            taken = sum(1 << g - u_prev - 1 for g in guess if g > u_prev)
+            for combo in itertools.product(*map(list.__getitem__, options, guess)):
+                drop, delta, assigned = taken, 0, ()
+                for _, code, bit, pairs in combo:
+                    if drop & bit:
+                        break  # two agents start at the same B-vertex
+                    drop |= bit
+                    delta += code
+                    assigned += pairs
+                else:
+                    choice = (combo, drop)
+                    if choice not in self.rows:
+                        rows = zip(*(columns[opt[0]] for opt in combo))
+                        self.rows[choice] = [
+                            zero if drop >> p & 1 else row for p, row in enumerate(rows)
+                        ]
+                    self.shifts.append((guess, (choice,), delta, assigned))
+        self.weights: dict[tuple[int, ...], int] = {}
+        self.ops = 0
 
-    def rows(self, combo: tuple[Option, ...], drop: int) -> list[tuple[int, ...]]:
-        """The residual vertices' per-agent profits, in stage order."""
-        columns = zip(*(self.columns[opt[0]] for opt in combo))
-        return [row for p, row in enumerate(columns) if not drop >> p & 1]
+    def key(self, guess: tuple[int, ...]) -> tuple[int, ...]:
+        """The guess's decided entries, -1 where it names a new A-vertex."""
+        return tuple(g if g <= self.u_prev else -1 for g in guess)
 
-    def part(self, combo: tuple[Option, ...], drop: int) -> ProfileSet:
-        """The edgeless profile set of the choice's residual rows."""
-        key = (combo, drop)
-        pset = self.parts.get(key)
-        if pset is None:
-            rows = self.rows(combo, drop)
-            pset = self.parts[key] = edgeless_profiles_unchecked(self.k, rows, cap=self.cap)
-        return pset
+    def pred_steps(self, child_tables: list[Table]) -> list[Step]:
+        """Each previous cell into every key that hides at most na of its entries.
 
-    def key(self, guess: tuple[int, ...]) -> tuple[int | None, ...]:
-        """The guess's decided entries, None where it names a new A-vertex."""
-        return tuple(g if g <= self.u_prev else None for g in guess)
+        Every such key is the key of some guess, which names distinct new
+        A-positions in the hidden entries.  The first stage extends the
+        empty prefix: a leaf whose every cell is {0}.
+        """
+        taus = child_tables[0] if child_tables else [(0,) * self.k]
+        hidden = [h for h in itertools.product((False, True), repeat=self.k) if sum(h) <= self.na]
+        return [
+            (tuple(-1 if x else t for t, x in zip(tau, h)), (tau,) if child_tables else (), 0, ())
+            for tau in taus
+            for h in hidden
+        ]
 
-    def predecessors(self, key: tuple[int | None, ...]) -> list[tuple[int, ...]]:
-        """The previous table's keys that agree with the decided entries."""
-        if None not in key:
-            return [key] if key in self.prev else []
-        pattern = tuple(g is not None for g in key)
-        groups = self.groups.get(pattern)
-        if groups is None:
-            groups = self.groups[pattern] = {}
-            for tau in self.prev:
-                groups.setdefault(tuple(t if d else None for t, d in zip(tau, pattern)), []).append(tau)
-        return groups.get(key, [])
+    def shift_steps(self, child_tables: list[Table]) -> list[Step]:
+        """Each choice's part, moved by its delta into its guess's cell.
 
-    def pred_union(self, guess: tuple[int, ...]) -> ProfileSet:
-        """The union of the previous cells consistent with the guess."""
-        key = self.key(guess)
-        pset = self.unions.get(key)
-        if pset is None:
-            taus = self.predecessors(key)
-            if len(taus) == 1:
-                pset = self.prev[taus[0]]
-            else:
-                codes = frozenset().union(*(self.prev[tau].codes for tau in taus))
-                pset = ProfileSet.from_codes(self.k, codes)
-            self.unions[key] = pset
-        return pset
+        Also weighs each guess for profile-ops: the size of its parts, each
+        times its residual row count at the first stage, whose pred is {0}.
+        """
+        parts = child_tables[0]
+        for guess, (choice,), _, _ in self.shifts:
+            rows = 1 if self.j else len(self.vertices) - choice[1].bit_count()
+            self.weights[guess] = self.weights.get(guess, 0) + rows * len(parts[choice])
+        return self.shifts
 
-    def record(self, classes: list[set[int]], guess, combo, drop: int, q_new: int) -> None:
-        """Color the choice's new guessed A-vertices and mu, and the residual
-        vertices that realize q_new."""
-        for l, (g, opt) in enumerate(zip(guess, combo)):
-            if g > self.u_prev:
-                classes[l].add(self.vertices[g - self.u_prev - 1])
-            if opt[2]:
-                classes[l].add(self.vertices[opt[2].bit_length() - 1])
-        kept = [v for p, v in enumerate(self.vertices) if not drop >> p & 1]
-        assignment = edgeless_assignment(self.k, self.rows(combo, drop), decode(q_new, self.k))
-        for vertex, agent in zip(kept, assignment):
-            if agent > 0:
-                classes[agent - 1].add(vertex)
+    def stage_steps(self, child_tables: list[Table]) -> list[Step]:
+        """pred ⊕ ∪_mu (part_mu + delta_mu) per guess that has a predecessor.
+
+        Vector addition distributes over union, so each guess merges its
+        predecessor union once with its shifted parts.  profile-ops counts
+        |pred| * |part_mu| per mu, the work of merging per mu.
+        """
+        pred, shifted = child_tables
+        steps: list[Step] = []
+        for guess in shifted:
+            key = self.key(guess)
+            if key in pred:
+                steps.append((guess, (key, guess), 0, ()))
+                self.ops += len(pred[key]) * self.weights[guess]
+        return steps
 
 
 class _ConnectedConvexDP:
-    """Stage tables and witness extraction for one connected component."""
+    """The stage tables of one connected component, as a tree of node kinds.
+
+    Stage j's node has a predecessor-union child, over stage j - 1's node,
+    and a shift child over its vertex chain; tables holds the stage nodes'
+    tables and node_tables every node's.
+    """
 
     def __init__(
         self,
@@ -580,76 +656,23 @@ class _ConnectedConvexDP:
             raise ValueError("ordering does not describe a connected graph")
         # (lo, hi) per b_order position, 1-based
         self.b_interval = [co.intervals[b] for b in self.ss.b_order]
-        self.tables: list[dict[tuple[int, ...], ProfileSet]] = []
-
-    def _guesses(self, upper: int):
-        for combo in itertools.product(range(upper + 1), repeat=self.k):
-            nonzero = [x for x in combo if x > 0]
-            if len(nonzero) == len(set(nonzero)):
-                yield combo
+        self.stages = [_Stage(self, j) for j in range(len(self.ss.u))]
+        self.stage_nodes: list[_Node] = []
+        for stage in self.stages:
+            pred = _Node(stage.pred_steps, *self.stage_nodes[-1:])
+            shift = _Node(stage.shift_steps, _vertex_chain(self.k, stage.vertices, stage.rows))
+            self.stage_nodes.append(_Node(stage.stage_steps, pred, shift))
+        self.root = self.stage_nodes[-1]
+        self.tables: list[Table] = []
+        self.node_tables: dict[int, Table] = {}
 
     def run(self) -> ProfileSet:
-        """Build the stage tables; a cell is pred ⊕ ∪_mu (part_mu + delta_mu).
-
-        Vector addition distributes over union, so each guess merges its
-        predecessor union once with the union of its shifted parts.
-        profile-ops counts |pred| * |part_mu| per mu, the work of merging per
-        mu, and |rows| * |part| at the first stage, whose pred is {0}.
-        """
-        ops = 0
-        for j, u_cur in enumerate(self.ss.u):
-            stage = _Stage(self, j)
-            raw: dict[tuple[int, ...], frozenset[int]] = {}
-            for guess in self._guesses(u_cur):
-                pred = stage.pred_union(guess)
-                shifted: set[int] = set()
-                for combo, drop in stage.choices(guess):
-                    part = stage.part(combo, drop)
-                    ops += (len(pred) if j else len(stage.vertices) - drop.bit_count()) * len(part)
-                    add_sums(shifted, part.codes, (_delta(combo),), cap=self.cap)
-                combined = merge_profile_sets(pred, ProfileSet.from_codes(self.k, shifted), cap=self.cap)
-                raw[guess] = combined.codes
-            cur = store_cells(self.k, raw, self.cap, self.prune)
-            count_table(self.stats, cur)
-            self.tables.append(cur)
+        """Build every node's table; the result is the union of the last stage's cells."""
+        self.node_tables = _tables(self.k, self.root, self.cap, self.prune, self.stats)
+        self.tables = [self.node_tables[id(node)] for node in self.stage_nodes]
+        ops = sum(stage.ops for stage in self.stages)
         self.stats["profile-ops"] = self.stats.get("profile-ops", 0) + ops
         return union_cells(self.k, self.tables[-1].values(), self.cap, self.prune)
-
-    def extract(self, target: Profile) -> list[set[int]]:
-        """Backward walk recovering one coloring with the target profile.
-
-        At each stage the mu choices, the part's members in ascending order
-        and the previous keys in sorted order are tried, and the first whose
-        previous cell holds the rest of the target is taken.  A difference
-        with a negative field is no member (see profiles.extract_coloring).
-        """
-        final = self.tables[-1]
-        guess = next(g for g in sorted(final) if target in final[g])
-        want = encode(target, self.k)
-        classes: list[set[int]] = [set() for _ in range(self.k)]
-        for j in range(len(self.ss.u) - 1, -1, -1):
-            stage = _Stage(self, j)
-            taus = sorted(stage.predecessors(stage.key(guess)))
-            found = None
-            for combo, drop in stage.choices(guess):
-                rest = want - _delta(combo)
-                found = next(
-                    (
-                        (combo, drop, q_new, tau, rest - q_new)
-                        for q_new in sorted(stage.part(combo, drop).codes)
-                        for tau in taus
-                        if rest - q_new in stage.prev[tau].codes
-                    ),
-                    None,
-                )
-                if found:
-                    break
-            if found is None:
-                raise AssertionError("stage decomposition lost the target profile")
-            combo, drop, q_new, tau, want = found
-            stage.record(classes, guess, combo, drop, q_new)
-            guess = tau
-        return classes
 
 
 def solve_connected_convex(
@@ -678,8 +701,9 @@ def _merged_components(
 ):
     """Per-component profile sets and their running vector-sum merges.
 
-    Each part carries the hooks witness extraction needs; the last running
-    merge is the profile set of the whole instance.
+    Each part carries its DP tree's root and tables for the witness walk;
+    an edgeless component is a vertex chain under the one key ().  The last
+    running merge is the profile set of the whole instance.
     """
     co = ordering if ordering is not None else find_convex_ordering(inst)
     if co is None:
@@ -689,16 +713,16 @@ def _merged_components(
         sub = comp.instance
         if not sub.edges:
             rows = [tuple(sub.profits[j][v] for j in range(sub.k)) for v in range(sub.n)]
-            pset = edgeless_profiles_unchecked(sub.k, rows, cap=cap)
-            if prune:
-                pset = dominance_prune(pset)
-            parts.append((comp, pset, None, rows))
+            root = _vertex_chain(sub.k, range(sub.n), {(): rows})
+            tables = _tables(sub.k, root, cap, prune, stats)
+            pset = tables[id(root)][()]
         else:
             mapping = comp.to_sub()
             sub_co = _restrict_ordering(co, set(comp.vertices), mapping, sub)
             dp = _ConnectedConvexDP(sub, sub_co, cap=cap, prune=prune, stats=stats)
             pset = dp.run()
-            parts.append((comp, pset, dp, None))
+            root, tables = dp.root, dp.node_tables
+        parts.append((comp, pset, root, tables))
     running = [ProfileSet.zero(inst.k)]
     for _, pset, _, _ in parts:
         running.append(merge_profile_sets(running[-1], pset, cap=cap))
@@ -715,6 +739,30 @@ def convex_profile_set(
     return _merged_components(inst, ordering, cap, False, stats)[1][-1]
 
 
+def _witness(k: int, parts: list, running: list[ProfileSet], target: int) -> Coloring:
+    """A coloring whose profile is the code target, a member of running[-1].
+
+    The target is split over the components from the last one back, at
+    each component's smallest member that leaves a member of the running
+    merge before it (a difference with a negative field is no member, see
+    profiles.extract_coloring), and each component's share is walked back
+    through its DP tree.
+    """
+    classes: list[set[int]] = [set() for _ in range(k)]
+    for idx in range(len(parts) - 1, -1, -1):
+        comp, pset, root, tables = parts[idx]
+        share = next((q for q in sorted(pset.codes) if target - q in running[idx].codes), None)
+        if share is None:
+            raise AssertionError("component decomposition lost the target profile")
+        target -= share
+        root_table = tables[id(root)]
+        key = next(key for key in sorted(root_table) if share in root_table[key].codes)
+        sub_witness = extract_coloring(k, root, key, share, _children, _kept_steps, tables)
+        for agent, members in enumerate(sub_witness):
+            classes[agent].update(comp.to_parent[v] for v in members)
+    return tuple(frozenset(c) for c in classes)
+
+
 def solve_convex(
     inst: ConflictInstance,
     ordering: ConvexOrdering | None = None,
@@ -725,30 +773,6 @@ def solve_convex(
     """Optimum satisfaction level, its profile, and a validated witness."""
     parts, running = _merged_components(inst, ordering, cap, prune, stats)
     optimum, profile = best_profile(running[-1])
-
-    classes: list[set[int]] = [set() for _ in range(inst.k)]
-    target = profile
-    for idx in range(len(parts) - 1, -1, -1):
-        comp, pset, dp, rows = parts[idx]
-        before = running[idx]
-        pick = None
-        for q in pset.sorted_profiles():
-            remainder = tuple(t - x for t, x in zip(target, q))
-            if all(x >= 0 for x in remainder) and remainder in before:
-                pick = (q, remainder)
-                break
-        if pick is None:
-            raise AssertionError("component decomposition lost the target profile")
-        q, target = pick
-        if dp is None:
-            assignment = edgeless_assignment(inst.k, rows, q)
-            for local, agent in enumerate(assignment):
-                if agent > 0:
-                    classes[agent - 1].add(comp.to_parent[local])
-        else:
-            sub_classes = dp.extract(q)
-            for agent, members in enumerate(sub_classes):
-                classes[agent].update(comp.to_parent[v] for v in members)
-    witness = tuple(frozenset(c) for c in classes)
+    witness = _witness(inst.k, parts, running, encode(profile, inst.k))
     validate_coloring(inst, witness)
     return optimum, profile, witness

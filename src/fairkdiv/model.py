@@ -104,9 +104,6 @@ class ConflictInstance:
             object.__setattr__(self, "_adjacency", cached)
         return cached
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency()[u]
-
     def total_profits(self) -> Profile:
         """Per-agent total profit of all items: (p_1(V), ..., p_k(V))."""
         return tuple(sum(row) for row in self.profits)

@@ -14,8 +14,8 @@ fields, and the sum of two codes is the code of the vector sum: no carry
 crosses a field.  Code arithmetic is linear, so a sum may also subtract a
 profile, as long as the result is a profile.  merge_profile_sets, shift and
 edgeless_profiles check that their sums fit and raise ValueError otherwise;
-add_sums, build_table and edgeless_profiles_unchecked, which the solvers'
-inner loops call, rely on the instance bound.
+add_sums and build_table, which the solvers' inner loops call, rely on the
+instance bound.
 """
 from __future__ import annotations
 
@@ -139,20 +139,6 @@ def _stored(k: int, codes: Collection[int], cap: int | None, prune: bool) -> Pro
     return dominance_prune(pset) if prune and len(pset) > 1 else pset
 
 
-def store_cells(
-    k: int,
-    raw: Mapping[Hashable, Collection[int]],
-    cap: int | None = None,
-    prune: bool = False,
-) -> Table:
-    """A finished table from raw cells of codes: the per-cell step of every DP.
-
-    Empty cells are dropped, each cell is checked against the cap before
-    pruning, and with prune only its Pareto-maximal members are kept.
-    """
-    return {key: _stored(k, profiles, cap, prune) for key, profiles in raw.items() if profiles}
-
-
 def union_cells(
     k: int, cells: Iterable[ProfileSet], cap: int | None = None, prune: bool = False
 ) -> ProfileSet:
@@ -197,13 +183,14 @@ def run_tables(
     return tables
 
 
-# One transition of a tree DP: the cell `key` receives the sum of one cell per
+# One transition of a DP node: the cell `key` receives the sum of one cell per
 # child (named by `child_keys`, in child order) plus the code `offset`, and
-# `assigned` is the (vertex, agent) pair the step colors, or None.  A node
-# kind's steps are generated from the node and its children's tables, so the
-# forward pass (build_table) and the witness walk (extract_coloring) read one
-# description of each transition.
-Step = tuple[Hashable, tuple[Hashable, ...], int, tuple[int, int] | None]
+# `assigned` holds the (vertex, agent) pairs the step colors, often none.  A
+# node kind's steps are generated from the node and its children's tables, so
+# the forward pass (build_table) and the witness walk (extract_coloring) read
+# one description of each transition.  The tree DPs color at most one vertex
+# per step; a convex shift step colors each agent's guessed vertices.
+Step = tuple[Hashable, tuple[Hashable, ...], int, tuple[tuple[int, int], ...]]
 
 
 def build_table(
@@ -213,29 +200,38 @@ def build_table(
     cap: int | None = None,
     prune: bool = False,
 ) -> Table:
-    """One node's table from its steps: a loop specialised by the arity."""
-    raw: dict[Hashable, Collection[int]] = {}
+    """One node's table from its steps: a loop specialised by the arity.
+
+    Each cell is checked against the cap before pruning, and with prune only
+    its Pareto-maximal members are kept.  A cell that one unshifted unary
+    step fills is that child's cell, which was checked and pruned when it
+    was stored.
+    """
+    raw: dict[Hashable, ProfileSet | Collection[int]] = {}
     if not child_tables:
         for key, _, offset, _ in steps:
             raw.setdefault(key, set()).add(offset)
     elif len(child_tables) == 1:
         (child,) = child_tables
         for key, (child_key,), offset, _ in steps:
-            codes = child[child_key].codes
-            if offset:
-                codes = [c + offset for c in codes]
             cell = raw.get(key)
             if cell is None:
-                raw[key] = codes  # copied only if a second step reaches this cell
+                # copied only if a second step reaches this cell
+                first = child[child_key]
+                raw[key] = [c + offset for c in first.codes] if offset else first
             else:
                 if not isinstance(cell, set):
-                    cell = raw[key] = set(cell)
-                cell.update(codes)
+                    cell = raw[key] = set(cell.codes if isinstance(cell, ProfileSet) else cell)
+                codes = child[child_key].codes
+                cell.update([c + offset for c in codes] if offset else codes)
     else:
         left, right = child_tables
         for key, (key1, key2), offset, _ in steps:
             add_sums(raw.setdefault(key, set()), left[key1].codes, right[key2].codes, offset, cap)
-    return store_cells(k, raw, cap, prune)
+    return {
+        key: cell if isinstance(cell, ProfileSet) else _stored(k, cell, cap, prune)
+        for key, cell in raw.items()
+    }
 
 
 def extract_coloring(
@@ -279,8 +275,8 @@ def extract_coloring(
                 break
         else:
             raise AssertionError(f"no step of {type(node).__name__} derives the target")
-        if assigned is not None:
-            classes[assigned[1]].add(assigned[0])
+        for vertex, agent in assigned:
+            classes[agent].add(vertex)
         stack.extend(zip(children, child_keys, parts))
     return tuple(frozenset(c) for c in classes)
 
@@ -351,29 +347,12 @@ def edgeless_profiles(
     for j, column in enumerate(zip(*vertex_profits)):
         if sum(p for p in column if p > 0) > FIELD_MASK:
             raise ValueError(f"profits of agent {j + 1} sum to 2**{FIELD_BITS} or more")
-    return edgeless_profiles_unchecked(k, vertex_profits, cap)
-
-
-def edgeless_profiles_unchecked(
-    k: int,
-    vertex_profits: Sequence[Sequence[int]],
-    cap: int | None = None,
-) -> ProfileSet:
-    """edgeless_profiles without the check that each agent's sum fits a field.
-
-    For the solvers' hot loops: the profits of a ConflictInstance's vertices
-    sum to at most MAX_PROFIT_SUM per agent, so their sums always fit.
-    """
     current = {0}
     for row in vertex_profits:
-        current = _edgeless_stage(k, current, row, cap)
+        additions = [unit_code(k, j, p) for j, p in enumerate(row) if p > 0]
+        if additions:
+            current = add_sums(set(current), additions, current, cap=cap)
     return ProfileSet.from_codes(k, current)
-
-
-def _edgeless_stage(k: int, current: set[int], row: Sequence[int], cap: int | None) -> set[int]:
-    """The codes over one more vertex: each code, plus each positive profit of row."""
-    additions = [unit_code(k, j, p) for j, p in enumerate(row) if p > 0]
-    return add_sums(set(current), additions, current, cap=cap) if additions else current
 
 
 def merge_profile_sets(s1: ProfileSet, s2: ProfileSet, cap: int | None = None) -> ProfileSet:
@@ -447,36 +426,3 @@ def dominance_prune(s: ProfileSet) -> ProfileSet:
                 front.append(q)
                 kept.append(code)
     return ProfileSet.from_codes(k, kept)
-
-
-def edgeless_assignment(
-    k: int,
-    vertex_profits: Sequence[Sequence[int]],
-    target: Profile,
-) -> list[int]:
-    """Recover one per-vertex assignment realizing target over edgeless vertices.
-
-    Returns values in {0, ..., k} (0 = unassigned), preferring 0, so a vertex
-    is assigned only when its profit actually moves the profile.  target must
-    be a member of edgeless_profiles(k, vertex_profits).
-    """
-    stages = [{0}]
-    for row in vertex_profits:
-        stages.append(_edgeless_stage(k, stages[-1], row, None))
-    if target not in ProfileSet.from_codes(k, stages[-1]):
-        raise ValueError(f"profile {target} not attainable")
-    assignment = [0] * len(vertex_profits)
-    current = encode(target, k)
-    for i in range(len(vertex_profits) - 1, -1, -1):
-        if current in stages[i]:
-            continue
-        fields = decode(current, k)
-        for j, p in enumerate(vertex_profits[i]):
-            prev = current - unit_code(k, j, p)
-            if 0 < p <= fields[j] and prev in stages[i]:
-                assignment[i] = j + 1
-                current = prev
-                break
-        else:
-            raise AssertionError("backtracking lost the target profile")
-    return assignment

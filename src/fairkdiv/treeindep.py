@@ -326,24 +326,24 @@ def tin_steps(
     """
     k = inst.k
     if node.kind == "leaf":
-        yield (), (), 0, None
+        yield (), (), 0, ()
     elif node.kind == "introduce":
         v = node.vertex
         pos = sorted(node.bag).index(v)
         adj_v = inst.adjacency()[v]
         neighbours = [i for i, w in enumerate(sorted(node.bag - {v})) if w in adj_v]
-        colors = [(j + 1, (j + 1,), unit_code(k, j, inst.profits[j][v]), (v, j)) for j in range(k)]
+        colors = [(j + 1, (j + 1,), unit_code(k, j, inst.profits[j][v]), ((v, j),)) for j in range(k)]
         for child_key in child_tables[0]:
             head, tail, child_keys = child_key[:pos], child_key[pos:], (child_key,)
             used = {child_key[i] for i in neighbours}
-            yield head + (0,) + tail, child_keys, 0, None
+            yield head + (0,) + tail, child_keys, 0, ()
             for color, entry, gain, assigned in colors:
                 if color not in used:
                     yield head + entry + tail, child_keys, gain, assigned
     elif node.kind == "forget":
         pos = sorted(node.bag | {node.vertex}).index(node.vertex)
         for child_key in child_tables[0]:
-            yield child_key[:pos] + child_key[pos + 1 :], (child_key,), 0, None
+            yield child_key[:pos] + child_key[pos + 1 :], (child_key,), 0, ()
     elif node.kind == "join":
         first, second = child_tables
         # the code of each bag vertex's profit, by color (0 for uncolored)
@@ -352,7 +352,7 @@ def tin_steps(
         ]
         for key in first:
             if key in second:
-                yield key, (key, key), -sum(map(getitem, gains, key)), None
+                yield key, (key, key), -sum(map(getitem, gains, key)), ()
     else:
         raise AssertionError(f"unknown node kind {node.kind}")
 

@@ -22,6 +22,8 @@ from fairkdiv.cliquewidth import (
 )
 from fairkdiv.convex import (
     _ConnectedConvexDP,
+    _merged_components,
+    _witness,
     convex_profile_set,
     solve_convex,
     stage_structure,
@@ -43,6 +45,7 @@ from fairkdiv.oracle import brute_force_optimum, brute_force_profiles
 from fairkdiv.profiles import (
     ProfileSet,
     best_satisfaction,
+    decode,
     dominance_prune,
     edgeless_profiles,
     merge_profile_sets,
@@ -381,6 +384,20 @@ def prop_convex_guess_hygiene(cases: int, seed: int = 405) -> None:
                 nonzero = [x for x in key if x > 0]
                 assert len(nonzero) == len(set(nonzero))
         done += 1
+
+
+def prop_convex_walk_realizes_every_member(cases: int, seed: int = 406) -> None:
+    """Unpruned, the witness walk realizes every member of the profile set, not just the best."""
+    rng = random.Random(seed)
+    for _ in range(cases):
+        # a part without B-vertices, or with A-vertices no interval covers, has isolated vertices
+        parts = [(rng.randint(1, 2), rng.randint(0, 2)) for _ in range(rng.randint(1, 3))]
+        inst = support.shuffled_convex_instance(rng, parts, rng.randint(1, 3), 2)
+        merged, running = _merged_components(inst, None, None, False, None)
+        for code in running[-1].codes:
+            witness = _witness(inst.k, merged, running, code)
+            validate_coloring(inst, witness)
+            assert profile_of(inst, witness) == decode(code, inst.k)
 
 
 # --------------------------------------------------------------- clique-width
@@ -839,6 +856,7 @@ ALL_PROPERTIES = [
     prop_convex_structure_properties,
     prop_convex_mis_agreement,
     prop_convex_guess_hygiene,
+    prop_convex_walk_realizes_every_member,
     prop_cw_node_soundness,
     prop_cw_root_completeness,
     prop_cw_eta_filter,

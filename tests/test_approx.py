@@ -79,6 +79,13 @@ class TestFptas:
         assert (result.value, result.solver_calls, result.upper_bound) == (0, 0, 0)
         assert result.witness == (frozenset(), frozenset())
 
+    def test_stops_after_an_unscaled_call(self):
+        # U = 2 and K = 1: the first call is exact, although its value 0 is below (1 - eps) * 2
+        inst = ConflictInstance.build(1, 2, [], [[5], [5]])
+        result = fptas(inst, "1/4", lambda sub: solve_convex(sub))
+        assert (result.value, result.solver_calls, result.upper_bound) == (0, 1, 2)
+        validate_coloring(inst, result.witness)
+
     def test_bench_shaped_instance_takes_one_call(self):
         # three convex parts of 6+6 vertices, k = 2, profits up to 1000
         inst = support.shuffled_convex_instance(random.Random(0), [(6, 6)] * 3, 2, 1000)

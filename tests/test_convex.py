@@ -292,3 +292,6 @@ class TestInvariants:
 
     def test_guess_key_hygiene(self):
         properties.prop_convex_guess_hygiene(60)
+
+    def test_walk_realizes_every_member(self):
+        properties.prop_convex_walk_realizes_every_member(100)

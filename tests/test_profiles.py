@@ -15,7 +15,6 @@ from fairkdiv.profiles import (
     best_profile,
     best_satisfaction,
     dominance_prune,
-    edgeless_assignment,
     edgeless_profiles,
     merge_profile_sets,
     shift,
@@ -210,23 +209,6 @@ class TestPackedLayout:
                 validate_coloring(inst, witness)
                 assert profile_of(inst, witness) == profile
                 assert got == min(profile) == optimum, (solve.__name__, prune)
-
-
-class TestEdgelessAssignment:
-    def test_recovers_target(self):
-        rows = [(3, 2), (1, 2), (0, 5)]
-        pset = edgeless_profiles(2, rows)
-        for target in pset:
-            assignment = edgeless_assignment(2, rows, target)
-            got = [0, 0]
-            for row, agent in zip(rows, assignment):
-                if agent:
-                    got[agent - 1] += row[agent - 1]
-            assert tuple(got) == target
-
-    def test_prefers_unassigned(self):
-        assignment = edgeless_assignment(1, [(0,), (3,)], (3,))
-        assert assignment == [0, 1]
 
 
 class TestInvariants:
