@@ -17,9 +17,8 @@ accepted; starting at U skips that call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .model import (
     Coloring,
@@ -48,8 +47,7 @@ def scale_profits(inst: ConflictInstance, factor: int) -> ConflictInstance:
     )
 
 
-@dataclass
-class FptasResult:
+class FptasResult(NamedTuple):
     value: int
     profile: Profile
     witness: Coloring

@@ -59,6 +59,14 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}", EXIT_INFEASIBLE)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_INFEASIBLE)
+
+
 def _load_instance(path: str) -> ConflictInstance:
     return parse_instance(_read(path))
 
@@ -68,16 +76,20 @@ def parse_ordering_file(text: str, inst: ConflictInstance) -> ConvexOrdering:
     convex = _module("convex")
     a_ids: list[int] | None = None
     b_ids: list[int] | None = None
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if not line.startswith(("A:", "B:")):
+            raise convex.OrderingError(f"line {lineno}: unexpected ordering line: {line!r}")
+        try:
+            ids = [int(x) - 1 for x in line[2:].split()]
+        except ValueError:
+            raise convex.OrderingError(f"line {lineno}: expected integers, got {line[2:].strip()}")
         if line.startswith("A:"):
-            a_ids = [int(x) - 1 for x in line[2:].split()]
-        elif line.startswith("B:"):
-            b_ids = [int(x) - 1 for x in line[2:].split()]
+            a_ids = ids
         else:
-            raise convex.OrderingError(f"unexpected ordering line: {line!r}")
+            b_ids = ids
     if a_ids is None or b_ids is None:
         raise convex.OrderingError("ordering file needs one 'A:' and one 'B:' line")
     return convex.validate_convex_ordering(inst, a_ids, b_ids)
@@ -219,8 +231,7 @@ def cmd_recognize(args) -> int:
         raise CliError(_NOT_CONVEX, EXIT_INFEASIBLE)
     text = ordering_file_text(ordering)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write(args.output, text)
     else:
         print(text, end="")
     return EXIT_OK
@@ -248,10 +259,7 @@ def cmd_validate(args) -> int:
         import json
 
         payload = json.loads(_read(args.result))
-        witness = payload.get("witness")
-        if witness is None:
-            raise CliError("result file has no witness to validate", EXIT_INFEASIBLE)
-        classes = [frozenset(v - 1 for v in cls) for cls in witness]
+        classes = _result_witness(payload)
         validate_coloring(inst, classes)
         profile = profile_of(inst, classes)
         if list(profile) != payload.get("profile"):
@@ -263,6 +271,28 @@ def cmd_validate(args) -> int:
             raise CliError("result optimum does not match witness satisfaction", EXIT_INFEASIBLE)
         print("result: ok (witness validates and matches profile)")
     return EXIT_OK
+
+
+def _result_witness(payload: object) -> list[frozenset[int]]:
+    """The 0-based witness classes of a parsed result file."""
+
+    def malformed(what: str) -> CliError:
+        return CliError(f"malformed result file: {what}", EXIT_INFEASIBLE)
+
+    if not isinstance(payload, dict):
+        raise malformed(f"expected a JSON object, got {type(payload).__name__}")
+    witness = payload.get("witness")
+    if witness is None:
+        raise CliError("result file has no witness to validate", EXIT_INFEASIBLE)
+    if not isinstance(witness, list):
+        raise malformed(f"witness must be a list of classes, got {type(witness).__name__}")
+    classes = []
+    for j, cls in enumerate(witness, start=1):
+        # bool is an int subclass, but true is no vertex id
+        if not isinstance(cls, list) or not all(type(v) is int for v in cls):
+            raise malformed(f"witness class {j} must be a list of vertex ids")
+        classes.append(frozenset(v - 1 for v in cls))
+    return classes
 
 
 def cmd_approx(args) -> int:
@@ -336,10 +366,8 @@ def cmd_gen(args) -> int:
         raise CliError(str(exc), EXIT_USAGE) from exc
     instance_text = serialize_instance(inst, comment=comment)
     if args.out:
-        with open(args.out + ".fkd", "w", encoding="utf-8") as handle:
-            handle.write(instance_text)
-        with open(args.out + side_name, "w", encoding="utf-8") as handle:
-            handle.write(side_text)
+        _write(args.out + ".fkd", instance_text)
+        _write(args.out + side_name, side_text)
         print(f"wrote {args.out}.fkd and {args.out}{side_name}")
     else:
         print(instance_text, end="")

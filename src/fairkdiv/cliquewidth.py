@@ -9,11 +9,10 @@ with exactly that label footprint.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import or_
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
-from .model import Coloring, ConflictInstance, Profile, validate_coloring
+from .model import Coloring, ConflictInstance, Profile, Record, validate_coloring
 from .profiles import (
     ProfileSet,
     Step,
@@ -38,38 +37,39 @@ class ExpressionError(ValueError):
     """Malformed expression text or ill-formed operation arguments."""
 
 
-@dataclass(frozen=True)
-class VertexNode:
-    label: int
-    vertex: int
+class VertexNode(Record):
+    __slots__ = _fields = ("label", "vertex")
+
+    def __init__(self, label: int, vertex: int):
+        self._assign(label, vertex)
 
 
-@dataclass(frozen=True)
-class UnionNode:
-    left: "ExprNode"
-    right: "ExprNode"
+class UnionNode(Record):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: ExprNode, right: ExprNode):
+        self._assign(left, right)
 
 
-@dataclass(frozen=True)
-class EtaNode:
-    i: int
-    j: int
-    child: "ExprNode"
+class EtaNode(Record):
+    __slots__ = _fields = ("i", "j", "child")
+
+    def __init__(self, i: int, j: int, child: ExprNode):
+        self._assign(i, j, child)
 
 
-@dataclass(frozen=True)
-class RhoNode:
-    i: int
-    j: int
-    child: "ExprNode"
+class RhoNode(Record):
+    __slots__ = _fields = ("i", "j", "child")
+
+    def __init__(self, i: int, j: int, child: ExprNode):
+        self._assign(i, j, child)
 
 
 ExprNode = Union[VertexNode, UnionNode, EtaNode, RhoNode]
 _OPERATIONS = {"u": UnionNode, "eta": EtaNode, "rho": RhoNode}
 
 
-@dataclass(frozen=True)
-class CliqueExpression:
+class CliqueExpression(NamedTuple):
     """An expression tree plus its declared label budget."""
 
     root: ExprNode
@@ -204,8 +204,7 @@ def parse_k_expression(text: str) -> CliqueExpression:
     )
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(NamedTuple):
     """Evaluation result: 1-based vertex ids with labels, plus edges."""
 
     labels: dict[int, int]

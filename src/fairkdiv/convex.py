@@ -12,9 +12,8 @@ and merged by vector addition.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import Coloring, ConflictInstance, Profile, connected_components, validate_coloring
 from .profiles import (
@@ -38,8 +37,7 @@ class OrderingError(ValueError):
     """The graph or a proposed ordering is not convex bipartite."""
 
 
-@dataclass(frozen=True)
-class ConvexOrdering:
+class ConvexOrdering(NamedTuple):
     """A bipartition with an A-order under which B-neighborhoods are intervals.
 
     intervals maps each non-isolated B-vertex to (lo, hi), the 1-based
@@ -379,8 +377,7 @@ def find_convex_ordering(
     return validate_convex_ordering(inst, a_order, b_side_all)
 
 
-@dataclass(frozen=True)
-class StageStructure:
+class StageStructure(NamedTuple):
     """B-order and stage boundaries for the connected solver.
 
     b_order sorts B by (larger endpoint, smaller endpoint, vertex id); u lists

@@ -9,8 +9,7 @@ Vertex ids are 1-based in files and reports, 0-based everywhere else.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 # Profit sums must stay representable in a signed 64-bit word so that
 # instances stay portable to fixed-width implementations.
@@ -38,40 +37,85 @@ class CapError(RuntimeError):
     """A solver stopped at a configured resource cap (CLI exit 3)."""
 
 
-@dataclass(frozen=True)
-class ConflictInstance:
+class Record:
+    """Base of the immutable records, whose fields each class names in _fields.
+
+    A record compares and hashes by its field values, and equals only a
+    record of its own class; assigning or deleting an attribute raises.  A
+    subclass's __init__ stores its fields with _assign.  Plain classes keep
+    start-up cheap: the standard library's record decorator imports inspect
+    and execs each class's generated methods at import.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _assign(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class ConflictInstance(Record):
     """Conflict graph plus one nonnegative integer profit row per agent.
 
     edges are stored canonically as sorted (u, v) pairs with u < v;
     profits[j][v] is agent j's profit for item v.
     """
 
-    n: int
-    k: int
-    edges: tuple[tuple[int, int], ...]
-    profits: tuple[tuple[int, ...], ...]
+    _fields = ("n", "k", "edges", "profits")
+    __slots__ = _fields + ("_adjacency",)
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(
+        self,
+        n: int,
+        k: int,
+        edges: tuple[tuple[int, int], ...],
+        profits: tuple[tuple[int, ...], ...],
+    ):
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if self.k < 1:
+        if k < 1:
             raise ValueError("agent count must be at least 1")
         seen = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u + 1}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u + 1},{v + 1}) out of range")
             if u > v:
                 raise ValueError("edges must be stored as (min, max) pairs")
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u + 1},{v + 1})")
             seen.add((u, v))
-        if len(self.profits) != self.k:
-            raise ValueError(f"expected {self.k} profit rows, got {len(self.profits)}")
-        for j, row in enumerate(self.profits):
-            if len(row) != self.n:
-                raise ValueError(f"profit row {j + 1} has {len(row)} entries, expected {self.n}")
+        if len(profits) != k:
+            raise ValueError(f"expected {k} profit rows, got {len(profits)}")
+        for j, row in enumerate(profits):
+            if len(row) != n:
+                raise ValueError(f"profit row {j + 1} has {len(row)} entries, expected {n}")
             total = 0
             for v, p in enumerate(row):
                 if p < 0:
@@ -79,6 +123,8 @@ class ConflictInstance:
                 total += p
             if total > MAX_PROFIT_SUM:
                 raise ValueError(f"total profit of agent {j + 1} exceeds the 64-bit range")
+        self._assign(n, k, edges, profits)
+        object.__setattr__(self, "_adjacency", None)
 
     @classmethod
     def build(
@@ -94,7 +140,7 @@ class ConflictInstance:
 
     def adjacency(self) -> tuple[frozenset[int], ...]:
         """Neighbor sets, built once per instance and cached."""
-        cached = self.__dict__.get("_adjacency")
+        cached = self._adjacency
         if cached is None:
             neigh: list[set[int]] = [set() for _ in range(self.n)]
             for u, v in self.edges:
@@ -171,8 +217,7 @@ def profile_of(inst: ConflictInstance, classes: Sequence[Iterable[int]]) -> Prof
     return tuple(sum(inst.profits[j][v] for v in cls) for j, cls in enumerate(coloring))
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """One connected component as an induced sub-instance.
 
     to_parent[i] is the original id of the sub-instance's vertex i.
@@ -325,15 +370,20 @@ def serialize_instance(inst: ConflictInstance, comment: str | None = None) -> st
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class SolveResult:
+class SolveResult(Record):
     """Solver output in the shape of the JSON result schema."""
 
-    optimum: int
-    profile: Profile
-    method: str
-    witness: Coloring | None = None
-    stats: dict = field(default_factory=dict)
+    __slots__ = _fields = ("optimum", "profile", "method", "witness", "stats")
+
+    def __init__(
+        self,
+        optimum: int,
+        profile: Profile,
+        method: str,
+        witness: Coloring | None = None,
+        stats: dict | None = None,
+    ):
+        self._assign(optimum, profile, method, witness, {} if stats is None else stats)
 
     def to_json_dict(self) -> dict:
         out: dict = {

@@ -12,11 +12,10 @@ maximum cardinality search) have bags that are cliques.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter, getitem
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .model import CapError, Coloring, ConflictInstance, Profile, validate_coloring
+from .model import CapError, Coloring, ConflictInstance, Profile, Record, validate_coloring
 from .profiles import (
     ProfileSet,
     Step,
@@ -46,30 +45,29 @@ class AlphaCapError(CapError):
     """Bag independence-number search exceeded its node cap."""
 
 
-@dataclass(frozen=True)
-class TreeDecomposition:
+class TreeDecomposition(Record):
     """Bags indexed by id plus tree edges between bag ids; vertices 0-based."""
 
-    n: int
-    bags: dict[int, frozenset[int]]
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("n", "bags", "edges")
 
-    def __post_init__(self):
-        ids = set(self.bags)
-        for x, y in self.edges:
+    def __init__(
+        self, n: int, bags: dict[int, frozenset[int]], edges: tuple[tuple[int, int], ...]
+    ):
+        ids = set(bags)
+        for x, y in edges:
             if x not in ids or y not in ids:
                 raise DecompositionError(f"tree edge ({x},{y}) references an unknown bag")
             if x == y:
                 raise DecompositionError(f"tree self-loop at bag {x}")
         if ids:
-            if len(self.edges) != len(ids) - 1:
+            if len(edges) != len(ids) - 1:
                 raise DecompositionError(
-                    f"{len(ids)} bags need {len(ids) - 1} tree edges, found {len(self.edges)}"
+                    f"{len(ids)} bags need {len(ids) - 1} tree edges, found {len(edges)}"
                 )
             seen = {min(ids)}
             frontier = [min(ids)]
             neigh: dict[int, list[int]] = {i: [] for i in ids}
-            for x, y in self.edges:
+            for x, y in edges:
                 neigh[x].append(y)
                 neigh[y].append(x)
             while frontier:
@@ -80,6 +78,7 @@ class TreeDecomposition:
                         frontier.append(y)
             if seen != ids:
                 raise DecompositionError("disconnected tree")
+        self._assign(n, bags, edges)
 
     def width(self) -> int:
         return max((len(b) for b in self.bags.values()), default=0) - 1
@@ -220,14 +219,25 @@ def validate_td(inst: ConflictInstance, td: TreeDecomposition) -> tuple[int, int
     return td.width(), ell
 
 
-@dataclass(eq=False)
 class NiceNode:
-    """One node of a normalized decomposition: leaf, introduce, forget, or join."""
+    """One node of a normalized decomposition: leaf, introduce, forget, or join.
 
-    kind: str
-    bag: frozenset[int]
-    vertex: int | None = None
-    children: tuple["NiceNode", ...] = ()
+    Nodes compare by identity.
+    """
+
+    __slots__ = ("kind", "bag", "vertex", "children")
+
+    def __init__(
+        self,
+        kind: str,
+        bag: frozenset[int],
+        vertex: int | None = None,
+        children: tuple[NiceNode, ...] = (),
+    ):
+        self.kind = kind
+        self.bag = bag
+        self.vertex = vertex
+        self.children = children
 
     def check(self) -> None:
         if self.kind == "leaf":
@@ -247,8 +257,7 @@ class NiceNode:
             raise AssertionError(f"unknown node kind {self.kind}")
 
 
-@dataclass(frozen=True)
-class NiceTreeDecomposition:
+class NiceTreeDecomposition(NamedTuple):
     root: NiceNode
 
     def nodes(self) -> list[NiceNode]:
@@ -422,21 +431,32 @@ def solve_tin(
 
 
 def maximum_cardinality_search(inst: ConflictInstance) -> list[int]:
-    """MCS visit order; its reverse is a perfect elimination order iff chordal."""
+    """MCS visit order; its reverse is a perfect elimination order iff chordal.
+
+    Each step visits an unvisited vertex with the most visited neighbors,
+    the smallest id among ties.  A heap keyed (-weight, vertex) gets an entry
+    per weight change: O((n + m) log n).  A vertex's newest entry has the
+    smallest key of its entries, so every older one pops after the visit
+    and is skipped.
+    """
+    # only --chordal runs MCS, so a tin solve from a .td file skips this load
+    from heapq import heappop, heappush
+
     adj = inst.adjacency()
     weight = [0] * inst.n
     visited = [False] * inst.n
+    heap = [(0, v) for v in range(inst.n)]  # sorted, so already a heap
     order = []
-    for _ in range(inst.n):
-        v = max(
-            (x for x in range(inst.n) if not visited[x]),
-            key=lambda x: (weight[x], -x),
-        )
+    while heap:
+        _, v = heappop(heap)
+        if visited[v]:
+            continue
         visited[v] = True
         order.append(v)
         for w in adj[v]:
             if not visited[w]:
                 weight[w] += 1
+                heappush(heap, (-weight[w], w))
     return order
 
 

@@ -73,6 +73,29 @@ def enumerate_bag_colorings(inst: ConflictInstance, bag) -> list[tuple[int, ...]
     ]
 
 
+def mcs_by_scan(inst: ConflictInstance) -> list[int]:
+    """Maximum cardinality search picking each vertex by a linear scan, O(n^2).
+
+    The reference for treeindep.maximum_cardinality_search: an unvisited
+    vertex of largest weight, the smallest id among ties.
+    """
+    adj = inst.adjacency()
+    weight = [0] * inst.n
+    visited = [False] * inst.n
+    order = []
+    for _ in range(inst.n):
+        v = max(
+            (x for x in range(inst.n) if not visited[x]),
+            key=lambda x: (weight[x], -x),
+        )
+        visited[v] = True
+        order.append(v)
+        for w in adj[v]:
+            if not visited[w]:
+                weight[w] += 1
+    return order
+
+
 def random_expression(rng: random.Random, max_leaves: int, num_labels: int) -> CliqueExpression:
     counter = [0]
 

@@ -325,6 +325,38 @@ class TestValidate:
         code, _, err = run_cli(["validate", t1_file, "--result", str(result_path)])
         assert code == EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize(
+        "payload, problem",
+        [
+            ({"witness": 5}, "witness must be a list of classes, got int"),
+            ([1, 2], "expected a JSON object, got list"),
+            ({"witness": [["a"], []]}, "witness class 1 must be a list of vertex ids"),
+        ],
+        ids=["witness-int", "top-level-list", "vertex-string"],
+    )
+    def test_malformed_result_exit_1(self, tmp_path, t1_file, payload, problem):
+        result_path = tmp_path / "malformed.json"
+        result_path.write_text(json.dumps(payload))
+        code, _, err = run_cli(["validate", t1_file, "--result", str(result_path)])
+        assert code == EXIT_INFEASIBLE
+        assert err == f"error: malformed result file: {problem}\n"
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["recognize", "gen"])
+    def test_missing_directory_exit_1(self, tmp_path, command):
+        path = tmp_path / "p3.fkd"
+        path.write_text(P3_TEXT)
+        target = tmp_path / "missing" / "x"
+        if command == "recognize":
+            argv = ["recognize", str(path), "--output", str(target)]
+        else:
+            argv = ["gen", "ktree", "--n", "5", "--width", "2", "--seed", "0", "--out", str(target)]
+        code, out, err = run_cli(argv)
+        assert code == EXIT_INFEASIBLE
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1
+
 
 class TestApprox:
     def test_json_fields(self, tmp_path):
@@ -498,6 +530,14 @@ class TestOrderingFileFormat:
         ])
         assert code == EXIT_INFEASIBLE
         assert "not an interval" in err
+        # a malformed id names its line, comments counted, as the .fkd and
+        # .td parsers do
+        order.write_text("c note\nA: 1 2 3\nB: 4x\n")
+        code, _, err = run_cli([
+            "solve", "--method", "convex", str(path), "--ordering", str(order),
+        ])
+        assert code == EXIT_INFEASIBLE
+        assert err == "error: line 3: expected integers, got 4x\n"
 
 
 def path_text(n):

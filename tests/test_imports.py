@@ -15,12 +15,13 @@ import fairkdiv
 
 SRC = Path(fairkdiv.__file__).resolve().parent.parent
 
-# runs one CLI command, then prints the exit code and the watched modules
+# runs one CLI command, then prints the exit code and the watched modules;
+# dataclasses and inspect are watched so that no command ever loads them
 CHILD = """
 import sys
 from fairkdiv.cli import main
 code = main(sys.argv[1:])
-watched = ("fractions", "json")
+watched = ("dataclasses", "fractions", "inspect", "json")
 print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "fairkdiv" or m in watched))
 """
 
@@ -55,6 +56,23 @@ def test_import_package_loads_no_submodule(tmp_path):
         "import sys, fairkdiv; print(0, *sorted(m for m in sys.modules if m.startswith('fairkdiv')))"
     ], tmp_path)
     assert modules == {"fairkdiv"}
+
+
+SUBMODULES = (
+    "approx", "cli", "cliquewidth", "convex", "generators", "model", "oracle", "profiles",
+    "treeindep",
+)
+
+
+def test_no_submodule_loads_dataclasses_or_inspect(tmp_path):
+    # each record is a plain class: the stdlib decorator would load inspect
+    _, modules = run_child([
+        "import sys\n"
+        + "".join(f"import fairkdiv.{name}\n" for name in SUBMODULES)
+        + "print(0, *sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    ], tmp_path)
+    assert modules == set()
+    assert set(SUBMODULES) == {p.stem for p in (SRC / "fairkdiv").glob("*.py")} - {"__init__"}
 
 
 @pytest.mark.parametrize(

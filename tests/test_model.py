@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -181,6 +183,75 @@ class TestSolveResultJson:
         payload = result.to_json_dict()
         assert payload["witness"] == [[1, 3], [2]]
         support.check_result_schema(payload, 2)
+
+
+class TestRecords:
+    """The records are plain classes that keep the behaviour callers rely on."""
+
+    def frozen_records(self):
+        from fairkdiv.approx import fptas
+        from fairkdiv.cliquewidth import (
+            EtaNode, RhoNode, UnionNode, VertexNode, evaluate_expression, parse_k_expression,
+        )
+        from fairkdiv.convex import find_convex_ordering, stage_structure
+        from fairkdiv.oracle import solve_brute
+        from fairkdiv.treeindep import make_nice, parse_tree_decomposition
+
+        inst = ConflictInstance.build(3, 2, [(0, 1), (1, 2)], [[2, 5, 3], [4, 1, 2]])
+        expr = parse_k_expression("cw 2\n(eta 1 2 (u (u (v 1 1) (v 1 3)) (v 2 2)))\n")
+        ordering = find_convex_ordering(inst)
+        td = parse_tree_decomposition("s td 1 3 3\nb 1 1 2 3\n")
+        leaf = VertexNode(1, 1)
+        return [
+            inst, connected_components(inst)[0], SolveResult(2, (2, 2), "brute"),
+            td, make_nice(td), leaf, UnionNode(leaf, leaf), EtaNode(1, 2, leaf),
+            RhoNode(1, 2, leaf), expr, evaluate_expression(expr), ordering,
+            stage_structure(ordering), fptas(inst, "1/4", lambda scaled: solve_brute(scaled, None)),
+        ]
+
+    def test_assignment_raises(self):
+        for record in self.frozen_records():
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], None)
+
+    def test_construction_and_equality(self):
+        from fairkdiv.cliquewidth import EtaNode, RhoNode, VertexNode
+
+        leaf = VertexNode(1, 1)
+        assert EtaNode(1, 2, leaf) == EtaNode(i=1, j=2, child=VertexNode(label=1, vertex=1))
+        assert hash(EtaNode(1, 2, leaf)) == hash(EtaNode(1, 2, VertexNode(1, 1)))
+        # same fields, different operation
+        assert EtaNode(1, 2, leaf) != RhoNode(1, 2, leaf)
+        assert repr(EtaNode(1, 2, leaf)) == "EtaNode(i=1, j=2, child=VertexNode(label=1, vertex=1))"
+        assert ConflictInstance.build(2, 1, [(1, 0)], [[1, 2]]) == ConflictInstance(
+            n=2, k=1, edges=((0, 1),), profits=((1, 2),)
+        )
+
+    def test_nice_nodes_compare_by_identity(self):
+        from fairkdiv.treeindep import NiceNode
+
+        leaf = NiceNode("leaf", frozenset())
+        assert leaf.vertex is None and leaf.children == ()
+        assert leaf == leaf and leaf != NiceNode("leaf", frozenset())
+
+    def test_solve_result_stats_default_is_fresh(self):
+        first, second = SolveResult(1, (1,), "brute"), SolveResult(1, (1,), "brute")
+        assert first.witness is None and first.stats == {}
+        assert first.stats is not second.stats
+
+    def test_adjacency_is_cached(self):
+        inst = ConflictInstance.build(3, 1, [(0, 1)], [[1, 1, 1]])
+        assert inst.adjacency() is inst.adjacency()
+        assert inst.adjacency() == (frozenset({1}), frozenset({0}), frozenset())
+
+    def test_copy_and_pickle(self):
+        from fairkdiv.treeindep import NiceTreeDecomposition
+
+        for record in self.frozen_records():
+            if isinstance(record, NiceTreeDecomposition):
+                continue  # its nodes compare by identity
+            assert copy.copy(record) == record
+            assert pickle.loads(pickle.dumps(record)) == record
 
 
 class TestCapError:

@@ -15,6 +15,7 @@ from fairkdiv.treeindep import (
     TreeDecomposition,
     clique_tree_of_chordal,
     make_nice,
+    maximum_cardinality_search,
     parse_tree_decomposition,
     serialize_tree_decomposition,
     solve_tin,
@@ -252,6 +253,33 @@ class TestCliqueTree:
                                         delete_prob=0.0)
             td = clique_tree_of_chordal(inst)
             assert td is not None and len(td.bags) <= max(n, 1)
+
+
+class TestMaximumCardinalitySearch:
+    def test_matches_linear_scan(self):
+        from fairkdiv.generators import gen_partial_ktree
+
+        rng = random.Random(23)
+        for case in range(60):
+            n = rng.randint(0, 30)
+            if case % 2:
+                # chordal: a k-tree with no edge deleted
+                width = 0 if n <= 1 else rng.randint(1, min(4, n - 1))
+                inst, _ = gen_partial_ktree(n, width, 1, 3, rng.randrange(1 << 30),
+                                            delete_prob=0.0)
+            else:
+                inst = support.random_instance(rng, n, 1, 3, density=rng.random())
+            assert maximum_cardinality_search(inst) == support.mcs_by_scan(inst), case
+
+    def test_path_of_20000_vertices(self):
+        # a linear scan per visit, O(n^2), would take about 40 s here (extrapolated)
+        n = 20000
+        inst = ConflictInstance.build(n, 1, [(v, v + 1) for v in range(n - 1)], [[1] * n])
+        start = time.perf_counter()
+        order = maximum_cardinality_search(inst)
+        elapsed = time.perf_counter() - start
+        assert order == list(range(n))
+        assert elapsed < 1.0, elapsed
 
 
 class TestInvariants:
