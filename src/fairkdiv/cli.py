@@ -74,25 +74,23 @@ def _load_instance(path: str) -> ConflictInstance:
 def parse_ordering_file(text: str, inst: ConflictInstance) -> ConvexOrdering:
     """Ordering file: line `A: <ids...>` (in order) and line `B: <ids...>`."""
     convex = _module("convex")
-    a_ids: list[int] | None = None
-    b_ids: list[int] | None = None
+    ids: dict[str, list[int]] = {}  # "A:" or "B:" -> 0-based ids
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        if not line.startswith(("A:", "B:")):
+        side = line[:2]
+        if side not in ("A:", "B:"):
             raise convex.OrderingError(f"line {lineno}: unexpected ordering line: {line!r}")
+        if side in ids:
+            raise convex.OrderingError(f"line {lineno}: second '{side}' line")
         try:
-            ids = [int(x) - 1 for x in line[2:].split()]
+            ids[side] = [int(x) - 1 for x in line[2:].split()]
         except ValueError:
             raise convex.OrderingError(f"line {lineno}: expected integers, got {line[2:].strip()}")
-        if line.startswith("A:"):
-            a_ids = ids
-        else:
-            b_ids = ids
-    if a_ids is None or b_ids is None:
+    if len(ids) != 2:
         raise convex.OrderingError("ordering file needs one 'A:' and one 'B:' line")
-    return convex.validate_convex_ordering(inst, a_ids, b_ids)
+    return convex.validate_convex_ordering(inst, ids["A:"], ids["B:"])
 
 
 def ordering_file_text(ordering: ConvexOrdering) -> str:

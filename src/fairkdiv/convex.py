@@ -58,16 +58,22 @@ def validate_convex_ordering(
     b_vertices: Iterable[int],
 ) -> ConvexOrdering:
     """Check a bipartition and A-order, computing per-B interval endpoints."""
-    a_list = tuple(a_order)
-    b_set = frozenset(b_vertices)
-    a_set = frozenset(a_list)
+    a_list, b_list = tuple(a_order), tuple(b_vertices)
+    a_set, b_set = frozenset(a_list), frozenset(b_list)
+    everything = frozenset(range(inst.n))
+    outside = (a_set | b_set) - everything
+    if outside:
+        bad = next(v for v in a_list + b_list if v in outside)
+        raise OrderingError(f"vertex {bad + 1} out of range 1..{inst.n}")
     if len(a_set) != len(a_list):
-        raise OrderingError("A-order repeats a vertex")
+        raise OrderingError(f"A-order repeats vertex {_first_repeat(a_list) + 1}")
+    if len(b_set) != len(b_list):
+        raise OrderingError(f"B side repeats vertex {_first_repeat(b_list) + 1}")
     if a_set & b_set:
         overlap = min(a_set & b_set)
         raise OrderingError(f"vertex {overlap + 1} on both sides of the bipartition")
-    if a_set | b_set != frozenset(range(inst.n)):
-        missing = min(frozenset(range(inst.n)) - (a_set | b_set))
+    if a_set | b_set != everything:
+        missing = min(everything - (a_set | b_set))
         raise OrderingError(f"vertex {missing + 1} is on neither side")
     pos = {a: i + 1 for i, a in enumerate(a_list)}
     for u, v in inst.edges:
@@ -91,6 +97,16 @@ def validate_convex_ordering(
             )
         intervals[b] = (lo, hi)
     return ConvexOrdering(a_order=a_list, b_vertices=tuple(sorted(b_set)), intervals=intervals)
+
+
+def _first_repeat(ids: Sequence[int]) -> int | None:
+    """The first id that an earlier position of ids already holds."""
+    seen: set[int] = set()
+    for v in ids:
+        if v in seen:
+            return v
+        seen.add(v)
+    return None
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -100,28 +100,28 @@ class ConflictInstance(Record):
             raise ValueError("vertex count must be nonnegative")
         if k < 1:
             raise ValueError("agent count must be at least 1")
-        seen = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u + 1}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u + 1},{v + 1}) out of range")
-            if u > v:
-                raise ValueError("edges must be stored as (min, max) pairs")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u + 1},{v + 1})")
-            seen.add((u, v))
+        # one bulk test; the loop below runs only to name the first violation
+        if not (all(0 <= u < v < n for u, v in edges) and len(set(edges)) == len(edges)):
+            seen = set()
+            for u, v in edges:
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u + 1}")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge ({u + 1},{v + 1}) out of range")
+                if u > v:
+                    raise ValueError("edges must be stored as (min, max) pairs")
+                if (u, v) in seen:
+                    raise ValueError(f"duplicate edge ({u + 1},{v + 1})")
+                seen.add((u, v))
         if len(profits) != k:
             raise ValueError(f"expected {k} profit rows, got {len(profits)}")
         for j, row in enumerate(profits):
             if len(row) != n:
                 raise ValueError(f"profit row {j + 1} has {len(row)} entries, expected {n}")
-            total = 0
-            for v, p in enumerate(row):
-                if p < 0:
-                    raise ValueError(f"negative profit for agent {j + 1}, vertex {v + 1}")
-                total += p
-            if total > MAX_PROFIT_SUM:
+            if row and min(row) < 0:
+                v = next(v for v, p in enumerate(row) if p < 0)
+                raise ValueError(f"negative profit for agent {j + 1}, vertex {v + 1}")
+            if sum(row) > MAX_PROFIT_SUM:
                 raise ValueError(f"total profit of agent {j + 1} exceeds the 64-bit range")
         self._assign(n, k, edges, profits)
         object.__setattr__(self, "_adjacency", None)
@@ -264,6 +264,13 @@ def connected_components(inst: ConflictInstance) -> list[Component]:
     return comps
 
 
+def _ints(parts: list[str], lineno: int) -> list[int]:
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise InstanceFormatError(f"expected integers, got {' '.join(parts)}", lineno) from None
+
+
 def parse_instance(text: str) -> ConflictInstance:
     """Parse the instance file format.
 
@@ -272,38 +279,58 @@ def parse_instance(text: str) -> ConflictInstance:
       p fkd <n> <m> <k>                    -- exactly once, first record
       w <j> <p_j(v_1)> ... <p_j(v_n)>      -- k lines, j = 1..k in order
       e <u> <v>                            -- m lines, 1-based endpoints
+
+    One pass checks each record once; the error on the earliest line wins.
     """
     header: tuple[int, int, int] | None = None
     profits: list[tuple[int, ...]] = []
-    edges: list[tuple[int, int]] = []
-    edge_set: set[tuple[int, int]] = set()
-
-    def ints(parts: list[str], lineno: int) -> list[int]:
-        try:
-            return [int(p) for p in parts]
-        except ValueError:
-            raise InstanceFormatError(f"expected integers, got {' '.join(parts)}", lineno)
+    # edge {u, v}, u < v, 0-based, as the int u * n + v: the same order as (u, v)
+    keys: set[int] = set()
+    edges_allowed = False  # header read and all k weight lines after it
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         tag = parts[0]
-        if tag == "p":
+        if tag == "e":
+            if not edges_allowed:
+                if header is None:
+                    raise InstanceFormatError("edge line before header", lineno)
+                raise InstanceFormatError("edge line before all weight lines", lineno)
+            if len(parts) != 3:
+                _ints(parts[1:], lineno)
+                raise InstanceFormatError("edge line must be 'e <u> <v>'", lineno)
+            try:
+                u = int(parts[1])
+                v = int(parts[2])
+            except ValueError:
+                raise InstanceFormatError(
+                    f"expected integers, got {parts[1]} {parts[2]}", lineno
+                ) from None
+            if u == v:
+                raise InstanceFormatError(f"self-loop at vertex {u}", lineno)
+            if not (0 < u <= n and 0 < v <= n):
+                raise InstanceFormatError(f"edge ({u},{v}) out of range", lineno)
+            key = (u - 1) * n + v - 1 if u < v else (v - 1) * n + u - 1
+            if key in keys:
+                raise InstanceFormatError(f"duplicate edge ({u},{v})", lineno)
+            keys.add(key)
+        elif tag[0] == "c":
+            continue
+        elif tag == "p":
             if header is not None:
                 raise InstanceFormatError("duplicate header line", lineno)
             if len(parts) != 5 or parts[1] != "fkd":
                 raise InstanceFormatError("header must be 'p fkd <n> <m> <k>'", lineno)
-            n, m, k = ints(parts[2:], lineno)
+            n, m, k = _ints(parts[2:], lineno)
             if n < 0 or m < 0 or k < 1:
                 raise InstanceFormatError("header counts out of range", lineno)
             header = (n, m, k)
         elif tag == "w":
             if header is None:
                 raise InstanceFormatError("weight line before header", lineno)
-            n, m, k = header
-            values = ints(parts[1:], lineno)
+            values = _ints(parts[1:], lineno)
             if not values or values[0] != len(profits) + 1:
                 raise InstanceFormatError(
                     f"expected weight line for agent {len(profits) + 1}", lineno
@@ -313,30 +340,12 @@ def parse_instance(text: str) -> ConflictInstance:
                 raise InstanceFormatError(
                     f"agent {values[0]} has {len(row)} profits, expected {n}", lineno
                 )
-            if any(p < 0 for p in row):
+            if row and min(row) < 0:
                 raise InstanceFormatError("negative profit", lineno)
             if len(profits) >= k:
                 raise InstanceFormatError("more weight lines than agents", lineno)
             profits.append(tuple(row))
-        elif tag == "e":
-            if header is None:
-                raise InstanceFormatError("edge line before header", lineno)
-            n, m, k = header
-            if len(profits) != k:
-                raise InstanceFormatError("edge line before all weight lines", lineno)
-            endpoints = ints(parts[1:], lineno)
-            if len(endpoints) != 2:
-                raise InstanceFormatError("edge line must be 'e <u> <v>'", lineno)
-            u, v = endpoints
-            if u == v:
-                raise InstanceFormatError(f"self-loop at vertex {u}", lineno)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise InstanceFormatError(f"edge ({u},{v}) out of range", lineno)
-            key = (min(u, v) - 1, max(u, v) - 1)
-            if key in edge_set:
-                raise InstanceFormatError(f"duplicate edge ({u},{v})", lineno)
-            edge_set.add(key)
-            edges.append(key)
+            edges_allowed = len(profits) == k
         else:
             raise InstanceFormatError(f"unknown record '{tag}'", lineno)
 
@@ -347,10 +356,11 @@ def parse_instance(text: str) -> ConflictInstance:
         profits = [()] * k
     if len(profits) != k:
         raise InstanceFormatError(f"expected {k} weight lines, found {len(profits)}")
-    if len(edges) != m:
-        raise InstanceFormatError(f"header declares {m} edges, found {len(edges)}")
+    if len(keys) != m:
+        raise InstanceFormatError(f"header declares {m} edges, found {len(keys)}")
+    edges = tuple([divmod(key, n) for key in sorted(keys)])
     try:
-        return ConflictInstance.build(n=n, k=k, edges=edges, profits=profits)
+        return ConflictInstance(n=n, k=k, edges=edges, profits=tuple(profits))
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
 

@@ -20,7 +20,7 @@ from fairkdiv.cliquewidth import (
     evaluate_expression,
 )
 from fairkdiv.convex import ConvexOrdering, validate_convex_ordering
-from fairkdiv.model import ConflictInstance, connected_components
+from fairkdiv.model import ConflictInstance, InstanceFormatError, connected_components
 
 
 def random_instance(rng: random.Random, n: int, k: int, pmax: int, density: float = 0.4) -> ConflictInstance:
@@ -317,3 +317,156 @@ def check_result_schema(payload: dict, k: int) -> None:
         assert isinstance(witness, list) and len(witness) == k
         for cls in witness:
             assert all(isinstance(v, int) and v >= 1 for v in cls)
+
+
+def parse_instance_by_line(text: str) -> ConflictInstance:
+    """The line-by-line .fkd parser that model.parse_instance replaced.
+
+    The reference for model.parse_instance: an equal instance, or the same
+    exception with the same message, on every input.
+    """
+    header: tuple[int, int, int] | None = None
+    profits: list[tuple[int, ...]] = []
+    edges: list[tuple[int, int]] = []
+    edge_set: set[tuple[int, int]] = set()
+
+    def ints(parts: list[str], lineno: int) -> list[int]:
+        try:
+            return [int(p) for p in parts]
+        except ValueError:
+            raise InstanceFormatError(f"expected integers, got {' '.join(parts)}", lineno)
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        tag = parts[0]
+        if tag == "p":
+            if header is not None:
+                raise InstanceFormatError("duplicate header line", lineno)
+            if len(parts) != 5 or parts[1] != "fkd":
+                raise InstanceFormatError("header must be 'p fkd <n> <m> <k>'", lineno)
+            n, m, k = ints(parts[2:], lineno)
+            if n < 0 or m < 0 or k < 1:
+                raise InstanceFormatError("header counts out of range", lineno)
+            header = (n, m, k)
+        elif tag == "w":
+            if header is None:
+                raise InstanceFormatError("weight line before header", lineno)
+            n, m, k = header
+            values = ints(parts[1:], lineno)
+            if not values or values[0] != len(profits) + 1:
+                raise InstanceFormatError(
+                    f"expected weight line for agent {len(profits) + 1}", lineno
+                )
+            row = values[1:]
+            if len(row) != n:
+                raise InstanceFormatError(
+                    f"agent {values[0]} has {len(row)} profits, expected {n}", lineno
+                )
+            if any(p < 0 for p in row):
+                raise InstanceFormatError("negative profit", lineno)
+            if len(profits) >= k:
+                raise InstanceFormatError("more weight lines than agents", lineno)
+            profits.append(tuple(row))
+        elif tag == "e":
+            if header is None:
+                raise InstanceFormatError("edge line before header", lineno)
+            n, m, k = header
+            if len(profits) != k:
+                raise InstanceFormatError("edge line before all weight lines", lineno)
+            endpoints = ints(parts[1:], lineno)
+            if len(endpoints) != 2:
+                raise InstanceFormatError("edge line must be 'e <u> <v>'", lineno)
+            u, v = endpoints
+            if u == v:
+                raise InstanceFormatError(f"self-loop at vertex {u}", lineno)
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise InstanceFormatError(f"edge ({u},{v}) out of range", lineno)
+            key = (min(u, v) - 1, max(u, v) - 1)
+            if key in edge_set:
+                raise InstanceFormatError(f"duplicate edge ({u},{v})", lineno)
+            edge_set.add(key)
+            edges.append(key)
+        else:
+            raise InstanceFormatError(f"unknown record '{tag}'", lineno)
+
+    if header is None:
+        raise InstanceFormatError("missing header line")
+    n, m, k = header
+    if n == 0 and not profits:
+        profits = [()] * k
+    if len(profits) != k:
+        raise InstanceFormatError(f"expected {k} weight lines, found {len(profits)}")
+    if len(edges) != m:
+        raise InstanceFormatError(f"header declares {m} edges, found {len(edges)}")
+    try:
+        return ConflictInstance.build(n=n, k=k, edges=edges, profits=profits)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from exc
+
+
+# characters str.splitlines() breaks at, and one (\x1f) that is only whitespace
+LINE_BREAKS = ("\f", "\r\n", "\v", "\x1c", "\x85", "\u2028", "\x1f")
+
+
+def mutate_text(rng: random.Random, text: str, n: int) -> str:
+    """One random edit of a line-based input file on n vertices.
+
+    Drops, duplicates, swaps or blanks a line; replaces a token with -1, 0,
+    n+1, x, +2 or 1_0, or inserts one of those or a copy of a token; inserts
+    a line break or a comment line; flips an edge line's endpoints; or
+    repeats an edge line elsewhere.
+    """
+    kind = rng.randrange(10)
+    if kind == 0:
+        pos = rng.randint(0, len(text))
+        return text[:pos] + rng.choice(LINE_BREAKS) + text[pos:]
+    lines = text.splitlines()
+    if not lines:
+        return "c empty\n"
+    i = rng.randrange(len(lines))
+    edge_lines = [j for j, line in enumerate(lines) if line.startswith("e ")]
+    if kind == 1:
+        del lines[i]
+    elif kind == 2:
+        lines.insert(i, lines[i])
+    elif kind == 3:
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == 4:
+        lines[i] = rng.choice(["", "  "])
+    elif kind == 5:
+        lines.insert(i, rng.choice(["c note", "  c indented note", "cx"]))
+    elif kind == 6 and edge_lines:
+        j = rng.choice(edge_lines)
+        tag, *ends = lines[j].split()
+        lines[j] = " ".join([tag] + ends[::-1])
+    elif kind == 7 and edge_lines:
+        lines.insert(i, lines[rng.choice(edge_lines)])
+    else:
+        tokens = lines[i].split()
+        if tokens:
+            t = rng.randrange(len(tokens))
+            token = rng.choice(["-1", "0", str(n + 1), "x", "+2", "1_0"])
+            if kind == 8:
+                tokens[t] = token
+            else:
+                tokens.insert(rng.randint(1, len(tokens)), rng.choice([token, tokens[t]]))
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + rng.choice(["\n", ""])
+
+
+def expression_text(expr: CliqueExpression) -> str:
+    """The `cw <l>` file text of a k-expression."""
+
+    def text(node) -> str:
+        if isinstance(node, VertexNode):
+            return f"(v {node.label} {node.vertex})"
+        if isinstance(node, UnionNode):
+            return f"(u {text(node.left)} {text(node.right)})"
+        op = "eta" if isinstance(node, EtaNode) else "rho"
+        return f"({op} {node.i} {node.j} {text(node.child)})"
+
+    return f"cw {expr.num_labels}\n{text(expr.root)}\n"

@@ -174,6 +174,51 @@ class TestSolve:
         assert code == EXIT_OK
 
 
+# Malformed .fkd texts and the exact message of each; every one exits 1.
+# Together they name every InstanceFormatError the parser raises.
+BAD_INSTANCES = [
+    ('', 'missing header line'),
+    ('c only a comment\n', 'missing header line'),
+    ('p fkd 2 0 1\nw 1 1 1\np fkd 2 0 1\n', 'line 3: duplicate header line'),
+    ('p fkd 2 0\nw 1 1 1\n', "line 1: header must be 'p fkd <n> <m> <k>'"),
+    ('p kfd 2 0 1\nw 1 1 1\n', "line 1: header must be 'p fkd <n> <m> <k>'"),
+    ('p fkd 2 x 1\nw 1 1 1\n', 'line 1: expected integers, got 2 x 1'),
+    ('p fkd 2 0 0\n', 'line 1: header counts out of range'),
+    ('w 1 1 1\np fkd 2 0 1\n', 'line 1: weight line before header'),
+    ('p fkd 2 0 2\nw 2 1 1\nw 1 1 1\n', 'line 2: expected weight line for agent 1'),
+    ('p fkd 2 0 1\nw 1 1\n', 'line 2: agent 1 has 1 profits, expected 2'),
+    ('p fkd 2 0 1\nw 1 1 -1\n', 'line 2: negative profit'),
+    ('p fkd 2 0 1\nw 1 1 1\nw 2 1 1\n', 'line 3: more weight lines than agents'),
+    ('e 1 2\np fkd 2 1 1\nw 1 1 1\n', 'line 1: edge line before header'),
+    ('p fkd 2 1 2\nw 1 1 1\ne 1 2\nw 2 1 1\n', 'line 3: edge line before all weight lines'),
+    ('p fkd 2 1 1\nw 1 1 1\ne 1 x\n', 'line 3: expected integers, got 1 x'),
+    ('p fkd 3 1 1\nw 1 1 1 1\ne 1 2 x\n', 'line 3: expected integers, got 1 2 x'),
+    ('p fkd 3 1 1\nw 1 1 1 1\ne 1 2 3\n', "line 3: edge line must be 'e <u> <v>'"),
+    ('p fkd 3 1 1\nw 1 1 1 1\ne 2 2\n', 'line 3: self-loop at vertex 2'),
+    # the self-loop check comes before the range check
+    ('p fkd 3 1 1\nw 1 1 1 1\ne 9 9\n', 'line 3: self-loop at vertex 9'),
+    ('p fkd 3 1 1\nw 1 1 1 1\ne 1 4\n', 'line 3: edge (1,4) out of range'),
+    ('p fkd 3 1 1\nw 1 1 1 1\ne 0 1\n', 'line 3: edge (0,1) out of range'),
+    # the earliest line's error wins: line 5's edge is out of range
+    ('p fkd 3 3 1\nw 1 1 1 1\ne 1 2\ne 2 1\ne 1 9\n', 'line 4: duplicate edge (2,1)'),
+    ('p fkd 2 0 1\nw 1 1 1\nq 1 2\n', "line 3: unknown record 'q'"),
+    ('p fkd 2 0 2\nw 1 1 1\n', 'expected 2 weight lines, found 1'),
+    ('p fkd 3 2 1\nw 1 1 1 1\ne 1 2\n', 'header declares 2 edges, found 1'),
+    ('p fkd 3 0 1\nw 1 1 1 1\ne +2 1_0\n', 'line 3: edge (2,10) out of range'),
+    (f"p fkd 2 0 1\nw 1 {2**62} {2**62}\n", 'total profit of agent 1 exceeds the 64-bit range'),
+    ('p fkd 2 1 1\x0cw 1 1 1\r\n  c note\u2028e 2 2\n', 'line 4: self-loop at vertex 2'),
+    ('p fkd 0 1 1\ne 1 2\n', 'line 2: edge line before all weight lines'),
+]
+
+
+class TestInstanceErrorCorpus:
+    @pytest.mark.parametrize("text, message", BAD_INSTANCES)
+    def test_exact_stderr_and_exit_1(self, tmp_path, text, message):
+        path = tmp_path / "bad.fkd"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert run_cli(["solve", str(path)]) == (EXIT_INFEASIBLE, "", f"error: {message}\n")
+
+
 class TestSideInputs:
     """An explicit --method reads only its own side input; auto reads them all."""
 
@@ -538,6 +583,23 @@ class TestOrderingFileFormat:
         ])
         assert code == EXIT_INFEASIBLE
         assert err == "error: line 3: expected integers, got 4x\n"
+        # ids outside 1..n, repeated ids and repeated side lines name the
+        # vertex or the line, on the path 1-2-3 whose A = {1, 3}, B = {2}
+        p3 = tmp_path / "p3.fkd"
+        p3.write_text(P3_TEXT)
+        for text, message in [
+            ("A: 1 3 0\nB: 2\n", "vertex 0 out of range 1..3"),
+            ("A: 1 3 7\nB: 2\n", "vertex 7 out of range 1..3"),
+            ("A: 1 3\nB: 2 -1\n", "vertex -1 out of range 1..3"),
+            ("A: 1 3\nB: 2 2\n", "B side repeats vertex 2"),
+            ("A: 1 3 1\nB: 2\n", "A-order repeats vertex 1"),
+            ("A: 1 3\nB: 2\nA: 3 1\n", "line 3: second 'A:' line"),
+            ("B: 2\nc note\nA: 1 3\nB: 2\n", "line 4: second 'B:' line"),
+        ]:
+            order.write_text(text)
+            for command in ("solve", "validate"):
+                code, _, err = run_cli([command, str(p3), "--ordering", str(order)])
+                assert (code, err) == (EXIT_INFEASIBLE, f"error: {message}\n"), text
 
 
 def path_text(n):

@@ -82,6 +82,87 @@ class TestParseInstance:
             assert parse_instance(serialize_instance(inst)) == inst
 
 
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # compared by type, message and line
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+class TestParserEquivalence:
+    """The one-pass parser against the line-by-line reference in support."""
+
+    def test_seeded_mutations_match_reference(self):
+        rng = random.Random(1101)
+        errors = 0
+        for _ in range(2400):
+            n = rng.choice([rng.randint(0, 6), rng.randint(7, 30)])
+            inst = support.random_instance(rng, n, rng.randint(1, 3), 9, density=rng.random())
+            text = serialize_instance(inst, comment="mutated" if rng.random() < 0.3 else None)
+            for _ in range(rng.randint(1, 3)):
+                text = support.mutate_text(rng, text, n)
+            got = parse_outcome(parse_instance, text)
+            assert got == parse_outcome(support.parse_instance_by_line, text), text
+            errors += isinstance(got, tuple)
+        # both outcomes are exercised in bulk
+        assert 600 < errors < 2100
+
+    def test_every_splitlines_break_counts(self):
+        # \f, \v, \x1c-\x1e, \x85, \u2028 and \u2029 end a line, as \n does
+        for brk in ("\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
+            text = brk.join(["p fkd 2 1 1", "w 1 1 1", "c", "e 1 1"])
+            with pytest.raises(InstanceFormatError, match="^line 4: self-loop"):
+                parse_instance(text)
+
+
+class TestConflictInstanceChecks:
+    """The constructor's messages, which its bulk edge test must keep."""
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (((1, 1),), "self-loop at vertex 2"),
+            (((0, 3),), r"edge \(1,4\) out of range"),
+            (((-1, 2),), r"edge \(0,3\) out of range"),
+            (((2, 0),), r"edges must be stored as \(min, max\) pairs"),
+            (((0, 1), (1, 2), (0, 1)), r"duplicate edge \(1,2\)"),
+            # two violations: the first edge in list order names the error
+            (((0, 1), (0, 1), (2, 2)), r"duplicate edge \(1,2\)"),
+            (((0, 1), (2, 2), (0, 1)), "self-loop at vertex 3"),
+            (((5, 6), (1, 1)), r"edge \(6,7\) out of range"),
+            (((1, 0), (0, 7)), r"edges must be stored as \(min, max\) pairs"),
+        ],
+    )
+    def test_edge_violation(self, edges, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ConflictInstance(3, 1, edges, ((1, 1, 1),))
+
+    @pytest.mark.parametrize(
+        "n, k, profits, message",
+        [
+            (-1, 1, ((),), "vertex count must be nonnegative"),
+            (2, 0, (), "agent count must be at least 1"),
+            (2, 2, ((1, 1),), "expected 2 profit rows, got 1"),
+            (2, 1, ((1, 1, 1),), "profit row 1 has 3 entries, expected 2"),
+            (3, 2, ((1, 1, 1), (4, -2, -1)), "negative profit for agent 2, vertex 2"),
+            (2, 1, ((2**62, 2**62),), "total profit of agent 1 exceeds the 64-bit range"),
+            # row 1's negative entry beats row 2's length
+            (2, 2, ((0, -1), (1,)), "negative profit for agent 1, vertex 2"),
+        ],
+    )
+    def test_profit_violation(self, n, k, profits, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ConflictInstance(n, k, (), profits)
+
+    def test_edge_errors_come_before_profit_errors(self):
+        with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
+            ConflictInstance(2, 2, ((0, 0),), ((1, 1),))
+
+    def test_valid_unsorted_edges_kept_as_given(self):
+        inst = ConflictInstance(3, 1, ((1, 2), (0, 2)), ((0, 0, 0),))
+        assert inst.edges == ((1, 2), (0, 2))
+
+
 class TestSatisfaction:
     def test_examples(self):
         assert satisfaction_level((3, 2)) == 2
