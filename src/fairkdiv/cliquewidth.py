@@ -14,6 +14,7 @@ from typing import Iterator, NamedTuple, Union
 
 from .model import Coloring, ConflictInstance, Profile, Record, validate_coloring
 from .profiles import (
+    Grid,
     ProfileSet,
     Step,
     best_profile,
@@ -21,6 +22,7 @@ from .profiles import (
     encode,
     extract_coloring,
     post_order,
+    profile_grid,
     run_tables,
     union_cells,
     unit_code,
@@ -303,9 +305,10 @@ def dp_node(
     inst: ConflictInstance,
     cap: int | None = None,
     prune: bool = False,
+    grid: Grid | None = None,
 ) -> CwTable:
     """Table of one expression node from its children's tables (see cw_steps)."""
-    return build_table(inst.k, cw_steps(node, child_tables, inst), child_tables, cap, prune)
+    return build_table(inst.k, cw_steps(node, child_tables, inst), child_tables, cap, prune, grid)
 
 
 def cw_tables(
@@ -315,14 +318,19 @@ def cw_tables(
     prune: bool = False,
     stats: dict | None = None,
 ) -> dict[int, CwTable]:
-    """Every node's table, keyed by id(node), once the expression is checked."""
+    """Every node's table, keyed by id(node), once the expression is checked.
+
+    Unpruned tables are held on the instance's grid when it is small enough
+    (see profiles).
+    """
     mismatch = check_expression_matches(expr, inst)
     if mismatch is not None:
         raise ExpressionError(mismatch)
+    grid = None if prune else profile_grid(inst.total_profits())
     return run_tables(
         expr.root,
         _children,
-        lambda node, children: dp_node(node, children, inst, cap, prune),
+        lambda node, children: dp_node(node, children, inst, cap, prune, grid),
         stats,
     )
 

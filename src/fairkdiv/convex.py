@@ -17,6 +17,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, 
 
 from .model import Coloring, ConflictInstance, Profile, connected_components, validate_coloring
 from .profiles import (
+    Grid,
     ProfileSet,
     Step,
     Table,
@@ -25,6 +26,7 @@ from .profiles import (
     encode,
     extract_coloring,
     merge_profile_sets,
+    profile_grid,
     run_tables,
     union_cells,
     unit_code,
@@ -456,13 +458,13 @@ def _kept_steps(node: _Node, child_tables: list[Table]) -> list[Step]:
 
 
 def _tables(
-    k: int, root: _Node, cap: int | None, prune: bool, stats: dict | None
+    k: int, root: _Node, cap: int | None, prune: bool, stats: dict | None, grid: Grid | None
 ) -> dict[int, Table]:
     """Every node's table, keyed by id(node); each node keeps the steps it was built from."""
 
     def node_table(node: _Node, child_tables: list[Table]) -> Table:
         node.steps = node.make(child_tables)
-        return build_table(k, node.steps, child_tables, cap, prune)
+        return build_table(k, node.steps, child_tables, cap, prune, grid)
 
     return run_tables(root, _children, node_table, stats)
 
@@ -645,7 +647,8 @@ class _ConnectedConvexDP:
 
     Stage j's node has a predecessor-union child, over stage j - 1's node,
     and a shift child over its vertex chain; tables holds the stage nodes'
-    tables and node_tables every node's.
+    tables and node_tables every node's.  With a grid (unpruned only) every
+    cell is held on it.
     """
 
     def __init__(
@@ -655,6 +658,7 @@ class _ConnectedConvexDP:
         cap: int | None = None,
         prune: bool = False,
         stats: dict | None = None,
+        grid: Grid | None = None,
     ):
         if inst.n < 2 or not inst.edges:
             raise ValueError("connected solver needs at least one edge")
@@ -662,6 +666,7 @@ class _ConnectedConvexDP:
         self.co = co
         self.cap = cap
         self.prune = prune
+        self.grid = grid
         self.stats = stats if stats is not None else {}
         self.k = inst.k
         self.ss = stage_structure(co)
@@ -681,7 +686,7 @@ class _ConnectedConvexDP:
 
     def run(self) -> ProfileSet:
         """Build every node's table; the result is the union of the last stage's cells."""
-        self.node_tables = _tables(self.k, self.root, self.cap, self.prune, self.stats)
+        self.node_tables = _tables(self.k, self.root, self.cap, self.prune, self.stats, self.grid)
         self.tables = [self.node_tables[id(node)] for node in self.stage_nodes]
         ops = sum(stage.ops for stage in self.stages)
         self.stats["profile-ops"] = self.stats.get("profile-ops", 0) + ops
@@ -695,7 +700,8 @@ def solve_connected_convex(
     stats: dict | None = None,
 ) -> ProfileSet:
     """Full profile set of one connected convex bipartite instance."""
-    return _ConnectedConvexDP(inst, co, cap=cap, stats=stats).run()
+    grid = profile_grid(inst.total_profits())
+    return _ConnectedConvexDP(inst, co, cap=cap, stats=stats, grid=grid).run()
 
 
 def _restrict_ordering(co: ConvexOrdering, vertices: set[int], mapping: dict[int, int],
@@ -716,27 +722,30 @@ def _merged_components(
 
     Each part carries its DP tree's root and tables for the witness walk;
     an edgeless component is a vertex chain under the one key ().  The last
-    running merge is the profile set of the whole instance.
+    running merge is the profile set of the whole instance.  Unpruned, every
+    component is held on the whole instance's grid when it is small enough,
+    so the merges are shift-ORs too.
     """
     co = ordering if ordering is not None else find_convex_ordering(inst)
     if co is None:
         raise OrderingError("graph admits no convex bipartite ordering")
+    grid = None if prune else profile_grid(inst.total_profits())
     parts = []
     for comp in connected_components(inst):
         sub = comp.instance
         if not sub.edges:
             rows = [tuple(sub.profits[j][v] for j in range(sub.k)) for v in range(sub.n)]
             root = _vertex_chain(sub.k, range(sub.n), {(): rows})
-            tables = _tables(sub.k, root, cap, prune, stats)
+            tables = _tables(sub.k, root, cap, prune, stats, grid)
             pset = tables[id(root)][()]
         else:
             mapping = comp.to_sub()
             sub_co = _restrict_ordering(co, set(comp.vertices), mapping, sub)
-            dp = _ConnectedConvexDP(sub, sub_co, cap=cap, prune=prune, stats=stats)
+            dp = _ConnectedConvexDP(sub, sub_co, cap=cap, prune=prune, stats=stats, grid=grid)
             pset = dp.run()
             root, tables = dp.root, dp.node_tables
         parts.append((comp, pset, root, tables))
-    running = [ProfileSet.zero(inst.k)]
+    running = [ProfileSet.zero(inst.k) if grid is None else ProfileSet.from_bits(grid, 1)]
     for _, pset, _, _ in parts:
         running.append(merge_profile_sets(running[-1], pset, cap=cap))
     return parts, running

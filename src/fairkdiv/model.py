@@ -82,7 +82,8 @@ class Record:
 class ConflictInstance(Record):
     """Conflict graph plus one nonnegative integer profit row per agent.
 
-    edges are stored canonically as sorted (u, v) pairs with u < v;
+    edges are stored canonically as sorted (u, v) pairs with u < v, in
+    whatever order they are given, so equal graphs give equal instances;
     profits[j][v] is agent j's profit for item v.
     """
 
@@ -123,7 +124,8 @@ class ConflictInstance(Record):
                 raise ValueError(f"negative profit for agent {j + 1}, vertex {v + 1}")
             if sum(row) > MAX_PROFIT_SUM:
                 raise ValueError(f"total profit of agent {j + 1} exceeds the 64-bit range")
-        self._assign(n, k, edges, profits)
+        # linear when the edges come sorted, as the parser and build pass them
+        self._assign(n, k, tuple(sorted(edges)), profits)
         object.__setattr__(self, "_adjacency", None)
 
     @classmethod

@@ -3,9 +3,10 @@
 A profile set collects the k-tuples of per-agent profits attainable by some
 family of partial colorings.  Sets are combined by vector addition (merging
 independent parts), shifted by fixed contributions, and finally scanned for
-the profile with the best minimum entry.
+the profile with the best minimum entry.  A set holds its members in one of
+two forms.
 
-Each profile is stored as one int, its code: coordinate j (1-based) fills the
+Codes.  Each profile is one int, its code: coordinate j (1-based) fills the
 FIELD_BITS-bit field that starts FIELD_BITS * (k - j) bits up, so coordinate 1
 is the most significant and the order of codes is the lexicographic order of
 profiles.  ConflictInstance bounds every agent's total profit by
@@ -16,11 +17,41 @@ profile, as long as the result is a profile.  merge_profile_sets, shift and
 edgeless_profiles check that their sums fit and raise ValueError otherwise;
 add_sums and build_table, which the solvers' inner loops call, rely on the
 instance bound.
+
+Grid bits.  Every profile of an instance lies in the box [0, T_1] x ... x
+[0, T_k] of the agents' total profits.  A Grid numbers its points in mixed
+radix, pos(q) = sum_j q_j * stride_j where stride_j is the product of
+T_i + 1 over i > j, and a set is one int whose bit pos(q) marks q, so
+ascending bits are lexicographic order.  A vector sum A + B is the OR of B
+shifted left by pos(a) for each member a of A, one big-int shift per member
+instead of one code per pair: the word-RAM subset-sum of Pisinger ("Dynamic
+programming on the word RAM", Algorithmica 2003).  pos is linear, so
+pos(a) + pos(b) = pos(a + b) for any integer vectors, but it is one-to-one
+only on the box.  The mixed radix still cannot carry into a wrong point,
+because every profile a DP stores, every sum included, is the profile of a
+coloring of some of the items and so lies in the box.  Linearity also makes
+the tree-independence join exact as a right shift: it adds two cells that
+both count the bag's profits g, then subtracts g; every a + b - g is in the
+box, so pos(a) + pos(b) >= pos(g), and shifting the OR right by pos(g)
+drops no set bit.
+
+Which form.  Pruned tables stay on codes, since a Pareto front is sparse in
+its box.  Unpruned tables (the *_profile_set functions, the `profiles`
+command) are held on the instance's grid when it has at most GRID_MAX_BITS
+points.  A shift costs time in the grid's size, not the set's, while a sum
+of code sets costs time in the sets' sizes; a larger grid holds sparse sets
+of large profits, for which codes are faster (the FPTAS's unscaled inputs
+have grids of 10**8 points and more).  The instance fixes the choice; there
+is no option for it.  An operation on sets stays on a grid when all its
+operands are held on that one Grid (and, for a sum, the sums fit it);
+otherwise it works on codes, which a grid-backed set decodes when they are
+first read.
 """
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from operator import itemgetter, or_
+from itertools import compress
+from operator import itemgetter, mul, or_
 from typing import Any, Callable, Collection, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .model import CapError, Coloring, Profile
@@ -30,6 +61,11 @@ DEFAULT_PROFILE_CAP = 1 << 26
 
 FIELD_BITS = 64
 FIELD_MASK = (1 << FIELD_BITS) - 1
+
+# The largest grid an unpruned table is held on: 2**18 points, 32 KiB a cell.
+# Every measured input up to it ran faster on the grid; above it, the cw
+# DP's sets on 10-vertex inputs were sparse enough to run slower.
+GRID_MAX_BITS = 1 << 18
 
 
 class ProfileCapError(CapError):
@@ -64,14 +100,95 @@ def unit_code(arity: int, j: int, p: int) -> int:
     return p << (FIELD_BITS * (arity - 1 - j))
 
 
+# maps the digits of bin() to the selectors of compress()
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_positions(bits: int) -> list[int]:
+    """The positions of the set bits of a nonnegative int, ascending.
+
+    A sparse int is scanned from one set bit to the next, a dense one in
+    one pass.
+    """
+    text = bin(bits)[:1:-1]  # text[i] is bit i
+    if bits.bit_count() * 8 >= len(text):
+        return list(compress(range(len(text)), text.encode().translate(_BIT_BYTES)))
+    out = []
+    i = text.find("1")
+    while i >= 0:
+        out.append(i)
+        i = text.find("1", i + 1)
+    return out
+
+
+class Grid:
+    """The box [0, T_1] x ... x [0, T_k] of profiles, one bit per point.
+
+    radices[j] = T_j + 1, and strides[j] is the product of the radices
+    after j: the profile q sits at bit pos(q) = sum_j q_j * strides[j].
+    """
+
+    __slots__ = ("arity", "radices", "strides", "_shifts")
+
+    def __init__(self, totals: Sequence[int]):
+        self.arity = len(totals)
+        self.radices = tuple(t + 1 for t in totals)
+        strides = [1]
+        for radix in reversed(self.radices[1:]):
+            strides.append(strides[-1] * radix)
+        self.strides = tuple(reversed(strides))
+        self._shifts: dict[int, int] = {}  # code offset -> bit shift
+
+    def shift(self, offset: int) -> int:
+        """The bit shift that adds the code offset, a profile or the negation of one.
+
+        Each distinct offset is converted once.
+        """
+        shift = self._shifts.get(offset)
+        if shift is None:
+            shift = sum(map(mul, decode(abs(offset), self.arity), self.strides))
+            shift = self._shifts[offset] = -shift if offset < 0 else shift
+        return shift
+
+    def columns(self, bits: int) -> list[list[int]]:
+        """Each coordinate of the members that bits marks, members ascending."""
+        rest = _bit_positions(bits)
+        columns = []
+        for stride in self.strides[:-1]:
+            columns.append([pos // stride for pos in rest])
+            rest = [pos % stride for pos in rest]
+        columns.append(rest)
+        return columns
+
+    def codes(self, bits: int) -> list[int]:
+        """The codes of the members that bits marks, ascending."""
+        codes, *others = self.columns(bits)
+        for column in others:
+            codes = [(code << FIELD_BITS) | x for code, x in zip(codes, column)]
+        return codes
+
+
+def profile_grid(totals: Sequence[int]) -> Grid | None:
+    """The grid of the per-agent totals, or None if it has more than GRID_MAX_BITS points."""
+    size = 1
+    for total in totals:
+        size *= total + 1
+        if size > GRID_MAX_BITS:
+            return None
+    return Grid(totals)
+
+
 class ProfileSet:
     """An immutable deduplicated set of equal-arity profit profiles.
 
     Members are held as codes in `codes`; iteration, `in` and the sorted
-    forms speak in profile tuples.
+    forms speak in profile tuples.  A set held on a Grid (from_bits) keeps
+    the same interface, and sets of either form are equal when their
+    members are.
     """
 
     __slots__ = ("arity", "codes")
+    grid: Grid | None = None  # the grid a set is held on, if any
 
     def __init__(self, arity: int, profiles: Iterable[Profile]):
         self.arity = arity
@@ -83,6 +200,16 @@ class ProfileSet:
         pset = cls.__new__(cls)
         pset.arity = arity
         pset.codes = frozenset(codes)
+        return pset
+
+    @staticmethod
+    def from_bits(grid: Grid, bits: int) -> ProfileSet:
+        """The set of the points of grid that bits marks (not checked)."""
+        pset = _GridProfileSet.__new__(_GridProfileSet)
+        pset.arity = grid.arity
+        pset.grid = grid
+        pset.bits = bits
+        pset.size = bits.bit_count()
         return pset
 
     @classmethod
@@ -110,7 +237,7 @@ class ProfileSet:
         return hash((self.arity, self.codes))
 
     def __repr__(self) -> str:
-        return f"ProfileSet(arity={self.arity}, size={len(self.codes)})"
+        return f"ProfileSet(arity={self.arity}, size={len(self)})"
 
     def sorted_profiles(self) -> list[Profile]:
         """Canonical lexicographic ascending order."""
@@ -119,6 +246,38 @@ class ProfileSet:
     def dump(self) -> str:
         """One profile per line, space-separated, lexicographically sorted."""
         return "\n".join(" ".join(map(str, q)) for q in self.sorted_profiles())
+
+
+class _GridProfileSet(ProfileSet):
+    """A ProfileSet held on `grid` as the int `bits` (see the module docstring).
+
+    Its size is a popcount, taken once, and its sorted forms walk the bits
+    upwards; `in`, `==` and hash read `codes`, which it decodes when they
+    are first read, and keeps.  Only this class has __getattr__, which
+    would slow every attribute read of a code-backed set.
+    """
+
+    __slots__ = ("grid", "bits", "size")
+
+    def __getattr__(self, name: str):
+        # called only for the unset slot `codes`
+        if name != "codes":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        codes = self.codes = frozenset(self.grid.codes(self.bits))
+        return codes
+
+    def __iter__(self) -> Iterator[Profile]:
+        return iter(self.sorted_profiles())
+
+    def __len__(self) -> int:
+        return self.size
+
+    def sorted_profiles(self) -> list[Profile]:
+        return list(zip(*self.grid.columns(self.bits)))
+
+    def dump(self) -> str:
+        line = " ".join(["{}"] * self.arity)
+        return "\n".join(map(line.format, *self.grid.columns(self.bits)))
 
 
 def _check_cap(size: int, cap: int | None) -> None:
@@ -139,10 +298,23 @@ def _stored(k: int, codes: Collection[int], cap: int | None, prune: bool) -> Pro
     return dominance_prune(pset) if prune and len(pset) > 1 else pset
 
 
+def _stored_bits(grid: Grid, bits: int, cap: int | None) -> ProfileSet:
+    pset = ProfileSet.from_bits(grid, bits)
+    _check_cap(pset.size, cap)
+    return pset
+
+
 def union_cells(
     k: int, cells: Iterable[ProfileSet], cap: int | None = None, prune: bool = False
 ) -> ProfileSet:
-    """One set holding every member of the given cells, checked like a cell."""
+    """One set holding every member of the given cells, checked like a cell.
+
+    Unpruned cells all held on one Grid give a set on it.
+    """
+    cells = list(cells)
+    grid = cells[0].grid if cells and not prune else None
+    if grid is not None and all(cell.grid is grid for cell in cells):
+        return _stored_bits(grid, reduce(or_, [cell.bits for cell in cells]), cap)
     union: set[int] = set()
     for cell in cells:
         union.update(cell.codes)
@@ -199,14 +371,18 @@ def build_table(
     child_tables: list[Table],
     cap: int | None = None,
     prune: bool = False,
+    grid: Grid | None = None,
 ) -> Table:
     """One node's table from its steps: a loop specialised by the arity.
 
     Each cell is checked against the cap before pruning, and with prune only
     its Pareto-maximal members are kept.  A cell that one unshifted unary
     step fills is that child's cell, which was checked and pruned when it
-    was stored.
+    was stored.  With a grid, which excludes prune, every cell is held on
+    it, the children's cells included.
     """
+    if grid is not None:
+        return _grid_table(grid, steps, child_tables, cap)
     raw: dict[Hashable, ProfileSet | Collection[int]] = {}
     if not child_tables:
         for key, _, offset, _ in steps:
@@ -232,6 +408,56 @@ def build_table(
         key: cell if isinstance(cell, ProfileSet) else _stored(k, cell, cap, prune)
         for key, cell in raw.items()
     }
+
+
+def _shifted(bits: int, shift: int) -> int:
+    return bits << shift if shift >= 0 else bits >> -shift
+
+
+def _sum_bits(positions: list[int], bits: int) -> int:
+    """The grid form of a vector sum: bits shifted to each of positions, ORed."""
+    acc = 0
+    for pos in positions:
+        acc |= bits << pos
+    return acc
+
+
+def _grid_table(
+    grid: Grid, steps: Iterable[Step], child_tables: list[Table], cap: int | None
+) -> Table:
+    """build_table on grid bits: an offset is a shift, a sum a shift-OR per member.
+
+    A binary step shifts the operand with more members to each member of
+    the other (a cell's members are listed once per call) and then shifts
+    the OR by the step's offset, which for the join is an exact right shift
+    (see the module docstring).  The cells are checked against the cap when
+    they are stored.
+    """
+    shift = grid.shift
+    raw: dict[Hashable, int] = {}
+    if not child_tables:
+        for key, _, offset, _ in steps:
+            raw[key] = raw.get(key, 0) | 1 << shift(offset)
+    elif len(child_tables) == 1:
+        (child,) = child_tables
+        for key, (child_key,), offset, _ in steps:
+            bits = child[child_key].bits
+            raw[key] = raw.get(key, 0) | (_shifted(bits, shift(offset)) if offset else bits)
+    else:
+        left, right = child_tables
+        members: dict[int, list[int]] = {}  # id(cell) -> its bit positions
+        for key, (key1, key2), offset, _ in steps:
+            small, large = left[key1], right[key2]
+            if small.size > large.size:
+                small, large = large, small
+            positions = members.get(id(small))
+            if positions is None:
+                positions = members[id(small)] = _bit_positions(small.bits)
+            bits = _sum_bits(positions, large.bits)
+            raw[key] = raw.get(key, 0) | (_shifted(bits, shift(offset)) if offset else bits)
+    table = {key: ProfileSet.from_bits(grid, bits) for key, bits in raw.items()}
+    _check_cap(max((cell.size for cell in table.values()), default=0), cap)
+    return table
 
 
 def extract_coloring(
@@ -358,13 +584,26 @@ def edgeless_profiles(
 def merge_profile_sets(s1: ProfileSet, s2: ProfileSet, cap: int | None = None) -> ProfileSet:
     """All pairwise vector sums {q1 + q2}, deduplicated.
 
+    Sets on one grid whose sums fit it are added on it.  Otherwise
     ValueError if a coordinate of a sum could reach 2**FIELD_BITS, which
     sets built from one instance's disjoint parts never do.
     """
     if s1.arity != s2.arity:
         raise ValueError(f"arity mismatch: {s1.arity} vs {s2.arity}")
+    grid = s1.grid
+    if grid is not None and s2.grid is grid and all(
+        a + b < radix for a, b, radix in zip(_grid_maxima(s1), _grid_maxima(s2), grid.radices)
+    ):
+        if len(s1) > len(s2):
+            s1, s2 = s2, s1
+        return _stored_bits(grid, _sum_bits(_bit_positions(s1.bits), s2.bits), cap)
     _check_sums_fit(s1.arity, s1.codes, s2.codes)
     return ProfileSet.from_codes(s1.arity, add_sums(set(), s1.codes, s2.codes, cap=cap))
+
+
+def _grid_maxima(s: ProfileSet) -> list[int]:
+    """Each coordinate's largest value over a grid-backed set (0 for no members)."""
+    return [max(column, default=0) for column in s.grid.columns(s.bits)]
 
 
 def shift(s: ProfileSet, delta: Profile) -> ProfileSet:

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .model import CapError, Coloring, ConflictInstance, Profile, Record, validate_coloring
 from .profiles import (
+    Grid,
     ProfileSet,
     Step,
     best_profile,
@@ -24,6 +25,7 @@ from .profiles import (
     encode,
     extract_coloring,
     post_order,
+    profile_grid,
     run_tables,
     unit_code,
 )
@@ -372,9 +374,10 @@ def tin_dp_node(
     inst: ConflictInstance,
     cap: int | None = None,
     prune: bool = False,
+    grid: Grid | None = None,
 ) -> TinTable:
     """Table of one nice node from its children's tables."""
-    return build_table(inst.k, tin_steps(node, child_tables, inst), child_tables, cap, prune)
+    return build_table(inst.k, tin_steps(node, child_tables, inst), child_tables, cap, prune, grid)
 
 
 def tin_tables(
@@ -384,11 +387,16 @@ def tin_tables(
     prune: bool = False,
     stats: dict | None = None,
 ) -> dict[int, TinTable]:
-    """Every nice node's table, keyed by id(node)."""
+    """Every nice node's table, keyed by id(node).
+
+    Unpruned tables are held on the instance's grid when it is small enough
+    (see profiles).
+    """
+    grid = None if prune else profile_grid(inst.total_profits())
     return run_tables(
         nice.root,
         _children,
-        lambda node, children: tin_dp_node(node, children, inst, cap, prune),
+        lambda node, children: tin_dp_node(node, children, inst, cap, prune, grid),
         stats,
     )
 

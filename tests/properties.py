@@ -43,12 +43,14 @@ from fairkdiv.model import (
 )
 from fairkdiv.oracle import brute_force_optimum, brute_force_profiles
 from fairkdiv.profiles import (
+    Grid,
     ProfileSet,
     best_satisfaction,
     decode,
     dominance_prune,
     edgeless_profiles,
     merge_profile_sets,
+    union_cells,
 )
 from fairkdiv.treeindep import (
     TreeDecomposition,
@@ -184,6 +186,39 @@ def prop_prune_preserves_best(cases: int, seed: int = 204) -> None:
         pruned = dominance_prune(s)
         assert best_satisfaction(pruned) == best_satisfaction(s)
         assert set(pruned) <= set(s)
+
+
+def prop_grid_forms_agree(cases: int, seed: int = 206) -> None:
+    """merge_profile_sets and union_cells give equal sets whichever form their operands have.
+
+    Operands are code-backed, held on one grid, or held on two equal grids
+    (two objects, so they are added as codes).  In about half the cases every
+    sum fits the grid; in the rest most overflow it and are added as codes.
+    """
+    rng = random.Random(seed)
+    for _ in range(cases):
+        k = rng.randint(1, 3)
+        totals = [rng.choice((0, 1, 3, 6)) for _ in range(k)]
+        grids = (Grid(totals), Grid(totals))
+        # members up to half the totals: every sum fits the grid
+        tops = [t // 2 for t in totals] if rng.random() < 0.5 else totals
+        sets = [
+            ProfileSet(k, {
+                tuple(rng.randint(0, t) for t in tops) for _ in range(rng.randint(0, 6))
+            })
+            for _ in range(2)
+        ]
+        forms = [[s, support.on_grid(grids[0], s), support.on_grid(grids[1], s)] for s in sets]
+        want_sum = merge_profile_sets(*sets)
+        want_union = union_cells(k, sets)
+        for x in forms[0]:
+            for y in forms[1]:
+                got_sum, got_union = merge_profile_sets(x, y), union_cells(k, [x, y])
+                assert got_sum == want_sum and got_sum.dump() == want_sum.dump()
+                assert got_union == want_union and got_union.dump() == want_union.dump()
+                assert len(got_sum) == len(want_sum) and len(got_union) == len(want_union)
+                if x.grid is not None and x.grid is y.grid:
+                    assert got_union.grid is x.grid
 
 
 def prop_profiles_bounded(cases: int, seed: int = 205) -> None:
@@ -847,6 +882,7 @@ ALL_PROPERTIES = [
     prop_merge_algebra,
     prop_merge_monotone,
     prop_prune_preserves_best,
+    prop_grid_forms_agree,
     prop_profiles_bounded,
     prop_oracle_witness_valid,
     prop_oracle_mis_agreement,

@@ -21,6 +21,7 @@ from fairkdiv.cliquewidth import (
 )
 from fairkdiv.convex import ConvexOrdering, validate_convex_ordering
 from fairkdiv.model import ConflictInstance, InstanceFormatError, connected_components
+from fairkdiv.profiles import Grid, ProfileSet
 
 
 def random_instance(rng: random.Random, n: int, k: int, pmax: int, density: float = 0.4) -> ConflictInstance:
@@ -470,3 +471,12 @@ def expression_text(expr: CliqueExpression) -> str:
         return f"({op} {node.i} {node.j} {text(node.child)})"
 
     return f"cw {expr.num_labels}\n{text(expr.root)}\n"
+
+
+def on_grid(grid: Grid, pset: ProfileSet) -> ProfileSet:
+    """pset held on grid, its bits set one member at a time from the profile tuples."""
+    bits = 0
+    for q in pset:
+        assert all(0 <= x < radix for x, radix in zip(q, grid.radices)), f"{q} is off the grid"
+        bits |= 1 << sum(x * stride for x, stride in zip(q, grid.strides))
+    return ProfileSet.from_bits(grid, bits)

@@ -158,9 +158,11 @@ class TestConflictInstanceChecks:
         with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
             ConflictInstance(2, 2, ((0, 0),), ((1, 1),))
 
-    def test_valid_unsorted_edges_kept_as_given(self):
+    def test_unsorted_edges_stored_sorted(self):
         inst = ConflictInstance(3, 1, ((1, 2), (0, 2)), ((0, 0, 0),))
-        assert inst.edges == ((1, 2), (0, 2))
+        assert inst.edges == ((0, 2), (1, 2))
+        assert inst == ConflictInstance.build(3, 1, [(1, 2), (0, 2)], [[0, 0, 0]])
+        assert hash(inst) == hash(ConflictInstance.build(3, 1, [(2, 0), (2, 1)], [[0, 0, 0]]))
 
 
 class TestSatisfaction:

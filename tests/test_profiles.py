@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 
 import pytest
@@ -5,11 +7,26 @@ import pytest
 import properties
 import support
 
-from fairkdiv.cliquewidth import cliquewidth_profile_set, solve_cliquewidth
+from fairkdiv.cli import main
+from fairkdiv.cliquewidth import (
+    _children,
+    cliquewidth_profile_set,
+    cw_tables,
+    dp_node,
+    solve_cliquewidth,
+)
 from fairkdiv.convex import convex_profile_set, solve_convex
-from fairkdiv.model import MAX_PROFIT_SUM, ConflictInstance, profile_of, validate_coloring
+from fairkdiv.model import (
+    MAX_PROFIT_SUM,
+    ConflictInstance,
+    profile_of,
+    serialize_instance,
+    validate_coloring,
+)
 from fairkdiv.oracle import brute_force_optimum, brute_force_profiles
 from fairkdiv.profiles import (
+    GRID_MAX_BITS,
+    Grid,
     ProfileCapError,
     ProfileSet,
     best_profile,
@@ -17,9 +34,17 @@ from fairkdiv.profiles import (
     dominance_prune,
     edgeless_profiles,
     merge_profile_sets,
+    profile_grid,
+    run_tables,
     shift,
 )
-from fairkdiv.treeindep import TreeDecomposition, solve_tin, tin_profile_set
+from fairkdiv.treeindep import (
+    TreeDecomposition,
+    make_nice,
+    serialize_tree_decomposition,
+    solve_tin,
+    tin_profile_set,
+)
 
 T1_ROWS = [(3, 2), (1, 2)]
 T1_SET = {(0, 0), (1, 0), (3, 0), (4, 0), (0, 2), (0, 4), (1, 2), (3, 2)}
@@ -211,6 +236,106 @@ class TestPackedLayout:
                 assert got == min(profile) == optimum, (solve.__name__, prune)
 
 
+def path_with_isolated_vertex(k: int, profits) -> tuple[ConflictInstance, TreeDecomposition]:
+    """A path on 0..3 plus the isolated vertex 4, and a decomposition with joins at bag {1, 2}.
+
+    The graph is convex bipartite with two components; the three children
+    of bag 1 give join nodes that subtract the profits of vertices 1 and 2.
+    """
+    inst = ConflictInstance.build(5, k, [(0, 1), (1, 2), (2, 3)], profits)
+    td = TreeDecomposition(
+        n=5,
+        bags={1: frozenset({1, 2}), 2: frozenset({0, 1}), 3: frozenset({2, 3}), 4: frozenset({4})},
+        edges=((1, 2), (1, 3), (1, 4)),
+    )
+    return inst, td
+
+
+class TestGrid:
+    @pytest.mark.parametrize(
+        "totals", [(0,), (9,), (4, 0), (0, 5), (3, 7), (2, 0, 3), (0, 0, 0), (1, 4, 2)]
+    )
+    def test_round_trip(self, totals):
+        """codes -> grid -> codes keeps the members, the dump and the sorted form, empty set included."""
+        rng = random.Random(sum(totals) * 10 + len(totals))
+        grid = Grid(totals)
+        assert grid.strides[-1] == 1
+        for size in (0, 1, 3, 12, 40):
+            members = {tuple(rng.randint(0, t) for t in totals) for _ in range(size)}
+            codes = ProfileSet(len(totals), members)
+            held = support.on_grid(grid, codes)
+            assert held.grid is grid and len(held) == len(codes)
+            assert held.dump() == codes.dump()
+            assert held.sorted_profiles() == codes.sorted_profiles() == sorted(members)
+            assert list(held) == sorted(members)
+            assert held.codes == codes.codes
+            assert held == codes and codes == held and hash(held) == hash(codes)
+            for q in members:
+                assert q in held
+            # points just outside the box
+            assert tuple(t + 1 for t in totals) not in held
+            assert (-1,) + totals[1:] not in held
+
+    @pytest.mark.parametrize(
+        "profits", [[[3, 90000, 70000, 2, 5]], [[3, 200, 240, 2, 5], [1, 230, 250, 4, 0]]]
+    )
+    def test_tin_join_with_large_bag_profits(self, profits):
+        """The join subtracts the bag's profits as a right shift by a large pos(g)."""
+        # vertices 1 and 2, in every join bag, carry almost all the profit
+        inst, td = path_with_isolated_vertex(len(profits), profits)
+        assert any(node.kind == "join" for node in make_nice(td).nodes())
+        got = tin_profile_set(inst, td)
+        assert got.grid is not None
+        assert got == brute_force_profiles(inst)
+        assert got.dump() == brute_force_profiles(inst).dump()
+
+    @pytest.mark.parametrize("method", ["cw", "tin", "convex"])
+    @pytest.mark.parametrize("pmax", [60, 3000])
+    def test_both_sides_of_the_size_constant(self, tmp_path, monkeypatch, method, pmax):
+        """profiles --method equals brute force on a grid inside and far past GRID_MAX_BITS."""
+        rng = random.Random(pmax)
+        profits = [[rng.randint(pmax // 2, pmax) for _ in range(5)] for _ in range(2)]
+        inst, td = path_with_isolated_vertex(2, profits)
+        expr = support.whole_graph_expression(inst)
+        on_grid = profile_grid(inst.total_profits()) is not None
+        size = (inst.total_profits()[0] + 1) * (inst.total_profits()[1] + 1)
+        assert on_grid == (size <= GRID_MAX_BITS) == (pmax == 60)
+        (tmp_path / "p.fkd").write_text(serialize_instance(inst))
+        (tmp_path / "p.td").write_text(serialize_tree_decomposition(td))
+        (tmp_path / "p.cw").write_text(support.expression_text(expr))
+        side = {"cw": ["--expression", "p.cw"], "tin": ["--td", "p.td"], "convex": []}[method]
+        monkeypatch.chdir(tmp_path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["profiles", "p.fkd", "--method", method, *side]) == 0
+        assert out.getvalue() == brute_force_profiles(inst).dump() + "\n"
+        library = {
+            "cw": lambda: cliquewidth_profile_set(inst, expr),
+            "tin": lambda: tin_profile_set(inst, td),
+            "convex": lambda: convex_profile_set(inst),
+        }[method]()
+        assert (library.grid is not None) == on_grid
+
+    def test_cap_on_grid_cells(self):
+        """The cap trips at the same size as on code-backed tables: the largest cell, then the union."""
+        rng = random.Random(7)
+        expr = support.random_expression(rng, 8, 3)
+        while len(expr.vertex_ids) < 6:
+            expr = support.random_expression(rng, 8, 3)
+        inst = support.instance_for_expression(expr, rng, 2, 6)
+        code_tables = run_tables(expr.root, _children, lambda node, ch: dp_node(node, ch, inst))
+        largest = max(len(cell) for table in code_tables.values() for cell in table.values())
+        tables = cw_tables(inst, expr, cap=largest)
+        assert all(cell.grid is not None for table in tables.values() for cell in table.values())
+        with pytest.raises(ProfileCapError):
+            cw_tables(inst, expr, cap=largest - 1)
+        full = cliquewidth_profile_set(inst, expr)
+        assert full.grid is not None and len(full) > largest
+        with pytest.raises(ProfileCapError):
+            cliquewidth_profile_set(inst, expr, cap=len(full) - 1)
+        assert cliquewidth_profile_set(inst, expr, cap=len(full)) == full
+
+
 class TestInvariants:
     def test_edgeless_oracle_equivalence(self):
         properties.prop_edgeless_oracle(150)
@@ -223,6 +348,9 @@ class TestInvariants:
 
     def test_prune_preserves_best(self):
         properties.prop_prune_preserves_best(200)
+
+    def test_grid_forms_agree(self):
+        properties.prop_grid_forms_agree(200)
 
     def test_profiles_bounded(self):
         properties.prop_profiles_bounded(150)
