@@ -253,9 +253,7 @@ def connected_components(inst: ConflictInstance) -> list[Component]:
                     stack.append(w)
         members.sort()
         index = {orig: i for i, orig in enumerate(members)}
-        sub_edges = [
-            (index[u], index[v]) for u, v in inst.edges if u in index and v in index
-        ]
+        sub_edges = [(index[u], index[v]) for u in members for v in adj[u] if u < v]
         sub = ConflictInstance.build(
             n=len(members),
             k=inst.k,

@@ -66,24 +66,35 @@ class TreeDecomposition(Record):
                 raise DecompositionError(
                     f"{len(ids)} bags need {len(ids) - 1} tree edges, found {len(edges)}"
                 )
-            seen = {min(ids)}
-            frontier = [min(ids)]
-            neigh: dict[int, list[int]] = {i: [] for i in ids}
-            for x, y in edges:
-                neigh[x].append(y)
-                neigh[y].append(x)
-            while frontier:
-                x = frontier.pop()
-                for y in neigh[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-            if seen != ids:
+            if _reach(_tree_adjacency(ids, edges), ids) != ids:
                 raise DecompositionError("disconnected tree")
         self._assign(n, bags, edges)
 
     def width(self) -> int:
         return max((len(b) for b in self.bags.values()), default=0) - 1
+
+
+def _tree_adjacency(ids: Iterable[int], edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
+    """Each bag id's tree neighbours, in edge order."""
+    neigh: dict[int, list[int]] = {i: [] for i in ids}
+    for x, y in edges:
+        neigh[x].append(y)
+        neigh[y].append(x)
+    return neigh
+
+
+def _reach(neigh: dict[int, list[int]], within: set[int]) -> set[int]:
+    """The bags of within that the least one reaches through bags of within."""
+    start = min(within)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        x = frontier.pop()
+        for y in neigh[x]:
+            if y in within and y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
 
 
 def parse_tree_decomposition(text: str) -> TreeDecomposition:
@@ -155,22 +166,24 @@ def serialize_tree_decomposition(td: TreeDecomposition) -> str:
 def bag_independence_number(inst: ConflictInstance, bag: Iterable[int]) -> int:
     """Exact independence number of the induced bag subgraph (branch and bound)."""
     adj = inst.adjacency()
-    nodes = [0]
-
-    def alpha(vertices: frozenset[int]) -> int:
-        nodes[0] += 1
-        if nodes[0] > DEFAULT_ALPHA_NODE_CAP:
+    best = nodes = 0
+    stack = [(frozenset(bag), 0)]
+    while stack:
+        vertices, taken = stack.pop()
+        nodes += 1
+        if nodes > DEFAULT_ALPHA_NODE_CAP:
             raise AlphaCapError(f"bag independence search exceeded {DEFAULT_ALPHA_NODE_CAP} nodes")
-        if not vertices:
-            return 0
-        v = max(vertices, key=lambda x: (len(adj[x] & vertices), -x))
-        conflicts = adj[v] & vertices
+        conflicts = frozenset()
+        if vertices:
+            v = max(vertices, key=lambda x: (len(adj[x] & vertices), -x))
+            conflicts = adj[v] & vertices
         if not conflicts:
-            # v has maximum degree, so the whole remainder is independent
-            return len(vertices)
-        return max(1 + alpha(vertices - {v} - conflicts), alpha(vertices - {v}))
-
-    return alpha(frozenset(bag))
+            # none left, or v has maximum degree: the whole remainder is independent
+            best = max(best, taken + len(vertices))
+            continue
+        stack.append((vertices - {v}, taken))
+        stack.append((vertices - {v} - conflicts, taken + 1))  # taking v is searched first
+    return best
 
 
 def validate_td(inst: ConflictInstance, td: TreeDecomposition) -> tuple[int, int]:
@@ -197,21 +210,9 @@ def validate_td(inst: ConflictInstance, td: TreeDecomposition) -> tuple[int, int
             raise DecompositionError(
                 f"axiom 2 violated: edge ({u + 1},{v + 1}) is inside no bag"
             )
-    neigh: dict[int, list[int]] = {i: [] for i in td.bags}
-    for x, y in td.edges:
-        neigh[x].append(y)
-        neigh[y].append(x)
+    neigh = _tree_adjacency(td.bags, td.edges)
     for v in range(inst.n):
-        start = min(holders[v])
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for y in neigh[x]:
-                if y in holders[v] and y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        if seen != holders[v]:
+        if _reach(neigh, holders[v]) != holders[v]:
             raise DecompositionError(
                 f"axiom 3 violated: bags containing vertex {v + 1} are disconnected"
             )
@@ -293,10 +294,7 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     if not td.bags:
         return NiceTreeDecomposition(root=NiceNode(kind="leaf", bag=frozenset()))
     root_id = min(td.bags)
-    neigh: dict[int, list[int]] = {i: [] for i in td.bags}
-    for x, y in td.edges:
-        neigh[x].append(y)
-        neigh[y].append(x)
+    neigh = _tree_adjacency(td.bags, td.edges)
 
     def below(item: tuple[int, int | None]) -> list[tuple[int, int]]:
         bag_id, parent = item
@@ -471,44 +469,44 @@ def maximum_cardinality_search(inst: ConflictInstance) -> list[int]:
 def clique_tree_of_chordal(inst: ConflictInstance) -> TreeDecomposition | None:
     """Clique-tree decomposition of a chordal instance, or None if not chordal.
 
-    Bags are the maximal cliques, so every bag has independence number 1;
-    the tree is a maximum-weight spanning tree of the clique intersection
-    graph, which is a valid decomposition exactly for chordal graphs.
+    Bags are the maximal cliques, so of independence number 1, numbered by
+    their sorted members.  One pass over the MCS order finds them and the
+    tree (Blair & Peyton, 1993).  Let E be v's earlier neighbours and u the
+    last visited of them: the graph is chordal iff E - u lies in u's
+    neighbourhood for every v (Rose, Tarjan & Lueker, 1976).  v starts the
+    clique E + v, a child of u's clique, if E is no larger than the previous
+    vertex's; else v joins the current clique.
     """
     adj = inst.adjacency()
     order = maximum_cardinality_search(inst)
     position = {v: i for i, v in enumerate(order)}
-    candidates: list[frozenset[int]] = []
-    for v in order:
-        earlier = frozenset(w for w in adj[v] if position[w] < position[v])
-        for x in earlier:
-            if not earlier - {x} <= adj[x]:
+    cliques: list[set[int]] = []
+    links: list[tuple[int, int]] = []  # (parent clique or -1, clique)
+    home = [0] * inst.n  # the clique each vertex joined
+    last = 0
+    for i, v in enumerate(order):
+        earlier = {w for w in adj[v] if position[w] < i}
+        if earlier:
+            u = max(earlier, key=position.__getitem__)
+            if not earlier - {u} <= adj[u]:
                 return None
-        candidates.append(earlier | {v})
-    cliques: list[frozenset[int]] = []
-    for cand in sorted(candidates, key=lambda c: (-len(c), sorted(c))):
-        if not any(cand <= kept for kept in cliques):
-            cliques.append(cand)
-    cliques.sort(key=sorted)
+        if len(earlier) > last:
+            cliques[-1].add(v)
+        else:
+            links.append((home[u] if earlier else -1, len(cliques)))
+            cliques.append(earlier | {v})
+        home[v] = len(cliques) - 1
+        last = len(earlier)
     if not cliques:
         return TreeDecomposition(n=inst.n, bags={1: frozenset()}, edges=())
-    bags = {i + 1: c for i, c in enumerate(cliques)}
-    pairs = sorted(
-        ((i, j) for i in bags for j in bags if i < j),
-        key=lambda p: (-len(bags[p[0]] & bags[p[1]]), p),
-    )
-    parent = {i: i for i in bags}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    rank = sorted(range(len(cliques)), key=lambda c: sorted(cliques[c]))
+    ids = {c: i for i, c in enumerate(rank, start=1)}
+    bags = {ids[c]: frozenset(cliques[c]) for c in rank}
     edges = []
-    for i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            edges.append((i, j))
-    return TreeDecomposition(n=inst.n, bags=bags, edges=tuple(edges))
+    # a clique without parent starts a component and is its least-numbered
+    # bag: MCS grows it from the component's least vertex, adding the least
+    # common neighbour each time.  Each but the first (bag 1) hangs off bag 1.
+    for p, c in links[1:]:
+        x, y = ids.get(p, 1), ids[c]
+        edges.append((min(x, y), max(x, y)))
+    return TreeDecomposition(n=inst.n, bags=bags, edges=tuple(sorted(edges)))

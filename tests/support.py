@@ -97,6 +97,43 @@ def mcs_by_scan(inst: ConflictInstance) -> list[int]:
     return order
 
 
+def maximal_cliques_by_brute_force(inst: ConflictInstance) -> set[frozenset[int]]:
+    """Every maximal clique, found by testing each vertex subset (small n only)."""
+    adj = inst.adjacency()
+    cliques = [
+        frozenset(c)
+        for size in range(1, inst.n + 1)
+        for c in itertools.combinations(range(inst.n), size)
+        if all(b in adj[a] for a, b in itertools.combinations(c, 2))
+    ]
+    return {
+        c for c in cliques
+        if not any(c <= adj[w] for w in range(inst.n) if w not in c)
+    }
+
+
+def is_chordal_by_elimination(inst: ConflictInstance) -> bool:
+    """Chordal iff simplicial vertices can be removed until none is left.
+
+    A vertex is simplicial when its remaining neighbours form a clique
+    (Fulkerson & Gross, 1965).
+    """
+    adj = inst.adjacency()
+    left = set(range(inst.n))
+    while left:
+        simplicial = next(
+            (
+                v for v in left
+                if all(b in adj[a] for a, b in itertools.combinations(adj[v] & left, 2))
+            ),
+            None,
+        )
+        if simplicial is None:
+            return False
+        left.remove(simplicial)
+    return True
+
+
 def random_expression(rng: random.Random, max_leaves: int, num_labels: int) -> CliqueExpression:
     counter = [0]
 

@@ -633,8 +633,8 @@ class TestDeepInputs:
         td.write_text("\n".join(lines) + "\n")
         self.solve_and_validate(tmp_path, n, ["--method", "tin", "--td", str(td)])
 
-    def test_chordal_on_path_of_1000_vertices(self, tmp_path):
-        self.solve_and_validate(tmp_path, 1000, ["--method", "tin", "--chordal"])
+    def test_chordal_on_path_of_10000_vertices(self, tmp_path):
+        self.solve_and_validate(tmp_path, 10000, ["--method", "tin", "--chordal"])
 
     def test_cw_on_linear_expression_of_2000_vertices(self, tmp_path):
         # the end of the path so far carries label 2, dead vertices label 3

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import time
 
 import pytest
 
@@ -216,6 +217,17 @@ class TestComponents:
         assert [c.vertices for c in comps] == [(0, 1), (2, 3)]
         for comp in comps:
             assert comp.instance.edges == ((0, 1),)
+
+    def test_20000_disjoint_edges(self):
+        # rescanning every edge for each component, O(n * m), takes about 18 s here
+        m = 20000
+        inst = ConflictInstance.build(2 * m, 1, [(v, v + 1) for v in range(0, 2 * m, 2)], [[1] * 2 * m])
+        start = time.perf_counter()
+        comps = connected_components(inst)
+        elapsed = time.perf_counter() - start
+        assert [c.vertices for c in comps] == [(v, v + 1) for v in range(0, 2 * m, 2)]
+        assert all(c.instance.edges == ((0, 1),) for c in comps)
+        assert elapsed < 1.0, elapsed
 
     def test_remapping_inverts(self):
         inst = ConflictInstance.build(5, 2, [(1, 3), (3, 4)], [[1] * 5, [2] * 5])

@@ -13,7 +13,6 @@ import fairkdiv
 ALLOWED = {
     "oracle.brute_force_profiles.extend": "reference enumerator; depth n, bounded by the enumeration cap",
     "oracle.brute_force_optimum.extend": "reference enumerator; depth n, bounded by the enumeration cap",
-    "treeindep.bag_independence_number.alpha": "depth at most the bag size",
 }
 
 

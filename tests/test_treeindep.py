@@ -6,10 +6,13 @@ import pytest
 import properties
 import support
 
-from fairkdiv.model import ConflictInstance, profile_of, validate_coloring
+from fairkdiv import treeindep
+from fairkdiv.generators import gen_partial_ktree
+from fairkdiv.model import ConflictInstance, connected_components, profile_of, validate_coloring
 from fairkdiv.oracle import brute_force_optimum, brute_force_profiles
 from fairkdiv.profiles import ProfileSet
 from fairkdiv.treeindep import (
+    AlphaCapError,
     DecompositionError,
     NiceNode,
     TreeDecomposition,
@@ -86,6 +89,16 @@ class TestValidate:
         bags = {1: frozenset({0}), 2: frozenset({1}), 3: frozenset({0, 2})}
         td = TreeDecomposition(n=3, bags=bags, edges=((1, 2), (2, 3)))
         with pytest.raises(DecompositionError, match="axiom 3"):
+            validate_td(inst, td)
+
+    def test_deep_bag_hits_the_node_cap(self, monkeypatch):
+        # 1,100 disjoint edges in one bag: the search's first branch alone
+        # goes 1,100 levels deep, past the recursion limit
+        n = 2200
+        inst = ConflictInstance.build(n, 1, [(v, v + 1) for v in range(0, n, 2)], [[1] * n])
+        td = TreeDecomposition(n=n, bags={1: frozenset(range(n))}, edges=())
+        monkeypatch.setattr(treeindep, "DEFAULT_ALPHA_NODE_CAP", 2000)
+        with pytest.raises(AlphaCapError, match="exceeded 2000 nodes"):
             validate_td(inst, td)
 
     def test_path_of_20000_vertices(self):
@@ -229,6 +242,22 @@ class TestSolve:
             assert tin_profile_set(inst, td) == brute_force_profiles(inst)
 
 
+def chordal_union(rng: random.Random, parts: int, isolated: int) -> ConflictInstance:
+    """Disjoint k-trees and isolated vertices, relabelled by a random permutation."""
+    edges = []
+    n = 0
+    for _ in range(parts):
+        size = rng.randint(1, 4)
+        width = 0 if size == 1 else rng.randint(1, min(3, size - 1))
+        part, _ = gen_partial_ktree(size, width, 1, 3, rng.randrange(1 << 30), delete_prob=0.0)
+        edges += [(u + n, v + n) for u, v in part.edges]
+        n += size
+    n += isolated
+    label = list(range(n))
+    rng.shuffle(label)
+    return ConflictInstance.build(n, 1, [(label[u], label[v]) for u, v in edges], [[1] * n])
+
+
 class TestCliqueTree:
     def test_triangle(self):
         inst = ConflictInstance.build(3, 1, [(0, 1), (1, 2), (0, 2)], [[1] * 3])
@@ -241,6 +270,43 @@ class TestCliqueTree:
     def test_c4_not_chordal(self):
         inst = ConflictInstance.build(4, 1, [(0, 1), (1, 2), (2, 3), (0, 3)], [[1] * 4])
         assert clique_tree_of_chordal(inst) is None
+
+    def test_bags_are_the_maximal_cliques(self):
+        # random graphs (mostly not chordal), k-trees, and disjoint k-trees
+        # with isolated vertices under a random relabelling
+        rng = random.Random(29)
+        seen = {"not chordal": 0, "disconnected": 0, "empty": 0}
+        for case in range(300):
+            if case % 3 == 0:
+                inst = support.random_instance(rng, rng.randint(0, 9), 1, 3, density=rng.random())
+            else:
+                inst = chordal_union(rng, parts=1 + case % 3, isolated=rng.randint(0, 2))
+            td = clique_tree_of_chordal(inst)
+            assert (td is None) == (not support.is_chordal_by_elimination(inst)), inst
+            if td is None:
+                seen["not chordal"] += 1
+                continue
+            if inst.n == 0:
+                seen["empty"] += 1
+                assert td.bags == {1: frozenset()} and td.edges == ()
+                continue
+            seen["disconnected"] += len(connected_components(inst)) > 1
+            cliques = sorted(support.maximal_cliques_by_brute_force(inst), key=sorted)
+            assert list(td.bags.items()) == list(enumerate(cliques, start=1)), inst
+            assert validate_td(inst, td) == (max(map(len, cliques)) - 1, 1)
+        assert min(seen.values()) > 0, seen
+
+    def test_path_of_20000_vertices(self):
+        # a spanning tree over all clique pairs, O(n^2 log n), would take
+        # about 4 minutes here (2.3 s at 2,000 vertices, extrapolated)
+        n = 20000
+        inst = ConflictInstance.build(n, 1, [(v, v + 1) for v in range(n - 1)], [[1] * n])
+        start = time.perf_counter()
+        td = clique_tree_of_chordal(inst)
+        elapsed = time.perf_counter() - start
+        assert td.bags == {i + 1: frozenset({i, i + 1}) for i in range(n - 1)}
+        assert td.edges == tuple((i, i + 1) for i in range(1, n - 1))
+        assert elapsed < 1.0, elapsed
 
     def test_bag_count_linear(self):
         rng = random.Random(17)
