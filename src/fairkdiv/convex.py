@@ -3,11 +3,12 @@
 A bipartite graph G = (A ∪ B, E) is convex if A can be ordered so that every
 B-vertex's neighborhood is an interval of consecutive A-vertices.  The solver
 sweeps the graph in stages, one per distinct larger interval endpoint.  At
-stage j it conditions on, per agent, the largest A-vertex assigned so far and
-the smallest newly available B-vertex; under those guesses the remaining
-candidates with positive adjusted profit form an independent set, so each
-stage reduces to the edgeless enumeration.  Components are solved separately
-and merged by vector addition.
+stage j it conditions on, per agent, the largest A-vertex assigned so far.
+Every new B-vertex ends at the stage's last A-position, so under that guess
+an agent may take exactly those whose interval starts after it; the
+candidates left form an independent set, and each stage reduces to the
+edgeless enumeration.  Components are solved separately and merged by
+vector addition.
 """
 from __future__ import annotations
 
@@ -328,31 +329,13 @@ def consecutive_ones_order(
     return order
 
 
-def find_convex_ordering(
-    inst: ConflictInstance,
-    bipartition: tuple[Iterable[int], Iterable[int]] | None = None,
-) -> ConvexOrdering | None:
+def find_convex_ordering(inst: ConflictInstance) -> ConvexOrdering | None:
     """Find an A-order witnessing convexity, or return None.
 
-    Each connected component is 2-colored in one search.  With no
-    bipartition given, the side holding the component's least vertex is
-    tried as A first, then the other side.  Raises OrderingError on
-    non-bipartite input.
+    Each connected component is 2-colored in one search.  The side holding
+    the component's least vertex is tried as A first, then the other side.
+    Raises OrderingError on non-bipartite input.
     """
-    fixed_a: frozenset[int] | None = None
-    if bipartition is not None:
-        fixed_a = frozenset(bipartition[0])
-        fixed_b = frozenset(bipartition[1])
-        if fixed_a & fixed_b:
-            overlap = min(fixed_a & fixed_b)
-            raise OrderingError(f"vertex {overlap + 1} on both sides of the bipartition")
-        if fixed_a | fixed_b != frozenset(range(inst.n)):
-            missing = min(frozenset(range(inst.n)) - (fixed_a | fixed_b))
-            raise OrderingError(f"vertex {missing + 1} is on neither side")
-        for u, v in inst.edges:
-            if (u in fixed_a) == (v in fixed_a):
-                raise OrderingError(f"edge ({u + 1},{v + 1}) does not cross the bipartition")
-
     adj = inst.adjacency()
     color = [-1] * inst.n
     a_order: list[int] = []
@@ -371,20 +354,12 @@ def find_convex_ordering(
                 elif color[w] == color[v]:
                     raise OrderingError("graph is not bipartite: odd cycle found")
         if len(comp) == 1:
-            if fixed_a is not None and start not in fixed_a:
-                b_side_all.append(start)
-            else:
-                a_order.append(start)
+            a_order.append(start)
             continue
         comp.sort()
-        if fixed_a is not None:
-            first = [v for v in comp if v in fixed_a]
-            candidates = [(first, [v for v in comp if v not in fixed_a])]
-        else:
-            first = [v for v in comp if not color[v]]
-            second = [v for v in comp if color[v]]
-            candidates = [(first, second), (second, first)]
-        for a_side, b_side in candidates:
+        first = [v for v in comp if not color[v]]
+        second = [v for v in comp if color[v]]
+        for a_side, b_side in ((first, second), (second, first)):
             order = consecutive_ones_order(a_side, [adj[b] for b in b_side])
             if order is not None:
                 a_order.extend(order)
@@ -424,13 +399,6 @@ def stage_structure(co: ConvexOrdering) -> StageStructure:
             idx += 1
         v.append(idx)
     return StageStructure(b_order=b_order, u=u, v=tuple(v))
-
-
-# One agent's choice at a stage: (id of its profit column, code of the
-# profits of its guessed A-vertex, if new, and of mu, the stage-position bit
-# of mu, or 0 if it takes no new B-vertex, and the (vertex, agent) pairs of
-# that A-vertex and mu).
-Option = tuple[int, int, int, tuple[tuple[int, int], ...]]
 
 
 class _Node:
@@ -505,28 +473,28 @@ def _guesses(upper: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 class _Stage:
-    """One stage's profit columns and choices, and the steps of its node kinds.
+    """One stage's profit columns and parts, and the steps of its node kinds.
 
     Stage j adds the A-positions (u_prev, u_cur] and the B-positions
     (v_prev, v_cur]; vertices lists them, A first, and a mask over their
-    indices is a set of stage positions.  options[l][g] holds agent l's
-    Options when it guesses g as its largest A-position so far: one per new
-    B-position mu not adjacent to g, then one with no mu.  A column entry is
-    zeroed wherever taking the vertex would contradict the guessed largest
-    A-vertex, the guessed first new B-vertex, or adjacency to either.  The
-    first stage has no earlier B-vertices to guard, so its only option has
-    no mu and its B-vertices are not restricted by it.  Each column is built
+    indices is a set of stage positions.  Under a guess g, an agent's
+    largest A-position so far, its column keeps its profits on the stage's
+    A-positions up to g and on the new B-vertices whose interval starts
+    after g.  Every new B-vertex ends at u_cur >= g, so it meets one of the
+    agent's A-vertices iff its interval starts at or before g, and no
+    earlier B-vertex reaches a new A-position: each agent may take any of
+    its column's vertices, whatever the others take.  Each column is built
     once per stage and interned.
 
-    A choice is one Option per agent and the mask of the positions its guess
-    and mu take.  Its rows are its columns side by side with the taken
-    positions zeroed, so equal choices of different guesses share one part.
-    A stage is four node kinds: pred_steps unions the previous cells that
-    agree with each guess wherever it names a position already passed; a
-    vertex chain builds every choice's edgeless part; shift_steps adds each
-    choice's delta, the profits its guess and mu take, and colors those
-    vertices; and stage_steps adds each guess's predecessor union to its
-    shifted parts.
+    A part is the agents' column ids under a guess and the mask of the new
+    A-positions the guess names.  Its rows are its columns side by side
+    with those positions zeroed, so equal parts of different guesses share
+    one cell.  A stage is three node kinds: pred_steps unions the previous
+    cells that agree with each guess wherever it names a position already
+    passed; a vertex chain builds every part's edgeless subset-sum; and
+    stage_steps adds each guess's predecessor union to its part plus delta,
+    the profits of the new A-vertices the guess names, and colors those
+    vertices.
     """
 
     def __init__(self, dp: _ConnectedConvexDP, j: int):
@@ -537,61 +505,36 @@ class _Stage:
         b_pos = range(ss.v[j - 1] + 1 if j else 1, ss.v[j] + 1)
         na = self.na = len(a_pos)
         self.vertices = [dp.co.a_order[i - 1] for i in a_pos] + [ss.b_order[m - 1] for m in b_pos]
-        b_iv = [dp.b_interval[m - 1] for m in b_pos]
+        b_lo = [dp.b_interval[m - 1][0] for m in b_pos]
         ids: dict[tuple[int, ...], int] = {}  # column -> its index in columns
-
-        def intern(col: list[int]) -> int:
-            return ids.setdefault(tuple(col), len(ids))
-
-        options: list[list[list[Option]]] = []
-        for l, profits in enumerate(dp.inst.profits):
+        column_ids = []  # column_ids[l][g]: agent l's column under guess g
+        for profits in dp.inst.profits:
             pa = [profits[v] for v in self.vertices[:na]]
             pb = [profits[v] for v in self.vertices[na:]]
             per_guess = []
             for g in range(ss.u[j] + 1):
-                own = unit_code(k, l, pa[g - u_prev - 1]) if g > u_prev else 0
-                own_pair = ((self.vertices[g - u_prev - 1], l),) if g > u_prev else ()
-                free = [g == 0 or not lo <= g <= hi for lo, hi in b_iv]
-                a_col = [p if i <= g else 0 for i, p in zip(a_pos, pa)]
-                if not j:
-                    b_col = [p if f else 0 for p, f in zip(pb, free)]
-                    per_guess.append([(intern(a_col + b_col), own, 0, own_pair)])
-                    continue
-                opts = []
-                for x, (lo, hi) in enumerate(b_iv):
-                    if free[x]:
-                        col = [0 if lo <= i <= hi else p for i, p in zip(a_pos, a_col)]
-                        col += [p if y >= x and free[y] else 0 for y, p in enumerate(pb)]
-                        code = own + unit_code(k, l, pb[x])
-                        pairs = own_pair + ((self.vertices[na + x], l),)
-                        opts.append((intern(col), code, 1 << na + x, pairs))
-                opts.append((intern(a_col + [0] * len(pb)), own, 0, own_pair))
-                per_guess.append(opts)
-            options.append(per_guess)
+                col = [p if i <= g else 0 for i, p in zip(a_pos, pa)]
+                col += [p if g < lo else 0 for lo, p in zip(b_lo, pb)]
+                per_guess.append(ids.setdefault(tuple(col), len(ids)))
+            column_ids.append(per_guess)
         columns = list(ids)
 
         zero = (0,) * k
-        self.rows: dict[tuple[tuple[Option, ...], int], list[tuple[int, ...]]] = {}
-        self.shifts: list[Step] = []
+        self.rows: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
+        self.steps: list[Step] = []
         for guess in _guesses(ss.u[j], k):
-            taken = sum(1 << g - u_prev - 1 for g in guess if g > u_prev)
-            for combo in itertools.product(*map(list.__getitem__, options, guess)):
-                drop, delta, assigned = taken, 0, ()
-                for _, code, bit, pairs in combo:
-                    if drop & bit:
-                        break  # two agents start at the same B-vertex
-                    drop |= bit
-                    delta += code
-                    assigned += pairs
-                else:
-                    choice = (combo, drop)
-                    if choice not in self.rows:
-                        rows = zip(*(columns[opt[0]] for opt in combo))
-                        self.rows[choice] = [
-                            zero if drop >> p & 1 else row for p, row in enumerate(rows)
-                        ]
-                    self.shifts.append((guess, (choice,), delta, assigned))
-        self.weights: dict[tuple[int, ...], int] = {}
+            taken, delta, assigned = 0, 0, ()
+            for l, g in enumerate(guess):
+                if g > u_prev:
+                    vertex = self.vertices[g - u_prev - 1]
+                    taken |= 1 << g - u_prev - 1
+                    delta += unit_code(k, l, dp.inst.profits[l][vertex])
+                    assigned += ((vertex, l),)
+            part = (tuple(map(list.__getitem__, column_ids, guess)), taken)
+            if part not in self.rows:
+                rows = zip(*(columns[c] for c in part[0]))
+                self.rows[part] = [zero if taken >> p & 1 else row for p, row in enumerate(rows)]
+            self.steps.append((guess, (self.key(guess), part), delta, assigned))
         self.ops = 0
 
     def key(self, guess: tuple[int, ...]) -> tuple[int, ...]:
@@ -613,42 +556,27 @@ class _Stage:
             for h in hidden
         ]
 
-    def shift_steps(self, child_tables: list[Table]) -> list[Step]:
-        """Each choice's part, moved by its delta into its guess's cell.
-
-        Also weighs each guess for profile-ops: the size of its parts, each
-        times its residual row count at the first stage, whose pred is {0}.
-        """
-        parts = child_tables[0]
-        for guess, (choice,), _, _ in self.shifts:
-            rows = 1 if self.j else len(self.vertices) - choice[1].bit_count()
-            self.weights[guess] = self.weights.get(guess, 0) + rows * len(parts[choice])
-        return self.shifts
-
     def stage_steps(self, child_tables: list[Table]) -> list[Step]:
-        """pred ⊕ ∪_mu (part_mu + delta_mu) per guess that has a predecessor.
+        """pred + part + delta per guess that has a predecessor.
 
-        Vector addition distributes over union, so each guess merges its
-        predecessor union once with its shifted parts.  profile-ops counts
-        |pred| * |part_mu| per mu, the work of merging per mu.
+        profile-ops counts |pred| * |part| per guess, each part times its
+        residual row count at the first stage, whose pred is {0}.
         """
-        pred, shifted = child_tables
-        steps: list[Step] = []
-        for guess in shifted:
-            key = self.key(guess)
-            if key in pred:
-                steps.append((guess, (key, guess), 0, ()))
-                self.ops += len(pred[key]) * self.weights[guess]
+        pred, parts = child_tables
+        steps = [step for step in self.steps if step[1][0] in pred]
+        for _, (key, part), _, _ in steps:
+            rows = 1 if self.j else len(self.vertices) - part[1].bit_count()
+            self.ops += len(pred[key]) * rows * len(parts[part])
         return steps
 
 
 class _ConnectedConvexDP:
     """The stage tables of one connected component, as a tree of node kinds.
 
-    Stage j's node has a predecessor-union child, over stage j - 1's node,
-    and a shift child over its vertex chain; tables holds the stage nodes'
-    tables and node_tables every node's.  With a grid (unpruned only) every
-    cell is held on it.
+    Stage j's node has two children: a predecessor union over stage j - 1's
+    node, and its vertex chain.  tables holds the stage nodes' tables and
+    node_tables every node's.  With a grid (unpruned only) every cell is
+    held on it.
     """
 
     def __init__(
@@ -678,8 +606,8 @@ class _ConnectedConvexDP:
         self.stage_nodes: list[_Node] = []
         for stage in self.stages:
             pred = _Node(stage.pred_steps, *self.stage_nodes[-1:])
-            shift = _Node(stage.shift_steps, _vertex_chain(self.k, stage.vertices, stage.rows))
-            self.stage_nodes.append(_Node(stage.stage_steps, pred, shift))
+            chain = _vertex_chain(self.k, stage.vertices, stage.rows)
+            self.stage_nodes.append(_Node(stage.stage_steps, pred, chain))
         self.root = self.stage_nodes[-1]
         self.tables: list[Table] = []
         self.node_tables: dict[int, Table] = {}

@@ -361,7 +361,7 @@ def run_tables(
 # node kind's steps are generated from the node and its children's tables, so
 # the forward pass (build_table) and the witness walk (extract_coloring) read
 # one description of each transition.  The tree DPs color at most one vertex
-# per step; a convex shift step colors each agent's guessed vertices.
+# per step; a convex stage step colors the new A-vertices its guess names.
 Step = tuple[Hashable, tuple[Hashable, ...], int, tuple[tuple[int, int], ...]]
 
 

@@ -164,7 +164,13 @@ def serialize_tree_decomposition(td: TreeDecomposition) -> str:
 
 
 def bag_independence_number(inst: ConflictInstance, bag: Iterable[int]) -> int:
-    """Exact independence number of the induced bag subgraph (branch and bound)."""
+    """Exact independence number of the induced bag subgraph (branch and reduce).
+
+    Each search node first takes every vertex with at most one neighbour
+    left and drops that neighbour: such a vertex is in some maximum
+    independent set, as it can replace its neighbour in any.  It then
+    branches on a vertex of maximum degree.
+    """
     adj = inst.adjacency()
     best = nodes = 0
     stack = [(frozenset(bag), 0)]
@@ -173,16 +179,27 @@ def bag_independence_number(inst: ConflictInstance, bag: Iterable[int]) -> int:
         nodes += 1
         if nodes > DEFAULT_ALPHA_NODE_CAP:
             raise AlphaCapError(f"bag independence search exceeded {DEFAULT_ALPHA_NODE_CAP} nodes")
-        conflicts = frozenset()
-        if vertices:
-            v = max(vertices, key=lambda x: (len(adj[x] & vertices), -x))
-            conflicts = adj[v] & vertices
-        if not conflicts:
-            # none left, or v has maximum degree: the whole remainder is independent
-            best = max(best, taken + len(vertices))
+        left = set(vertices)
+        degree = {v: len(adj[v] & vertices) for v in vertices}
+        low = [v for v, d in degree.items() if d <= 1]
+        while low:
+            v = low.pop()
+            if v in left:
+                taken += 1
+                left.discard(v)
+                for w in adj[v] & left:
+                    left.discard(w)
+                    for x in adj[w] & left:
+                        degree[x] -= 1
+                        if degree[x] == 1:
+                            low.append(x)
+        if not left:
+            best = max(best, taken)
             continue
-        stack.append((vertices - {v}, taken))
-        stack.append((vertices - {v} - conflicts, taken + 1))  # taking v is searched first
+        v = max(left, key=lambda x: (degree[x], -x))
+        rest = frozenset(left) - {v}
+        stack.append((rest, taken))
+        stack.append((rest - adj[v], taken + 1))  # taking v is searched first
     return best
 
 

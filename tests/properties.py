@@ -333,7 +333,9 @@ def prop_convex_stage_tables(cases: int, seed: int = 401) -> None:
     done = 0
     while done < cases:
         na, nb = rng.randint(1, 5), rng.randint(1, 5)
-        inst = support.random_convex_instance(rng, na, nb, rng.randint(1, 2), 4)
+        # k = 3 only where the enumeration stays within 4^7 assignments
+        k = rng.randint(1, 3 if na + nb <= 7 else 2)
+        inst = support.random_convex_instance(rng, na, nb, k, 4)
         comps = connected_components(inst)
         if len(comps) != 1 or not inst.edges:
             continue

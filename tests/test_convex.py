@@ -9,6 +9,8 @@ from conftest import FIXTURE_B_MINUS, FIXTURE_B_PLUS
 
 from fairkdiv.convex import (
     OrderingError,
+    _ConnectedConvexDP,
+    _guesses,
     consecutive_ones_order,
     convex_profile_set,
     find_convex_ordering,
@@ -58,7 +60,7 @@ class TestValidateOrdering:
 class TestFindOrdering:
     def test_star_any_order_works(self):
         inst = ConflictInstance.build(4, 1, [(0, 3), (1, 3), (2, 3)], [[1] * 4])
-        co = find_convex_ordering(inst, bipartition=([0, 1, 2], [3]))
+        co = find_convex_ordering(inst)
         assert co is not None
         assert sorted(co.a_order) == [0, 1, 2]
 
@@ -210,6 +212,24 @@ class TestConnectedSolver:
         validate_coloring(example_graph, witness)
         assert profile_of(example_graph, witness) == profile
         assert max(min(q) for q in pset) == opt
+
+    def test_stage_node_joins_pred_and_chain_once_per_guess(self):
+        inst, co = gen_convex_bipartite(4, 4, 2, 9, seed=3)
+        dp = _ConnectedConvexDP(inst, co)
+        dp.run()
+        for j, (stage, node) in enumerate(zip(dp.stages, dp.stage_nodes)):
+            pred, chain = node.children
+            assert pred.children == tuple(dp.stage_nodes[j - 1 : j])
+            # the chain is one node per stage vertex over a leaf keyed by the parts
+            for _ in stage.vertices:
+                (chain,) = chain.children
+            assert chain.children == ()
+            assert set(dp.node_tables[id(chain)]) == set(stage.rows)
+            pred_table = dp.node_tables[id(pred)]
+            guesses = [g for g in _guesses(dp.ss.u[j], inst.k) if stage.key(g) in pred_table]
+            assert [step[0] for step in node.steps] == guesses
+            for guess, (key, part), _, _ in node.steps:
+                assert key == stage.key(guess) and part in stage.rows
 
 
 class TestSolveConvex:

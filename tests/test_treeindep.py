@@ -91,11 +91,24 @@ class TestValidate:
         with pytest.raises(DecompositionError, match="axiom 3"):
             validate_td(inst, td)
 
-    def test_deep_bag_hits_the_node_cap(self, monkeypatch):
-        # 1,100 disjoint edges in one bag: the search's first branch alone
-        # goes 1,100 levels deep, past the recursion limit
+    def test_bag_of_1100_disjoint_edges(self):
+        # every vertex has one neighbour, so the search takes one per edge
+        # without branching
         n = 2200
         inst = ConflictInstance.build(n, 1, [(v, v + 1) for v in range(0, n, 2)], [[1] * n])
+        td = TreeDecomposition(n=n, bags={1: frozenset(range(n))}, edges=())
+        start = time.perf_counter()
+        assert validate_td(inst, td) == (n - 1, 1100)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, elapsed
+
+    def test_deep_bag_hits_the_node_cap(self, monkeypatch):
+        # 1,100 disjoint triangles in one bag: every vertex has two
+        # neighbours, and the search's first branch alone goes 1,100 levels
+        # deep, past the recursion limit
+        n = 3300
+        edges = [(v + i, v + j) for v in range(0, n, 3) for i, j in ((0, 1), (0, 2), (1, 2))]
+        inst = ConflictInstance.build(n, 1, edges, [[1] * n])
         td = TreeDecomposition(n=n, bags={1: frozenset(range(n))}, edges=())
         monkeypatch.setattr(treeindep, "DEFAULT_ALPHA_NODE_CAP", 2000)
         with pytest.raises(AlphaCapError, match="exceeded 2000 nodes"):
