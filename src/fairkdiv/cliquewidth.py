@@ -15,6 +15,7 @@ from typing import Iterator, NamedTuple, Union
 from .model import Coloring, ConflictInstance, Profile, Record, validate_coloring
 from .profiles import (
     Grid,
+    Kept,
     ProfileSet,
     Step,
     best_profile,
@@ -306,9 +307,16 @@ def dp_node(
     cap: int | None = None,
     prune: bool = False,
     grid: Grid | None = None,
+    kept: Kept | None = None,
 ) -> CwTable:
-    """Table of one expression node from its children's tables (see cw_steps)."""
-    return build_table(inst.k, cw_steps(node, child_tables, inst), child_tables, cap, prune, grid)
+    """Table of one expression node from its children's tables (see cw_steps).
+
+    kept, if given, keeps the node's steps.
+    """
+    steps = cw_steps(node, child_tables, inst)
+    if kept is not None:
+        steps = kept[id(node)] = list(steps)
+    return build_table(inst.k, steps, child_tables, cap, prune, grid)
 
 
 def cw_tables(
@@ -317,11 +325,12 @@ def cw_tables(
     cap: int | None = None,
     prune: bool = False,
     stats: dict | None = None,
+    kept: Kept | None = None,
 ) -> dict[int, CwTable]:
     """Every node's table, keyed by id(node), once the expression is checked.
 
-    Unpruned tables are held on the instance's grid when it is small enough
-    (see profiles).
+    With kept, every node's steps are kept there too.  Unpruned tables are
+    held on the instance's grid when it is small enough (see profiles).
     """
     mismatch = check_expression_matches(expr, inst)
     if mismatch is not None:
@@ -330,7 +339,7 @@ def cw_tables(
     return run_tables(
         expr.root,
         _children,
-        lambda node, children: dp_node(node, children, inst, cap, prune, grid),
+        lambda node, children: dp_node(node, children, inst, cap, prune, grid, kept),
         stats,
     )
 
@@ -354,20 +363,13 @@ def solve_cliquewidth(
     stats: dict | None = None,
 ) -> tuple[int, Profile, Coloring]:
     """Optimum satisfaction level, profile, and a validated witness."""
-    tables = cw_tables(inst, expr, cap, prune, stats)
+    kept: Kept = {}
+    tables = cw_tables(inst, expr, cap, prune, stats, kept)
     root_table = tables[id(expr.root)]
     optimum, profile = best_profile(union_cells(inst.k, root_table.values(), cap))
 
     target = encode(profile, inst.k)
     start_key = next(key for key in sorted(root_table) if target in root_table[key].codes)
-    witness = extract_coloring(
-        inst.k,
-        expr.root,
-        start_key,
-        target,
-        _children,
-        lambda node, child_tables: cw_steps(node, child_tables, inst),
-        tables,
-    )
+    witness = extract_coloring(inst.k, expr.root, start_key, target, _children, tables, kept)
     validate_coloring(inst, witness)
     return optimum, profile, witness

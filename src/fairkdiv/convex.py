@@ -19,6 +19,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, 
 from .model import Coloring, ConflictInstance, Profile, connected_components, validate_coloring
 from .profiles import (
     Grid,
+    Kept,
     ProfileSet,
     Step,
     Table,
@@ -405,34 +406,36 @@ class _Node:
     """One node of a component's DP tree.
 
     make turns the children's tables into the node's steps (see
-    profiles.Step).  The forward pass keeps them in steps, and the witness
-    walk reads them back instead of building them again.
+    profiles.Step).
     """
 
-    __slots__ = ("make", "children", "steps")
+    __slots__ = ("make", "children")
 
     def __init__(self, make: Callable[[list[Table]], list[Step]], *children: _Node):
         self.make = make
         self.children = children
-        self.steps: list[Step] = []
 
 
 def _children(node: _Node) -> tuple[_Node, ...]:
     return node.children
 
 
-def _kept_steps(node: _Node, child_tables: list[Table]) -> list[Step]:
-    return node.steps
-
-
 def _tables(
-    k: int, root: _Node, cap: int | None, prune: bool, stats: dict | None, grid: Grid | None
+    k: int,
+    root: _Node,
+    cap: int | None,
+    prune: bool,
+    stats: dict | None,
+    grid: Grid | None,
+    kept: Kept | None,
 ) -> dict[int, Table]:
-    """Every node's table, keyed by id(node); each node keeps the steps it was built from."""
+    """Every node's table, keyed by id(node); with kept, its steps too."""
 
     def node_table(node: _Node, child_tables: list[Table]) -> Table:
-        node.steps = node.make(child_tables)
-        return build_table(k, node.steps, child_tables, cap, prune, grid)
+        steps = node.make(child_tables)
+        if kept is not None:
+            kept[id(node)] = steps
+        return build_table(k, steps, child_tables, cap, prune, grid)
 
     return run_tables(root, _children, node_table, stats)
 
@@ -612,9 +615,14 @@ class _ConnectedConvexDP:
         self.tables: list[Table] = []
         self.node_tables: dict[int, Table] = {}
 
-    def run(self) -> ProfileSet:
-        """Build every node's table; the result is the union of the last stage's cells."""
-        self.node_tables = _tables(self.k, self.root, self.cap, self.prune, self.stats, self.grid)
+    def run(self, kept: Kept | None = None) -> ProfileSet:
+        """Build every node's table, keeping its steps in kept if given.
+
+        The result is the union of the last stage's cells.
+        """
+        self.node_tables = _tables(
+            self.k, self.root, self.cap, self.prune, self.stats, self.grid, kept
+        )
         self.tables = [self.node_tables[id(node)] for node in self.stage_nodes]
         ops = sum(stage.ops for stage in self.stages)
         self.stats["profile-ops"] = self.stats.get("profile-ops", 0) + ops
@@ -645,11 +653,13 @@ def _merged_components(
     cap: int | None,
     prune: bool,
     stats: dict | None,
+    kept: Kept | None = None,
 ):
     """Per-component profile sets and their running vector-sum merges.
 
-    Each part carries its DP tree's root and tables for the witness walk;
-    an edgeless component is a vertex chain under the one key ().  The last
+    Each part carries its DP tree's root and tables for the witness walk,
+    which reads the steps that kept, if given, keeps for every node; an
+    edgeless component is a vertex chain under the one key ().  The last
     running merge is the profile set of the whole instance.  Unpruned, every
     component is held on the whole instance's grid when it is small enough,
     so the merges are shift-ORs too.
@@ -664,13 +674,13 @@ def _merged_components(
         if not sub.edges:
             rows = [tuple(sub.profits[j][v] for j in range(sub.k)) for v in range(sub.n)]
             root = _vertex_chain(sub.k, range(sub.n), {(): rows})
-            tables = _tables(sub.k, root, cap, prune, stats, grid)
+            tables = _tables(sub.k, root, cap, prune, stats, grid, kept)
             pset = tables[id(root)][()]
         else:
             mapping = comp.to_sub()
             sub_co = _restrict_ordering(co, set(comp.vertices), mapping, sub)
             dp = _ConnectedConvexDP(sub, sub_co, cap=cap, prune=prune, stats=stats, grid=grid)
-            pset = dp.run()
+            pset = dp.run(kept)
             root, tables = dp.root, dp.node_tables
         parts.append((comp, pset, root, tables))
     running = [ProfileSet.zero(inst.k) if grid is None else ProfileSet.from_bits(grid, 1)]
@@ -689,7 +699,7 @@ def convex_profile_set(
     return _merged_components(inst, ordering, cap, False, stats)[1][-1]
 
 
-def _witness(k: int, parts: list, running: list[ProfileSet], target: int) -> Coloring:
+def _witness(k: int, parts: list, running: list[ProfileSet], target: int, kept: Kept) -> Coloring:
     """A coloring whose profile is the code target, a member of running[-1].
 
     The target is split over the components from the last one back, at
@@ -707,7 +717,7 @@ def _witness(k: int, parts: list, running: list[ProfileSet], target: int) -> Col
         target -= share
         root_table = tables[id(root)]
         key = next(key for key in sorted(root_table) if share in root_table[key].codes)
-        sub_witness = extract_coloring(k, root, key, share, _children, _kept_steps, tables)
+        sub_witness = extract_coloring(k, root, key, share, _children, tables, kept)
         for agent, members in enumerate(sub_witness):
             classes[agent].update(comp.to_parent[v] for v in members)
     return tuple(frozenset(c) for c in classes)
@@ -721,8 +731,9 @@ def solve_convex(
     stats: dict | None = None,
 ) -> tuple[int, Profile, Coloring]:
     """Optimum satisfaction level, its profile, and a validated witness."""
-    parts, running = _merged_components(inst, ordering, cap, prune, stats)
+    kept: Kept = {}
+    parts, running = _merged_components(inst, ordering, cap, prune, stats, kept)
     optimum, profile = best_profile(running[-1])
-    witness = _witness(inst.k, parts, running, encode(profile, inst.k))
+    witness = _witness(inst.k, parts, running, encode(profile, inst.k), kept)
     validate_coloring(inst, witness)
     return optimum, profile, witness

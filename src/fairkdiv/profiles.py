@@ -358,11 +358,14 @@ def run_tables(
 # One transition of a DP node: the cell `key` receives the sum of one cell per
 # child (named by `child_keys`, in child order) plus the code `offset`, and
 # `assigned` holds the (vertex, agent) pairs the step colors, often none.  A
-# node kind's steps are generated from the node and its children's tables, so
-# the forward pass (build_table) and the witness walk (extract_coloring) read
-# one description of each transition.  The tree DPs color at most one vertex
+# node kind's steps are generated once, from the node and its children's
+# tables.  The forward pass (build_table) sums them into the node's table;
+# a run that walks a witness keeps the list in a Kept map, and the walk
+# (extract_coloring) reads it back.  The tree DPs color at most one vertex
 # per step; a convex stage step colors the new A-vertices its guess names.
 Step = tuple[Hashable, tuple[Hashable, ...], int, tuple[tuple[int, int], ...]]
+# id(node) -> the steps its table was built from
+Kept = dict[int, list[Step]]
 
 
 def build_table(
@@ -376,14 +379,16 @@ def build_table(
     """One node's table from its steps: a loop specialised by the arity.
 
     Each cell is checked against the cap before pruning, and with prune only
-    its Pareto-maximal members are kept.  A cell that one unshifted unary
-    step fills is that child's cell, which was checked and pruned when it
-    was stored.  With a grid, which excludes prune, every cell is held on
-    it, the children's cells included.
+    its Pareto-maximal members are kept.  A cell that one unary step fills
+    is that child's cell shifted by the step's offset.  The child's cell was
+    checked, and with prune pruned, when it was stored, and a shifted front
+    is a front of the same size, so the cell is stored as it is.  With a
+    grid, which excludes prune, every cell is held on it, the children's
+    cells included.
     """
     if grid is not None:
         return _grid_table(grid, steps, child_tables, cap)
-    raw: dict[Hashable, ProfileSet | Collection[int]] = {}
+    raw: dict[Hashable, ProfileSet | set[int]] = {}
     if not child_tables:
         for key, _, offset, _ in steps:
             raw.setdefault(key, set()).add(offset)
@@ -392,12 +397,14 @@ def build_table(
         for key, (child_key,), offset, _ in steps:
             cell = raw.get(key)
             if cell is None:
-                # copied only if a second step reaches this cell
-                first = child[child_key]
-                raw[key] = [c + offset for c in first.codes] if offset else first
+                # copied into a set only if a second step reaches this cell
+                cell = child[child_key]
+                if offset:
+                    cell = ProfileSet.from_codes(k, [c + offset for c in cell.codes])
+                raw[key] = cell
             else:
                 if not isinstance(cell, set):
-                    cell = raw[key] = set(cell.codes if isinstance(cell, ProfileSet) else cell)
+                    cell = raw[key] = set(cell.codes)
                 codes = child[child_key].codes
                 cell.update([c + offset for c in codes] if offset else codes)
     else:
@@ -466,18 +473,19 @@ def extract_coloring(
     key: Hashable,
     target: int,
     children_of: Callable[[Any], Sequence[Any]],
-    steps_of: Callable[[Any, list[Table]], Iterable[Step]],
     tables: Mapping[int, Table],
+    kept: Kept,
 ) -> Coloring:
     """A coloring whose profile is the code target, from the root's cell key.
 
-    An explicit-stack walk down the tree: at each node the steps into the
-    current cell are tried in child-key order, and the first whose children
-    hold the rest of the target is taken.  A binary step splits the target
-    at the smallest code of its first child's cell that leaves a member of
-    the second.  A difference in which a field would go negative is either
-    negative or borrows, leaving a field of 2**(FIELD_BITS - 1) or more; no
-    member is either, so no sign check is needed.
+    An explicit-stack walk down the tree over the steps the forward pass
+    kept (see Step): at each node the kept steps into the current cell are
+    tried in child-key order, and the first whose children hold the rest of
+    the target is taken.  A binary step splits the target at the smallest
+    code of its first child's cell that leaves a member of the second.  A
+    difference in which a field would go negative is either negative or
+    borrows, leaving a field of 2**(FIELD_BITS - 1) or more; no member is
+    either, so no sign check is needed.
     """
     classes: list[set[int]] = [set() for _ in range(k)]
     stack = [(root, key, target)]
@@ -485,7 +493,7 @@ def extract_coloring(
         node, key, target = stack.pop()
         children = children_of(node)
         cells = [tables[id(child)] for child in children]
-        steps = [step for step in steps_of(node, cells) if step[0] == key]
+        steps = [step for step in kept[id(node)] if step[0] == key]
         steps.sort(key=itemgetter(1))
         for _, child_keys, offset, assigned in steps:
             rest = target - offset
@@ -646,7 +654,8 @@ def dominance_prune(s: ProfileSet) -> ProfileSet:
     all come before it.  For k <= 2 a member is then dominated iff an
     earlier one has a last coordinate at least as large, which a running
     maximum answers (Kung, Luccio & Preparata 1975); for k >= 3 each
-    member is checked against the front kept so far.
+    member is checked against the front kept so far.  A set that is its
+    own front is returned as it is.
     """
     k = s.arity
     kept: list[int] = []
@@ -664,4 +673,4 @@ def dominance_prune(s: ProfileSet) -> ProfileSet:
             if not any(all(a >= b for a, b in zip(p, q)) for p in front):
                 front.append(q)
                 kept.append(code)
-    return ProfileSet.from_codes(k, kept)
+    return s if len(kept) == len(s) else ProfileSet.from_codes(k, kept)

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .model import CapError, Coloring, ConflictInstance, Profile, Record, validate_coloring
 from .profiles import (
     Grid,
+    Kept,
     ProfileSet,
     Step,
     best_profile,
@@ -169,19 +170,24 @@ def bag_independence_number(inst: ConflictInstance, bag: Iterable[int]) -> int:
     Each search node first takes every vertex with at most one neighbour
     left and drops that neighbour: such a vertex is in some maximum
     independent set, as it can replace its neighbour in any.  It then
-    branches on a vertex of maximum degree.
+    branches on a vertex of maximum degree.  What the first reduction
+    leaves is split into connected components, each searched on its own
+    and their numbers added, so independent parts do not multiply each
+    other's branches; the node cap counts the nodes of every search.
     """
     adj = inst.adjacency()
-    best = nodes = 0
-    stack = [(frozenset(bag), 0)]
-    while stack:
-        vertices, taken = stack.pop()
+    nodes = 0
+
+    def reduced(vertices: frozenset[int]) -> tuple[set[int], int, dict[int, int]]:
+        # one search node: the vertices left, the number taken, their degrees
+        nonlocal nodes
         nodes += 1
         if nodes > DEFAULT_ALPHA_NODE_CAP:
             raise AlphaCapError(f"bag independence search exceeded {DEFAULT_ALPHA_NODE_CAP} nodes")
         left = set(vertices)
         degree = {v: len(adj[v] & vertices) for v in vertices}
         low = [v for v, d in degree.items() if d <= 1]
+        taken = 0
         while low:
             v = low.pop()
             if v in left:
@@ -193,14 +199,30 @@ def bag_independence_number(inst: ConflictInstance, bag: Iterable[int]) -> int:
                         degree[x] -= 1
                         if degree[x] == 1:
                             low.append(x)
-        if not left:
-            best = max(best, taken)
-            continue
-        v = max(left, key=lambda x: (degree[x], -x))
-        rest = frozenset(left) - {v}
-        stack.append((rest, taken))
-        stack.append((rest - adj[v], taken + 1))  # taking v is searched first
-    return best
+        return left, taken, degree
+
+    rest, total, _ = reduced(frozenset(bag))
+    while rest:
+        part = [rest.pop()]
+        for v in part:
+            near = adj[v] & rest
+            rest -= near
+            part.extend(near)
+        best = 0
+        stack = [(frozenset(part), 0)]
+        while stack:
+            vertices, taken = stack.pop()
+            left, gained, degree = reduced(vertices)
+            taken += gained
+            if not left:
+                best = max(best, taken)
+                continue
+            v = max(left, key=lambda x: (degree[x], -x))
+            others = frozenset(left) - {v}
+            stack.append((others, taken))
+            stack.append((others - adj[v], taken + 1))  # taking v is searched first
+        total += best
+    return total
 
 
 def validate_td(inst: ConflictInstance, td: TreeDecomposition) -> tuple[int, int]:
@@ -390,9 +412,13 @@ def tin_dp_node(
     cap: int | None = None,
     prune: bool = False,
     grid: Grid | None = None,
+    kept: Kept | None = None,
 ) -> TinTable:
-    """Table of one nice node from its children's tables."""
-    return build_table(inst.k, tin_steps(node, child_tables, inst), child_tables, cap, prune, grid)
+    """Table of one nice node from its children's tables; kept, if given, keeps its steps."""
+    steps = tin_steps(node, child_tables, inst)
+    if kept is not None:
+        steps = kept[id(node)] = list(steps)
+    return build_table(inst.k, steps, child_tables, cap, prune, grid)
 
 
 def tin_tables(
@@ -401,8 +427,9 @@ def tin_tables(
     cap: int | None = None,
     prune: bool = False,
     stats: dict | None = None,
+    kept: Kept | None = None,
 ) -> dict[int, TinTable]:
-    """Every nice node's table, keyed by id(node).
+    """Every nice node's table, keyed by id(node); with kept, its steps too.
 
     Unpruned tables are held on the instance's grid when it is small enough
     (see profiles).
@@ -411,7 +438,7 @@ def tin_tables(
     return run_tables(
         nice.root,
         _children,
-        lambda node, children: tin_dp_node(node, children, inst, cap, prune, grid),
+        lambda node, children: tin_dp_node(node, children, inst, cap, prune, grid, kept),
         stats,
     )
 
@@ -438,16 +465,11 @@ def solve_tin(
     """Optimum satisfaction level, profile, and a validated witness."""
     validate_td(inst, td)
     nice = make_nice(td)
-    tables = tin_tables(inst, nice, cap, prune, stats)
+    kept: Kept = {}
+    tables = tin_tables(inst, nice, cap, prune, stats, kept)
     optimum, profile = best_profile(tables[id(nice.root)][()])
     witness = extract_coloring(
-        inst.k,
-        nice.root,
-        (),
-        encode(profile, inst.k),
-        _children,
-        lambda node, child_tables: tin_steps(node, child_tables, inst),
-        tables,
+        inst.k, nice.root, (), encode(profile, inst.k), _children, tables, kept
     )
     validate_coloring(inst, witness)
     return optimum, profile, witness

@@ -221,6 +221,28 @@ def prop_grid_forms_agree(cases: int, seed: int = 206) -> None:
                     assert got_union.grid is x.grid
 
 
+def prop_pruned_cells_are_fronts(cases: int, seed: int = 207) -> None:
+    """Every cell of a pruned tin, cw and convex table is its own Pareto front.
+
+    A cell that one shifted unary step fills is stored without pruning
+    again, so this checks that shortcut too.
+    """
+    rng = random.Random(seed)
+    for _ in range(cases):
+        inst, td = _random_td_instance(rng, k_max=3, pmax=9)
+        node_tables = list(tin_tables(inst, make_nice(td), prune=True).values())
+        expr = support.random_expression(rng, 6, rng.randint(1, 3))
+        inst = support.instance_for_expression(expr, rng, rng.randint(1, 3), 9)
+        node_tables += cw_tables(inst, expr, prune=True).values()
+        parts = [(rng.randint(1, 3), rng.randint(0, 3)) for _ in range(rng.randint(1, 2))]
+        inst = support.shuffled_convex_instance(rng, parts, rng.randint(1, 3), 9)
+        for _, _, _, tables in _merged_components(inst, None, None, True, None)[0]:
+            node_tables += tables.values()
+        for table in node_tables:
+            for cell in table.values():
+                assert dominance_prune(cell) == cell
+
+
 def prop_profiles_bounded(cases: int, seed: int = 205) -> None:
     """Every produced profile is componentwise at most the total profits."""
     rng = random.Random(seed)
@@ -430,9 +452,10 @@ def prop_convex_walk_realizes_every_member(cases: int, seed: int = 406) -> None:
         # a part without B-vertices, or with A-vertices no interval covers, has isolated vertices
         parts = [(rng.randint(1, 2), rng.randint(0, 2)) for _ in range(rng.randint(1, 3))]
         inst = support.shuffled_convex_instance(rng, parts, rng.randint(1, 3), 2)
-        merged, running = _merged_components(inst, None, None, False, None)
+        kept: dict = {}
+        merged, running = _merged_components(inst, None, None, False, None, kept)
         for code in running[-1].codes:
-            witness = _witness(inst.k, merged, running, code)
+            witness = _witness(inst.k, merged, running, code, kept)
             validate_coloring(inst, witness)
             assert profile_of(inst, witness) == decode(code, inst.k)
 
@@ -885,6 +908,7 @@ ALL_PROPERTIES = [
     prop_merge_monotone,
     prop_prune_preserves_best,
     prop_grid_forms_agree,
+    prop_pruned_cells_are_fronts,
     prop_profiles_bounded,
     prop_oracle_witness_valid,
     prop_oracle_mis_agreement,

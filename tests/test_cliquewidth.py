@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 
 import properties
 
+from fairkdiv import cliquewidth
 from fairkdiv.cliquewidth import (
     EtaNode,
     ExpressionError,
@@ -119,6 +122,24 @@ class TestSolve:
         want, _ = brute_force_optimum(inst)
         assert opt == want == 2
         validate_coloring(inst, witness)
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_steps_are_built_once_per_node(self, monkeypatch, prune):
+        # the witness walk reads the steps the forward pass kept
+        text = "(u (eta 1 2 (u (v 1 1) (v 2 2))) (rho 1 2 (eta 1 2 (u (v 1 3) (v 2 4)))))"
+        expr = parse_k_expression(text)
+        inst = ConflictInstance.build(4, 2, [(0, 1), (2, 3)], [[3, 1, 4, 1], [5, 9, 2, 6]])
+        calls: Counter = Counter()
+        cw_steps = cliquewidth.cw_steps
+
+        def counted(node, child_tables, inst):
+            calls[id(node)] += 1
+            return cw_steps(node, child_tables, inst)
+
+        monkeypatch.setattr(cliquewidth, "cw_steps", counted)
+        _, profile, witness = solve_cliquewidth(inst, expr, prune=prune)
+        assert profile_of(inst, witness) == profile
+        assert calls == Counter({id(node): 1 for node in cliquewidth._walk(expr.root)})
 
     def test_mismatch_raises(self):
         expr = parse_k_expression(K3_TEXT)

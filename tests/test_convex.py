@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -7,6 +8,7 @@ import properties
 import support
 from conftest import FIXTURE_B_MINUS, FIXTURE_B_PLUS
 
+from fairkdiv import convex
 from fairkdiv.convex import (
     OrderingError,
     _ConnectedConvexDP,
@@ -215,8 +217,9 @@ class TestConnectedSolver:
 
     def test_stage_node_joins_pred_and_chain_once_per_guess(self):
         inst, co = gen_convex_bipartite(4, 4, 2, 9, seed=3)
+        kept: dict = {}
         dp = _ConnectedConvexDP(inst, co)
-        dp.run()
+        dp.run(kept)
         for j, (stage, node) in enumerate(zip(dp.stages, dp.stage_nodes)):
             pred, chain = node.children
             assert pred.children == tuple(dp.stage_nodes[j - 1 : j])
@@ -227,8 +230,8 @@ class TestConnectedSolver:
             assert set(dp.node_tables[id(chain)]) == set(stage.rows)
             pred_table = dp.node_tables[id(pred)]
             guesses = [g for g in _guesses(dp.ss.u[j], inst.k) if stage.key(g) in pred_table]
-            assert [step[0] for step in node.steps] == guesses
-            for guess, (key, part), _, _ in node.steps:
+            assert [step[0] for step in kept[id(node)]] == guesses
+            for guess, (key, part), _, _ in kept[id(node)]:
                 assert key == stage.key(guess) and part in stage.rows
 
 
@@ -253,6 +256,31 @@ class TestSolveConvex:
         assert opt == want
         validate_coloring(inst, witness)
         assert profile_of(inst, witness) == profile
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_steps_are_built_once_per_node(self, monkeypatch, prune):
+        # the witness walk reads the steps the forward pass kept, in every
+        # component: here three with edges and two isolated vertices
+        calls: Counter = Counter()
+        nodes = []
+
+        class Counted(convex._Node):
+            __slots__ = ()
+
+            def __init__(self, make, *children):
+                nodes.append(self)
+
+                def counted(child_tables):
+                    calls[id(self)] += 1
+                    return make(child_tables)
+
+                super().__init__(counted, *children)
+
+        monkeypatch.setattr(convex, "_Node", Counted)
+        inst = support.shuffled_convex_instance(random.Random(4), [(3, 3), (2, 2), (1, 0)], 2, 9)
+        _, profile, witness = solve_convex(inst, prune=prune)
+        assert profile_of(inst, witness) == profile
+        assert calls == Counter({id(node): 1 for node in nodes})
 
     def test_full_set_equals_oracle_small(self):
         rng = random.Random(7)

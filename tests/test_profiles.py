@@ -141,6 +141,13 @@ class TestDominancePrune:
         anti = ProfileSet(2, {(5, 1), (3, 3), (1, 5)})
         assert dominance_prune(anti) == anti
 
+    @pytest.mark.parametrize(
+        "members", [{(4,)}, {(5, 1), (1, 5)}, {(3, 0, 1), (0, 3, 1), (1, 1, 1)}]
+    )
+    def test_front_is_returned_as_is(self, members):
+        front = ProfileSet(len(next(iter(members))), members)
+        assert dominance_prune(front) is front
+
     def test_t1_frontier(self):
         pruned = dominance_prune(ProfileSet(2, T1_SET))
         assert set(pruned) == {(4, 0), (3, 2), (0, 4)}
@@ -351,6 +358,9 @@ class TestInvariants:
 
     def test_grid_forms_agree(self):
         properties.prop_grid_forms_agree(200)
+
+    def test_pruned_cells_are_fronts(self):
+        properties.prop_pruned_cells_are_fronts(100)
 
     def test_profiles_bounded(self):
         properties.prop_profiles_bounded(150)

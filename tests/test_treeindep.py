@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -102,17 +103,34 @@ class TestValidate:
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, elapsed
 
-    def test_deep_bag_hits_the_node_cap(self, monkeypatch):
-        # 1,100 disjoint triangles in one bag: every vertex has two
-        # neighbours, and the search's first branch alone goes 1,100 levels
-        # deep, past the recursion limit
+    def test_bag_of_1100_disjoint_triangles(self):
+        # no vertex has fewer than two neighbours, but each triangle is its
+        # own component, searched apart from the others
         n = 3300
         edges = [(v + i, v + j) for v in range(0, n, 3) for i, j in ((0, 1), (0, 2), (1, 2))]
         inst = ConflictInstance.build(n, 1, edges, [[1] * n])
         td = TreeDecomposition(n=n, bags={1: frozenset(range(n))}, edges=())
+        start = time.perf_counter()
+        assert validate_td(inst, td) == (n - 1, 1100)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, elapsed
+
+    def test_deep_bag_hits_the_node_cap(self, monkeypatch):
+        # a 20 x 20 grid in one bag: connected, so splitting into components
+        # cannot help, and every vertex has two to four neighbours, so the
+        # search branches far past the cap
+        side = 20
+        n = side * side
+        edges = [(v, v + 1) for v in range(n) if v % side < side - 1]
+        edges += [(v, v + side) for v in range(n - side)]
+        inst = ConflictInstance.build(n, 1, edges, [[1] * n])
+        td = TreeDecomposition(n=n, bags={1: frozenset(range(n))}, edges=())
         monkeypatch.setattr(treeindep, "DEFAULT_ALPHA_NODE_CAP", 2000)
+        start = time.perf_counter()
         with pytest.raises(AlphaCapError, match="exceeded 2000 nodes"):
             validate_td(inst, td)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, elapsed
 
     def test_path_of_20000_vertices(self):
         # per-vertex holder lists keep the axiom checks linear in the bags
@@ -246,6 +264,23 @@ class TestSolve:
         want, _ = brute_force_optimum(inst)
         assert opt == want
         validate_coloring(inst, witness)
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_steps_are_built_once_per_node(self, monkeypatch, prune):
+        # the witness walk reads the steps the forward pass kept
+        inst, td = gen_partial_ktree(12, 2, 2, 9, seed=5, delete_prob=0.3)
+        calls: Counter = Counter()
+        tin_steps = treeindep.tin_steps
+
+        def counted(node, child_tables, inst):
+            calls[id(node)] += 1
+            return tin_steps(node, child_tables, inst)
+
+        monkeypatch.setattr(treeindep, "tin_steps", counted)
+        _, profile, witness = solve_tin(inst, td, prune=prune)
+        assert profile_of(inst, witness) == profile
+        assert len(calls) == len(make_nice(td).nodes())
+        assert set(calls.values()) == {1}
 
     def test_full_profile_set(self):
         rng = random.Random(13)
