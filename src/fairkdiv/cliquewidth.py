@@ -33,7 +33,7 @@ from .profiles import dominance_prune  # noqa: F401
 
 # One bitmask of width num_labels per agent.
 LabelKey = tuple[int, ...]
-CwTable = dict[LabelKey, ProfileSet]
+CwTable = dict[LabelKey, frozenset[int] | ProfileSet]
 
 
 class ExpressionError(ValueError):
@@ -197,9 +197,7 @@ def parse_k_expression(text: str) -> CliqueExpression:
         elif isinstance(node, (EtaNode, RhoNode)):
             max_label = max(max_label, node.i, node.j)
     if declared is not None and max_label > declared:
-        raise ExpressionError(
-            f"label {max_label} exceeds the declared budget {declared}"
-        )
+        raise ExpressionError(f"label {max_label} exceeds the declared budget {declared}")
     return CliqueExpression(
         root=root,
         num_labels=declared if declared is not None else max(max_label, 1),
@@ -351,8 +349,9 @@ def cliquewidth_profile_set(
     stats: dict | None = None,
 ) -> ProfileSet:
     """Exact full profile set: union over all root label profiles."""
+    grid = profile_grid(inst.total_profits())
     tables = cw_tables(inst, expr, cap, stats=stats)
-    return union_cells(inst.k, tables[id(expr.root)].values(), cap)
+    return union_cells(inst.k, tables[id(expr.root)].values(), grid, cap)
 
 
 def solve_cliquewidth(
@@ -364,12 +363,9 @@ def solve_cliquewidth(
 ) -> tuple[int, Profile, Coloring]:
     """Optimum satisfaction level, profile, and a validated witness."""
     kept: Kept = {}
+    grid = None if prune else profile_grid(inst.total_profits())
     tables = cw_tables(inst, expr, cap, prune, stats, kept)
-    root_table = tables[id(expr.root)]
-    optimum, profile = best_profile(union_cells(inst.k, root_table.values(), cap))
-
-    target = encode(profile, inst.k)
-    start_key = next(key for key in sorted(root_table) if target in root_table[key].codes)
-    witness = extract_coloring(inst.k, expr.root, start_key, target, _children, tables, kept)
+    optimum, profile = best_profile(union_cells(inst.k, tables[id(expr.root)].values(), grid, cap))
+    witness = extract_coloring(inst.k, expr.root, encode(profile, inst.k), _children, tables, kept)
     validate_coloring(inst, witness)
     return optimum, profile, witness

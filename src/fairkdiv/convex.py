@@ -25,6 +25,7 @@ from .profiles import (
     Table,
     best_profile,
     build_table,
+    cell_set,
     encode,
     extract_coloring,
     merge_profile_sets,
@@ -626,7 +627,7 @@ class _ConnectedConvexDP:
         self.tables = [self.node_tables[id(node)] for node in self.stage_nodes]
         ops = sum(stage.ops for stage in self.stages)
         self.stats["profile-ops"] = self.stats.get("profile-ops", 0) + ops
-        return union_cells(self.k, self.tables[-1].values(), self.cap, self.prune)
+        return union_cells(self.k, self.tables[-1].values(), self.grid, self.cap, self.prune)
 
 
 def solve_connected_convex(
@@ -675,7 +676,7 @@ def _merged_components(
             rows = [tuple(sub.profits[j][v] for j in range(sub.k)) for v in range(sub.n)]
             root = _vertex_chain(sub.k, range(sub.n), {(): rows})
             tables = _tables(sub.k, root, cap, prune, stats, grid, kept)
-            pset = tables[id(root)][()]
+            pset = cell_set(sub.k, tables[id(root)][()])
         else:
             mapping = comp.to_sub()
             sub_co = _restrict_ordering(co, set(comp.vertices), mapping, sub)
@@ -715,9 +716,7 @@ def _witness(k: int, parts: list, running: list[ProfileSet], target: int, kept: 
         if share is None:
             raise AssertionError("component decomposition lost the target profile")
         target -= share
-        root_table = tables[id(root)]
-        key = next(key for key in sorted(root_table) if share in root_table[key].codes)
-        sub_witness = extract_coloring(k, root, key, share, _children, tables, kept)
+        sub_witness = extract_coloring(k, root, share, _children, tables, kept)
         for agent, members in enumerate(sub_witness):
             classes[agent].update(comp.to_parent[v] for v in members)
     return tuple(frozenset(c) for c in classes)

@@ -35,17 +35,18 @@ both count the bag's profits g, then subtracts g; every a + b - g is in the
 box, so pos(a) + pos(b) >= pos(g), and shifting the OR right by pos(g)
 drops no set bit.
 
-Which form.  Pruned tables stay on codes, since a Pareto front is sparse in
+Which form.  A table cell is a frozenset of codes, or a grid-backed
+ProfileSet in an unpruned table on a grid; callers see cells as ProfileSets
+(cell_set).  Pruned tables stay on codes, since a Pareto front is sparse in
 its box.  Unpruned tables (the *_profile_set functions, the `profiles`
 command) are held on the instance's grid when it has at most GRID_MAX_BITS
 points.  A shift costs time in the grid's size, not the set's, while a sum
 of code sets costs time in the sets' sizes; a larger grid holds sparse sets
 of large profits, for which codes are faster (the FPTAS's unscaled inputs
-have grids of 10**8 points and more).  The instance fixes the choice; there
-is no option for it.  An operation on sets stays on a grid when all its
-operands are held on that one Grid (and, for a sum, the sums fit it);
-otherwise it works on codes, which a grid-backed set decodes when they are
-first read.
+have grids of 10**8 points and more).  The instance fixes the choice.  An
+operation on sets stays on a grid when all its operands are held on that
+one Grid (and, for a sum, the sums fit it); otherwise it works on codes,
+which a grid-backed set decodes when they are first read.
 """
 from __future__ import annotations
 
@@ -286,16 +287,24 @@ def _check_cap(size: int, cap: int | None) -> None:
         raise ProfileCapError(limit)
 
 
-# A DP table: state key -> the profiles attainable in that state; absent keys
-# denote empty sets.
-Table = dict[Hashable, ProfileSet]
+# A DP table: state key -> the cell of the profiles attainable in that state;
+# absent keys denote empty sets.
+Table = dict[Hashable, frozenset[int] | ProfileSet]
 
 
-def _stored(k: int, codes: Collection[int], cap: int | None, prune: bool) -> ProfileSet:
+def cell_set(k: int, cell: frozenset[int] | ProfileSet) -> ProfileSet:
+    """A table cell as a ProfileSet."""
+    return cell if isinstance(cell, ProfileSet) else ProfileSet.from_codes(k, cell)
+
+
+def _codes(cell: frozenset[int] | ProfileSet) -> Collection[int]:
+    return cell.codes if isinstance(cell, ProfileSet) else cell
+
+
+def _stored(k: int, codes: Collection[int], cap: int | None, prune: bool) -> frozenset[int]:
     _check_cap(len(codes), cap)
-    pset = ProfileSet.from_codes(k, codes)
     # a single profile is its own Pareto front
-    return dominance_prune(pset) if prune and len(pset) > 1 else pset
+    return frozenset(_front(codes, k) if prune and len(codes) > 1 else codes)
 
 
 def _stored_bits(grid: Grid, bits: int, cap: int | None) -> ProfileSet:
@@ -305,26 +314,12 @@ def _stored_bits(grid: Grid, bits: int, cap: int | None) -> ProfileSet:
 
 
 def union_cells(
-    k: int, cells: Iterable[ProfileSet], cap: int | None = None, prune: bool = False
+    k: int, cells: Iterable, grid: Grid | None = None, cap: int | None = None, prune: bool = False
 ) -> ProfileSet:
-    """One set holding every member of the given cells, checked like a cell.
-
-    Unpruned cells all held on one Grid give a set on it.
-    """
-    cells = list(cells)
-    grid = cells[0].grid if cells and not prune else None
-    if grid is not None and all(cell.grid is grid for cell in cells):
-        return _stored_bits(grid, reduce(or_, [cell.bits for cell in cells]), cap)
-    union: set[int] = set()
-    for cell in cells:
-        union.update(cell.codes)
-    return _stored(k, union, cap, prune)
-
-
-def count_table(stats: dict, table: Table) -> None:
-    """Add a stored table to the `dp-cells` and `profiles-stored` counters."""
-    stats["dp-cells"] = stats.get("dp-cells", 0) + len(table)
-    stats["profiles-stored"] = stats.get("profiles-stored", 0) + sum(map(len, table.values()))
+    """The union of a table's cells, checked like a cell: on grid if the cells are on its totals."""
+    if grid is not None:
+        return _stored_bits(grid, reduce(or_, [cell.bits for cell in cells], 0), cap)
+    return ProfileSet.from_codes(k, _stored(k, set().union(*cells), cap, prune))
 
 
 def post_order(root: Any, children_of: Callable[[Any], Sequence[Any]]) -> list[Any]:
@@ -350,7 +345,8 @@ def run_tables(
     tables: dict[int, Table] = {}
     for node in post_order(root, children_of):
         table = node_table(node, [tables[id(child)] for child in children_of(node)])
-        count_table(stats, table)
+        stats["dp-cells"] = stats.get("dp-cells", 0) + len(table)
+        stats["profiles-stored"] = stats.get("profiles-stored", 0) + sum(map(len, table.values()))
         tables[id(node)] = table
     return tables
 
@@ -388,31 +384,28 @@ def build_table(
     """
     if grid is not None:
         return _grid_table(grid, steps, child_tables, cap)
-    raw: dict[Hashable, ProfileSet | set[int]] = {}
+    raw: dict[Hashable, frozenset[int] | set[int]] = {}
     if not child_tables:
         for key, _, offset, _ in steps:
             raw.setdefault(key, set()).add(offset)
     elif len(child_tables) == 1:
         (child,) = child_tables
         for key, (child_key,), offset, _ in steps:
+            codes = child[child_key]
             cell = raw.get(key)
             if cell is None:
                 # copied into a set only if a second step reaches this cell
-                cell = child[child_key]
-                if offset:
-                    cell = ProfileSet.from_codes(k, [c + offset for c in cell.codes])
-                raw[key] = cell
+                raw[key] = frozenset([c + offset for c in codes]) if offset else codes
             else:
-                if not isinstance(cell, set):
-                    cell = raw[key] = set(cell.codes)
-                codes = child[child_key].codes
+                if type(cell) is frozenset:
+                    cell = raw[key] = set(cell)
                 cell.update([c + offset for c in codes] if offset else codes)
     else:
         left, right = child_tables
         for key, (key1, key2), offset, _ in steps:
-            add_sums(raw.setdefault(key, set()), left[key1].codes, right[key2].codes, offset, cap)
+            add_sums(raw.setdefault(key, set()), left[key1], right[key2], offset, cap)
     return {
-        key: cell if isinstance(cell, ProfileSet) else _stored(k, cell, cap, prune)
+        key: cell if type(cell) is frozenset else _stored(k, cell, cap, prune)
         for key, cell in raw.items()
     }
 
@@ -470,13 +463,12 @@ def _grid_table(
 def extract_coloring(
     k: int,
     root: Any,
-    key: Hashable,
     target: int,
     children_of: Callable[[Any], Sequence[Any]],
     tables: Mapping[int, Table],
     kept: Kept,
 ) -> Coloring:
-    """A coloring whose profile is the code target, from the root's cell key.
+    """A coloring whose profile is the code target, from the first root cell (by key) holding it.
 
     An explicit-stack walk down the tree over the steps the forward pass
     kept (see Step): at each node the kept steps into the current cell are
@@ -488,6 +480,8 @@ def extract_coloring(
     either, so no sign check is needed.
     """
     classes: list[set[int]] = [set() for _ in range(k)]
+    root_table = tables[id(root)]
+    key = next(key for key in sorted(root_table) if target in _codes(root_table[key]))
     stack = [(root, key, target)]
     while stack:
         node, key, target = stack.pop()
@@ -500,10 +494,10 @@ def extract_coloring(
             if not cells:
                 parts = () if rest == 0 else None
             elif len(cells) == 1:
-                parts = (rest,) if rest in cells[0][child_keys[0]].codes else None
+                parts = (rest,) if rest in _codes(cells[0][child_keys[0]]) else None
             else:
-                second = cells[1][child_keys[1]].codes
-                first = sorted(cells[0][child_keys[0]].codes)
+                second = _codes(cells[1][child_keys[1]])
+                first = sorted(_codes(cells[0][child_keys[0]]))
                 parts = next(((a, rest - a) for a in first if rest - a in second), None)
             if parts is not None:
                 break
@@ -646,7 +640,13 @@ def best_profile(s: ProfileSet) -> tuple[int, Profile]:
 
 
 def dominance_prune(s: ProfileSet) -> ProfileSet:
-    """Keep only Pareto-maximal members.
+    """Keep only Pareto-maximal members (see _front); a front is returned as it is."""
+    kept = _front(s.codes, s.arity)
+    return s if len(kept) == len(s) else ProfileSet.from_codes(s.arity, kept)
+
+
+def _front(codes: Collection[int], k: int) -> list[int]:
+    """The Pareto-maximal codes, descending.
 
     Sound for optimum extraction (vector addition and min are monotone) but
     never for full profile-set output.  Codes in descending order are
@@ -654,23 +654,21 @@ def dominance_prune(s: ProfileSet) -> ProfileSet:
     all come before it.  For k <= 2 a member is then dominated iff an
     earlier one has a last coordinate at least as large, which a running
     maximum answers (Kung, Luccio & Preparata 1975); for k >= 3 each
-    member is checked against the front kept so far.  A set that is its
-    own front is returned as it is.
+    member is checked against the front kept so far.
     """
-    k = s.arity
     kept: list[int] = []
     if k <= 2:
         top = -1
-        for code in sorted(s.codes, reverse=True):
+        for code in sorted(codes, reverse=True):
             last = code & FIELD_MASK
             if last > top:
                 kept.append(code)
                 top = last
     else:
         front: list[Profile] = []
-        for code in sorted(s.codes, reverse=True):
+        for code in sorted(codes, reverse=True):
             q = decode(code, k)
             if not any(all(a >= b for a, b in zip(p, q)) for p in front):
                 front.append(q)
                 kept.append(code)
-    return s if len(kept) == len(s) else ProfileSet.from_codes(k, kept)
+    return kept

@@ -23,6 +23,7 @@ from .profiles import (
     Step,
     best_profile,
     build_table,
+    cell_set,
     encode,
     extract_coloring,
     post_order,
@@ -37,7 +38,7 @@ DEFAULT_ALPHA_NODE_CAP = 10**6
 
 # coloring keys are tuples of colors (0 = uncolored) aligned to sorted(bag)
 ColoringKey = tuple[int, ...]
-TinTable = dict[ColoringKey, ProfileSet]
+TinTable = dict[ColoringKey, frozenset[int] | ProfileSet]
 
 
 class DecompositionError(ValueError):
@@ -101,8 +102,9 @@ def _reach(neigh: dict[int, list[int]], within: set[int]) -> set[int]:
 def parse_tree_decomposition(text: str) -> TreeDecomposition:
     """Parse the PACE-style .td format.
 
-    s td <num_bags> <max_bag_size> <n>; bag lines `b <id> <v...>`; remaining
-    lines are tree edges `<id> <id>`; comments start with `c`.
+    s td <num_bags> <max_bag_size> <n>, both matching the bags; bag lines
+    `b <id> <distinct v...>`; remaining lines are tree edges `<id> <id>`;
+    comments start with `c`.
     """
     header = None
     bags: dict[int, frozenset[int]] = {}
@@ -121,6 +123,7 @@ def parse_tree_decomposition(text: str) -> TreeDecomposition:
                 header = tuple(int(p) for p in parts[2:])
             except ValueError:
                 raise DecompositionError(f"line {lineno}: non-integer header field")
+            header_line = lineno
         elif parts[0] == "b":
             if header is None:
                 raise DecompositionError(f"line {lineno}: bag line before header")
@@ -134,10 +137,14 @@ def parse_tree_decomposition(text: str) -> TreeDecomposition:
             if bag_id in bags:
                 raise DecompositionError(f"line {lineno}: duplicate bag id {bag_id}")
             n = header[2]
+            bag: set[int] = set()
             for v in values[1:]:
                 if not (1 <= v <= n):
                     raise DecompositionError(f"line {lineno}: vertex {v} out of range 1..{n}")
-            bags[bag_id] = frozenset(v - 1 for v in values[1:])
+                if v - 1 in bag:
+                    raise DecompositionError(f"line {lineno}: bag {bag_id} repeats vertex {v}")
+                bag.add(v - 1)
+            bags[bag_id] = frozenset(bag)
         else:
             if header is None:
                 raise DecompositionError(f"line {lineno}: edge line before header")
@@ -152,6 +159,11 @@ def parse_tree_decomposition(text: str) -> TreeDecomposition:
         raise DecompositionError("missing 's td' header")
     if header[0] != len(bags):
         raise DecompositionError(f"header declares {header[0]} bags, found {len(bags)}")
+    largest = max(map(len, bags.values()), default=0)
+    if header[1] != largest:
+        raise DecompositionError(
+            f"line {header_line}: header declares bag size {header[1]}, largest bag has {largest}"
+        )
     return TreeDecomposition(n=header[2], bags=bags, edges=tuple(edges))
 
 
@@ -246,18 +258,14 @@ def validate_td(inst: ConflictInstance, td: TreeDecomposition) -> tuple[int, int
         raise DecompositionError(f"axiom 1 violated: vertex {missing[0] + 1} is in no bag")
     for u, v in inst.edges:
         if holders[u].isdisjoint(holders[v]):
-            raise DecompositionError(
-                f"axiom 2 violated: edge ({u + 1},{v + 1}) is inside no bag"
-            )
+            raise DecompositionError(f"axiom 2 violated: edge ({u + 1},{v + 1}) is inside no bag")
     neigh = _tree_adjacency(td.bags, td.edges)
     for v in range(inst.n):
         if _reach(neigh, holders[v]) != holders[v]:
             raise DecompositionError(
                 f"axiom 3 violated: bags containing vertex {v + 1} are disconnected"
             )
-    ell = 0
-    for bag_id in sorted(td.bags):
-        ell = max(ell, bag_independence_number(inst, td.bags[bag_id]))
+    ell = max((bag_independence_number(inst, td.bags[b]) for b in sorted(td.bags)), default=0)
     return td.width(), ell
 
 
@@ -452,7 +460,7 @@ def tin_profile_set(
     """Exact full profile set via the root's empty-bag cell."""
     validate_td(inst, td)
     nice = make_nice(td)
-    return tin_tables(inst, nice, cap, stats=stats)[id(nice.root)][()]
+    return cell_set(inst.k, tin_tables(inst, nice, cap, stats=stats)[id(nice.root)][()])
 
 
 def solve_tin(
@@ -467,10 +475,8 @@ def solve_tin(
     nice = make_nice(td)
     kept: Kept = {}
     tables = tin_tables(inst, nice, cap, prune, stats, kept)
-    optimum, profile = best_profile(tables[id(nice.root)][()])
-    witness = extract_coloring(
-        inst.k, nice.root, (), encode(profile, inst.k), _children, tables, kept
-    )
+    optimum, profile = best_profile(cell_set(inst.k, tables[id(nice.root)][()]))
+    witness = extract_coloring(inst.k, nice.root, encode(profile, inst.k), _children, tables, kept)
     validate_coloring(inst, witness)
     return optimum, profile, witness
 

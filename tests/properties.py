@@ -49,6 +49,7 @@ from fairkdiv.profiles import (
     decode,
     dominance_prune,
     edgeless_profiles,
+    encode,
     merge_profile_sets,
     union_cells,
 )
@@ -192,8 +193,10 @@ def prop_grid_forms_agree(cases: int, seed: int = 206) -> None:
     """merge_profile_sets and union_cells give equal sets whichever form their operands have.
 
     Operands are code-backed, held on one grid, or held on two equal grids
-    (two objects, so they are added as codes).  In about half the cases every
-    sum fits the grid; in the rest most overflow it and are added as codes.
+    (two objects, so they are added as codes).  union_cells gets cells as a
+    table holds them: on the grid it is given, or else as code sets.  In
+    about half the cases every sum fits the grid; in the rest most overflow
+    it and are added as codes.
     """
     rng = random.Random(seed)
     for _ in range(cases):
@@ -210,14 +213,16 @@ def prop_grid_forms_agree(cases: int, seed: int = 206) -> None:
         ]
         forms = [[s, support.on_grid(grids[0], s), support.on_grid(grids[1], s)] for s in sets]
         want_sum = merge_profile_sets(*sets)
-        want_union = union_cells(k, sets)
+        want_union = union_cells(k, [s.codes for s in sets])
         for x in forms[0]:
             for y in forms[1]:
-                got_sum, got_union = merge_profile_sets(x, y), union_cells(k, [x, y])
+                grid = x.grid if x.grid is not None and x.grid is y.grid else None
+                cells = [x, y] if grid is not None else [x.codes, y.codes]
+                got_sum, got_union = merge_profile_sets(x, y), union_cells(k, cells, grid)
                 assert got_sum == want_sum and got_sum.dump() == want_sum.dump()
                 assert got_union == want_union and got_union.dump() == want_union.dump()
                 assert len(got_sum) == len(want_sum) and len(got_union) == len(want_union)
-                if x.grid is not None and x.grid is y.grid:
+                if grid is not None:
                     assert got_union.grid is x.grid
 
 
@@ -230,17 +235,18 @@ def prop_pruned_cells_are_fronts(cases: int, seed: int = 207) -> None:
     rng = random.Random(seed)
     for _ in range(cases):
         inst, td = _random_td_instance(rng, k_max=3, pmax=9)
-        node_tables = list(tin_tables(inst, make_nice(td), prune=True).values())
+        node_tables = [(inst.k, t) for t in tin_tables(inst, make_nice(td), prune=True).values()]
         expr = support.random_expression(rng, 6, rng.randint(1, 3))
         inst = support.instance_for_expression(expr, rng, rng.randint(1, 3), 9)
-        node_tables += cw_tables(inst, expr, prune=True).values()
+        node_tables += [(inst.k, t) for t in cw_tables(inst, expr, prune=True).values()]
         parts = [(rng.randint(1, 3), rng.randint(0, 3)) for _ in range(rng.randint(1, 2))]
         inst = support.shuffled_convex_instance(rng, parts, rng.randint(1, 3), 9)
         for _, _, _, tables in _merged_components(inst, None, None, True, None)[0]:
-            node_tables += tables.values()
-        for table in node_tables:
+            node_tables += [(inst.k, t) for t in tables.values()]
+        for k, table in node_tables:
             for cell in table.values():
-                assert dominance_prune(cell) == cell
+                pset = ProfileSet.from_codes(k, cell)
+                assert dominance_prune(pset) == pset
 
 
 def prop_profiles_bounded(cases: int, seed: int = 205) -> None:
@@ -330,7 +336,7 @@ def _stage_oracle_check(inst: ConflictInstance, co) -> None:
                     )
                     for agent in range(inst.k)
                 )
-                want.setdefault(tuple(guess), set()).add(q)
+                want.setdefault(tuple(guess), set()).add(encode(q, inst.k))
                 return
             v = vertices[i]
             for color in range(inst.k + 1):
@@ -345,7 +351,7 @@ def _stage_oracle_check(inst: ConflictInstance, co) -> None:
             assignment[i] = 0
 
         enumerate_all(0)
-        got = {g: set(cell) for g, cell in table.items() if len(cell)}
+        got = {g: cell for g, cell in table.items() if cell}
         assert got == want, f"stage {j + 1} tables disagree with enumeration"
 
 

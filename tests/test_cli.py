@@ -219,6 +219,29 @@ class TestInstanceErrorCorpus:
         assert run_cli(["solve", str(path)]) == (EXIT_INFEASIBLE, "", f"error: {message}\n")
 
 
+# malformed .td files for the path 1-2-3, each with its exact error message
+BAD_TDS = [
+    ("b 1 1 2 3\n", "line 1: bag line before header"),
+    ("s td 1 3 3\ns td 1 3 3\nb 1 1 2 3\n", "line 2: duplicate 's td' line"),
+    ("s td 1 3 3\nb 1 1 2 4\n", "line 2: vertex 4 out of range 1..3"),
+    ("s td 2 3 3\nb 1 1 2 3\nb 1 1 2\n1 1\n", "line 3: duplicate bag id 1"),
+    ("c note\ns td 1 3 3\nb 1 1 2 3 3\n", "line 3: bag 1 repeats vertex 3"),
+    ("s td 1 2 3\nb 1 1 2 3\n", "line 1: header declares bag size 2, largest bag has 3"),
+    ("s td 1 4 3\nb 1 1 2 3\n", "line 1: header declares bag size 4, largest bag has 3"),
+    ("s td 2 3 3\nb 1 1 2 3\n", "header declares 2 bags, found 1"),
+]
+
+
+class TestDecompositionErrorCorpus:
+    @pytest.mark.parametrize("text, message", BAD_TDS)
+    def test_exact_stderr_and_exit_1(self, tmp_path, monkeypatch, text, message):
+        (tmp_path / "p3.fkd").write_text(P3_TEXT)
+        (tmp_path / "bad.td").write_text(text)
+        argv = ["solve", "p3.fkd", "--method", "tin", "--td", "bad.td"]
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv) == (EXIT_INFEASIBLE, "", f"error: {message}\n")
+
+
 class TestSideInputs:
     """An explicit --method reads only its own side input; auto reads them all."""
 

@@ -153,26 +153,26 @@ class TestDpNode:
         inst = ConflictInstance.build(1, 1, [], [[7]])
         table = dp_node(VertexNode(label=1, vertex=1), [], inst)
         assert table == {
-            (0,): ProfileSet(1, {(0,)}),
-            (1,): ProfileSet(1, {(7,)}),
+            (0,): ProfileSet(1, {(0,)}).codes,
+            (1,): ProfileSet(1, {(7,)}).codes,
         }
 
     def test_eta_filters_conflicting_keys(self):
         inst = ConflictInstance.build(2, 1, [(0, 1)], [[2, 3]])
         child = {
-            (0,): ProfileSet(1, {(0,)}),
-            (0b11,): ProfileSet(1, {(5,)}),
+            (0,): ProfileSet(1, {(0,)}).codes,
+            (0b11,): ProfileSet(1, {(5,)}).codes,
         }
         table = dp_node(EtaNode(1, 2, VertexNode(1, 1)), [child], inst)
-        assert table == {(0,): ProfileSet(1, {(0,)})}
+        assert table == {(0,): ProfileSet(1, {(0,)}).codes}
 
     def test_rho_moves_cells(self):
         inst = ConflictInstance.build(1, 1, [], [[7]])
         child = dp_node(VertexNode(label=1, vertex=1), [], inst)
         table = dp_node(RhoNode(1, 2, VertexNode(1, 1)), [child], inst)
         assert table == {
-            (0,): ProfileSet(1, {(0,)}),
-            (0b10,): ProfileSet(1, {(7,)}),
+            (0,): ProfileSet(1, {(0,)}).codes,
+            (0b10,): ProfileSet(1, {(7,)}).codes,
         }
 
     def test_union_adds_profiles(self):
@@ -180,8 +180,8 @@ class TestDpNode:
         left = dp_node(VertexNode(1, 1), [], inst)
         right = dp_node(VertexNode(1, 2), [], inst)
         table = dp_node(UnionNode(VertexNode(1, 1), VertexNode(1, 2)), [left, right], inst)
-        assert set(table[(1,)]) == {(2,), (3,), (5,)}
-        assert set(table[(0,)]) == {(0,)}
+        assert set(ProfileSet.from_codes(1, table[(1,)])) == {(2,), (3,), (5,)}
+        assert set(ProfileSet.from_codes(1, table[(0,)])) == {(0,)}
 
 
 class TestInvariants:

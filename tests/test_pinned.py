@@ -1,0 +1,81 @@
+"""Seeded solver runs pinned to their exact results and work counters.
+
+Each row is (seed, optimum, profile, witness, counters).  A witness is
+written as each agent's vertices, 0-based and ascending, agents split by
+"|"; the counters are stats["dp-cells"], ["profiles-stored"] and, for
+convex, ["profile-ops"].  A change of how tables hold their cells keeps
+every row.
+"""
+import random
+
+import pytest
+
+import support
+
+from fairkdiv.convex import solve_convex
+from fairkdiv.generators import gen_partial_ktree
+from fairkdiv.profiles import profile_grid
+from fairkdiv.treeindep import solve_tin
+
+COUNTERS = ("dp-cells", "profiles-stored", "profile-ops")
+
+# gen_partial_ktree(13, 2, 2, 10, seed), solved pruned
+TIN = [
+    (0, 36, (36, 40), "0 4 5 6 12|2 3 7 8 9 10 11", (522, 1131)),
+    (1, 36, (36, 39), "1 3 8 9 11|4 5 6 7 10 12", (428, 688)),
+    (2, 38, (38, 41), "3 4 6 8 9|1 7 10 11 12", (432, 588)),
+    (3, 39, (40, 39), "0 4 8 9 10 11|3 5 6 12", (384, 638)),
+    (4, 41, (41, 43), "2 3 4 10 12|5 6 7 8 9 11", (403, 674)),
+    (5, 30, (30, 31), "2 4 8 9 12|0 5 7 10 11", (485, 914)),
+    (6, 33, (33, 40), "3 4 6 7 8 12|0 5 9 10 11", (464, 818)),
+    (7, 36, (36, 38), "3 4 5 8 9 10|0 1 6 11 12", (687, 1211)),
+    (8, 38, (40, 38), "0 3 7 10 11 12|4 5 6 8 9", (541, 803)),
+    (9, 38, (39, 38), "0 3 6 10 12|1 2 8 9 11", (501, 1131)),
+    (10, 36, (36, 36), "0 3 5 6 9 10|4 7 8 11 12", (468, 809)),
+    (11, 29, (32, 29), "1 7 9 12|0 3 4 5 6 8 10 11", (558, 1168)),
+]
+
+# shuffled_convex_instance(Random(seed), CONVEX_PARTS, 2, 40), solved pruned
+CONVEX_PARTS = [(4, 4), (3, 3), (2, 1)]
+CONVEX = [
+    (0, 187, (194, 187), "0 1 6 10 11 13 15 16|3 4 7 8 9 12 14", (269, 366, 135)),
+    (1, 211, (211, 227), "0 1 4 7 8 12 13 16|2 3 5 6 9 10 11 15", (266, 385, 182)),
+    (2, 218, (219, 218), "0 1 3 5 6 8 9 11 15|2 4 7 10 12 13 14 16", (231, 410, 235)),
+    (3, 230, (232, 230), "0 1 2 4 5 11 12 13 15|3 6 7 8 9 10 14 16", (296, 408, 201)),
+    (4, 193, (200, 193), "5 6 8 9 11 12 13 16|0 1 2 3 4 10 14 15", (268, 369, 136)),
+    (5, 150, (157, 150), "4 6 10 11 12 13 14 15|0 1 3 5 7 8 9 16", (214, 266, 102)),
+    (6, 218, (218, 221), "1 2 7 8 9 10 13 16|0 3 4 5 6 11 12 14 15", (246, 310, 105)),
+    (7, 204, (204, 204), "0 2 3 10 11 13 14 16|1 4 5 6 7 9 12 15", (263, 300, 82)),
+    (8, 199, (199, 200), "2 4 5 6 11 12 13 15|0 1 7 8 9 10 14", (270, 357, 168)),
+    (9, 154, (154, 155), "1 2 5 6 8 14 15|3 4 7 9 10 13 16", (176, 239, 103)),
+    (10, 211, (213, 211), "2 3 8 9 10 11 12 13 16|0 1 4 5 6 7 14 15", (222, 265, 106)),
+    (11, 168, (168, 170), "0 3 8 9 10 11 12 16|1 2 4 5 6 7 13 14 15", (209, 235, 69)),
+]
+
+
+def _row(seed, result, stats, counters):
+    optimum, profile, witness = result
+    text = "|".join(" ".join(map(str, sorted(members))) for members in witness)
+    return seed, optimum, profile, text, tuple(stats.get(name, 0) for name in counters)
+
+
+@pytest.mark.parametrize("row", TIN, ids=lambda row: f"seed{row[0]}")
+def test_tin_pruned(row):
+    inst, td = gen_partial_ktree(13, 2, 2, 10, row[0])
+    stats: dict = {}
+    assert _row(row[0], solve_tin(inst, td, stats=stats), stats, COUNTERS[:2]) == row
+
+
+@pytest.mark.parametrize("row", CONVEX, ids=lambda row: f"seed{row[0]}")
+def test_convex_pruned(row):
+    inst = support.shuffled_convex_instance(random.Random(row[0]), CONVEX_PARTS, 2, 40)
+    stats: dict = {}
+    assert _row(row[0], solve_convex(inst, stats=stats), stats, COUNTERS) == row
+
+
+def test_tin_unpruned_walks_grid_cells():
+    inst, td = gen_partial_ktree(13, 2, 2, 10, 12)
+    assert profile_grid(inst.total_profits()) is not None
+    stats: dict = {}
+    got = _row(12, solve_tin(inst, td, prune=False, stats=stats), stats, COUNTERS[:2])
+    assert got == (12, 34, (34, 37), "3 4 7 11 12|0 1 6 8 9 10", (501, 26556))

@@ -202,8 +202,8 @@ class TestDpNode:
         leaf_table = tin_dp_node(leaf, [], inst)
         table = tin_dp_node(intro, [leaf_table], inst)
         assert table == {
-            (0,): ProfileSet(1, {(0,)}),
-            (1,): ProfileSet(1, {(5,)}),
+            (0,): ProfileSet(1, {(0,)}).codes,
+            (1,): ProfileSet(1, {(5,)}).codes,
         }
 
     def test_forget_unions_extensions(self):
@@ -214,11 +214,11 @@ class TestDpNode:
         table = tin_dp_node(
             forget, [tin_dp_node(intro, [tin_dp_node(leaf, [], inst)], inst)], inst
         )
-        assert table == {(): ProfileSet(1, {(0,), (5,)})}
+        assert table == {(): ProfileSet(1, {(0,), (5,)}).codes}
 
     def test_join_corrects_double_count(self):
         inst = ConflictInstance.build(1, 1, [], [[5]])
-        side = {(1,): ProfileSet(1, {(5,)})}
+        side = {(1,): ProfileSet(1, {(5,)}).codes}
         join = NiceNode(
             kind="join",
             bag=frozenset({0}),
@@ -228,7 +228,7 @@ class TestDpNode:
             ),
         )
         table = tin_dp_node(join, [side, side], inst)
-        assert table == {(1,): ProfileSet(1, {(5,)})}
+        assert table == {(1,): ProfileSet(1, {(5,)}).codes}
 
 
 class TestSolve:
