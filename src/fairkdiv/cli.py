@@ -254,29 +254,31 @@ def cmd_validate(args) -> int:
             raise CliError(f"expression: {mismatch}", EXIT_INFEASIBLE)
         print(f"expression: ok (labels={expression.num_labels})")
     if args.result:
-        import json
-
-        payload = json.loads(_read(args.result))
-        classes = _result_witness(payload)
+        classes, claimed, optimum = _parse_result(_read(args.result))
         validate_coloring(inst, classes)
         profile = profile_of(inst, classes)
-        if list(profile) != payload.get("profile"):
+        if list(profile) != claimed:
             raise CliError(
-                f"result profile {payload.get('profile')} does not match witness profile {list(profile)}",
+                f"result profile {claimed} does not match witness profile {list(profile)}",
                 EXIT_INFEASIBLE,
             )
-        if satisfaction_level(profile) != payload.get("optimum"):
+        if satisfaction_level(profile) != optimum:
             raise CliError("result optimum does not match witness satisfaction", EXIT_INFEASIBLE)
         print("result: ok (witness validates and matches profile)")
     return EXIT_OK
 
 
-def _result_witness(payload: object) -> list[frozenset[int]]:
-    """The 0-based witness classes of a parsed result file."""
+def _parse_result(text: str) -> tuple[list[frozenset[int]], list[int], int]:
+    """The 0-based witness classes, the profile and the optimum of a result file."""
+    import json
 
     def malformed(what: str) -> CliError:
         return CliError(f"malformed result file: {what}", EXIT_INFEASIBLE)
 
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise malformed(f"not JSON: {exc}")
     if not isinstance(payload, dict):
         raise malformed(f"expected a JSON object, got {type(payload).__name__}")
     witness = payload.get("witness")
@@ -290,7 +292,13 @@ def _result_witness(payload: object) -> list[frozenset[int]]:
         if not isinstance(cls, list) or not all(type(v) is int for v in cls):
             raise malformed(f"witness class {j} must be a list of vertex ids")
         classes.append(frozenset(v - 1 for v in cls))
-    return classes
+    # bool is an int subclass and 1.0 == 1, but neither is a profit
+    profile, optimum = payload.get("profile"), payload.get("optimum")
+    if not isinstance(profile, list) or not all(type(x) is int for x in profile):
+        raise malformed("profile must be a list of integers")
+    if type(optimum) is not int:
+        raise malformed(f"optimum must be an integer, got {type(optimum).__name__}")
+    return classes, profile, optimum
 
 
 def cmd_approx(args) -> int:

@@ -13,21 +13,7 @@ from operator import or_
 from typing import Iterator, NamedTuple, Union
 
 from .model import Coloring, ConflictInstance, Profile, Record, validate_coloring
-from .profiles import (
-    Grid,
-    Kept,
-    ProfileSet,
-    Step,
-    best_profile,
-    build_table,
-    encode,
-    extract_coloring,
-    post_order,
-    profile_grid,
-    run_tables,
-    union_cells,
-    unit_code,
-)
+from .profiles import ProfileSet, Run, Step, best_profile, encode, post_order, unit_code
 # unused here: kept only as the module attribute the benchmark tracer wraps
 from .profiles import dominance_prune  # noqa: F401
 
@@ -107,8 +93,8 @@ def parse_k_expression(text: str) -> CliqueExpression:
         stripped = raw.strip()
         if not stripped or stripped.startswith("c "):
             continue
-        if stripped.startswith("cw"):
-            parts = stripped.split()
+        parts = stripped.split()
+        if parts[0] == "cw":
             if len(parts) != 2:
                 raise ExpressionError(f"bad budget line: {stripped!r}")
             try:
@@ -299,46 +285,19 @@ def cw_steps(node: ExprNode, child_tables: list[CwTable], inst: ConflictInstance
 
 
 def dp_node(
-    node: ExprNode,
-    child_tables: list[CwTable],
-    inst: ConflictInstance,
-    cap: int | None = None,
-    prune: bool = False,
-    grid: Grid | None = None,
-    kept: Kept | None = None,
+    node: ExprNode, child_tables: list[CwTable], inst: ConflictInstance, run: Run
 ) -> CwTable:
-    """Table of one expression node from its children's tables (see cw_steps).
-
-    kept, if given, keeps the node's steps.
-    """
-    steps = cw_steps(node, child_tables, inst)
-    if kept is not None:
-        steps = kept[id(node)] = list(steps)
-    return build_table(inst.k, steps, child_tables, cap, prune, grid)
+    """Table of one expression node from its children's tables (see cw_steps)."""
+    return run.table(node, cw_steps(node, child_tables, inst), child_tables)
 
 
-def cw_tables(
-    inst: ConflictInstance,
-    expr: CliqueExpression,
-    cap: int | None = None,
-    prune: bool = False,
-    stats: dict | None = None,
-    kept: Kept | None = None,
-) -> dict[int, CwTable]:
-    """Every node's table, keyed by id(node), once the expression is checked.
-
-    With kept, every node's steps are kept there too.  Unpruned tables are
-    held on the instance's grid when it is small enough (see profiles).
-    """
+def cw_run(inst: ConflictInstance, expr: CliqueExpression, run: Run) -> ProfileSet:
+    """Every node's table, into run.tables, once the expression is checked; the root's union."""
     mismatch = check_expression_matches(expr, inst)
     if mismatch is not None:
         raise ExpressionError(mismatch)
-    grid = None if prune else profile_grid(inst.total_profits())
-    return run_tables(
-        expr.root,
-        _children,
-        lambda node, children: dp_node(node, children, inst, cap, prune, grid, kept),
-        stats,
+    return run.root_set(
+        expr.root, _children, lambda node, children: dp_node(node, children, inst, run)
     )
 
 
@@ -349,9 +308,7 @@ def cliquewidth_profile_set(
     stats: dict | None = None,
 ) -> ProfileSet:
     """Exact full profile set: union over all root label profiles."""
-    grid = profile_grid(inst.total_profits())
-    tables = cw_tables(inst, expr, cap, stats=stats)
-    return union_cells(inst.k, tables[id(expr.root)].values(), grid, cap)
+    return cw_run(inst, expr, Run(inst.total_profits(), cap, stats=stats))
 
 
 def solve_cliquewidth(
@@ -362,10 +319,8 @@ def solve_cliquewidth(
     stats: dict | None = None,
 ) -> tuple[int, Profile, Coloring]:
     """Optimum satisfaction level, profile, and a validated witness."""
-    kept: Kept = {}
-    grid = None if prune else profile_grid(inst.total_profits())
-    tables = cw_tables(inst, expr, cap, prune, stats, kept)
-    optimum, profile = best_profile(union_cells(inst.k, tables[id(expr.root)].values(), grid, cap))
-    witness = extract_coloring(inst.k, expr.root, encode(profile, inst.k), _children, tables, kept)
+    run = Run(inst.total_profits(), cap, prune, stats, walk=True)
+    optimum, profile = best_profile(cw_run(inst, expr, run))
+    witness = run.walk(expr.root, _children, encode(profile, inst.k))
     validate_coloring(inst, witness)
     return optimum, profile, witness

@@ -18,20 +18,13 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, 
 
 from .model import Coloring, ConflictInstance, Profile, connected_components, validate_coloring
 from .profiles import (
-    Grid,
-    Kept,
     ProfileSet,
+    Run,
     Step,
     Table,
     best_profile,
-    build_table,
-    cell_set,
     encode,
-    extract_coloring,
     merge_profile_sets,
-    profile_grid,
-    run_tables,
-    union_cells,
     unit_code,
 )
 # unused here: kept only as the module attribute the benchmark tracer wraps
@@ -421,24 +414,8 @@ def _children(node: _Node) -> tuple[_Node, ...]:
     return node.children
 
 
-def _tables(
-    k: int,
-    root: _Node,
-    cap: int | None,
-    prune: bool,
-    stats: dict | None,
-    grid: Grid | None,
-    kept: Kept | None,
-) -> dict[int, Table]:
-    """Every node's table, keyed by id(node); with kept, its steps too."""
-
-    def node_table(node: _Node, child_tables: list[Table]) -> Table:
-        steps = node.make(child_tables)
-        if kept is not None:
-            kept[id(node)] = steps
-        return build_table(k, steps, child_tables, cap, prune, grid)
-
-    return run_tables(root, _children, node_table, stats)
+def _table(run: Run, node: _Node, child_tables: list[Table]) -> Table:
+    return run.table(node, node.make(child_tables), child_tables)
 
 
 def _vertex_chain(
@@ -578,28 +555,14 @@ class _ConnectedConvexDP:
     """The stage tables of one connected component, as a tree of node kinds.
 
     Stage j's node has two children: a predecessor union over stage j - 1's
-    node, and its vertex chain.  tables holds the stage nodes' tables and
-    node_tables every node's.  With a grid (unpruned only) every cell is
-    held on it.
+    node, and its vertex chain.
     """
 
-    def __init__(
-        self,
-        inst: ConflictInstance,
-        co: ConvexOrdering,
-        cap: int | None = None,
-        prune: bool = False,
-        stats: dict | None = None,
-        grid: Grid | None = None,
-    ):
+    def __init__(self, inst: ConflictInstance, co: ConvexOrdering):
         if inst.n < 2 or not inst.edges:
             raise ValueError("connected solver needs at least one edge")
         self.inst = inst
         self.co = co
-        self.cap = cap
-        self.prune = prune
-        self.grid = grid
-        self.stats = stats if stats is not None else {}
         self.k = inst.k
         self.ss = stage_structure(co)
         if self.ss.u[-1] != len(co.a_order) or self.ss.v[-1] != len(co.b_vertices):
@@ -613,21 +576,13 @@ class _ConnectedConvexDP:
             chain = _vertex_chain(self.k, stage.vertices, stage.rows)
             self.stage_nodes.append(_Node(stage.stage_steps, pred, chain))
         self.root = self.stage_nodes[-1]
-        self.tables: list[Table] = []
-        self.node_tables: dict[int, Table] = {}
 
-    def run(self, kept: Kept | None = None) -> ProfileSet:
-        """Build every node's table, keeping its steps in kept if given.
-
-        The result is the union of the last stage's cells.
-        """
-        self.node_tables = _tables(
-            self.k, self.root, self.cap, self.prune, self.stats, self.grid, kept
-        )
-        self.tables = [self.node_tables[id(node)] for node in self.stage_nodes]
+    def profile_set(self, run: Run) -> ProfileSet:
+        """Every node's table, into run.tables; the union of the last stage's cells."""
+        pset = run.root_set(self.root, _children, partial(_table, run))
         ops = sum(stage.ops for stage in self.stages)
-        self.stats["profile-ops"] = self.stats.get("profile-ops", 0) + ops
-        return union_cells(self.k, self.tables[-1].values(), self.grid, self.cap, self.prune)
+        run.stats["profile-ops"] = run.stats.get("profile-ops", 0) + ops
+        return pset
 
 
 def solve_connected_convex(
@@ -637,8 +592,7 @@ def solve_connected_convex(
     stats: dict | None = None,
 ) -> ProfileSet:
     """Full profile set of one connected convex bipartite instance."""
-    grid = profile_grid(inst.total_profits())
-    return _ConnectedConvexDP(inst, co, cap=cap, stats=stats, grid=grid).run()
+    return _ConnectedConvexDP(inst, co).profile_set(Run(inst.total_profits(), cap, stats=stats))
 
 
 def _restrict_ordering(co: ConvexOrdering, vertices: set[int], mapping: dict[int, int],
@@ -648,45 +602,34 @@ def _restrict_ordering(co: ConvexOrdering, vertices: set[int], mapping: dict[int
     return validate_convex_ordering(sub, a_sub, b_sub)
 
 
-def _merged_components(
-    inst: ConflictInstance,
-    ordering: ConvexOrdering | None,
-    cap: int | None,
-    prune: bool,
-    stats: dict | None,
-    kept: Kept | None = None,
-):
-    """Per-component profile sets and their running vector-sum merges.
+def _merged_components(inst: ConflictInstance, ordering: ConvexOrdering | None, run: Run):
+    """Per-component profile sets and their running vector-sum merges, all in one run.
 
-    Each part carries its DP tree's root and tables for the witness walk,
-    which reads the steps that kept, if given, keeps for every node; an
-    edgeless component is a vertex chain under the one key ().  The last
-    running merge is the profile set of the whole instance.  Unpruned, every
-    component is held on the whole instance's grid when it is small enough,
-    so the merges are shift-ORs too.
+    Each part carries its DP tree's root for the witness walk; an edgeless
+    component is a vertex chain under the one key ().  The last running
+    merge is the profile set of the whole instance.  The run is made from
+    the whole instance's totals, so unpruned every component is held on
+    its grid when it is small enough, and the merges are shift-ORs too.
     """
     co = ordering if ordering is not None else find_convex_ordering(inst)
     if co is None:
         raise OrderingError("graph admits no convex bipartite ordering")
-    grid = None if prune else profile_grid(inst.total_profits())
     parts = []
     for comp in connected_components(inst):
         sub = comp.instance
         if not sub.edges:
             rows = [tuple(sub.profits[j][v] for j in range(sub.k)) for v in range(sub.n)]
             root = _vertex_chain(sub.k, range(sub.n), {(): rows})
-            tables = _tables(sub.k, root, cap, prune, stats, grid, kept)
-            pset = cell_set(sub.k, tables[id(root)][()])
+            pset = run.root_set(root, _children, partial(_table, run))
         else:
             mapping = comp.to_sub()
             sub_co = _restrict_ordering(co, set(comp.vertices), mapping, sub)
-            dp = _ConnectedConvexDP(sub, sub_co, cap=cap, prune=prune, stats=stats, grid=grid)
-            pset = dp.run(kept)
-            root, tables = dp.root, dp.node_tables
-        parts.append((comp, pset, root, tables))
-    running = [ProfileSet.zero(inst.k) if grid is None else ProfileSet.from_bits(grid, 1)]
-    for _, pset, _, _ in parts:
-        running.append(merge_profile_sets(running[-1], pset, cap=cap))
+            dp = _ConnectedConvexDP(sub, sub_co)
+            pset, root = dp.profile_set(run), dp.root
+        parts.append((comp, pset, root))
+    running = [run.zero()]
+    for _, pset, _ in parts:
+        running.append(merge_profile_sets(running[-1], pset, cap=run.cap))
     return parts, running
 
 
@@ -697,27 +640,26 @@ def convex_profile_set(
     stats: dict | None = None,
 ) -> ProfileSet:
     """Exact full profile set of a convex bipartite instance (no pruning)."""
-    return _merged_components(inst, ordering, cap, False, stats)[1][-1]
+    return _merged_components(inst, ordering, Run(inst.total_profits(), cap, stats=stats))[1][-1]
 
 
-def _witness(k: int, parts: list, running: list[ProfileSet], target: int, kept: Kept) -> Coloring:
+def _witness(run: Run, parts: list, running: list[ProfileSet], target: int) -> Coloring:
     """A coloring whose profile is the code target, a member of running[-1].
 
     The target is split over the components from the last one back, at
     each component's smallest member that leaves a member of the running
     merge before it (a difference with a negative field is no member, see
-    profiles.extract_coloring), and each component's share is walked back
-    through its DP tree.
+    profiles.Run.walk), and each component's share is walked back through
+    its DP tree.
     """
-    classes: list[set[int]] = [set() for _ in range(k)]
+    classes: list[set[int]] = [set() for _ in range(run.k)]
     for idx in range(len(parts) - 1, -1, -1):
-        comp, pset, root, tables = parts[idx]
+        comp, pset, root = parts[idx]
         share = next((q for q in sorted(pset.codes) if target - q in running[idx].codes), None)
         if share is None:
             raise AssertionError("component decomposition lost the target profile")
         target -= share
-        sub_witness = extract_coloring(k, root, share, _children, tables, kept)
-        for agent, members in enumerate(sub_witness):
+        for agent, members in enumerate(run.walk(root, _children, share)):
             classes[agent].update(comp.to_parent[v] for v in members)
     return tuple(frozenset(c) for c in classes)
 
@@ -730,9 +672,9 @@ def solve_convex(
     stats: dict | None = None,
 ) -> tuple[int, Profile, Coloring]:
     """Optimum satisfaction level, its profile, and a validated witness."""
-    kept: Kept = {}
-    parts, running = _merged_components(inst, ordering, cap, prune, stats, kept)
+    run = Run(inst.total_profits(), cap, prune, stats, walk=True)
+    parts, running = _merged_components(inst, ordering, run)
     optimum, profile = best_profile(running[-1])
-    witness = _witness(inst.k, parts, running, encode(profile, inst.k), kept)
+    witness = _witness(run, parts, running, encode(profile, inst.k))
     validate_coloring(inst, witness)
     return optimum, profile, witness

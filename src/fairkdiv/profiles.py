@@ -36,24 +36,26 @@ box, so pos(a) + pos(b) >= pos(g), and shifting the OR right by pos(g)
 drops no set bit.
 
 Which form.  A table cell is a frozenset of codes, or a grid-backed
-ProfileSet in an unpruned table on a grid; callers see cells as ProfileSets
-(cell_set).  Pruned tables stay on codes, since a Pareto front is sparse in
-its box.  Unpruned tables (the *_profile_set functions, the `profiles`
-command) are held on the instance's grid when it has at most GRID_MAX_BITS
-points.  A shift costs time in the grid's size, not the set's, while a sum
-of code sets costs time in the sets' sizes; a larger grid holds sparse sets
-of large profits, for which codes are faster (the FPTAS's unscaled inputs
-have grids of 10**8 points and more).  The instance fixes the choice.  An
-operation on sets stays on a grid when all its operands are held on that
-one Grid (and, for a sum, the sums fit it); otherwise it works on codes,
-which a grid-backed set decodes when they are first read.
+ProfileSet in an unpruned table on a grid; callers see a run's result, the
+union of its root's cells, as a ProfileSet (Run.root_set).  A Run makes
+the choice once, from the instance's totals: pruned tables stay on codes,
+since a Pareto front is sparse in its box, and unpruned tables (the
+*_profile_set functions, the `profiles` command) are held on the
+instance's grid when it has at most GRID_MAX_BITS points.  A shift costs
+time in the grid's size, not the set's, while a sum of code sets costs
+time in the sets' sizes; a larger grid holds sparse sets of large profits,
+for which codes are faster (the FPTAS's unscaled inputs have grids of
+10**8 points and more).  An operation on sets stays on a grid when all
+its operands are held on that one Grid (and, for a sum, the sums fit it);
+otherwise it works on codes, which a grid-backed set decodes when they are
+first read.
 """
 from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import compress
 from operator import itemgetter, mul, or_
-from typing import Any, Callable, Collection, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Collection, Hashable, Iterable, Iterator, Sequence
 
 from .model import CapError, Coloring, Profile
 
@@ -292,11 +294,6 @@ def _check_cap(size: int, cap: int | None) -> None:
 Table = dict[Hashable, frozenset[int] | ProfileSet]
 
 
-def cell_set(k: int, cell: frozenset[int] | ProfileSet) -> ProfileSet:
-    """A table cell as a ProfileSet."""
-    return cell if isinstance(cell, ProfileSet) else ProfileSet.from_codes(k, cell)
-
-
 def _codes(cell: frozenset[int] | ProfileSet) -> Collection[int]:
     return cell.codes if isinstance(cell, ProfileSet) else cell
 
@@ -334,31 +331,14 @@ def post_order(root: Any, children_of: Callable[[Any], Sequence[Any]]) -> list[A
     return out
 
 
-def run_tables(
-    root: Any,
-    children_of: Callable[[Any], Sequence[Any]],
-    node_table: Callable[[Any, list[Table]], Table],
-    stats: dict | None = None,
-) -> dict[int, Table]:
-    """Every node's table, keyed by id(node): node_table(node, child_tables) in post-order."""
-    stats = stats if stats is not None else {}
-    tables: dict[int, Table] = {}
-    for node in post_order(root, children_of):
-        table = node_table(node, [tables[id(child)] for child in children_of(node)])
-        stats["dp-cells"] = stats.get("dp-cells", 0) + len(table)
-        stats["profiles-stored"] = stats.get("profiles-stored", 0) + sum(map(len, table.values()))
-        tables[id(node)] = table
-    return tables
-
-
 # One transition of a DP node: the cell `key` receives the sum of one cell per
 # child (named by `child_keys`, in child order) plus the code `offset`, and
 # `assigned` holds the (vertex, agent) pairs the step colors, often none.  A
 # node kind's steps are generated once, from the node and its children's
 # tables.  The forward pass (build_table) sums them into the node's table;
-# a run that walks a witness keeps the list in a Kept map, and the walk
-# (extract_coloring) reads it back.  The tree DPs color at most one vertex
-# per step; a convex stage step colors the new A-vertices its guess names.
+# a Run that walks a witness keeps the list in a Kept map, and Run.walk
+# reads it back.  The tree DPs color at most one vertex per step; a convex
+# stage step colors the new A-vertices its guess names.
 Step = tuple[Hashable, tuple[Hashable, ...], int, tuple[tuple[int, int], ...]]
 # id(node) -> the steps its table was built from
 Kept = dict[int, list[Step]]
@@ -460,53 +440,110 @@ def _grid_table(
     return table
 
 
-def extract_coloring(
-    k: int,
-    root: Any,
-    target: int,
-    children_of: Callable[[Any], Sequence[Any]],
-    tables: Mapping[int, Table],
-    kept: Kept,
-) -> Coloring:
-    """A coloring whose profile is the code target, from the first root cell (by key) holding it.
+class Run:
+    """One DP run over one or more trees: the grid choice, every node's table, the kept steps.
 
-    An explicit-stack walk down the tree over the steps the forward pass
-    kept (see Step): at each node the kept steps into the current cell are
-    tried in child-key order, and the first whose children hold the rest of
-    the target is taken.  A binary step splits the target at the smallest
-    code of its first child's cell that leaves a member of the second.  A
-    difference in which a field would go negative is either negative or
-    borrows, leaving a field of 2**(FIELD_BITS - 1) or more; no member is
-    either, so no sign check is needed.
+    Made from the instance's per-agent totals, it derives the grid once:
+    unpruned tables are held on the totals' grid when it is small enough,
+    pruned ones stay on codes (see the module docstring).  A walking run
+    keeps every node's steps for walk.  A DP module turns a node and its
+    children's tables into the node's steps and passes them to table;
+    root_set does that for every node of a tree.  The trees of one run,
+    such as the components of a convex instance, share its grid and its
+    table map.
     """
-    classes: list[set[int]] = [set() for _ in range(k)]
-    root_table = tables[id(root)]
-    key = next(key for key in sorted(root_table) if target in _codes(root_table[key]))
-    stack = [(root, key, target)]
-    while stack:
-        node, key, target = stack.pop()
-        children = children_of(node)
-        cells = [tables[id(child)] for child in children]
-        steps = [step for step in kept[id(node)] if step[0] == key]
-        steps.sort(key=itemgetter(1))
-        for _, child_keys, offset, assigned in steps:
-            rest = target - offset
-            if not cells:
-                parts = () if rest == 0 else None
-            elif len(cells) == 1:
-                parts = (rest,) if rest in _codes(cells[0][child_keys[0]]) else None
+
+    def __init__(
+        self,
+        totals: Sequence[int],
+        cap: int | None = None,
+        prune: bool = False,
+        stats: dict | None = None,
+        walk: bool = False,
+    ):
+        self.k = len(totals)
+        self.cap = cap
+        self.prune = prune
+        self.stats = stats if stats is not None else {}
+        self.grid = None if prune else profile_grid(totals)
+        self.kept: Kept | None = {} if walk else None
+        self.tables: dict[int, Table] = {}  # id(node) -> its table
+
+    def table(self, node: Any, steps: Iterable[Step], child_tables: list[Table]) -> Table:
+        """The node's table from its steps (see build_table); a walking run keeps them."""
+        if self.kept is not None:
+            steps = self.kept[id(node)] = list(steps)
+        return build_table(self.k, steps, child_tables, self.cap, self.prune, self.grid)
+
+    def zero(self) -> ProfileSet:
+        """The set of the all-zero profile, on the run's grid if it has one."""
+        return ProfileSet.zero(self.k) if self.grid is None else ProfileSet.from_bits(self.grid, 1)
+
+    def root_set(
+        self,
+        root: Any,
+        children_of: Callable[[Any], Sequence[Any]],
+        node_table: Callable[[Any, list[Table]], Table],
+    ) -> ProfileSet:
+        """Every node's table, node_table(node, child_tables) in post-order, then the root's union.
+
+        The union is checked like a cell.  A root of one cell is read as it
+        is: it was checked, and pruned if the run prunes, when it was stored.
+        """
+        stats, tables = self.stats, self.tables
+        for node in post_order(root, children_of):
+            table = node_table(node, [tables[id(child)] for child in children_of(node)])
+            stored = sum(map(len, table.values()))
+            stats["dp-cells"] = stats.get("dp-cells", 0) + len(table)
+            stats["profiles-stored"] = stats.get("profiles-stored", 0) + stored
+            tables[id(node)] = table
+        cells = tables[id(root)].values()
+        if len(cells) == 1:
+            (cell,) = cells
+            return cell if isinstance(cell, ProfileSet) else ProfileSet.from_codes(self.k, cell)
+        return union_cells(self.k, cells, self.grid, self.cap, self.prune)
+
+    def walk(self, root: Any, children_of: Callable[[Any], Sequence[Any]], target: int) -> Coloring:
+        """A coloring whose profile is the code target, from the first root cell (by key) with it.
+
+        An explicit-stack walk down the tree over the steps the forward pass
+        kept (see Step): at each node the kept steps into the current cell
+        are tried in child-key order, and the first whose children hold the
+        rest of the target is taken.  A binary step splits the target at the
+        smallest code of its first child's cell that leaves a member of the
+        second.  A difference in which a field would go negative is either
+        negative or borrows, leaving a field of 2**(FIELD_BITS - 1) or more;
+        no member is either, so no sign check is needed.
+        """
+        tables, kept = self.tables, self.kept
+        classes: list[set[int]] = [set() for _ in range(self.k)]
+        root_table = tables[id(root)]
+        key = next(key for key in sorted(root_table) if target in _codes(root_table[key]))
+        stack = [(root, key, target)]
+        while stack:
+            node, key, target = stack.pop()
+            children = children_of(node)
+            cells = [tables[id(child)] for child in children]
+            steps = [step for step in kept[id(node)] if step[0] == key]
+            steps.sort(key=itemgetter(1))
+            for _, child_keys, offset, assigned in steps:
+                rest = target - offset
+                if not cells:
+                    parts = () if rest == 0 else None
+                elif len(cells) == 1:
+                    parts = (rest,) if rest in _codes(cells[0][child_keys[0]]) else None
+                else:
+                    second = _codes(cells[1][child_keys[1]])
+                    first = sorted(_codes(cells[0][child_keys[0]]))
+                    parts = next(((a, rest - a) for a in first if rest - a in second), None)
+                if parts is not None:
+                    break
             else:
-                second = _codes(cells[1][child_keys[1]])
-                first = sorted(_codes(cells[0][child_keys[0]]))
-                parts = next(((a, rest - a) for a in first if rest - a in second), None)
-            if parts is not None:
-                break
-        else:
-            raise AssertionError(f"no step of {type(node).__name__} derives the target")
-        for vertex, agent in assigned:
-            classes[agent].add(vertex)
-        stack.extend(zip(children, child_keys, parts))
-    return tuple(frozenset(c) for c in classes)
+                raise AssertionError(f"no step of {type(node).__name__} derives the target")
+            for vertex, agent in assigned:
+                classes[agent].add(vertex)
+            stack.extend(zip(children, child_keys, parts))
+        return tuple(frozenset(c) for c in classes)
 
 
 def add_sums(

@@ -16,21 +16,7 @@ from operator import attrgetter, getitem
 from typing import Iterable, Iterator, NamedTuple
 
 from .model import CapError, Coloring, ConflictInstance, Profile, Record, validate_coloring
-from .profiles import (
-    Grid,
-    Kept,
-    ProfileSet,
-    Step,
-    best_profile,
-    build_table,
-    cell_set,
-    encode,
-    extract_coloring,
-    post_order,
-    profile_grid,
-    run_tables,
-    unit_code,
-)
+from .profiles import ProfileSet, Run, Step, best_profile, encode, post_order, unit_code
 # unused here: kept only as the module attribute the benchmark tracer wraps
 from .profiles import dominance_prune  # noqa: F401
 
@@ -414,40 +400,16 @@ def tin_steps(
 
 
 def tin_dp_node(
-    node: NiceNode,
-    child_tables: list[TinTable],
-    inst: ConflictInstance,
-    cap: int | None = None,
-    prune: bool = False,
-    grid: Grid | None = None,
-    kept: Kept | None = None,
+    node: NiceNode, child_tables: list[TinTable], inst: ConflictInstance, run: Run
 ) -> TinTable:
-    """Table of one nice node from its children's tables; kept, if given, keeps its steps."""
-    steps = tin_steps(node, child_tables, inst)
-    if kept is not None:
-        steps = kept[id(node)] = list(steps)
-    return build_table(inst.k, steps, child_tables, cap, prune, grid)
+    """Table of one nice node from its children's tables (see tin_steps)."""
+    return run.table(node, tin_steps(node, child_tables, inst), child_tables)
 
 
-def tin_tables(
-    inst: ConflictInstance,
-    nice: NiceTreeDecomposition,
-    cap: int | None = None,
-    prune: bool = False,
-    stats: dict | None = None,
-    kept: Kept | None = None,
-) -> dict[int, TinTable]:
-    """Every nice node's table, keyed by id(node); with kept, its steps too.
-
-    Unpruned tables are held on the instance's grid when it is small enough
-    (see profiles).
-    """
-    grid = None if prune else profile_grid(inst.total_profits())
-    return run_tables(
-        nice.root,
-        _children,
-        lambda node, children: tin_dp_node(node, children, inst, cap, prune, grid, kept),
-        stats,
+def tin_run(inst: ConflictInstance, nice: NiceTreeDecomposition, run: Run) -> ProfileSet:
+    """Every nice node's table, into run.tables; the root's empty-bag cell."""
+    return run.root_set(
+        nice.root, _children, lambda node, children: tin_dp_node(node, children, inst, run)
     )
 
 
@@ -459,8 +421,7 @@ def tin_profile_set(
 ) -> ProfileSet:
     """Exact full profile set via the root's empty-bag cell."""
     validate_td(inst, td)
-    nice = make_nice(td)
-    return cell_set(inst.k, tin_tables(inst, nice, cap, stats=stats)[id(nice.root)][()])
+    return tin_run(inst, make_nice(td), Run(inst.total_profits(), cap, stats=stats))
 
 
 def solve_tin(
@@ -473,10 +434,9 @@ def solve_tin(
     """Optimum satisfaction level, profile, and a validated witness."""
     validate_td(inst, td)
     nice = make_nice(td)
-    kept: Kept = {}
-    tables = tin_tables(inst, nice, cap, prune, stats, kept)
-    optimum, profile = best_profile(cell_set(inst.k, tables[id(nice.root)][()]))
-    witness = extract_coloring(inst.k, nice.root, encode(profile, inst.k), _children, tables, kept)
+    run = Run(inst.total_profits(), cap, prune, stats, walk=True)
+    optimum, profile = best_profile(tin_run(inst, nice, run))
+    witness = run.walk(nice.root, _children, encode(profile, inst.k))
     validate_coloring(inst, witness)
     return optimum, profile, witness
 

@@ -16,7 +16,7 @@ from fairkdiv.cliquewidth import (
     RhoNode,
     UnionNode,
     cliquewidth_profile_set,
-    cw_tables,
+    cw_run,
     dp_node,
     evaluate_expression,
 )
@@ -45,6 +45,7 @@ from fairkdiv.oracle import brute_force_optimum, brute_force_profiles
 from fairkdiv.profiles import (
     Grid,
     ProfileSet,
+    Run,
     best_satisfaction,
     decode,
     dominance_prune,
@@ -58,9 +59,16 @@ from fairkdiv.treeindep import (
     clique_tree_of_chordal,
     make_nice,
     solve_tin,
-    tin_tables,
+    tin_run,
     validate_td,
 )
+
+
+def _node_tables(dp, inst: ConflictInstance, tree, prune: bool = False) -> dict:
+    """Every node's table of one run of dp(inst, tree, run), keyed by id(node)."""
+    run = Run(inst.total_profits(), prune=prune)
+    dp(inst, tree, run)
+    return run.tables
 
 
 def _profit_rows(inst: ConflictInstance) -> list[tuple[int, ...]]:
@@ -235,14 +243,15 @@ def prop_pruned_cells_are_fronts(cases: int, seed: int = 207) -> None:
     rng = random.Random(seed)
     for _ in range(cases):
         inst, td = _random_td_instance(rng, k_max=3, pmax=9)
-        node_tables = [(inst.k, t) for t in tin_tables(inst, make_nice(td), prune=True).values()]
+        tables = _node_tables(tin_run, inst, make_nice(td), prune=True)
+        node_tables = [(inst.k, t) for t in tables.values()]
         expr = support.random_expression(rng, 6, rng.randint(1, 3))
         inst = support.instance_for_expression(expr, rng, rng.randint(1, 3), 9)
-        node_tables += [(inst.k, t) for t in cw_tables(inst, expr, prune=True).values()]
+        node_tables += [(inst.k, t) for t in _node_tables(cw_run, inst, expr, prune=True).values()]
         parts = [(rng.randint(1, 3), rng.randint(0, 3)) for _ in range(rng.randint(1, 2))]
         inst = support.shuffled_convex_instance(rng, parts, rng.randint(1, 3), 9)
-        for _, _, _, tables in _merged_components(inst, None, None, True, None)[0]:
-            node_tables += [(inst.k, t) for t in tables.values()]
+        tables = _node_tables(_merged_components, inst, None, prune=True)
+        node_tables += [(inst.k, t) for t in tables.values()]
         for k, table in node_tables:
             for cell in table.values():
                 pset = ProfileSet.from_codes(k, cell)
@@ -306,9 +315,11 @@ def _stage_oracle_check(inst: ConflictInstance, co) -> None:
     """Check every stage cell against per-stage enumeration (soundness and
     completeness of the staged tables for the induced prefix subgraphs)."""
     dp = _ConnectedConvexDP(inst, co)
-    dp.run()
+    run = Run(inst.total_profits())
+    dp.profile_set(run)
     pos = co.position_of()
-    for j, table in enumerate(dp.tables):
+    for j, node in enumerate(dp.stage_nodes):
+        table = run.tables[id(node)]
         u_j, v_j = dp.ss.u[j], dp.ss.v[j]
         vertices = [co.a_order[i] for i in range(u_j)] + [
             dp.ss.b_order[m] for m in range(v_j)
@@ -351,7 +362,7 @@ def _stage_oracle_check(inst: ConflictInstance, co) -> None:
             assignment[i] = 0
 
         enumerate_all(0)
-        got = {g: cell for g, cell in table.items() if cell}
+        got = {g: set(cell.codes) for g, cell in table.items() if cell}
         assert got == want, f"stage {j + 1} tables disagree with enumeration"
 
 
@@ -443,9 +454,10 @@ def prop_convex_guess_hygiene(cases: int, seed: int = 405) -> None:
             continue
         co = validate_convex_ordering(inst, range(na), range(na, na + nb))
         dp = _ConnectedConvexDP(inst, co)
-        dp.run()
-        for table in dp.tables:
-            for key in table:
+        run = Run(inst.total_profits())
+        dp.profile_set(run)
+        for node in dp.stage_nodes:
+            for key in run.tables[id(node)]:
                 nonzero = [x for x in key if x > 0]
                 assert len(nonzero) == len(set(nonzero))
         done += 1
@@ -458,10 +470,10 @@ def prop_convex_walk_realizes_every_member(cases: int, seed: int = 406) -> None:
         # a part without B-vertices, or with A-vertices no interval covers, has isolated vertices
         parts = [(rng.randint(1, 2), rng.randint(0, 2)) for _ in range(rng.randint(1, 3))]
         inst = support.shuffled_convex_instance(rng, parts, rng.randint(1, 3), 2)
-        kept: dict = {}
-        merged, running = _merged_components(inst, None, None, False, None, kept)
+        run = Run(inst.total_profits(), walk=True)
+        merged, running = _merged_components(inst, None, run)
         for code in running[-1].codes:
-            witness = _witness(inst.k, merged, running, code, kept)
+            witness = _witness(run, merged, running, code)
             validate_coloring(inst, witness)
             assert profile_of(inst, witness) == decode(code, inst.k)
 
@@ -470,7 +482,7 @@ def prop_convex_walk_realizes_every_member(cases: int, seed: int = 406) -> None:
 
 def _cw_node_check(expr, inst) -> None:
     """Every node's table equals direct enumeration over the evaluated subgraph."""
-    tables = cw_tables(inst, expr)
+    tables = _node_tables(cw_run, inst, expr)
 
     def subgraph_table(node):
         sub = evaluate_expression(
@@ -547,7 +559,7 @@ def prop_cw_eta_filter(cases: int, seed: int = 503) -> None:
             vertex_ids=expr.vertex_ids,
         )
         inst = support.instance_for_expression(wrapped, rng, rng.randint(1, 2), 3)
-        tables = cw_tables(inst, wrapped)
+        tables = _node_tables(cw_run, inst, wrapped)
         pair = (1 << (i - 1)) | (1 << (j - 1))
         for key in tables[id(wrapped.root)]:
             assert all((mask & pair) != pair for mask in key)
@@ -565,7 +577,7 @@ def prop_cw_rho_filter(cases: int, seed: int = 504) -> None:
             vertex_ids=expr.vertex_ids,
         )
         inst = support.instance_for_expression(wrapped, rng, rng.randint(1, 2), 3)
-        tables = cw_tables(inst, wrapped)
+        tables = _node_tables(cw_run, inst, wrapped)
         bit = 1 << (i - 1)
         for key in tables[id(wrapped.root)]:
             assert all(not (mask & bit) for mask in key)
@@ -592,18 +604,21 @@ def prop_cw_union_symmetric(cases: int, seed: int = 505) -> None:
         ab = type(left)(root=UnionNode(left.root, right_root), num_labels=2, vertex_ids=ids)
         ba = type(left)(root=UnionNode(right_root, left.root), num_labels=2, vertex_ids=ids)
         inst = support.instance_for_expression(ab, rng, rng.randint(1, 2), 4)
-        t1 = dp_node(ab.root, [_tables_for(inst, left.root), _tables_for(inst, right_root)], inst)
-        t2 = dp_node(ba.root, [_tables_for(inst, right_root), _tables_for(inst, left.root)], inst)
+        run = Run(inst.total_profits())
+        left_table = _tables_for(inst, left.root, run)
+        right_table = _tables_for(inst, right_root, run)
+        t1 = dp_node(ab.root, [left_table, right_table], inst, run)
+        t2 = dp_node(ba.root, [right_table, left_table], inst, run)
         assert t1 == t2
 
 
-def _tables_for(inst, node):
+def _tables_for(inst, node, run):
     children = []
     if isinstance(node, UnionNode):
-        children = [_tables_for(inst, node.left), _tables_for(inst, node.right)]
+        children = [_tables_for(inst, node.left, run), _tables_for(inst, node.right, run)]
     elif isinstance(node, (EtaNode, RhoNode)):
-        children = [_tables_for(inst, node.child)]
-    return dp_node(node, children, inst)
+        children = [_tables_for(inst, node.child, run)]
+    return dp_node(node, children, inst, run)
 
 
 # ---------------------------------------------------------- tree-independence
@@ -623,7 +638,7 @@ def prop_tin_node_soundness(cases: int, seed: int = 601) -> None:
     for _ in range(cases):
         inst, td = _random_td_instance(rng, n_max=7)
         nice = make_nice(td)
-        tables = tin_tables(inst, nice)
+        tables = _node_tables(tin_run, inst, nice)
         adj = inst.adjacency()
 
         def check(node):
@@ -704,7 +719,7 @@ def prop_tin_join_correction(cases: int, seed: int = 604) -> None:
     for _ in range(cases):
         inst, td = _random_td_instance(rng, n_max=7)
         nice = make_nice(td)
-        tables = tin_tables(inst, nice)
+        tables = _node_tables(tin_run, inst, nice)
         for node in nice.nodes():
             if node.kind != "join":
                 continue

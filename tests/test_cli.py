@@ -242,6 +242,23 @@ class TestDecompositionErrorCorpus:
         assert run_cli(argv) == (EXIT_INFEASIBLE, "", f"error: {message}\n")
 
 
+class TestExpressionBudgetLine:
+    """Only a first token of exactly `cw` starts a budget line."""
+
+    @pytest.mark.parametrize("first, message", [
+        ("cwfoo 3", "expected '(', found 'cwfoo'"),
+        ("cw 3 4", "bad budget line: 'cw 3 4'"),
+        ("cw x", "bad budget line: 'cw x'"),
+    ])
+    def test_exact_stderr_and_exit_1(self, tmp_path, monkeypatch, first, message):
+        (tmp_path / "p3.fkd").write_text(P3_TEXT)
+        (tmp_path / "bad.cw").write_text(f"{first}\n(u (v 1 1) (u (v 2 2) (v 1 3)))\n")
+        monkeypatch.chdir(tmp_path)
+        argv = ["validate", "p3.fkd", "--expression", "bad.cw"]
+        out = "instance: ok (n=3, m=2, k=2)\n"
+        assert run_cli(argv) == (EXIT_INFEASIBLE, out, f"error: {message}\n")
+
+
 class TestSideInputs:
     """An explicit --method reads only its own side input; auto reads them all."""
 
@@ -399,12 +416,31 @@ class TestValidate:
             ({"witness": 5}, "witness must be a list of classes, got int"),
             ([1, 2], "expected a JSON object, got list"),
             ({"witness": [["a"], []]}, "witness class 1 must be a list of vertex ids"),
+            # the witness {2} | {1} has profile (2, 1) and optimum 1 on t1, which
+            # true and 1.0 equal in Python
+            (
+                {"witness": [[2], [1]], "profile": [2, 1], "optimum": True},
+                "optimum must be an integer, got bool",
+            ),
+            (
+                {"witness": [[2], [1]], "profile": [2.0, 1], "optimum": 1},
+                "profile must be a list of integers",
+            ),
+            (
+                {"witness": [[2], [1]], "profile": [2, True], "optimum": 1},
+                "profile must be a list of integers",
+            ),
+            ("optimum: 2\n", "not JSON: Expecting value: line 1 column 1 (char 0)"),
         ],
-        ids=["witness-int", "top-level-list", "vertex-string"],
+        ids=[
+            "witness-int", "top-level-list", "vertex-string", "optimum-bool", "profile-float",
+            "profile-bool", "not-json",
+        ],
     )
     def test_malformed_result_exit_1(self, tmp_path, t1_file, payload, problem):
         result_path = tmp_path / "malformed.json"
-        result_path.write_text(json.dumps(payload))
+        # a str payload is the file's text as it is
+        result_path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         code, _, err = run_cli(["validate", t1_file, "--result", str(result_path)])
         assert code == EXIT_INFEASIBLE
         assert err == f"error: malformed result file: {problem}\n"

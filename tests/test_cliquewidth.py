@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 import properties
+import support
 
 from fairkdiv import cliquewidth
 from fairkdiv.cliquewidth import (
@@ -19,7 +20,7 @@ from fairkdiv.cliquewidth import (
 )
 from fairkdiv.model import ConflictInstance, profile_of, validate_coloring
 from fairkdiv.oracle import brute_force_optimum
-from fairkdiv.profiles import ProfileSet
+from fairkdiv.profiles import ProfileSet, Run
 
 K3_TEXT = "(eta 1 2 (u (rho 2 1 (eta 1 2 (u (v 1 1) (v 2 2)))) (v 2 3)))"
 
@@ -149,39 +150,44 @@ class TestSolve:
 
 
 class TestDpNode:
+    """Unpruned cells are held on the instance's grid; they compare as ProfileSets."""
+
     def test_vertex_cells(self):
         inst = ConflictInstance.build(1, 1, [], [[7]])
-        table = dp_node(VertexNode(label=1, vertex=1), [], inst)
+        table = dp_node(VertexNode(label=1, vertex=1), [], inst, Run(inst.total_profits()))
         assert table == {
-            (0,): ProfileSet(1, {(0,)}).codes,
-            (1,): ProfileSet(1, {(7,)}).codes,
+            (0,): ProfileSet(1, {(0,)}),
+            (1,): ProfileSet(1, {(7,)}),
         }
 
     def test_eta_filters_conflicting_keys(self):
         inst = ConflictInstance.build(2, 1, [(0, 1)], [[2, 3]])
+        run = Run(inst.total_profits())
         child = {
-            (0,): ProfileSet(1, {(0,)}).codes,
-            (0b11,): ProfileSet(1, {(5,)}).codes,
+            (0,): support.on_grid(run.grid, ProfileSet(1, {(0,)})),
+            (0b11,): support.on_grid(run.grid, ProfileSet(1, {(5,)})),
         }
-        table = dp_node(EtaNode(1, 2, VertexNode(1, 1)), [child], inst)
-        assert table == {(0,): ProfileSet(1, {(0,)}).codes}
+        table = dp_node(EtaNode(1, 2, VertexNode(1, 1)), [child], inst, run)
+        assert table == {(0,): ProfileSet(1, {(0,)})}
 
     def test_rho_moves_cells(self):
         inst = ConflictInstance.build(1, 1, [], [[7]])
-        child = dp_node(VertexNode(label=1, vertex=1), [], inst)
-        table = dp_node(RhoNode(1, 2, VertexNode(1, 1)), [child], inst)
+        run = Run(inst.total_profits())
+        child = dp_node(VertexNode(label=1, vertex=1), [], inst, run)
+        table = dp_node(RhoNode(1, 2, VertexNode(1, 1)), [child], inst, run)
         assert table == {
-            (0,): ProfileSet(1, {(0,)}).codes,
-            (0b10,): ProfileSet(1, {(7,)}).codes,
+            (0,): ProfileSet(1, {(0,)}),
+            (0b10,): ProfileSet(1, {(7,)}),
         }
 
     def test_union_adds_profiles(self):
         inst = ConflictInstance.build(2, 1, [], [[2, 3]])
-        left = dp_node(VertexNode(1, 1), [], inst)
-        right = dp_node(VertexNode(1, 2), [], inst)
-        table = dp_node(UnionNode(VertexNode(1, 1), VertexNode(1, 2)), [left, right], inst)
-        assert set(ProfileSet.from_codes(1, table[(1,)])) == {(2,), (3,), (5,)}
-        assert set(ProfileSet.from_codes(1, table[(0,)])) == {(0,)}
+        run = Run(inst.total_profits())
+        left = dp_node(VertexNode(1, 1), [], inst, run)
+        right = dp_node(VertexNode(1, 2), [], inst, run)
+        table = dp_node(UnionNode(VertexNode(1, 1), VertexNode(1, 2)), [left, right], inst, run)
+        assert set(table[(1,)]) == {(2,), (3,), (5,)}
+        assert set(table[(0,)]) == {(0,)}
 
 
 class TestInvariants:

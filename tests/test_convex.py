@@ -24,7 +24,7 @@ from fairkdiv.convex import (
 from fairkdiv.generators import gen_convex_bipartite
 from fairkdiv.model import ConflictInstance, profile_of, validate_coloring
 from fairkdiv.oracle import brute_force_optimum, brute_force_profiles
-from fairkdiv.profiles import ProfileCapError
+from fairkdiv.profiles import ProfileCapError, Run
 
 
 def path_a1_b1_a2_b2(k=2, profits=None):
@@ -217,9 +217,9 @@ class TestConnectedSolver:
 
     def test_stage_node_joins_pred_and_chain_once_per_guess(self):
         inst, co = gen_convex_bipartite(4, 4, 2, 9, seed=3)
-        kept: dict = {}
+        run = Run(inst.total_profits(), walk=True)
         dp = _ConnectedConvexDP(inst, co)
-        dp.run(kept)
+        dp.profile_set(run)
         for j, (stage, node) in enumerate(zip(dp.stages, dp.stage_nodes)):
             pred, chain = node.children
             assert pred.children == tuple(dp.stage_nodes[j - 1 : j])
@@ -227,11 +227,11 @@ class TestConnectedSolver:
             for _ in stage.vertices:
                 (chain,) = chain.children
             assert chain.children == ()
-            assert set(dp.node_tables[id(chain)]) == set(stage.rows)
-            pred_table = dp.node_tables[id(pred)]
+            assert set(run.tables[id(chain)]) == set(stage.rows)
+            pred_table = run.tables[id(pred)]
             guesses = [g for g in _guesses(dp.ss.u[j], inst.k) if stage.key(g) in pred_table]
-            assert [step[0] for step in kept[id(node)]] == guesses
-            for guess, (key, part), _, _ in kept[id(node)]:
+            assert [step[0] for step in run.kept[id(node)]] == guesses
+            for guess, (key, part), _, _ in run.kept[id(node)]:
                 assert key == stage.key(guess) and part in stage.rows
 
 

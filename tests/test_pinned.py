@@ -3,8 +3,9 @@
 Each row is (seed, optimum, profile, witness, counters).  A witness is
 written as each agent's vertices, 0-based and ascending, agents split by
 "|"; the counters are stats["dp-cells"], ["profiles-stored"] and, for
-convex, ["profile-ops"].  A change of how tables hold their cells keeps
-every row.
+convex, ["profile-ops"].  A clique-width row also pins the instance's full
+profile set: its size and the first and last line of its dump.  A change
+of how tables hold their cells keeps every row.
 """
 import random
 
@@ -12,6 +13,7 @@ import pytest
 
 import support
 
+from fairkdiv.cliquewidth import cliquewidth_profile_set, solve_cliquewidth
 from fairkdiv.convex import solve_convex
 from fairkdiv.generators import gen_partial_ktree
 from fairkdiv.profiles import profile_grid
@@ -52,6 +54,23 @@ CONVEX = [
     (11, 168, (168, 170), "0 3 8 9 10 11 12 16|1 2 4 5 6 7 13 14 15", (209, 235, 69)),
 ]
 
+# random_expression(Random(seed), 10, 2) and instance_for_expression(expr,
+# same rng, 2, 6), solved pruned; then (size, first, last) of the profile set
+CW = [
+    (0, 11, (13, 11), "0 1 2 4|3 5 6", (124, 141), (180, "0 0", "15 9")),
+    (1, 5, (6, 5), "1|0 2", (51, 57), (18, "0 0", "10 0")),
+    (2, 0, (0, 6), "|0", (3, 3), (3, "0 0", "2 0")),
+    (3, 3, (3, 8), "1|0 2", (82, 94), (20, "0 0", "4 3")),
+    (4, 6, (6, 8), "1|0 2 3", (48, 56), (23, "0 0", "16 2")),
+    (5, 12, (13, 12), "2 4 6|0 1 3 5 7", (210, 277), (315, "0 0", "28 10")),
+    (6, 13, (13, 22), "3 4 6 8|1 2 5 7 9", (191, 277), (325, "0 0", "18 9")),
+    (7, 9, (9, 11), "1 4 5|0 2 3", (74, 88), (126, "0 0", "15 5")),
+    (8, 6, (6, 11), "1 2|0 3", (62, 66), (53, "0 0", "7 6")),
+    (9, 14, (14, 15), "0 5 6 7|1 2 3 4", (130, 177), (303, "0 0", "23 0")),
+    (10, 24, (24, 24), "2 3 4 5 8|0 1 6 7 9", (188, 230), (764, "0 0", "30 8")),
+    (11, 13, (13, 15), "0 1 2 6|3 4 5 7", (123, 210), (376, "0 0", "25 1")),
+]
+
 
 def _row(seed, result, stats, counters):
     optimum, profile, witness = result
@@ -71,6 +90,17 @@ def test_convex_pruned(row):
     inst = support.shuffled_convex_instance(random.Random(row[0]), CONVEX_PARTS, 2, 40)
     stats: dict = {}
     assert _row(row[0], solve_convex(inst, stats=stats), stats, COUNTERS) == row
+
+
+@pytest.mark.parametrize("row", CW, ids=lambda row: f"seed{row[0]}")
+def test_cliquewidth_pruned_and_profile_set(row):
+    rng = random.Random(row[0])
+    expr = support.random_expression(rng, 10, 2)
+    inst = support.instance_for_expression(expr, rng, 2, 6)
+    stats: dict = {}
+    got = _row(row[0], solve_cliquewidth(inst, expr, stats=stats), stats, COUNTERS[:2])
+    lines = cliquewidth_profile_set(inst, expr).dump().split("\n")
+    assert got + ((len(lines), lines[0], lines[-1]),) == row
 
 
 def test_tin_unpruned_walks_grid_cells():

@@ -8,13 +8,8 @@ import properties
 import support
 
 from fairkdiv.cli import main
-from fairkdiv.cliquewidth import (
-    _children,
-    cliquewidth_profile_set,
-    cw_tables,
-    dp_node,
-    solve_cliquewidth,
-)
+from fairkdiv import profiles
+from fairkdiv.cliquewidth import cliquewidth_profile_set, cw_run, solve_cliquewidth
 from fairkdiv.convex import convex_profile_set, solve_convex
 from fairkdiv.model import (
     MAX_PROFIT_SUM,
@@ -34,8 +29,8 @@ from fairkdiv.profiles import (
     dominance_prune,
     edgeless_profiles,
     merge_profile_sets,
+    Run,
     profile_grid,
-    run_tables,
     shift,
 )
 from fairkdiv.treeindep import (
@@ -323,19 +318,31 @@ class TestGrid:
         }[method]()
         assert (library.grid is not None) == on_grid
 
-    def test_cap_on_grid_cells(self):
+    def test_cap_on_grid_cells(self, monkeypatch):
         """The cap trips at the same size as on code-backed tables: the largest cell, then the union."""
         rng = random.Random(7)
         expr = support.random_expression(rng, 8, 3)
         while len(expr.vertex_ids) < 6:
             expr = support.random_expression(rng, 8, 3)
         inst = support.instance_for_expression(expr, rng, 2, 6)
-        code_tables = run_tables(expr.root, _children, lambda node, ch: dp_node(node, ch, inst))
-        largest = max(len(cell) for table in code_tables.values() for cell in table.values())
-        tables = cw_tables(inst, expr, cap=largest)
-        assert all(cell.grid is not None for table in tables.values() for cell in table.values())
+        with monkeypatch.context() as patch:
+            # no grid is small enough: the run's tables are held on codes
+            patch.setattr(profiles, "GRID_MAX_BITS", 0)
+            code_run = Run(inst.total_profits())
+            cw_run(inst, expr, code_run)
+        assert code_run.grid is None
+        cells = [cell for table in code_run.tables.values() for cell in table.values()]
+        largest = max(map(len, cells))
+        # every table fits the cap; the union of the root's cells does not
+        run = Run(inst.total_profits(), cap=largest)
         with pytest.raises(ProfileCapError):
-            cw_tables(inst, expr, cap=largest - 1)
+            cw_run(inst, expr, run)
+        assert len(run.tables) == len(code_run.tables)
+        assert all(cell.grid is not None for t in run.tables.values() for cell in t.values())
+        run = Run(inst.total_profits(), cap=largest - 1)
+        with pytest.raises(ProfileCapError):
+            cw_run(inst, expr, run)
+        assert len(run.tables) < len(code_run.tables)
         full = cliquewidth_profile_set(inst, expr)
         assert full.grid is not None and len(full) > largest
         with pytest.raises(ProfileCapError):

@@ -11,7 +11,7 @@ from fairkdiv import treeindep
 from fairkdiv.generators import gen_partial_ktree
 from fairkdiv.model import ConflictInstance, connected_components, profile_of, validate_coloring
 from fairkdiv.oracle import brute_force_optimum, brute_force_profiles
-from fairkdiv.profiles import ProfileSet
+from fairkdiv.profiles import ProfileSet, Run
 from fairkdiv.treeindep import (
     AlphaCapError,
     DecompositionError,
@@ -195,30 +195,35 @@ class TestEnumerateBagColorings:
 
 
 class TestDpNode:
+    """Unpruned cells are held on the instance's grid; they compare as ProfileSets."""
+
     def test_introduce_into_empty_bag(self):
         inst = ConflictInstance.build(1, 1, [], [[5]])
+        run = Run(inst.total_profits())
         leaf = NiceNode(kind="leaf", bag=frozenset())
         intro = NiceNode(kind="introduce", bag=frozenset({0}), vertex=0, children=(leaf,))
-        leaf_table = tin_dp_node(leaf, [], inst)
-        table = tin_dp_node(intro, [leaf_table], inst)
+        leaf_table = tin_dp_node(leaf, [], inst, run)
+        table = tin_dp_node(intro, [leaf_table], inst, run)
         assert table == {
-            (0,): ProfileSet(1, {(0,)}).codes,
-            (1,): ProfileSet(1, {(5,)}).codes,
+            (0,): ProfileSet(1, {(0,)}),
+            (1,): ProfileSet(1, {(5,)}),
         }
 
     def test_forget_unions_extensions(self):
         inst = ConflictInstance.build(1, 1, [], [[5]])
+        run = Run(inst.total_profits())
         leaf = NiceNode(kind="leaf", bag=frozenset())
         intro = NiceNode(kind="introduce", bag=frozenset({0}), vertex=0, children=(leaf,))
         forget = NiceNode(kind="forget", bag=frozenset(), vertex=0, children=(intro,))
         table = tin_dp_node(
-            forget, [tin_dp_node(intro, [tin_dp_node(leaf, [], inst)], inst)], inst
+            forget, [tin_dp_node(intro, [tin_dp_node(leaf, [], inst, run)], inst, run)], inst, run
         )
-        assert table == {(): ProfileSet(1, {(0,), (5,)}).codes}
+        assert table == {(): ProfileSet(1, {(0,), (5,)})}
 
     def test_join_corrects_double_count(self):
         inst = ConflictInstance.build(1, 1, [], [[5]])
-        side = {(1,): ProfileSet(1, {(5,)}).codes}
+        run = Run(inst.total_profits())
+        side = {(1,): support.on_grid(run.grid, ProfileSet(1, {(5,)}))}
         join = NiceNode(
             kind="join",
             bag=frozenset({0}),
@@ -227,8 +232,8 @@ class TestDpNode:
                 NiceNode(kind="leaf", bag=frozenset({0})),
             ),
         )
-        table = tin_dp_node(join, [side, side], inst)
-        assert table == {(1,): ProfileSet(1, {(5,)}).codes}
+        table = tin_dp_node(join, [side, side], inst, run)
+        assert table == {(1,): ProfileSet(1, {(5,)})}
 
 
 class TestSolve:
