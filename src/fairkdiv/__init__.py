@@ -20,17 +20,7 @@ _EXPORTS = {
         "parse_k_expression",
         "solve_cliquewidth",
     ),
-    "convex": (
-        "ConvexOrdering",
-        "OrderingError",
-        "consecutive_ones_order",
-        "convex_profile_set",
-        "find_convex_ordering",
-        "solve_connected_convex",
-        "solve_convex",
-        "stage_structure",
-        "validate_convex_ordering",
-    ),
+    "convex": ("convex_profile_set", "solve_connected_convex", "solve_convex", "stage_structure"),
     "generators": ("gen_convex_bipartite", "gen_partial_ktree"),
     "model": (
         "CapError",
@@ -56,6 +46,13 @@ _EXPORTS = {
         "edgeless_profiles",
         "merge_profile_sets",
         "shift",
+    ),
+    "recognition": (
+        "ConvexOrdering",
+        "OrderingError",
+        "consecutive_ones_order",
+        "find_convex_ordering",
+        "validate_convex_ordering",
     ),
     "treeindep": (
         "AlphaCapError",

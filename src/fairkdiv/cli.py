@@ -23,7 +23,7 @@ from .model import (
 )
 
 if TYPE_CHECKING:
-    from .convex import ConvexOrdering
+    from .recognition import ConvexOrdering
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -73,7 +73,7 @@ def _load_instance(path: str) -> ConflictInstance:
 
 def parse_ordering_file(text: str, inst: ConflictInstance) -> ConvexOrdering:
     """Ordering file: line `A: <ids...>` (in order) and line `B: <ids...>`."""
-    convex = _module("convex")
+    recognition = _module("recognition")
     ids: dict[str, list[int]] = {}  # "A:" or "B:" -> 0-based ids
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -81,16 +81,18 @@ def parse_ordering_file(text: str, inst: ConflictInstance) -> ConvexOrdering:
             continue
         side = line[:2]
         if side not in ("A:", "B:"):
-            raise convex.OrderingError(f"line {lineno}: unexpected ordering line: {line!r}")
+            raise recognition.OrderingError(f"line {lineno}: unexpected ordering line: {line!r}")
         if side in ids:
-            raise convex.OrderingError(f"line {lineno}: second '{side}' line")
+            raise recognition.OrderingError(f"line {lineno}: second '{side}' line")
         try:
             ids[side] = [int(x) - 1 for x in line[2:].split()]
         except ValueError:
-            raise convex.OrderingError(f"line {lineno}: expected integers, got {line[2:].strip()}")
+            raise recognition.OrderingError(
+                f"line {lineno}: expected integers, got {line[2:].strip()}"
+            )
     if len(ids) != 2:
-        raise convex.OrderingError("ordering file needs one 'A:' and one 'B:' line")
-    return convex.validate_convex_ordering(inst, ids["A:"], ids["B:"])
+        raise recognition.OrderingError("ordering file needs one 'A:' and one 'B:' line")
+    return recognition.validate_convex_ordering(inst, ids["A:"], ids["B:"])
 
 
 def ordering_file_text(ordering: ConvexOrdering) -> str:
@@ -174,10 +176,10 @@ def resolve_method(args, inst: ConflictInstance) -> tuple[str, Method, object]:
         if side["td"] is None:
             raise CliError("instance graph is not chordal", EXIT_INFEASIBLE)
     if method in ("auto", "convex") and side["ordering"] is None:
-        convex = _module("convex")
+        recognition = _module("recognition")
         try:
-            side["ordering"] = convex.find_convex_ordering(inst)
-        except convex.OrderingError:
+            side["ordering"] = recognition.find_convex_ordering(inst)
+        except recognition.OrderingError:
             if method == "convex":
                 raise
         if method == "convex" and side["ordering"] is None:
@@ -224,7 +226,7 @@ def cmd_profiles(args) -> int:
 
 def cmd_recognize(args) -> int:
     inst = _load_instance(args.instance)
-    ordering = _module("convex").find_convex_ordering(inst)
+    ordering = _module("recognition").find_convex_ordering(inst)
     if ordering is None:
         raise CliError(_NOT_CONVEX, EXIT_INFEASIBLE)
     text = ordering_file_text(ordering)

@@ -84,29 +84,31 @@ def parse_k_expression(text: str) -> CliqueExpression:
     expr := (v <label> <id>) | (u <expr> <expr>)
           | (eta <i> <j> <expr>) | (rho <i> <j> <expr>)
     An optional leading line `cw <l>` declares the label budget; otherwise
-    the largest label used is taken.
+    the largest label used is taken.  Every other line whose first token
+    starts with `c` is a comment, wherever it stands, as in the other file
+    formats; no token of the grammar starts with `c`.
     """
     declared = None
-    lines = text.splitlines()
-    body_start = 0
-    for idx, raw in enumerate(lines):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("c "):
+    leading = True  # no expression line seen yet
+    body = []
+    for raw in text.splitlines():
+        parts = raw.split()
+        if not parts:
             continue
-        parts = stripped.split()
-        if parts[0] == "cw":
+        if leading and parts[0] == "cw":
             if len(parts) != 2:
-                raise ExpressionError(f"bad budget line: {stripped!r}")
+                raise ExpressionError(f"bad budget line: {raw.strip()!r}")
             try:
                 declared = int(parts[1])
             except ValueError:
-                raise ExpressionError(f"bad budget line: {stripped!r}")
+                raise ExpressionError(f"bad budget line: {raw.strip()!r}")
             if declared < 1:
                 raise ExpressionError("label budget must be positive")
-            body_start = idx + 1
-        break
-    body = "\n".join(lines[body_start:])
-    tokens = body.replace("(", " ( ").replace(")", " ) ").split()
+            leading = False
+        elif parts[0][0] != "c":
+            leading = False
+            body.append(raw)
+    tokens = " ".join(body).replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
     def expect(tok: str) -> None:

@@ -8,13 +8,13 @@ Every new B-vertex ends at the stage's last A-position, so under that guess
 an agent may take exactly those whose interval starts after it; the
 candidates left form an independent set, and each stage reduces to the
 edgeless enumeration.  Components are solved separately and merged by
-vector addition.
+vector addition.  Finding the A-order is the recognition module's work.
 """
 from __future__ import annotations
 
 import itertools
 from functools import partial
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import Coloring, ConflictInstance, Profile, connected_components, validate_coloring
 from .profiles import (
@@ -29,340 +29,12 @@ from .profiles import (
 )
 # unused here: kept only as the module attribute the benchmark tracer wraps
 from .profiles import dominance_prune  # noqa: F401
-
-
-class OrderingError(ValueError):
-    """The graph or a proposed ordering is not convex bipartite."""
-
-
-class ConvexOrdering(NamedTuple):
-    """A bipartition with an A-order under which B-neighborhoods are intervals.
-
-    intervals maps each non-isolated B-vertex to (lo, hi), the 1-based
-    positions in a_order of its first and last neighbor.
-    """
-
-    a_order: tuple[int, ...]
-    b_vertices: tuple[int, ...]
-    intervals: dict[int, tuple[int, int]]
-
-    def position_of(self) -> dict[int, int]:
-        return {a: i + 1 for i, a in enumerate(self.a_order)}
-
-
-def validate_convex_ordering(
-    inst: ConflictInstance,
-    a_order: Sequence[int],
-    b_vertices: Iterable[int],
-) -> ConvexOrdering:
-    """Check a bipartition and A-order, computing per-B interval endpoints."""
-    a_list, b_list = tuple(a_order), tuple(b_vertices)
-    a_set, b_set = frozenset(a_list), frozenset(b_list)
-    everything = frozenset(range(inst.n))
-    outside = (a_set | b_set) - everything
-    if outside:
-        bad = next(v for v in a_list + b_list if v in outside)
-        raise OrderingError(f"vertex {bad + 1} out of range 1..{inst.n}")
-    if len(a_set) != len(a_list):
-        raise OrderingError(f"A-order repeats vertex {_first_repeat(a_list) + 1}")
-    if len(b_set) != len(b_list):
-        raise OrderingError(f"B side repeats vertex {_first_repeat(b_list) + 1}")
-    if a_set & b_set:
-        overlap = min(a_set & b_set)
-        raise OrderingError(f"vertex {overlap + 1} on both sides of the bipartition")
-    if a_set | b_set != everything:
-        missing = min(everything - (a_set | b_set))
-        raise OrderingError(f"vertex {missing + 1} is on neither side")
-    pos = {a: i + 1 for i, a in enumerate(a_list)}
-    for u, v in inst.edges:
-        if u in a_set and v in a_set:
-            raise OrderingError(f"edge ({u + 1},{v + 1}) inside the A side")
-        if u in b_set and v in b_set:
-            raise OrderingError(f"edge ({u + 1},{v + 1}) inside the B side")
-    adj = inst.adjacency()
-    intervals: dict[int, tuple[int, int]] = {}
-    for b in sorted(b_set):
-        positions = sorted(pos[a] for a in adj[b])
-        if not positions:
-            continue
-        lo, hi = positions[0], positions[-1]
-        if len(positions) != hi - lo + 1:
-            have = set(positions)
-            gap = next(p for p in range(lo, hi + 1) if p not in have)
-            raise OrderingError(
-                f"neighborhood of vertex {b + 1} is not an interval: "
-                f"gap at position {gap} between positions {lo} and {hi}"
-            )
-        intervals[b] = (lo, hi)
-    return ConvexOrdering(a_order=a_list, b_vertices=tuple(sorted(b_set)), intervals=intervals)
-
-
-def _first_repeat(ids: Sequence[int]) -> int | None:
-    """The first id that an earlier position of ids already holds."""
-    seen: set[int] = set()
-    for v in ids:
-        if v in seen:
-            return v
-        seen.add(v)
-    return None
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _ordered_classes(rows: Sequence[int]) -> list[int] | None:
-    """The classes of one overlap component in their forced order, or None.
-
-    rows are masks over groups, listed so that each overlaps an earlier one.
-    A class is a maximal set of groups lying in the same rows; in every order
-    that makes the rows consecutive, the classes are consecutive and appear
-    in this order or its reverse.  The classes are kept as a doubly linked
-    list that each row refines: the classes it meets must form a run, only
-    the run's two end classes may be split, and the row's groups outside the
-    union so far become a new class at the end the run reaches.
-    """
-    members = [rows[0]]
-    prv: list[int | None] = [None]
-    nxt: list[int | None] = [None]
-    class_of = dict.fromkeys(_bits(rows[0]), 0)
-    union = rows[0]
-    head = tail = 0
-
-    def add_class(mask: int, left: int | None, right: int | None) -> None:
-        nonlocal head, tail
-        c = len(members)
-        members.append(mask)
-        prv.append(left)
-        nxt.append(right)
-        if left is None:
-            head = c
-        else:
-            nxt[left] = c
-        if right is None:
-            tail = c
-        else:
-            prv[right] = c
-        for x in _bits(mask):
-            class_of[x] = c
-
-    def split(c: int, row: int, inner_right: bool) -> None:
-        # the part of c inside the row moves to a new class on the run's side
-        inside = members[c] & row
-        if inside != members[c]:
-            members[c] &= ~row
-            if inner_right:
-                add_class(inside, c, nxt[c])
-            else:
-                add_class(inside, prv[c], c)
-
-    for row in rows[1:]:
-        hit = {class_of[x] for x in _bits(row & union)}
-        # the classes the row meets are a run iff just one starts it
-        run = [c for c in hit if prv[c] not in hit]
-        if len(run) != 1:
-            return None
-        while nxt[run[-1]] in hit:
-            run.append(nxt[run[-1]])
-        if any(members[c] & ~row for c in run[1:-1]):
-            return None
-        outside = row & ~union
-        to_left = False
-        if outside:
-            # the new class goes at an end of the list that the run reaches
-            # with a class wholly inside the row, or with its only class
-            single = len(run) == 1
-            fits_right = nxt[run[-1]] is None and (single or not members[run[-1]] & ~row)
-            fits_left = prv[run[0]] is None and (single or not members[run[0]] & ~row)
-            if not (fits_right or fits_left):
-                return None
-            to_left = not fits_right
-        if len(run) == 1:
-            split(run[0], row, not to_left)
-        else:
-            split(run[0], row, True)
-            split(run[-1], row, False)
-        if outside:
-            if to_left:
-                add_class(outside, None, head)
-            else:
-                add_class(outside, tail, None)
-            union |= outside
-    order = []
-    c: int | None = head
-    while c is not None:
-        order.append(members[c])
-        c = nxt[c]
-    return order
-
-
-def consecutive_ones_order(
-    columns: Sequence[int],
-    rows: Iterable[Iterable[int]],
-) -> list[int] | None:
-    """Order the columns so every row becomes consecutive, or return None.
-
-    Columns with identical row membership form a group, and groups are
-    numbered by their least column.  The result is the lexicographically
-    first sequence of group numbers under which every row is consecutive,
-    with each group's columns sorted, followed by the columns in no row,
-    sorted.
-
-    The test is polynomial and iterative.  It follows the overlap-component
-    form of the PQ-tree (Hsu, "A simple test for the consecutive ones
-    property", J. Algorithms 2002; McConnell, "A certifying algorithm for the
-    consecutive-ones property", SODA 2004).  Two rows overlap if they
-    intersect and neither contains the other.  Each overlap component fixes
-    the order of its classes up to reversal.  The components' unions nest,
-    and a component lies inside one class of the smallest component around
-    it, so each class holds the components nested directly in it and its
-    loose groups, in any order.  The lexicographically first order sorts
-    those members by the least group each can start with and turns every
-    component so that its end with the smaller such group comes first.
-    """
-    columns = list(columns)
-    col_set = set(columns)
-    patterns: dict[int, list[int]] = {c: [] for c in columns}
-    for idx, row in enumerate(rows):
-        members = set(row)
-        if not members <= col_set:
-            raise ValueError("row mentions a column outside the universe")
-        for c in members:
-            patterns[c].append(idx)
-
-    groups: dict[frozenset[int], list[int]] = {}
-    for c in columns:
-        groups.setdefault(frozenset(patterns[c]), []).append(c)
-    free = sorted(groups.pop(frozenset(), []))
-    keys = sorted(groups, key=lambda key: min(groups[key]))
-    g = len(keys)
-    full = (1 << g) - 1
-    masks: dict[int, int] = {}
-    for i, key in enumerate(keys):
-        for idx in key:
-            masks[idx] = masks.get(idx, 0) | 1 << i
-    # rows within one group or covering all groups impose nothing
-    row_masks = list(dict.fromkeys(m for m in masks.values() if m != full and m & (m - 1)))
-
-    # overlap components, each row listed after one it overlaps
-    position = {m: r for r, m in enumerate(row_masks)}
-    rows_with = [0] * g
-    for i, key in enumerate(keys):
-        for idx in key:
-            if masks[idx] in position:
-                rows_with[i] |= 1 << position[masks[idx]]
-    unseen = (1 << len(row_masks)) - 1
-    components = []
-    for start, first_row in enumerate(row_masks):
-        if not unseen >> start & 1:
-            continue
-        unseen ^= 1 << start
-        comp = [first_row]
-        for row in comp:
-            near = 0
-            for x in _bits(row):
-                near |= rows_with[x]
-            for r in _bits(near & unseen):
-                other = row_masks[r]
-                if other & ~row and row & ~other:
-                    unseen ^= 1 << r
-                    comp.append(other)
-        classes = _ordered_classes(comp)
-        if classes is None:
-            return None
-        # the classes are disjoint, so their sum is the component's union
-        components.append((sum(classes), len(comp) > 1, classes))
-
-    # nest the components: a larger union first, a single row before a
-    # component of several rows with the same union
-    components.sort(key=lambda comp: (-comp[0].bit_count(), comp[1]))
-    root = (-1, 0)
-    nested: dict[tuple[int, int], list[int]] = {root: []}
-    covered = {root: 0}
-    innermost: dict[int, tuple[int, int]] = {}
-    for j, (union, _, classes) in enumerate(components):
-        slot = innermost.get((union & -union).bit_length() - 1, root)
-        nested[slot].append(j)
-        covered[slot] |= union
-        for ci, cls in enumerate(classes):
-            nested[j, ci] = []
-            covered[j, ci] = 0
-            for x in _bits(cls):
-                innermost[x] = (j, ci)
-
-    # node i < g is group i, node g + j is component j; first[node] is the
-    # least group the node's part of the order can start with
-    first = list(range(g)) + [0] * len(components)
-
-    def slot_nodes(slot: tuple[int, int], mask: int) -> list[int]:
-        nodes = [g + j for j in nested[slot]] + list(_bits(mask & ~covered[slot]))
-        nodes.sort(key=first.__getitem__)
-        return nodes
-
-    # inner components first; each one's slots in the order it is emitted
-    emitted: list[list[list[int]]] = [[] for _ in components]
-    for j in range(len(components) - 1, -1, -1):
-        slots = [slot_nodes((j, ci), cls) for ci, cls in enumerate(components[j][2])]
-        start, end = first[slots[0][0]], first[slots[-1][0]]
-        first[g + j] = min(start, end)
-        emitted[j] = slots[::-1] if end < start else slots
-
-    order: list[int] = []
-    stack = slot_nodes(root, full)[::-1]
-    while stack:
-        node = stack.pop()
-        if node < g:
-            order.extend(sorted(groups[keys[node]]))
-        else:
-            for nodes in reversed(emitted[node - g]):
-                stack.extend(reversed(nodes))
-    order.extend(free)
-    return order
-
-
-def find_convex_ordering(inst: ConflictInstance) -> ConvexOrdering | None:
-    """Find an A-order witnessing convexity, or return None.
-
-    Each connected component is 2-colored in one search.  The side holding
-    the component's least vertex is tried as A first, then the other side.
-    Raises OrderingError on non-bipartite input.
-    """
-    adj = inst.adjacency()
-    color = [-1] * inst.n
-    a_order: list[int] = []
-    b_side_all: list[int] = []
-    for start in range(inst.n):
-        if color[start] >= 0:
-            continue
-        # start is the component's least vertex; its side gets color 0
-        color[start] = 0
-        comp = [start]
-        for v in comp:
-            for w in adj[v]:
-                if color[w] < 0:
-                    color[w] = 1 - color[v]
-                    comp.append(w)
-                elif color[w] == color[v]:
-                    raise OrderingError("graph is not bipartite: odd cycle found")
-        if len(comp) == 1:
-            a_order.append(start)
-            continue
-        comp.sort()
-        first = [v for v in comp if not color[v]]
-        second = [v for v in comp if color[v]]
-        for a_side, b_side in ((first, second), (second, first)):
-            order = consecutive_ones_order(a_side, [adj[b] for b in b_side])
-            if order is not None:
-                a_order.extend(order)
-                b_side_all.extend(b_side)
-                break
-        else:
-            return None
-    return validate_convex_ordering(inst, a_order, b_side_all)
+from .recognition import (
+    ConvexOrdering,
+    OrderingError,
+    find_convex_ordering,
+    validate_convex_ordering,
+)
 
 
 class StageStructure(NamedTuple):

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING
 from .model import ConflictInstance
 
 if TYPE_CHECKING:
-    from .convex import ConvexOrdering
+    from .recognition import ConvexOrdering
     from .treeindep import TreeDecomposition
 
 
@@ -28,7 +28,7 @@ def gen_convex_bipartite(
     interval drawn uniformly from all na*(na+1)/2 nonempty intervals of A
     (B-vertices are isolated when na = 0).
     """
-    from .convex import validate_convex_ordering  # only this generator needs it
+    from .recognition import validate_convex_ordering  # only this generator needs it
 
     if na < 0 or nb < 0:
         raise ValueError("side sizes must be nonnegative")

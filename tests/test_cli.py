@@ -8,6 +8,7 @@ import properties
 import support
 
 import fairkdiv.convex
+import fairkdiv.recognition
 import fairkdiv.treeindep
 from fairkdiv.cli import (
     EXIT_INFEASIBLE,
@@ -246,7 +247,6 @@ class TestExpressionBudgetLine:
     """Only a first token of exactly `cw` starts a budget line."""
 
     @pytest.mark.parametrize("first, message", [
-        ("cwfoo 3", "expected '(', found 'cwfoo'"),
         ("cw 3 4", "bad budget line: 'cw 3 4'"),
         ("cw x", "bad budget line: 'cw x'"),
     ])
@@ -255,6 +255,43 @@ class TestExpressionBudgetLine:
         (tmp_path / "bad.cw").write_text(f"{first}\n(u (v 1 1) (u (v 2 2) (v 1 3)))\n")
         monkeypatch.chdir(tmp_path)
         argv = ["validate", "p3.fkd", "--expression", "bad.cw"]
+        out = "instance: ok (n=3, m=2, k=2)\n"
+        assert run_cli(argv) == (EXIT_INFEASIBLE, out, f"error: {message}\n")
+
+
+class TestExpressionComments:
+    """A line whose first token starts with `c` is a comment, but a leading `cw` budget line."""
+
+    EXPR = "(eta 1 2 (u (u (v 1 1) (v 1 3)) (v 2 2)))"
+
+    @pytest.mark.parametrize("text, labels", [
+        (f"c\n{EXPR}\n", 2),
+        (f"c\tnote\n{EXPR}\n", 2),
+        (f"cw 3\nc after the budget line\n{EXPR}\n", 3),
+        (f"c before\ncw 3\n{EXPR}\n", 3),
+        ("(eta 1 2 (u (u (v 1 1) (v 1 3))\nc inside the expression\n(v 2 2)))\n", 2),
+        # a budget line after the expression, or a token like cwfoo, is a comment
+        (f"{EXPR}\ncw 5\n", 2),
+        (f"cwfoo 3\n{EXPR}\n", 2),
+    ], ids=["bare-c", "c-tab", "after-budget", "before-budget", "inside", "late-budget", "cwfoo"])
+    def test_accepted(self, tmp_path, monkeypatch, text, labels):
+        (tmp_path / "p3.fkd").write_text(P3_TEXT)
+        (tmp_path / "e.cw").write_text(text)
+        monkeypatch.chdir(tmp_path)
+        argv = ["validate", "p3.fkd", "--expression", "e.cw"]
+        out = f"instance: ok (n=3, m=2, k=2)\nexpression: ok (labels={labels})\n"
+        assert run_cli(argv) == (EXIT_OK, out, "")
+
+    @pytest.mark.parametrize("text, message", [
+        ("c note\ncw x\n(v 1 1)\n", "bad budget line: 'cw x'"),
+        ("c\ncw 2\nc\n(u (v 1 1) (v 2 2)) (v 1 3)\n", "trailing input after expression: '('"),
+        ("c only comments\nc\n", "expected '(', found 'end of input'"),
+    ], ids=["bad-budget", "trailing", "empty"])
+    def test_exact_stderr_and_exit_1(self, tmp_path, monkeypatch, text, message):
+        (tmp_path / "p3.fkd").write_text(P3_TEXT)
+        (tmp_path / "e.cw").write_text(text)
+        monkeypatch.chdir(tmp_path)
+        argv = ["validate", "p3.fkd", "--expression", "e.cw"]
         out = "instance: ok (n=3, m=2, k=2)\n"
         assert run_cli(argv) == (EXIT_INFEASIBLE, out, f"error: {message}\n")
 
@@ -532,12 +569,14 @@ class TestRecognizeOnce:
             "--max-profit", "9", "--seed", "2", "--out", str(tmp_path / "g"),
         ])
         calls = []
-        search = fairkdiv.convex.find_convex_ordering
+        search = fairkdiv.recognition.find_convex_ordering
 
         def counted(*args, **kwargs):
             calls.append(1)
             return search(*args, **kwargs)
 
+        # the CLI searches through recognition, a solver through convex
+        monkeypatch.setattr(fairkdiv.recognition, "find_convex_ordering", counted)
         monkeypatch.setattr(fairkdiv.convex, "find_convex_ordering", counted)
         instance = str(tmp_path / "g.fkd")
         for argv in (

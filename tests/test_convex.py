@@ -10,15 +10,17 @@ from conftest import FIXTURE_B_MINUS, FIXTURE_B_PLUS
 
 from fairkdiv import convex
 from fairkdiv.convex import (
-    OrderingError,
     _ConnectedConvexDP,
     _guesses,
-    consecutive_ones_order,
     convex_profile_set,
-    find_convex_ordering,
     solve_connected_convex,
     solve_convex,
     stage_structure,
+)
+from fairkdiv.recognition import (
+    OrderingError,
+    consecutive_ones_order,
+    find_convex_ordering,
     validate_convex_ordering,
 )
 from fairkdiv.generators import gen_convex_bipartite
@@ -31,6 +33,46 @@ def path_a1_b1_a2_b2(k=2, profits=None):
     """a1-b1-a2-b2: A = {0, 1} (a1=0, a2=1), B = {2, 3} (b1=2, b2=3)."""
     rows = profits or [[1] * 4] * k
     return ConflictInstance.build(4, k, [(0, 2), (1, 2), (1, 3)], rows)
+
+
+STRUCTURED = ("nested", "repeated", "shared-ends", "covering", "mixed")
+
+
+def _intervals(kind: str, rng: random.Random, ncols: int) -> list[tuple[int, int]]:
+    """Slices [lo, hi) of a hidden order of ncols columns, shaped by kind.
+
+    nested: a chain, each inside the one before; repeated: a few intervals,
+    each several times; shared-ends: intervals that start or end at the same
+    few points; covering: rows over all columns among short ones; mixed:
+    all of these together.
+    """
+    if kind == "mixed":
+        return [iv for sub in STRUCTURED[:-1] for iv in _intervals(sub, rng, ncols)[:3]]
+    if kind == "nested":
+        lo, hi, out = 0, ncols, []
+        while lo < hi:
+            out.append((lo, hi))
+            if rng.random() < 0.5:
+                lo += 1
+            else:
+                hi -= 1
+        return out
+    if kind == "repeated":
+        base = [_interval(rng, ncols) for _ in range(rng.randint(1, 3))]
+        return [iv for iv in base for _ in range(rng.randint(2, 3))]
+    if kind == "shared-ends":
+        points = rng.sample(range(ncols + 1), min(3, ncols + 1))
+        out = []
+        for _ in range(rng.randint(2, 6)):
+            a, b = sorted(rng.sample(points, 2)) if rng.random() < 0.5 else _interval(rng, ncols)
+            out.append((a, b) if a < b else _interval(rng, ncols))
+        return out
+    return [(0, ncols)] * rng.randint(1, 2) + [_interval(rng, ncols) for _ in range(3)]
+
+
+def _interval(rng: random.Random, ncols: int) -> tuple[int, int]:
+    lo = rng.randrange(ncols)
+    return lo, rng.randint(lo + 1, ncols)
 
 
 class TestValidateOrdering:
@@ -130,7 +172,23 @@ class TestFindOrdering:
             assert consecutive_ones_order(columns, rows) == want, (columns, rows)
             outcomes[want is not None] += 1
         assert min(outcomes.values()) >= 300, outcomes
-
+        # structured families: each kind of row over a hidden order, then
+        # the same rows with one random row added
+        kinds = {kind: 0 for kind in STRUCTURED}
+        for case in range(1200):
+            kind = STRUCTURED[case % len(STRUCTURED)]
+            ncols = rng.randint(2, 12)
+            columns = rng.sample(range(-20, 60), ncols)
+            hidden = columns[:]
+            rng.shuffle(hidden)
+            rows = [set(hidden[lo:hi]) for lo, hi in _intervals(kind, rng, ncols)]
+            rng.shuffle(rows)
+            for extra in ([], [set(rng.sample(columns, rng.randint(1, ncols)))]):
+                case_rows = rows + extra
+                want = support.c1p_first_by_search(columns, case_rows)
+                assert consecutive_ones_order(columns, case_rows) == want, (columns, case_rows)
+            kinds[kind] += want is not None
+        assert min(kinds.values()) >= 20, kinds
     def test_ordering_matches_the_search_on_shuffled_parts(self):
         rng = random.Random(43)
         for _ in range(40):
@@ -141,32 +199,68 @@ class TestFindOrdering:
             assert co == support.convex_ordering_by_search(inst)
 
 
+def _shuffled(inst: ConflictInstance, seed: int) -> ConflictInstance:
+    perm = list(range(inst.n))
+    random.Random(seed).shuffle(perm)
+    profits = [[0] * inst.n for _ in range(inst.k)]
+    for j, row in enumerate(inst.profits):
+        for v, p in enumerate(row):
+            profits[j][perm[v]] = p
+    return ConflictInstance.build(
+        inst.n, inst.k, [(perm[u], perm[v]) for u, v in inst.edges], profits
+    )
+
+
+def _timed(call):
+    start = time.perf_counter()
+    result = call()
+    return result, time.perf_counter() - start
+
+
+def _is_consecutive(order: list[int], rows: list[set[int]]) -> bool:
+    pos = {c: i for i, c in enumerate(order)}
+    return all(max(pos[c] for c in r) - min(pos[c] for c in r) + 1 == len(r) for r in rows)
+
+
 class TestRecognitionScale:
-    def test_shuffled_160_plus_160(self):
-        inst, _ = gen_convex_bipartite(160, 160, 2, 10, seed=5)
-        perm = list(range(inst.n))
-        random.Random(5).shuffle(perm)
-        profits = [[0] * inst.n for _ in range(inst.k)]
-        for j, row in enumerate(inst.profits):
-            for v, p in enumerate(row):
-                profits[j][perm[v]] = p
-        shuffled = ConflictInstance.build(
-            inst.n, inst.k, [(perm[u], perm[v]) for u, v in inst.edges], profits
-        )
-        start = time.perf_counter()
-        co = find_convex_ordering(shuffled)
-        elapsed = time.perf_counter() - start
+    def test_shuffled_800_plus_800(self):
+        inst, _ = gen_convex_bipartite(800, 800, 2, 10, seed=5)
+        shuffled = _shuffled(inst, 5)
+        shuffled.adjacency()
+        co, elapsed = _timed(lambda: find_convex_ordering(shuffled))
         assert co is not None
         validate_convex_ordering(shuffled, co.a_order, co.b_vertices)
         assert elapsed < 1.0, elapsed
 
-    def test_path_of_5000_vertices(self):
-        n = 5000
+    def test_path_of_50000_vertices(self):
+        n = 50000
         inst = ConflictInstance.build(n, 1, [(v, v + 1) for v in range(n - 1)], [[1] * n])
         co = find_convex_ordering(inst)
         assert co is not None
         assert co.a_order == tuple(range(0, n, 2))
         validate_convex_ordering(inst, co.a_order, co.b_vertices)
+
+    def test_nested_family_of_1500_rows(self):
+        # each row inside the next: no two overlap, so each is its own component
+        rng = random.Random(7)
+        columns = rng.sample(range(10**6), 1500)
+        rows = [set(columns[:i + 1]) for i in range(1500)]
+        rng.shuffle(rows)
+        order, elapsed = _timed(lambda: consecutive_ones_order(columns, rows))
+        assert sorted(order) == sorted(columns)
+        assert _is_consecutive(order, rows)
+        assert elapsed < 1.0, elapsed
+
+    def test_overlapping_family_of_1000_rows_of_width_1000(self):
+        # every two rows overlap: one component whose classes are single columns
+        rng = random.Random(8)
+        columns = rng.sample(range(10**6), 1999)
+        rows = [set(columns[i:i + 1000]) for i in range(1000)]
+        rng.shuffle(rows)
+        order, elapsed = _timed(lambda: consecutive_ones_order(columns, rows))
+        assert order in (columns, columns[::-1])
+        assert _is_consecutive(order, rows)
+        assert elapsed < 1.0, elapsed
 
 
 class TestStageStructure:

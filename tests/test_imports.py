@@ -60,7 +60,7 @@ def test_import_package_loads_no_submodule(tmp_path):
 
 SUBMODULES = (
     "approx", "cli", "cliquewidth", "convex", "generators", "model", "oracle", "profiles",
-    "treeindep",
+    "recognition", "treeindep",
 )
 
 
@@ -87,12 +87,14 @@ def test_no_submodule_loads_dataclasses_or_inspect(tmp_path):
          {"fairkdiv.profiles", "fairkdiv.treeindep"}),
         (["profiles", "p3.fkd", "--method", "cw", "--expression", "p3.cw"],
          {"fairkdiv.profiles", "fairkdiv.cliquewidth"}),
-        (["recognize", "p3.fkd"], {"fairkdiv.profiles", "fairkdiv.convex"}),
+        # recognition compiles neither the profile code nor the stage DP
+        (["recognize", "p3.fkd"], {"fairkdiv.recognition"}),
         (["gen", "ktree", "--n", "6", "--width", "2", "--seed", "1"],
          {"fairkdiv.profiles", "fairkdiv.treeindep", "fairkdiv.generators"}),
         (["solve", "p3.fkd", "--method", "brute"], {"fairkdiv.profiles", "fairkdiv.oracle"}),
         (["approx", "p3.fkd", "--method", "convex", "--epsilon", "1/4"],
-         {"fairkdiv.profiles", "fairkdiv.convex", "fairkdiv.approx", "fractions"}),
+         {"fairkdiv.profiles", "fairkdiv.convex", "fairkdiv.recognition", "fairkdiv.approx",
+          "fractions"}),
     ],
     ids=["tin-solve", "tin-solve-json", "tin-solve-unused-expression", "cw-profiles", "recognize", "gen-ktree", "brute-solve",
          "approx-convex"],

@@ -5,18 +5,23 @@ written as each agent's vertices, 0-based and ascending, agents split by
 "|"; the counters are stats["dp-cells"], ["profiles-stored"] and, for
 convex, ["profile-ops"].  A clique-width row also pins the instance's full
 profile set: its size and the first and last line of its dump.  A change
-of how tables hold their cells keeps every row.
+of how tables hold their cells keeps every row.  Recognition rows pin the
+ordering file of find_convex_ordering: its first eight A-ids and the
+SHA-256 of its text, so a new recognition algorithm keeps every ordering.
 """
+import hashlib
 import random
 
 import pytest
 
 import support
 
+from fairkdiv.cli import ordering_file_text
 from fairkdiv.cliquewidth import cliquewidth_profile_set, solve_cliquewidth
 from fairkdiv.convex import solve_convex
 from fairkdiv.generators import gen_partial_ktree
 from fairkdiv.profiles import profile_grid
+from fairkdiv.recognition import find_convex_ordering
 from fairkdiv.treeindep import solve_tin
 
 COUNTERS = ("dp-cells", "profiles-stored", "profile-ops")
@@ -52,6 +57,24 @@ CONVEX = [
     (9, 154, (154, 155), "1 2 5 6 8 14 15|3 4 7 9 10 13 16", (176, 239, 103)),
     (10, 211, (213, 211), "2 3 8 9 10 11 12 13 16|0 1 4 5 6 7 14 15", (222, 265, 106)),
     (11, 168, (168, 170), "0 3 8 9 10 11 12 16|1 2 4 5 6 7 13 14 15", (209, 235, 69)),
+]
+
+# shuffled_convex_instance(Random(seed), RECOGNIZE_PARTS, 2, 10), recognized:
+# (seed, first eight A-ids, first 32 hex digits of the ordering text's SHA-256)
+RECOGNIZE_PARTS = [(20, 20)] * 10
+RECOGNIZE = [
+    (0, "123 73 279 230 47 42 164 261", "ca1bb062b504b81921b659eaf7633415"),
+    (1, "37 43 9 232 8 194 255 72", "4dfcb422e600cf497183f9dde2a35666"),
+    (2, "177 58 147 173 306 8 79 115", "06b94b1026b6473016128fb572d390c5"),
+    (3, "90 360 55 163 212 397 261 32", "6c5445e87eab2bc0cdffd45fbcc3c93b"),
+    (4, "1 189 194 208 290 324 119 163", "a65babf17b2f12ab54b5191a495e2241"),
+    (5, "3 1 68 65 228 367 72 317", "b3c0e81250c52fa40b1f07b2252ac994"),
+    (6, "129 210 48 186 172 46 218 313", "e1a2539c6ab98a17c8a68ecd2fff1692"),
+    (7, "27 382 16 163 222 393 18 54", "cabc7627f27f6e81485784208ba4aad5"),
+    (8, "175 362 62 290 180 84 248 94", "96fd30f2753d626dbeb123386591ab57"),
+    (9, "110 114 341 222 1 10 169 323", "926ed9049b572799c4751be52ef01eaa"),
+    (10, "35 116 59 102 287 14 1 49", "e4f9b50ac4e01965daebdfb15e27565f"),
+    (11, "118 392 148 362 36 289 56 206", "ddf886a1f33974a756d8b67e6e950a21"),
 ]
 
 # random_expression(Random(seed), 10, 2) and instance_for_expression(expr,
@@ -90,6 +113,14 @@ def test_convex_pruned(row):
     inst = support.shuffled_convex_instance(random.Random(row[0]), CONVEX_PARTS, 2, 40)
     stats: dict = {}
     assert _row(row[0], solve_convex(inst, stats=stats), stats, COUNTERS) == row
+
+
+@pytest.mark.parametrize("row", RECOGNIZE, ids=lambda row: f"seed{row[0]}")
+def test_recognized_ordering(row):
+    inst = support.shuffled_convex_instance(random.Random(row[0]), RECOGNIZE_PARTS, 2, 10)
+    text = ordering_file_text(find_convex_ordering(inst))
+    digest = hashlib.sha256(text.encode()).hexdigest()[:32]
+    assert (row[0], " ".join(text.split()[1:9]), digest) == row
 
 
 @pytest.mark.parametrize("row", CW, ids=lambda row: f"seed{row[0]}")
