@@ -9,7 +9,7 @@ none of the solvers, so recognizing a graph loads no profile code.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import compress
+from itertools import compress, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .model import ConflictInstance
@@ -159,8 +159,7 @@ class _Arrangement:
         cls = self.cls
         labels = list(map(cls.__getitem__, row))
         self.row, self.labels = row, labels
-        met = set(labels)
-        if len(met) == 1:
+        if len(set(labels)) == 1:
             # among one class's own columns: a new one-class component there
             outer, n = labels[0], len(labels)
             c = len(self.up)
@@ -176,41 +175,9 @@ class _Arrangement:
                 self.nested[outer] += 1
             return True
 
-        # the common cases: the row meets the classes of one component h,
-        # and perhaps the class around h, but no other component
-        rest = [-1] if -1 in met else []
-        met.discard(-1)
-        comp, up = self.comp, self.up
-        ids = set(map(comp.__getitem__, met))
-        h = ids.pop()
-        if ids or up[h] != h:
-            h = -1
-            for k in met:
-                c = comp[k]
-                if up[c] != c:
-                    c = comp[k] = self._find(c)
-                if h < 0:
-                    h = c
-                if c != h:
-                    rest.append(k)
-        if not rest:
-            return self._inside_own(h, met)
         counts = self.counts = {}
         for k in labels:
             counts[k] = counts.get(k, 0) + 1
-
-        top = self.parent[h]
-        if rest == [top]:
-            # the row leaves h at one end, into the class around h
-            met.discard(top)
-            end = self._end_run(met)
-            if end is None:
-                return False
-            split, out_nb, open_end = end
-            inner = self._split(h, split, out_nb, -1, {})
-            self._join(top, [h], {h: inner if open_end < 0 else open_end})
-            return True
-
         walked = self._walk()
         if walked is None:
             return False
@@ -230,6 +197,20 @@ class _Arrangement:
         """Whether class k lies in the row, with no component in it."""
         return self.own[k] == self.counts.get(k, 0) and not self.nested[k]
 
+    def _covers(self, vis: set[int], ends: Iterable[int]) -> bool:
+        """Whether every class of vis but those of ends (a subset) is full.
+
+        A class never holds fewer own columns than the row holds of it, so
+        the sums agree exactly when every class does.
+        """
+        own, nested, counts = self.own, self.nested, self.counts
+        spare = sum(map(own.__getitem__, vis)) - sum(map(counts.get, vis, repeat(0)))
+        held = sum(map(nested.__getitem__, vis))
+        for k in ends:
+            spare -= own[k] - counts.get(k, 0)
+            held -= nested[k]
+        return not spare and not held
+
     def _walk(self):
         """The components a row overlaps, found by walking up from the classes it meets.
 
@@ -242,7 +223,28 @@ class _Arrangement:
         """
         comp, parent, size, find = self.comp, self.parent, self.size, self._find
         counts = self.counts
+        at_root = -1 in counts
+        # group the classes met by component, with one find per distinct link
+        met = counts.keys() - {-1}
+        roots = {}
+        for c in set(map(comp.__getitem__, met)):
+            roots[c] = find(c)
         visited: dict[int, set[int]] = {}
+        if len(set(roots.values())) == 1:
+            h = roots.popitem()[1]
+            visited[h] = met
+            # the row meets one component h: the walk would stop at the
+            # class around h, unless the row has columns in no class and
+            # that class is not the root
+            if parent[h] < 0 or not at_root:
+                return parent[h], [h], visited, {}
+        else:
+            for k in met:
+                c = comp[k] = roots[comp[k]]
+                if c in visited:
+                    visited[c].add(k)
+                else:
+                    visited[c] = {k}
         heap: list[tuple[int, int]] = []
 
         def reach(k: int) -> None:
@@ -251,13 +253,11 @@ class _Arrangement:
                 visited[c].add(k)
             else:
                 visited[c] = {k}
-                # of two components with equal unions, the inner one is newer
                 heappush(heap, (size[c], -c))
 
-        for k in counts:
-            if k >= 0:
-                reach(k)
-        at_root = -1 in counts
+        for c in visited:
+            # of two components with equal unions, the inner one is newer
+            heappush(heap, (size[c], -c))
         inside: dict[int, list[int]] = {}
         while heap:
             c = -heap[0][1]
@@ -276,41 +276,20 @@ class _Arrangement:
             return None
         return top, tops, visited, inside
 
-    def _inside_own(self, h: int, vis: set[int]) -> bool:
-        """Add a row whose columns are all own columns of the classes vis of component h.
-
-        The classes must form a run whose inner classes the row covers:
-        those hold no component, and their own columns are all the row's
-        but those in the run's two end classes, which may split.
-        """
-        run = self._run(vis)
-        if run is None:
-            return False
-        lx, lb, rx, rb = run
-        labels = self.labels
-        self.counts = {lx: labels.count(lx), rx: labels.count(rx)}
-        own, nested = self.own, self.nested
-        if sum(map(nested.__getitem__, vis)) != nested[lx] + nested[rx]:
-            return False
-        inner = len(labels) - self.counts[lx] - self.counts[rx]
-        if sum(map(own.__getitem__, vis)) - own[lx] - own[rx] != inner:
-            return False
-        self._split(h, rx, rb, -1, {})
-        self._split(h, lx, lb, -1, {})
-        return True
-
     def _inside(self, h: int, visited: dict[int, set[int]], inside: dict[int, list[int]]) -> bool:
         """Add a row that lies inside component h and meets its classes visited[h].
 
-        As _inside_own, but the run's end classes may hold components the
-        row partly covers (the walk's inside), which split too.
+        The classes must form a run whose inner classes the row covers:
+        those hold no component, and their own columns are all the row's.
+        The run's two end classes may split, and so may the components in
+        them that the row partly covers (the walk's inside).
         """
         vis = visited[h]
         run = self._run(vis)
         if run is None:
             return False
         lx, lb, rx, rb = run
-        if not all(self._full(k) for k in vis if k != lx and k != rx):
+        if not self._covers(vis, {lx, rx}):
             return False
         opens: dict[int, int] = {}
         return (
@@ -385,7 +364,7 @@ class _Arrangement:
             open_end, split, out_nb = rx, lx, lb
         else:
             return None
-        if not all(self._full(k) for k in vis if k != split):
+        if not self._covers(vis, (split,)):
             return None
         return split, out_nb, open_end
 

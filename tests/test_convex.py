@@ -189,6 +189,7 @@ class TestFindOrdering:
                 assert consecutive_ones_order(columns, case_rows) == want, (columns, case_rows)
             kinds[kind] += want is not None
         assert min(kinds.values()) >= 20, kinds
+
     def test_ordering_matches_the_search_on_shuffled_parts(self):
         rng = random.Random(43)
         for _ in range(40):
@@ -226,7 +227,6 @@ class TestRecognitionScale:
     def test_shuffled_800_plus_800(self):
         inst, _ = gen_convex_bipartite(800, 800, 2, 10, seed=5)
         shuffled = _shuffled(inst, 5)
-        shuffled.adjacency()
         co, elapsed = _timed(lambda: find_convex_ordering(shuffled))
         assert co is not None
         validate_convex_ordering(shuffled, co.a_order, co.b_vertices)
