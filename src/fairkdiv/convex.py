@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
-from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
 from .model import Coloring, ConflictInstance, Profile, connected_components, validate_coloring
 from .profiles import (
@@ -91,29 +91,31 @@ def _table(run: Run, node: _Node, child_tables: list[Table]) -> Table:
 
 
 def _vertex_chain(
-    k: int, vertices: Sequence[int], rows: Mapping[Hashable, Sequence[Sequence[int]]]
+    k: int, vertices: Sequence[int], parts: Collection[tuple[tuple[int, ...], ...]]
 ) -> _Node:
-    """Each key's edgeless part, a subset-sum over vertices: a leaf, then one node per vertex.
+    """Each part's edgeless subset-sum: a leaf, then a node per vertex some part can take.
 
-    The leaf holds {0} under every key of rows.  rows[key][i] is each
-    agent's profit for vertices[i] in that key's part, and the i-th node
-    keeps every key with the vertex unassigned or given to one agent whose
-    profit is positive.
+    A part is its rows: part[i] is each agent's profit for vertices[i].
+    The leaf holds {0} under every part, and the i-th vertex's node keeps
+    every part with the vertex unassigned or given to one agent whose
+    profit is positive.  A vertex whose rows are all zero gets no node: it
+    would only pass every cell through.
     """
 
     def vertex_steps(i: int, vertex: int, child_tables: list[Table]) -> list[Step]:
         steps: list[Step] = []
-        for key in child_tables[0]:
-            child_keys = (key,)
-            steps.append((key, child_keys, 0, ()))
-            for agent, p in enumerate(rows[key][i]):
+        for part in child_tables[0]:
+            child_keys = (part,)
+            steps.append((part, child_keys, 0, ()))
+            for agent, p in enumerate(part[i]):
                 if p > 0:
-                    steps.append((key, child_keys, unit_code(k, agent, p), ((vertex, agent),)))
+                    steps.append((part, child_keys, unit_code(k, agent, p), ((vertex, agent),)))
         return steps
 
-    node = _Node(lambda child_tables: [(key, (), 0, ()) for key in rows])
+    node = _Node(lambda child_tables: [(part, (), 0, ()) for part in parts])
     for i, vertex in enumerate(vertices):
-        node = _Node(partial(vertex_steps, i, vertex), node)
+        if any(max(part[i]) > 0 for part in parts):
+            node = _Node(partial(vertex_steps, i, vertex), node)
     return node
 
 
@@ -129,25 +131,24 @@ class _Stage:
     """One stage's profit columns and parts, and the steps of its node kinds.
 
     Stage j adds the A-positions (u_prev, u_cur] and the B-positions
-    (v_prev, v_cur]; vertices lists them, A first, and a mask over their
-    indices is a set of stage positions.  Under a guess g, an agent's
-    largest A-position so far, its column keeps its profits on the stage's
-    A-positions up to g and on the new B-vertices whose interval starts
-    after g.  Every new B-vertex ends at u_cur >= g, so it meets one of the
-    agent's A-vertices iff its interval starts at or before g, and no
+    (v_prev, v_cur]; vertices lists them, A first.  Under a guess g, an
+    agent's largest A-position so far, its column keeps its profits on the
+    stage's A-positions up to g and on the new B-vertices whose interval
+    starts after g.  Every new B-vertex ends at u_cur >= g, so it meets one
+    of the agent's A-vertices iff its interval starts at or before g, and no
     earlier B-vertex reaches a new A-position: each agent may take any of
-    its column's vertices, whatever the others take.  Each column is built
-    once per stage and interned.
+    its column's vertices, whatever the others take.  Each agent's column is
+    built once per stage for every guessed A-position.
 
-    A part is the agents' column ids under a guess and the mask of the new
-    A-positions the guess names.  Its rows are its columns side by side
-    with those positions zeroed, so equal parts of different guesses share
-    one cell.  A stage is three node kinds: pred_steps unions the previous
-    cells that agree with each guess wherever it names a position already
-    passed; a vertex chain builds every part's edgeless subset-sum; and
-    stage_steps adds each guess's predecessor union to its part plus delta,
-    the profits of the new A-vertices the guess names, and colors those
-    vertices.
+    A part is its rows: the agents' columns under a guess side by side, with
+    the new A-positions the guess names zeroed.  parts holds each distinct
+    part once, in order of first use, so equal parts of different guesses
+    share one chain cell.  A stage is three node kinds: pred_steps unions
+    the previous cells that agree with each guess wherever it names a
+    position already passed; a vertex chain builds every part's edgeless
+    subset-sum; and stage_steps adds each guess's predecessor union to its
+    part plus delta, the profits of the new A-vertices the guess names, and
+    colors those vertices.
     """
 
     def __init__(self, dp: _ConnectedConvexDP, j: int):
@@ -159,35 +160,29 @@ class _Stage:
         na = self.na = len(a_pos)
         self.vertices = [dp.co.a_order[i - 1] for i in a_pos] + [ss.b_order[m - 1] for m in b_pos]
         b_lo = [dp.b_interval[m - 1][0] for m in b_pos]
-        ids: dict[tuple[int, ...], int] = {}  # column -> its index in columns
-        column_ids = []  # column_ids[l][g]: agent l's column under guess g
+        columns = []  # columns[l][g]: agent l's column under guess g
         for profits in dp.inst.profits:
             pa = [profits[v] for v in self.vertices[:na]]
             pb = [profits[v] for v in self.vertices[na:]]
-            per_guess = []
-            for g in range(ss.u[j] + 1):
-                col = [p if i <= g else 0 for i, p in zip(a_pos, pa)]
-                col += [p if g < lo else 0 for lo, p in zip(b_lo, pb)]
-                per_guess.append(ids.setdefault(tuple(col), len(ids)))
-            column_ids.append(per_guess)
-        columns = list(ids)
+            columns.append([
+                [p if i <= g else 0 for i, p in zip(a_pos, pa)]
+                + [p if g < lo else 0 for lo, p in zip(b_lo, pb)]
+                for g in range(ss.u[j] + 1)
+            ])
 
         zero = (0,) * k
-        self.rows: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
         self.steps: list[Step] = []
         for guess in _guesses(ss.u[j], k):
-            taken, delta, assigned = 0, 0, ()
+            rows = list(zip(*map(list.__getitem__, columns, guess)))
+            delta, assigned = 0, ()
             for l, g in enumerate(guess):
                 if g > u_prev:
                     vertex = self.vertices[g - u_prev - 1]
-                    taken |= 1 << g - u_prev - 1
+                    rows[g - u_prev - 1] = zero
                     delta += unit_code(k, l, dp.inst.profits[l][vertex])
                     assigned += ((vertex, l),)
-            part = (tuple(map(list.__getitem__, column_ids, guess)), taken)
-            if part not in self.rows:
-                rows = zip(*(columns[c] for c in part[0]))
-                self.rows[part] = [zero if taken >> p & 1 else row for p, row in enumerate(rows)]
-            self.steps.append((guess, (self.key(guess), part), delta, assigned))
+            self.steps.append((guess, (self.key(guess), tuple(rows)), delta, assigned))
+        self.parts = dict.fromkeys(step[1][1] for step in self.steps)
         self.ops = 0
 
     def key(self, guess: tuple[int, ...]) -> tuple[int, ...]:
@@ -217,8 +212,8 @@ class _Stage:
         """
         pred, parts = child_tables
         steps = [step for step in self.steps if step[1][0] in pred]
-        for _, (key, part), _, _ in steps:
-            rows = 1 if self.j else len(self.vertices) - part[1].bit_count()
+        for _, (key, part), _, assigned in steps:
+            rows = 1 if self.j else len(self.vertices) - len(assigned)
             self.ops += len(pred[key]) * rows * len(parts[part])
         return steps
 
@@ -245,7 +240,7 @@ class _ConnectedConvexDP:
         self.stage_nodes: list[_Node] = []
         for stage in self.stages:
             pred = _Node(stage.pred_steps, *self.stage_nodes[-1:])
-            chain = _vertex_chain(self.k, stage.vertices, stage.rows)
+            chain = _vertex_chain(self.k, stage.vertices, stage.parts)
             self.stage_nodes.append(_Node(stage.stage_steps, pred, chain))
         self.root = self.stage_nodes[-1]
 
@@ -278,7 +273,7 @@ def _merged_components(inst: ConflictInstance, ordering: ConvexOrdering | None, 
     """Per-component profile sets and their running vector-sum merges, all in one run.
 
     Each part carries its DP tree's root for the witness walk; an edgeless
-    component is a vertex chain under the one key ().  The last running
+    component is a vertex chain over its one part.  The last running
     merge is the profile set of the whole instance.  The run is made from
     the whole instance's totals, so unpruned every component is held on
     its grid when it is small enough, and the merges are shift-ORs too.
@@ -290,8 +285,7 @@ def _merged_components(inst: ConflictInstance, ordering: ConvexOrdering | None, 
     for comp in connected_components(inst):
         sub = comp.instance
         if not sub.edges:
-            rows = [tuple(sub.profits[j][v] for j in range(sub.k)) for v in range(sub.n)]
-            root = _vertex_chain(sub.k, range(sub.n), {(): rows})
+            root = _vertex_chain(sub.k, range(sub.n), [tuple(zip(*sub.profits))])
             pset = run.root_set(root, _children, partial(_table, run))
         else:
             mapping = comp.to_sub()

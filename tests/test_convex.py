@@ -35,6 +35,20 @@ def path_a1_b1_a2_b2(k=2, profits=None):
     return ConflictInstance.build(4, k, [(0, 2), (1, 2), (1, 3)], rows)
 
 
+def _chain(node):
+    """A vertex chain's nodes from its top node down to its leaf."""
+    nodes = [node]
+    while nodes[-1].children:
+        (child,) = nodes[-1].children
+        nodes.append(child)
+    return nodes
+
+
+def _colored(run, node):
+    """The vertices a chain node's kept steps give to an agent."""
+    return {vertex for *_, assigned in run.kept[id(node)] for vertex, _ in assigned}
+
+
 STRUCTURED = ("nested", "repeated", "shared-ends", "covering", "mixed")
 
 
@@ -317,16 +331,59 @@ class TestConnectedSolver:
         for j, (stage, node) in enumerate(zip(dp.stages, dp.stage_nodes)):
             pred, chain = node.children
             assert pred.children == tuple(dp.stage_nodes[j - 1 : j])
-            # the chain is one node per stage vertex over a leaf keyed by the parts
-            for _ in stage.vertices:
-                (chain,) = chain.children
-            assert chain.children == ()
-            assert set(run.tables[id(chain)]) == set(stage.rows)
+            # the chain is one node per stage vertex that a part can take,
+            # over a leaf keyed by the parts
+            takeable = [
+                {vertex}
+                for i, vertex in enumerate(stage.vertices)
+                if any(max(part[i]) > 0 for part in stage.parts)
+            ]
+            *nodes, leaf = _chain(chain)
+            assert [_colored(run, n) for n in reversed(nodes)] == takeable
+            assert list(run.tables[id(leaf)]) == list(stage.parts)
             pred_table = run.tables[id(pred)]
             guesses = [g for g in _guesses(dp.ss.u[j], inst.k) if stage.key(g) in pred_table]
             assert [step[0] for step in run.kept[id(node)]] == guesses
             for guess, (key, part), _, _ in run.kept[id(node)]:
-                assert key == stage.key(guess) and part in stage.rows
+                assert key == stage.key(guess) and part in stage.parts
+
+    @pytest.mark.parametrize("b1, first_chain", [(0, [{0}]), (9, [{1}, {0}])])
+    def test_equal_parts_share_a_cell_and_a_vertex_no_part_takes_has_no_node(
+        self, b1, first_chain
+    ):
+        # the path a1-b1-a2-b2-a3 (ids 0..4)
+        profits = [[3, b1, 4, 6, 5], [2, 0, 1, 8, 7]]
+        inst = ConflictInstance.build(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4)], profits)
+        co = validate_convex_ordering(inst, [0, 2, 4], [1, 3])
+        run = Run(inst.total_profits(), walk=True)
+        dp = _ConnectedConvexDP(inst, co)
+        dp.profile_set(run)
+        first, second = dp.stages
+        assert first.vertices == [0, 2, 1] and second.vertices == [4, 3]
+        # a stage's last A-vertex is taken only by the guess that names it,
+        # so a2 and a3 never get a node; b1 gets one only if it is worth
+        # something to an agent
+        chains = [_chain(node.children[1]) for node in dp.stage_nodes]
+        assert [_colored(run, n) for n in chains[0][:-1]] == first_chain
+        assert [_colored(run, n) for n in chains[1][:-1]] == [{3}]
+        # the first agent's guess a2 (passed) or a3 (taken) leaves it
+        # nothing in this stage, so both guesses name one part
+        steps = {step[0]: step for step in run.kept[id(dp.stage_nodes[1])]}
+        assert steps[(2, 0)][1][1] == steps[(3, 0)][1][1] == ((0, 0), (0, 8))
+        opt, profile, witness = solve_convex(inst, co)
+        assert opt == brute_force_optimum(inst)[0]
+        assert profile_of(inst, witness) == profile
+
+    def test_edgeless_component_with_zero_profit_has_no_vertex_node(self):
+        inst = ConflictInstance.build(4, 2, [(0, 1)], [[1, 2, 3, 0], [2, 1, 0, 0]])
+        run = Run(inst.total_profits(), walk=True)
+        parts, _ = convex._merged_components(inst, None, run)
+        roots = {comp.vertices: root for comp, _, root in parts}
+        # each isolated vertex is a component of its own, vertex 0 inside it
+        assert [_colored(run, n) for n in _chain(roots[(2,)])[:-1]] == [{0}]
+        assert _chain(roots[(3,)]) == [roots[(3,)]]
+        assert list(run.tables[id(roots[(3,)])]) == [((0, 0),)]
+        assert solve_convex(inst)[0] == brute_force_optimum(inst)[0]
 
 
 class TestSolveConvex:
