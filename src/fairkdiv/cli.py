@@ -402,14 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_method=True):
+    def common(p):
         p.add_argument("instance", help="instance file (.fkd)")
-        if with_method:
-            p.add_argument(
-                "--method",
-                choices=["auto", "brute", "convex", "cw", "tin"],
-                default="auto",
-            )
+        p.add_argument(
+            "--method", choices=["auto", "brute", "convex", "cw", "tin"], default="auto"
+        )
         p.add_argument("--ordering", help="convex ordering file")
         p.add_argument("--expression", help="clique-width expression file")
         p.add_argument("--td", help="tree decomposition file (.td)")

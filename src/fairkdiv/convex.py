@@ -221,12 +221,13 @@ class _Stage:
 class _ConnectedConvexDP:
     """The stage tables of one connected component, as a tree of node kinds.
 
-    Stage j's node has two children: a predecessor union over stage j - 1's
-    node, and its vertex chain.
+    co orders that component alone, in inst's vertex ids.  Stage j's node
+    has two children: a predecessor union over stage j - 1's node, and its
+    vertex chain.
     """
 
     def __init__(self, inst: ConflictInstance, co: ConvexOrdering):
-        if inst.n < 2 or not inst.edges:
+        if not co.intervals:
             raise ValueError("connected solver needs at least one edge")
         self.inst = inst
         self.co = co
@@ -262,39 +263,43 @@ def solve_connected_convex(
     return _ConnectedConvexDP(inst, co).profile_set(Run(inst.total_profits(), cap, stats=stats))
 
 
-def _restrict_ordering(co: ConvexOrdering, vertices: set[int], mapping: dict[int, int],
-                       sub: ConflictInstance) -> ConvexOrdering:
-    a_sub = [mapping[a] for a in co.a_order if a in vertices]
-    b_sub = [mapping[b] for b in co.b_vertices if b in vertices]
-    return validate_convex_ordering(sub, a_sub, b_sub)
-
-
 def _merged_components(inst: ConflictInstance, ordering: ConvexOrdering | None, run: Run):
     """Per-component profile sets and their running vector-sum merges, all in one run.
 
-    Each part carries its DP tree's root for the witness walk; an edgeless
-    component is a vertex chain over its one part.  The last running
+    Components are solved in the instance's own vertex ids.  One with
+    edges runs the stage DP on its block of the one validated ordering:
+    its B-intervals chain together, so its A-vertices fill one run of the
+    A-order, and the block's intervals count from the run's start.  An
+    isolated vertex is a vertex chain over its one part, its row.  Each
+    part carries its DP tree's root for the witness walk.  The last running
     merge is the profile set of the whole instance.  The run is made from
     the whole instance's totals, so unpruned every component is held on
     its grid when it is small enough, and the merges are shift-ORs too.
     """
-    co = ordering if ordering is not None else find_convex_ordering(inst)
-    if co is None:
-        raise OrderingError("graph admits no convex bipartite ordering")
+    if ordering is None:
+        co = find_convex_ordering(inst)
+        if co is None:
+            raise OrderingError("graph admits no convex bipartite ordering")
+    else:
+        co = validate_convex_ordering(inst, ordering.a_order, ordering.b_vertices)
     parts = []
     for comp in connected_components(inst):
-        sub = comp.instance
-        if not sub.edges:
-            root = _vertex_chain(sub.k, range(sub.n), [tuple(zip(*sub.profits))])
+        if len(comp) == 1:
+            root = _vertex_chain(inst.k, comp, [(tuple([row[comp[0]] for row in inst.profits]),)])
             pset = run.root_set(root, _children, partial(_table, run))
         else:
-            mapping = comp.to_sub()
-            sub_co = _restrict_ordering(co, set(comp.vertices), mapping, sub)
-            dp = _ConnectedConvexDP(sub, sub_co)
+            b_side = [b for b in comp if b in co.intervals]
+            s = min(co.intervals[b][0] for b in b_side) - 1
+            block = ConvexOrdering(
+                co.a_order[s : s + len(comp) - len(b_side)],
+                tuple(b_side),
+                {b: (co.intervals[b][0] - s, co.intervals[b][1] - s) for b in b_side},
+            )
+            dp = _ConnectedConvexDP(inst, block)
             pset, root = dp.profile_set(run), dp.root
-        parts.append((comp, pset, root))
+        parts.append((pset, root))
     running = [run.zero()]
-    for _, pset, _ in parts:
+    for pset, _ in parts:
         running.append(merge_profile_sets(running[-1], pset, cap=run.cap))
     return parts, running
 
@@ -320,13 +325,13 @@ def _witness(run: Run, parts: list, running: list[ProfileSet], target: int) -> C
     """
     classes: list[set[int]] = [set() for _ in range(run.k)]
     for idx in range(len(parts) - 1, -1, -1):
-        comp, pset, root = parts[idx]
+        pset, root = parts[idx]
         share = next((q for q in sorted(pset.codes) if target - q in running[idx].codes), None)
         if share is None:
             raise AssertionError("component decomposition lost the target profile")
         target -= share
         for agent, members in enumerate(run.walk(root, _children, share)):
-            classes[agent].update(comp.to_parent[v] for v in members)
+            classes[agent].update(members)
     return tuple(frozenset(c) for c in classes)
 
 

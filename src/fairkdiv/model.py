@@ -9,7 +9,7 @@ Vertex ids are 1-based in files and reports, 0-based everywhere else.
 """
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 # Profit sums must stay representable in a signed 64-bit word so that
 # instances stay portable to fixed-width implementations.
@@ -219,25 +219,11 @@ def profile_of(inst: ConflictInstance, classes: Sequence[Iterable[int]]) -> Prof
     return tuple(sum(inst.profits[j][v] for v in cls) for j, cls in enumerate(coloring))
 
 
-class Component(NamedTuple):
-    """One connected component as an induced sub-instance.
-
-    to_parent[i] is the original id of the sub-instance's vertex i.
-    """
-
-    vertices: tuple[int, ...]
-    instance: ConflictInstance
-    to_parent: tuple[int, ...]
-
-    def to_sub(self) -> dict[int, int]:
-        return {orig: i for i, orig in enumerate(self.to_parent)}
-
-
-def connected_components(inst: ConflictInstance) -> list[Component]:
-    """Split into connected components, smallest original vertex first."""
+def connected_components(inst: ConflictInstance) -> list[tuple[int, ...]]:
+    """Each connected component's sorted vertices, the least vertex's component first."""
     adj = inst.adjacency()
     seen = [False] * inst.n
-    comps: list[Component] = []
+    comps: list[tuple[int, ...]] = []
     for start in range(inst.n):
         if seen[start]:
             continue
@@ -251,16 +237,7 @@ def connected_components(inst: ConflictInstance) -> list[Component]:
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)
-        members.sort()
-        index = {orig: i for i, orig in enumerate(members)}
-        sub_edges = [(index[u], index[v]) for u in members for v in adj[u] if u < v]
-        sub = ConflictInstance.build(
-            n=len(members),
-            k=inst.k,
-            edges=sub_edges,
-            profits=[[inst.profits[j][v] for v in members] for j in range(inst.k)],
-        )
-        comps.append(Component(vertices=tuple(members), instance=sub, to_parent=tuple(members)))
+        comps.append(tuple(sorted(members)))
     return comps
 
 

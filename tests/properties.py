@@ -123,15 +123,14 @@ def prop_components_cover(cases: int, seed: int = 104) -> None:
         comps = connected_components(inst)
         seen: set[int] = set()
         for comp in comps:
-            assert not (seen & set(comp.vertices))
-            seen |= set(comp.vertices)
+            assert not (seen & set(comp))
+            seen |= set(comp)
         assert seen == set(range(inst.n))
+        rows = _profit_rows(inst)
         merged = ProfileSet.zero(inst.k)
         for comp in comps:
-            merged = merge_profile_sets(
-                merged, edgeless_profiles(inst.k, _profit_rows(comp.instance))
-            )
-        assert merged == edgeless_profiles(inst.k, _profit_rows(inst))
+            merged = merge_profile_sets(merged, edgeless_profiles(inst.k, [rows[v] for v in comp]))
+        assert merged == edgeless_profiles(inst.k, rows)
 
 
 # --------------------------------------------------------------- profile set

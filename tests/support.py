@@ -295,8 +295,7 @@ def convex_ordering_by_search(inst: ConflictInstance) -> ConvexOrdering | None:
     adj = inst.adjacency()
     a_order: list[int] = []
     b_side_all: list[int] = []
-    for comp in connected_components(inst):
-        verts = comp.vertices
+    for verts in connected_components(inst):
         if len(verts) == 1:
             a_order.append(verts[0])
             continue

@@ -14,7 +14,7 @@ from fairkdiv.model import (
     satisfaction_upper_bound,
     validate_coloring,
 )
-from fairkdiv.oracle import brute_force_optimum
+from fairkdiv.oracle import brute_force_optimum, solve_brute
 
 
 class TestScaleProfits:
@@ -84,6 +84,14 @@ class TestFptas:
         inst = ConflictInstance.build(1, 2, [], [[5], [5]])
         result = fptas(inst, "1/4", lambda sub: solve_convex(sub))
         assert (result.value, result.solver_calls, result.upper_bound) == (0, 1, 2)
+        validate_coloring(inst, result.witness)
+
+    def test_rejected_guess_is_halved(self):
+        # U = 1500; at K = 62 every scaled optimum gives each agent one vertex,
+        # worth 1000 < (1 - eps) * 1500 = 1125, so the guess halves to 750
+        inst = ConflictInstance.build(3, 2, [(0, 1), (1, 2), (0, 2)], [[1000] * 3] * 2)
+        result = fptas(inst, Fraction(1, 4), solve_brute)
+        assert (result.solver_calls, result.value, result.upper_bound) == (2, 1000, 1500)
         validate_coloring(inst, result.witness)
 
     def test_bench_shaped_instance_takes_one_call(self):

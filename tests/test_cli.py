@@ -94,6 +94,40 @@ class TestSolve:
         assert code == EXIT_OK
         assert json.loads(out)["method"] == "convex"
 
+    @pytest.fixture
+    def c6_and_triangle(self, tmp_path):
+        # the 6-cycle is bipartite but not convex; the triangle is not bipartite
+        c6 = tmp_path / "c6.fkd"
+        c6.write_text(
+            "p fkd 6 6 2\nw 1 5 5 5 5 5 5\nw 2 5 5 5 5 5 5\n"
+            "e 1 4\ne 1 5\ne 2 5\ne 2 6\ne 3 6\ne 3 4\n"
+        )
+        tri = tmp_path / "tri.fkd"
+        tri.write_text("p fkd 3 3 2\nw 1 1 2 3\nw 2 3 2 1\ne 1 2\ne 2 3\ne 1 3\n")
+        return str(c6), str(tri)
+
+    def test_auto_falls_back_to_brute(self, c6_and_triangle):
+        c6, tri = c6_and_triangle
+        code, out, _ = run_cli(["solve", c6, "--json"])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert (payload["method"], payload["optimum"]) == ("brute", 15)
+        code, out, _ = run_cli(["solve", tri, "--json"])
+        assert code == EXIT_OK
+        assert json.loads(out)["method"] == "brute"
+
+    def test_auto_without_an_applicable_method_exit_1(self, c6_and_triangle):
+        c6, _ = c6_and_triangle
+        code, out, err = run_cli(["solve", c6, "--oracle-cap", "1"])
+        assert (code, out) == (EXIT_INFEASIBLE, "")
+        assert err == "error: no applicable method: supply --td or --expression\n"
+
+    def test_convex_on_odd_cycle_exit_1(self, c6_and_triangle):
+        _, tri = c6_and_triangle
+        code, out, err = run_cli(["solve", tri, "--method", "convex"])
+        assert (code, out) == (EXIT_INFEASIBLE, "")
+        assert err == "error: graph is not bipartite: odd cycle found\n"
+
     def test_usage_error_exit_2(self, t1_file):
         code, _, _ = run_cli(["solve", "--method", "bogus", t1_file])
         assert code == EXIT_USAGE

@@ -17,7 +17,9 @@ from fairkdiv.convex import (
     solve_convex,
     stage_structure,
 )
+from fairkdiv.cli import parse_ordering_file
 from fairkdiv.recognition import (
+    ConvexOrdering,
     OrderingError,
     consecutive_ones_order,
     find_convex_ordering,
@@ -378,11 +380,11 @@ class TestConnectedSolver:
         inst = ConflictInstance.build(4, 2, [(0, 1)], [[1, 2, 3, 0], [2, 1, 0, 0]])
         run = Run(inst.total_profits(), walk=True)
         parts, _ = convex._merged_components(inst, None, run)
-        roots = {comp.vertices: root for comp, _, root in parts}
-        # each isolated vertex is a component of its own, vertex 0 inside it
-        assert [_colored(run, n) for n in _chain(roots[(2,)])[:-1]] == [{0}]
-        assert _chain(roots[(3,)]) == [roots[(3,)]]
-        assert list(run.tables[id(roots[(3,)])]) == [((0, 0),)]
+        # components (0, 1), (2,), (3,): each isolated vertex is a chain of its own
+        root2, root3 = [root for _, root in parts[1:]]
+        assert [_colored(run, n) for n in _chain(root2)[:-1]] == [{2}]
+        assert _chain(root3) == [root3]
+        assert list(run.tables[id(root3)]) == [((0, 0),)]
         assert solve_convex(inst)[0] == brute_force_optimum(inst)[0]
 
 
@@ -407,6 +409,39 @@ class TestSolveConvex:
         assert opt == want
         validate_coloring(inst, witness)
         assert profile_of(inst, witness) == profile
+
+    def test_caller_ordering_is_validated_against_the_whole_instance(self):
+        # restricted to each component this A-order is convex, but in the
+        # whole order vertex 6 meets positions 2 and 4 and not 3
+        inst = ConflictInstance.build(7, 1, [(0, 1), (2, 5), (4, 5), (3, 6)], [[1] * 7])
+        ordering = ConvexOrdering((0, 2, 3, 4), (1, 5, 6), {})
+        message = (
+            "neighborhood of vertex 6 is not an interval: "
+            "gap at position 3 between positions 2 and 4"
+        )
+        for call in (solve_convex, convex_profile_set):
+            with pytest.raises(OrderingError) as err:
+                call(inst, ordering)
+            assert str(err.value) == message
+        # the same ordering as a file, as the CLI reads it
+        with pytest.raises(OrderingError) as err:
+            parse_ordering_file("A: 1 3 4 5\nB: 2 6 7\n", inst)
+        assert str(err.value) == message
+
+    def test_caller_ordering_with_isolated_vertices_between_runs(self):
+        # components (0, 1, 2), (5, 6, 7, 8) and the isolated 3, 4 and 9:
+        # the second component's run comes first, then the isolated A-vertices
+        # 3 and 4, then the first component's run; 9 is on the B side
+        edges = [(0, 2), (1, 2), (5, 7), (6, 7), (6, 8)]
+        profits = [[3, 1, 4, 1, 5, 9, 2, 6, 5, 3], [2, 7, 1, 8, 2, 8, 1, 8, 2, 8]]
+        inst = ConflictInstance.build(10, 2, edges, profits)
+        co = validate_convex_ordering(inst, [6, 5, 3, 4, 1, 0], [2, 7, 8, 9])
+        assert co.intervals == {2: (5, 6), 7: (1, 2), 8: (1, 1)}
+        assert convex_profile_set(inst, co) == brute_force_profiles(inst)
+        for prune in (True, False):
+            opt, profile, witness = solve_convex(inst, co, prune=prune)
+            assert opt == brute_force_optimum(inst)[0]
+            assert profile_of(inst, witness) == profile
 
     @pytest.mark.parametrize("prune", [True, False])
     def test_steps_are_built_once_per_node(self, monkeypatch, prune):
