@@ -20,7 +20,7 @@ _EXPORTS = {
         "parse_k_expression",
         "solve_cliquewidth",
     ),
-    "convex": ("convex_profile_set", "solve_connected_convex", "solve_convex", "stage_structure"),
+    "convex": ("convex_profile_set", "solve_convex"),
     "generators": ("gen_convex_bipartite", "gen_partial_ktree"),
     "model": (
         "CapError",
@@ -43,9 +43,7 @@ _EXPORTS = {
         "ProfileSet",
         "best_satisfaction",
         "dominance_prune",
-        "edgeless_profiles",
         "merge_profile_sets",
-        "shift",
     ),
     "recognition": (
         "ConvexOrdering",

@@ -483,8 +483,8 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except CapError as exc:  # never a bare RuntimeError: RecursionError is one
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapError, MemoryError) as exc:  # never a bare RuntimeError: RecursionError is one
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:  # every input error subclasses it
         print(f"error: {exc}", file=sys.stderr)

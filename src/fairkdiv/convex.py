@@ -37,8 +37,8 @@ from .recognition import (
 )
 
 
-class StageStructure(NamedTuple):
-    """B-order and stage boundaries for the connected solver.
+class _StageStructure(NamedTuple):
+    """B-order and stage boundaries of one connected component.
 
     b_order sorts B by (larger endpoint, smaller endpoint, vertex id); u lists
     the distinct larger endpoints ascending; v[j] is how many B-vertices have
@@ -50,11 +50,8 @@ class StageStructure(NamedTuple):
     v: tuple[int, ...]
 
 
-def stage_structure(co: ConvexOrdering) -> StageStructure:
-    """Sort B and compute the stage boundary arrays (requires no isolated B)."""
-    for b in co.b_vertices:
-        if b not in co.intervals:
-            raise ValueError(f"vertex {b + 1} is isolated; route it to the edgeless path")
+def _stage_structure(co: ConvexOrdering) -> _StageStructure:
+    """Sort B and compute the stage boundary arrays (every B-vertex has an interval)."""
     b_order = tuple(
         sorted(co.b_vertices, key=lambda b: (co.intervals[b][1], co.intervals[b][0], b))
     )
@@ -65,7 +62,7 @@ def stage_structure(co: ConvexOrdering) -> StageStructure:
         while idx < len(b_order) and co.intervals[b_order[idx]][1] <= bound:
             idx += 1
         v.append(idx)
-    return StageStructure(b_order=b_order, u=u, v=tuple(v))
+    return _StageStructure(b_order=b_order, u=u, v=tuple(v))
 
 
 class _Node:
@@ -227,14 +224,10 @@ class _ConnectedConvexDP:
     """
 
     def __init__(self, inst: ConflictInstance, co: ConvexOrdering):
-        if not co.intervals:
-            raise ValueError("connected solver needs at least one edge")
         self.inst = inst
         self.co = co
         self.k = inst.k
-        self.ss = stage_structure(co)
-        if self.ss.u[-1] != len(co.a_order) or self.ss.v[-1] != len(co.b_vertices):
-            raise ValueError("ordering does not describe a connected graph")
+        self.ss = _stage_structure(co)
         # (lo, hi) per b_order position, 1-based
         self.b_interval = [co.intervals[b] for b in self.ss.b_order]
         self.stages = [_Stage(self, j) for j in range(len(self.ss.u))]
@@ -251,16 +244,6 @@ class _ConnectedConvexDP:
         ops = sum(stage.ops for stage in self.stages)
         run.stats["profile-ops"] = run.stats.get("profile-ops", 0) + ops
         return pset
-
-
-def solve_connected_convex(
-    inst: ConflictInstance,
-    co: ConvexOrdering,
-    cap: int | None = None,
-    stats: dict | None = None,
-) -> ProfileSet:
-    """Full profile set of one connected convex bipartite instance."""
-    return _ConnectedConvexDP(inst, co).profile_set(Run(inst.total_profits(), cap, stats=stats))
 
 
 def _merged_components(inst: ConflictInstance, ordering: ConvexOrdering | None, run: Run):

@@ -7,6 +7,8 @@ inside one class.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .model import CapError, Coloring, ConflictInstance, Profile, profile_of
 from .profiles import ProfileSet
 
@@ -29,64 +31,53 @@ def _check_cap(inst: ConflictInstance, cap: int | None) -> None:
         raise EnumerationCapError(size, limit)
 
 
+def _colorings(inst: ConflictInstance) -> Iterator[tuple[list[int], Profile]]:
+    """Every partial k-coloring and its profile, in mixed-radix order.
+
+    assignment[v] is 0 (unassigned) or the agent 1..k taking v, vertex 0
+    is the most significant digit, and a color that puts a conflict edge
+    inside one class prunes every assignment below it.  The assignment is
+    yielded as one list that the search keeps changing: copy it to keep it.
+    The search keeps its own stack, so n meets no recursion limit.
+    """
+    n, k, profits = inst.n, inst.k, inst.profits
+    adj = inst.adjacency()
+    earlier = [[w for w in adj[v] if w < v] for v in range(n)]
+    assignment = [0] * n
+    # (v, the color of vertex v - 1, the profile of vertices 0..v-1); the
+    # colors of a vertex are pushed in reverse, so they pop in order
+    stack = [(0, 0, (0,) * k)]
+    while stack:
+        v, color, acc = stack.pop()
+        if v:
+            assignment[v - 1] = color
+        if v == n:
+            yield assignment, acc
+            continue
+        for c in range(k, 0, -1):
+            if all(assignment[w] != c for w in earlier[v]):
+                gain = acc[c - 1] + profits[c - 1][v]
+                stack.append((v + 1, c, acc[: c - 1] + (gain,) + acc[c:]))
+        stack.append((v + 1, 0, acc))
+
+
 def brute_force_profiles(inst: ConflictInstance, cap: int | None = None) -> ProfileSet:
     """The exact set of profit profiles over all partial k-colorings."""
     _check_cap(inst, cap)
-    adj = inst.adjacency()
-    k = inst.k
-    profiles: set[Profile] = set()
-    assignment = [0] * inst.n
-
-    def extend(v: int, acc: Profile) -> None:
-        if v == inst.n:
-            profiles.add(acc)
-            return
-        for color in range(k + 1):
-            if color > 0:
-                if any(assignment[w] == color for w in adj[v] if w < v):
-                    continue
-                acc_next = acc[: color - 1] + (acc[color - 1] + inst.profits[color - 1][v],) + acc[color:]
-            else:
-                acc_next = acc
-            assignment[v] = color
-            extend(v + 1, acc_next)
-        assignment[v] = 0
-
-    extend(0, (0,) * k)
-    return ProfileSet(k, profiles)
+    return ProfileSet(inst.k, {acc for _, acc in _colorings(inst)})
 
 
 def brute_force_optimum(inst: ConflictInstance, cap: int | None = None) -> tuple[int, Coloring]:
     """Optimal satisfaction level and the first witness in enumeration order."""
     _check_cap(inst, cap)
-    adj = inst.adjacency()
-    k = inst.k
-    assignment = [0] * inst.n
     best_value = -1
     best_assignment: list[int] = []
-
-    def extend(v: int, acc: Profile) -> None:
-        nonlocal best_value, best_assignment
-        if v == inst.n:
-            value = min(acc)
-            if value > best_value:
-                best_value = value
-                best_assignment = assignment.copy()
-            return
-        for color in range(k + 1):
-            if color > 0:
-                if any(assignment[w] == color for w in adj[v] if w < v):
-                    continue
-                acc_next = acc[: color - 1] + (acc[color - 1] + inst.profits[color - 1][v],) + acc[color:]
-            else:
-                acc_next = acc
-            assignment[v] = color
-            extend(v + 1, acc_next)
-        assignment[v] = 0
-
-    extend(0, (0,) * k)
+    for assignment, acc in _colorings(inst):
+        value = min(acc)
+        if value > best_value:
+            best_value, best_assignment = value, assignment.copy()
     witness = tuple(
-        frozenset(v for v, c in enumerate(best_assignment) if c == j + 1) for j in range(k)
+        frozenset(v for v, c in enumerate(best_assignment) if c == j + 1) for j in range(inst.k)
     )
     return best_value, witness
 

@@ -13,10 +13,10 @@ profiles.  ConflictInstance bounds every agent's total profit by
 MAX_PROFIT_SUM < 2**FIELD_BITS, so every profile a solver builds fits its
 fields, and the sum of two codes is the code of the vector sum: no carry
 crosses a field.  Code arithmetic is linear, so a sum may also subtract a
-profile, as long as the result is a profile.  merge_profile_sets, shift and
-edgeless_profiles check that their sums fit and raise ValueError otherwise;
-add_sums and build_table, which the solvers' inner loops call, rely on the
-instance bound.
+profile, as long as the result is a profile.  merge_profile_sets checks
+that its sums fit and raises ValueError otherwise; add_sums and
+build_table, which the solvers' inner loops call, rely on the instance
+bound.
 
 Grid bits.  Every profile of an instance lies in the box [0, T_1] x ... x
 [0, T_k] of the agents' total profits.  A Grid numbers its points in mixed
@@ -596,30 +596,6 @@ def _check_sums_fit(arity: int, left: Collection[int], right: Collection[int]) -
             raise ValueError(f"coordinate {j + 1} of a sum could reach 2**{FIELD_BITS}")
 
 
-def edgeless_profiles(
-    k: int,
-    vertex_profits: Sequence[Sequence[int]],
-    cap: int | None = None,
-) -> ProfileSet:
-    """All profit profiles over an edgeless vertex list.
-
-    vertex_profits[i][j] is agent j's profit for the i-th vertex.  Starting
-    from the all-zero profile, each vertex either stays unassigned or adds
-    its profit to one agent's coordinate, so the result is built in
-    O(len(vertex_profits) * (Q+1)^k) set operations.  ValueError if an
-    agent's positive profits sum to 2**FIELD_BITS or more.
-    """
-    for j, column in enumerate(zip(*vertex_profits)):
-        if sum(p for p in column if p > 0) > FIELD_MASK:
-            raise ValueError(f"profits of agent {j + 1} sum to 2**{FIELD_BITS} or more")
-    current = {0}
-    for row in vertex_profits:
-        additions = [unit_code(k, j, p) for j, p in enumerate(row) if p > 0]
-        if additions:
-            current = add_sums(set(current), additions, current, cap=cap)
-    return ProfileSet.from_codes(k, current)
-
-
 def merge_profile_sets(s1: ProfileSet, s2: ProfileSet, cap: int | None = None) -> ProfileSet:
     """All pairwise vector sums {q1 + q2}, deduplicated.
 
@@ -643,18 +619,6 @@ def merge_profile_sets(s1: ProfileSet, s2: ProfileSet, cap: int | None = None) -
 def _grid_maxima(s: ProfileSet) -> list[int]:
     """Each coordinate's largest value over a grid-backed set (0 for no members)."""
     return [max(column, default=0) for column in s.grid.columns(s.bits)]
-
-
-def shift(s: ProfileSet, delta: Profile) -> ProfileSet:
-    """Add a fixed profile to every member (cardinality preserved).
-
-    ValueError if a coordinate of a sum could reach 2**FIELD_BITS.
-    """
-    offset = encode(delta, s.arity)
-    if not offset:
-        return s
-    _check_sums_fit(s.arity, s.codes, (offset,))
-    return ProfileSet.from_codes(s.arity, add_sums(set(), s.codes, (offset,)))
 
 
 def best_satisfaction(s: ProfileSet) -> int:

@@ -30,9 +30,6 @@ class ConvexOrdering(NamedTuple):
     b_vertices: tuple[int, ...]
     intervals: dict[int, tuple[int, int]]
 
-    def position_of(self) -> dict[int, int]:
-        return {a: i + 1 for i, a in enumerate(self.a_order)}
-
 
 def validate_convex_ordering(
     inst: ConflictInstance,

@@ -23,10 +23,10 @@ from fairkdiv.cliquewidth import (
 from fairkdiv.convex import (
     _ConnectedConvexDP,
     _merged_components,
+    _stage_structure,
     _witness,
     convex_profile_set,
     solve_convex,
-    stage_structure,
     validate_convex_ordering,
 )
 from fairkdiv.generators import gen_convex_bipartite, gen_partial_ktree
@@ -49,7 +49,6 @@ from fairkdiv.profiles import (
     best_satisfaction,
     decode,
     dominance_prune,
-    edgeless_profiles,
     encode,
     merge_profile_sets,
     union_cells,
@@ -69,10 +68,6 @@ def _node_tables(dp, inst: ConflictInstance, tree, prune: bool = False) -> dict:
     run = Run(inst.total_profits(), prune=prune)
     dp(inst, tree, run)
     return run.tables
-
-
-def _profit_rows(inst: ConflictInstance) -> list[tuple[int, ...]]:
-    return [tuple(inst.profits[j][v] for j in range(inst.k)) for v in range(inst.n)]
 
 
 # ---------------------------------------------------------------- core model
@@ -126,21 +121,23 @@ def prop_components_cover(cases: int, seed: int = 104) -> None:
             assert not (seen & set(comp))
             seen |= set(comp)
         assert seen == set(range(inst.n))
-        rows = _profit_rows(inst)
         merged = ProfileSet.zero(inst.k)
         for comp in comps:
-            merged = merge_profile_sets(merged, edgeless_profiles(inst.k, [rows[v] for v in comp]))
-        assert merged == edgeless_profiles(inst.k, rows)
+            part = ConflictInstance.build(
+                len(comp), inst.k, [], [[row[v] for v in comp] for row in inst.profits]
+            )
+            merged = merge_profile_sets(merged, convex_profile_set(part))
+        assert merged == convex_profile_set(inst)
 
 
 # --------------------------------------------------------------- profile set
 
 def prop_edgeless_oracle(cases: int, seed: int = 201) -> None:
-    """edgeless_profiles equals brute force on instances with <= 8 vertices."""
+    """The edgeless enumeration, convex's vertex chain, equals brute force on <= 8 vertices."""
     rng = random.Random(seed)
     for _ in range(cases):
         inst = support.random_edgeless_instance(rng, rng.randint(0, 8), rng.randint(1, 3), 10)
-        assert edgeless_profiles(inst.k, _profit_rows(inst)) == brute_force_profiles(inst)
+        assert convex_profile_set(inst) == brute_force_profiles(inst)
 
 
 def prop_merge_algebra(cases: int, seed: int = 202) -> None:
@@ -316,7 +313,7 @@ def _stage_oracle_check(inst: ConflictInstance, co) -> None:
     dp = _ConnectedConvexDP(inst, co)
     run = Run(inst.total_profits())
     dp.profile_set(run)
-    pos = co.position_of()
+    pos = {a: i + 1 for i, a in enumerate(co.a_order)}
     for j, node in enumerate(dp.stage_nodes):
         table = run.tables[id(node)]
         u_j, v_j = dp.ss.u[j], dp.ss.v[j]
@@ -402,7 +399,7 @@ def prop_convex_structure_properties(cases: int, seed: int = 403) -> None:
         if len(connected_components(inst)) != 1 or not inst.edges:
             continue
         co = validate_convex_ordering(inst, range(na), range(na, na + nb))
-        ss = stage_structure(co)
+        ss = _stage_structure(co)
         assert list(ss.u) == sorted(set(ss.u)) and ss.u[-1] == len(co.a_order)
         assert list(ss.v) == sorted(set(ss.v)) and ss.v[-1] == len(ss.b_order)
         # B-order sorted by (larger, smaller) endpoint

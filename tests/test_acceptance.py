@@ -14,10 +14,9 @@ from conftest import FIXTURE_B_MINUS, FIXTURE_B_PLUS, build_interval_instance
 from fairkdiv.approx import fptas
 from fairkdiv.cliquewidth import cliquewidth_profile_set, solve_cliquewidth
 from fairkdiv.convex import (
+    _stage_structure,
     convex_profile_set,
-    solve_connected_convex,
     solve_convex,
-    stage_structure,
     validate_convex_ordering,
 )
 from fairkdiv.generators import gen_convex_bipartite, gen_partial_ktree
@@ -34,9 +33,9 @@ from fairkdiv.treeindep import (
 def test_criterion_1_fixture_exactness():
     inst = build_interval_instance(FIXTURE_B_MINUS, FIXTURE_B_PLUS)
     co = validate_convex_ordering(inst, range(13), range(13, 27))
-    stage_structure(co)  # warm-up excluded from the timing
+    _stage_structure(co)  # warm-up excluded from the timing
     start = time.perf_counter()
-    ss = stage_structure(co)
+    ss = _stage_structure(co)
     elapsed = time.perf_counter() - start
     assert ss.u == (4, 6, 11, 13)
     assert ss.v == (3, 8, 10, 14)
@@ -54,10 +53,8 @@ def test_criterion_2_edgeless_oracle_equivalence():
     for _ in range(200):
         n, k = rng.randint(0, 8), rng.randint(1, 3)
         inst = support.random_edgeless_instance(rng, n, k, 10)
-        rows = [tuple(inst.profits[j][v] for j in range(k)) for v in range(n)]
-        from fairkdiv.profiles import edgeless_profiles
-
-        assert edgeless_profiles(k, rows) == brute_force_profiles(inst)
+        # the edgeless enumeration is convex's vertex chain
+        assert convex_profile_set(inst) == brute_force_profiles(inst)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     print(f"\nPASS criterion 2: 200 edgeless instances match, {elapsed:.2f} s")
@@ -204,7 +201,7 @@ def test_criterion_8_complexity_smoke():
             inst = ConflictInstance.build(na + nb, k, edges, profits)
             co = validate_convex_ordering(inst, range(na), range(na, na + nb))
             stats: dict = {}
-            solve_connected_convex(inst, co, stats=stats)
+            convex_profile_set(inst, co, stats=stats)
             ratios.append(stats["profile-ops"])
         assert ratios == pinned[k], ratios
         factor = ratios[1] / ratios[0]

@@ -12,10 +12,9 @@ from fairkdiv import convex
 from fairkdiv.convex import (
     _ConnectedConvexDP,
     _guesses,
+    _stage_structure,
     convex_profile_set,
-    solve_connected_convex,
     solve_convex,
-    stage_structure,
 )
 from fairkdiv.cli import parse_ordering_file
 from fairkdiv.recognition import (
@@ -282,7 +281,7 @@ class TestRecognitionScale:
 class TestStageStructure:
     def test_example_table(self, example_graph):
         co = validate_convex_ordering(example_graph, range(13), range(13, 27))
-        ss = stage_structure(co)
+        ss = _stage_structure(co)
         assert ss.u == (4, 6, 11, 13)
         assert ss.v == (3, 8, 10, 14)
         for i, b in enumerate(ss.b_order):
@@ -291,14 +290,14 @@ class TestStageStructure:
     def test_single_edge(self):
         inst = ConflictInstance.build(2, 1, [(0, 1)], [[1, 1]])
         co = validate_convex_ordering(inst, [0], [1])
-        ss = stage_structure(co)
+        ss = _stage_structure(co)
         assert ss.u == (1,) and ss.v == (1,)
 
     def test_k22(self):
         inst = ConflictInstance.build(
             4, 1, [(0, 2), (0, 3), (1, 2), (1, 3)], [[1] * 4]
         )
-        ss = stage_structure(validate_convex_ordering(inst, [0, 1], [2, 3]))
+        ss = _stage_structure(validate_convex_ordering(inst, [0, 1], [2, 3]))
         assert ss.u == (2,) and ss.v == (2,)
 
 
@@ -306,14 +305,14 @@ class TestConnectedSolver:
     def test_path_unit_profits(self):
         inst = path_a1_b1_a2_b2()
         co = validate_convex_ordering(inst, [0, 1], [2, 3])
-        pset = solve_connected_convex(inst, co)
+        pset = convex_profile_set(inst, co)
         assert pset == brute_force_profiles(inst)
         assert max(min(q) for q in pset) == 2
 
     def test_single_edge_profiles(self):
         inst = ConflictInstance.build(2, 1, [(0, 1)], [[3, 7]])
         co = validate_convex_ordering(inst, [0], [1])
-        assert set(solve_connected_convex(inst, co)) == {(0,), (3,), (7,)}
+        assert set(convex_profile_set(inst, co)) == {(0,), (3,), (7,)}
 
     def test_example_graph_frontier_vs_oracle(self, example_graph):
         # full enumeration of the 27-vertex fixture is out of reach; compare
@@ -504,9 +503,7 @@ class TestSolveConvex:
     def test_stage_cells_respect_the_cap(self):
         # the full set holds 254 profiles and one stage cell holds 72
         inst, co = gen_convex_bipartite(4, 4, 2, 9, seed=3)
-        assert len(solve_connected_convex(inst, co)) == 254
-        with pytest.raises(ProfileCapError):
-            solve_connected_convex(inst, co, cap=48)
+        assert len(convex_profile_set(inst, co)) == 254
         with pytest.raises(ProfileCapError):
             convex_profile_set(inst, co, cap=48)
 

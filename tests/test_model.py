@@ -279,7 +279,7 @@ class TestRecords:
         from fairkdiv.cliquewidth import (
             EtaNode, RhoNode, UnionNode, VertexNode, evaluate_expression, parse_k_expression,
         )
-        from fairkdiv.convex import find_convex_ordering, stage_structure
+        from fairkdiv.convex import _stage_structure, find_convex_ordering
         from fairkdiv.oracle import solve_brute
         from fairkdiv.treeindep import make_nice, parse_tree_decomposition
 
@@ -292,7 +292,7 @@ class TestRecords:
             inst, SolveResult(2, (2, 2), "brute"),
             td, make_nice(td), leaf, UnionNode(leaf, leaf), EtaNode(1, 2, leaf),
             RhoNode(1, 2, leaf), expr, evaluate_expression(expr), ordering,
-            stage_structure(ordering), fptas(inst, "1/4", lambda scaled: solve_brute(scaled, None)),
+            _stage_structure(ordering), fptas(inst, "1/4", lambda scaled: solve_brute(scaled, None)),
         ]
 
     def test_assignment_raises(self):

@@ -3,17 +3,14 @@
 A tree walk that recurses fails with RecursionError on a deep enough
 decomposition or expression, so every traversal uses an explicit stack.
 The allowlist names the functions whose recursion depth is bounded by
-something small, with the bound.
+something small, with the bound; it is empty.
 """
 import ast
 from pathlib import Path
 
 import fairkdiv
 
-ALLOWED = {
-    "oracle.brute_force_profiles.extend": "reference enumerator; depth n, bounded by the enumeration cap",
-    "oracle.brute_force_optimum.extend": "reference enumerator; depth n, bounded by the enumeration cap",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def calls_itself(func: ast.FunctionDef) -> bool:

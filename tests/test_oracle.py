@@ -1,14 +1,17 @@
+import itertools
+import sys
+
 import pytest
 
 import properties
 
+from fairkdiv.convex import convex_profile_set
 from fairkdiv.model import ConflictInstance, profile_of, validate_coloring
 from fairkdiv.oracle import (
     EnumerationCapError,
     brute_force_optimum,
     brute_force_profiles,
 )
-from fairkdiv.profiles import edgeless_profiles
 
 
 def triangle(k=2, profits=(5, 4, 3)):
@@ -22,8 +25,7 @@ class TestBruteForceProfiles:
         assert set(brute_force_profiles(inst)) == {(0,), (3,), (1,)}
 
     def test_edgeless_matches_direct_enumeration(self, t1_instance):
-        rows = [(3, 2), (1, 2)]
-        assert brute_force_profiles(t1_instance) == edgeless_profiles(2, rows)
+        assert brute_force_profiles(t1_instance) == convex_profile_set(t1_instance)
 
     def test_triangle_no_shared_vertex(self):
         pset = brute_force_profiles(triangle())
@@ -64,6 +66,23 @@ class TestBruteForceOptimum:
         first = brute_force_optimum(inst)
         second = brute_force_optimum(inst)
         assert first == second
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        # a clique under k = 1 has n + 1 colorings, but the search goes n vertices deep
+        n = 200
+        inst = ConflictInstance.build(n, 1, itertools.combinations(range(n), 2), [range(1, n + 1)])
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + n // 2)
+        try:
+            profiles = brute_force_profiles(inst, cap=2**n)
+            optimum = brute_force_optimum(inst, cap=2**n)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert set(profiles) == {(p,) for p in range(n + 1)}
+        assert optimum == (n, (frozenset({n - 1}),))
 
 
 class TestInvariants:

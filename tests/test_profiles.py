@@ -27,11 +27,9 @@ from fairkdiv.profiles import (
     best_profile,
     best_satisfaction,
     dominance_prune,
-    edgeless_profiles,
     merge_profile_sets,
     Run,
     profile_grid,
-    shift,
 )
 from fairkdiv.treeindep import (
     TreeDecomposition,
@@ -51,6 +49,11 @@ def random_profiles(rng: random.Random, k: int, size: int, values=EDGE_VALUES) -
     return {tuple(rng.choice(values) for _ in range(k)) for _ in range(size)}
 
 
+def edgeless_instance(k: int, rows: list) -> ConflictInstance:
+    """The edgeless instance whose i-th vertex is worth rows[i][j] to agent j."""
+    return ConflictInstance.build(len(rows), k, [], [[row[j] for row in rows] for j in range(k)])
+
+
 def pareto_front(profiles: set) -> set:
     """The definition: members no other member is >= in every coordinate."""
     return {
@@ -60,21 +63,23 @@ def pareto_front(profiles: set) -> set:
 
 
 class TestEdgeless:
+    """The edgeless enumeration: convex's vertex chain on an instance without edges."""
+
     def test_single_vertex(self):
-        assert set(edgeless_profiles(2, [(5, 3)])) == {(0, 0), (5, 0), (0, 3)}
+        assert set(convex_profile_set(edgeless_instance(2, [(5, 3)]))) == {(0, 0), (5, 0), (0, 3)}
 
     def test_empty_list(self):
-        assert set(edgeless_profiles(3, [])) == {(0, 0, 0)}
+        assert set(convex_profile_set(edgeless_instance(3, []))) == {(0, 0, 0)}
 
     def test_t1(self, t1_instance):
         # frozen from enumerating all 3^2 assignments of the two vertices
-        got = edgeless_profiles(2, T1_ROWS)
+        got = convex_profile_set(edgeless_instance(2, T1_ROWS))
         assert set(got) == T1_SET
         assert got == brute_force_profiles(t1_instance)
 
     def test_cap(self):
         with pytest.raises(ProfileCapError):
-            edgeless_profiles(1, [(1,), (2,), (4,), (8,)], cap=3)
+            convex_profile_set(edgeless_instance(1, [(1,), (2,), (4,), (8,)]), cap=3)
 
 
 class TestMerge:
@@ -87,21 +92,13 @@ class TestMerge:
         assert set(merge_profile_sets(s, s)) == {(2, 0), (1, 1), (0, 2)}
 
     def test_edgeless_components_merge(self):
-        left = edgeless_profiles(2, [(3, 2)])
-        right = edgeless_profiles(2, [(1, 2)])
+        left = convex_profile_set(edgeless_instance(2, [(3, 2)]))
+        right = convex_profile_set(edgeless_instance(2, [(1, 2)]))
         assert set(merge_profile_sets(left, right)) == T1_SET
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError, match="arity"):
             merge_profile_sets(ProfileSet.zero(1), ProfileSet.zero(2))
-
-
-class TestShift:
-    def test_examples(self):
-        assert set(shift(ProfileSet.zero(2), (2, 3))) == {(2, 3)}
-        s = ProfileSet(2, {(1, 0), (0, 1)})
-        assert shift(s, (0, 0)) == s
-        assert set(shift(s, (1, 1))) == {(2, 1), (1, 2)}
 
 
 class TestBestSatisfaction:
@@ -189,14 +186,10 @@ class TestPackedLayout:
         assert (3, 4) in s
 
     def test_sums_that_would_carry_raise(self):
-        # each sum reaches 2**64 in coordinate 2, which packed codes would
+        # the sum reaches 2**64 in coordinate 2, which packed codes would
         # carry into coordinate 1
         with pytest.raises(ValueError, match="coordinate 2"):
             merge_profile_sets(ProfileSet(2, [(0, 2**64 - 1)]), ProfileSet(2, [(0, 1)]))
-        with pytest.raises(ValueError, match="coordinate 2"):
-            shift(ProfileSet(2, [(0, 2**64 - 1)]), (0, 1))
-        with pytest.raises(ValueError, match="agent 2"):
-            edgeless_profiles(2, [(0, 2**63), (0, 2**63)])
 
     def test_sums_up_to_the_field_limit(self):
         top = 2**64 - 1
@@ -204,10 +197,6 @@ class TestPackedLayout:
             ProfileSet(2, [(2**63, 0), (0, 2**64 - 2)]), ProfileSet(2, [(2**63 - 1, 1), (0, 0)])
         )
         assert set(merged) == {(2**63, 0), (0, 2**64 - 2), (top, 1), (2**63 - 1, top)}
-        assert set(shift(ProfileSet(2, [(0, 2**63)]), (1, 2**63 - 1))) == {(1, top)}
-        assert set(edgeless_profiles(2, [(0, 2**63), (5, 2**63 - 1)])) == {
-            (0, 0), (0, 2**63), (0, 2**63 - 1), (0, top), (5, 0), (5, 2**63),
-        }
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_agent_totals_at_the_limit(self, k):
