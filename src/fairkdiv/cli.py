@@ -411,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--expression", help="clique-width expression file")
         p.add_argument("--td", help="tree decomposition file (.td)")
         p.add_argument("--chordal", action="store_true", help="build a clique tree for --method tin")
-        p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument(
             "--threads", type=_int_at_least(1), default=1,
             help="worker threads (results are identical)",
@@ -425,6 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="compute the optimum and a witness")
     common(p_solve)
+    p_solve.add_argument("--json", action="store_true", help="JSON output")
     p_solve.set_defaults(func=cmd_solve)
 
     p_prof = sub.add_parser("profiles", help="dump the full profile set")
@@ -446,6 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_apx = sub.add_parser("approx", help="(1-epsilon)-approximate the optimum")
     common(p_apx)
+    p_apx.add_argument("--json", action="store_true", help="JSON output")
     p_apx.add_argument("--epsilon", required=True, help="rational in (0,1), e.g. 0.25 or 1/4")
     p_apx.set_defaults(func=cmd_approx)
 

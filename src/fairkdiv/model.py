@@ -187,8 +187,8 @@ def normalize_coloring(inst: ConflictInstance, classes: Sequence[Iterable[int]])
     return tuple(out)
 
 
-def validate_coloring(inst: ConflictInstance, classes: Sequence[Iterable[int]]) -> None:
-    """Raise InvalidColoringError unless classes form a partial k-coloring.
+def validate_coloring(inst: ConflictInstance, classes: Sequence[Iterable[int]]) -> Coloring:
+    """The classes as a Coloring; InvalidColoringError unless they form a partial k-coloring.
 
     The error message names the first violation found: either a vertex
     present in two classes or a conflict edge inside one class.
@@ -210,12 +210,12 @@ def validate_coloring(inst: ConflictInstance, classes: Sequence[Iterable[int]]) 
                     raise InvalidColoringError(
                         f"edge ({v + 1},{w + 1}) inside class {j + 1}"
                     )
+    return coloring
 
 
 def profile_of(inst: ConflictInstance, classes: Sequence[Iterable[int]]) -> Profile:
     """Profit profile (p_1(X_1), ..., p_k(X_k)) of a valid coloring."""
-    validate_coloring(inst, classes)
-    coloring = normalize_coloring(inst, classes)
+    coloring = validate_coloring(inst, classes)
     return tuple(sum(inst.profits[j][v] for v in cls) for j, cls in enumerate(coloring))
 
 

@@ -12,11 +12,9 @@ is the most significant and the order of codes is the lexicographic order of
 profiles.  ConflictInstance bounds every agent's total profit by
 MAX_PROFIT_SUM < 2**FIELD_BITS, so every profile a solver builds fits its
 fields, and the sum of two codes is the code of the vector sum: no carry
-crosses a field.  Code arithmetic is linear, so a sum may also subtract a
-profile, as long as the result is a profile.  merge_profile_sets checks
-that its sums fit and raises ValueError otherwise; add_sums and
-build_table, which the solvers' inner loops call, rely on the instance
-bound.
+crosses a field.  merge_profile_sets checks that its sums fit and raises
+ValueError otherwise; add_sums and build_table, which the solvers' inner
+loops call, rely on the instance bound.
 
 Grid bits.  Every profile of an instance lies in the box [0, T_1] x ... x
 [0, T_k] of the agents' total profits.  A Grid numbers its points in mixed
@@ -26,14 +24,10 @@ ascending bits are lexicographic order.  A vector sum A + B is the OR of B
 shifted left by pos(a) for each member a of A, one big-int shift per member
 instead of one code per pair: the word-RAM subset-sum of Pisinger ("Dynamic
 programming on the word RAM", Algorithmica 2003).  pos is linear, so
-pos(a) + pos(b) = pos(a + b) for any integer vectors, but it is one-to-one
-only on the box.  The mixed radix still cannot carry into a wrong point,
-because every profile a DP stores, every sum included, is the profile of a
-coloring of some of the items and so lies in the box.  Linearity also makes
-the tree-independence join exact as a right shift: it adds two cells that
-both count the bag's profits g, then subtracts g; every a + b - g is in the
-box, so pos(a) + pos(b) >= pos(g), and shifting the OR right by pos(g)
-drops no set bit.
+pos(a) + pos(b) = pos(a + b), but it is one-to-one only on the box.  The
+mixed radix still cannot carry into a wrong point, because every profile a
+DP stores, every sum included, is the profile of a coloring of some of the
+items and so lies in the box.
 
 Which form.  A table cell is a frozenset of codes, or a grid-backed
 ProfileSet in an unpruned table on a grid; callers see a run's result, the
@@ -143,14 +137,13 @@ class Grid:
         self._shifts: dict[int, int] = {}  # code offset -> bit shift
 
     def shift(self, offset: int) -> int:
-        """The bit shift that adds the code offset, a profile or the negation of one.
+        """The left shift that adds the profile whose code is offset.
 
         Each distinct offset is converted once.
         """
         shift = self._shifts.get(offset)
         if shift is None:
-            shift = sum(map(mul, decode(abs(offset), self.arity), self.strides))
-            shift = self._shifts[offset] = -shift if offset < 0 else shift
+            shift = self._shifts[offset] = sum(map(mul, decode(offset, self.arity), self.strides))
         return shift
 
     def columns(self, bits: int) -> list[list[int]]:
@@ -332,13 +325,14 @@ def post_order(root: Any, children_of: Callable[[Any], Sequence[Any]]) -> list[A
 
 
 # One transition of a DP node: the cell `key` receives the sum of one cell per
-# child (named by `child_keys`, in child order) plus the code `offset`, and
-# `assigned` holds the (vertex, agent) pairs the step colors, often none.  A
-# node kind's steps are generated once, from the node and its children's
-# tables.  The forward pass (build_table) sums them into the node's table;
-# a Run that walks a witness keeps the list in a Kept map, and Run.walk
-# reads it back.  The tree DPs color at most one vertex per step; a convex
-# stage step colors the new A-vertices its guess names.
+# child (named by `child_keys`, in child order) plus the code `offset`.
+# `assigned` holds the (vertex, agent) pairs the step colors, often none, and
+# `offset` is exactly their profit, so no step subtracts.  A node kind's
+# steps are generated once, from the node and its children's tables.  The
+# forward pass (build_table) sums them into the node's table; a Run that
+# walks a witness keeps the list in a Kept map, and Run.walk reads it back.
+# The tree DPs color at most one vertex per step; a convex stage step colors
+# the new A-vertices its guess names.
 Step = tuple[Hashable, tuple[Hashable, ...], int, tuple[tuple[int, int], ...]]
 # id(node) -> the steps its table was built from
 Kept = dict[int, list[Step]]
@@ -390,10 +384,6 @@ def build_table(
     }
 
 
-def _shifted(bits: int, shift: int) -> int:
-    return bits << shift if shift >= 0 else bits >> -shift
-
-
 def _sum_bits(positions: list[int], bits: int) -> int:
     """The grid form of a vector sum: bits shifted to each of positions, ORed."""
     acc = 0
@@ -409,9 +399,8 @@ def _grid_table(
 
     A binary step shifts the operand with more members to each member of
     the other (a cell's members are listed once per call) and then shifts
-    the OR by the step's offset, which for the join is an exact right shift
-    (see the module docstring).  The cells are checked against the cap when
-    they are stored.
+    the OR left by the step's offset.  The cells are checked against the
+    cap when they are stored.
     """
     shift = grid.shift
     raw: dict[Hashable, int] = {}
@@ -422,7 +411,7 @@ def _grid_table(
         (child,) = child_tables
         for key, (child_key,), offset, _ in steps:
             bits = child[child_key].bits
-            raw[key] = raw.get(key, 0) | (_shifted(bits, shift(offset)) if offset else bits)
+            raw[key] = raw.get(key, 0) | (bits << shift(offset) if offset else bits)
     else:
         left, right = child_tables
         members: dict[int, list[int]] = {}  # id(cell) -> its bit positions
@@ -434,7 +423,7 @@ def _grid_table(
             if positions is None:
                 positions = members[id(small)] = _bit_positions(small.bits)
             bits = _sum_bits(positions, large.bits)
-            raw[key] = raw.get(key, 0) | (_shifted(bits, shift(offset)) if offset else bits)
+            raw[key] = raw.get(key, 0) | (bits << shift(offset) if offset else bits)
     table = {key: ProfileSet.from_bits(grid, bits) for key, bits in raw.items()}
     _check_cap(max((cell.size for cell in table.values()), default=0), cap)
     return table
@@ -555,8 +544,7 @@ def add_sums(
 ) -> set[int]:
     """Add the code a + b + offset to out for every a in left and b in right.
 
-    The vector-sum kernel of every DP.  A negative offset subtracts a
-    profile; every sum must be a profile.  out is checked against the cap
+    The vector-sum kernel of every DP.  out is checked against the cap
     after each row, so a runaway product fails before it is built.
     """
     if len(left) > len(right):

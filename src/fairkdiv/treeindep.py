@@ -5,14 +5,16 @@ independent set inside any bag: each agent's class meets a bag in at most
 that many vertices, so enumerating the per-bag colorings stays polynomial.
 The decomposition is first normalized to leaf/introduce/forget/join nodes;
 a state is a coloring of the current bag mapped to the profiles of all
-colorings of the subtree's vertices agreeing with it.
+colorings of the subtree's vertices agreeing with it.  A profile counts
+only the subtree's vertices outside the bag: a vertex's profit is booked
+when it is forgotten, so every step only adds.
 
 Chordal graphs are the ell = 1 case: their clique trees (built here via
 maximum cardinality search) have bags that are cliques.
 """
 from __future__ import annotations
 
-from operator import attrgetter, getitem
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .model import CapError, Coloring, ConflictInstance, Profile, Record, validate_coloring
@@ -361,12 +363,11 @@ def tin_steps(
     """The steps of one nice node (see profiles.Step) over its children's keys.
 
     Keys are bag colorings aligned to sorted(bag).  Introduce extends a key
-    by the vertex's color (any agent none of its colored bag neighbours
-    has, or 0) and adds that agent's profit; forget drops the vertex's
-    entry; join pairs equal keys and subtracts the bag's profits, which
-    both sides count.
+    by the vertex's color: any agent none of its colored bag neighbours
+    has, or 0.  Forget drops the vertex's entry and books its profit under
+    its color, once per vertex, since a nice decomposition forgets each
+    vertex exactly once.  Join pairs equal keys.  No step subtracts.
     """
-    k = inst.k
     if node.kind == "leaf":
         yield (), (), 0, ()
     elif node.kind == "introduce":
@@ -374,27 +375,27 @@ def tin_steps(
         pos = sorted(node.bag).index(v)
         adj_v = inst.adjacency()[v]
         neighbours = [i for i, w in enumerate(sorted(node.bag - {v})) if w in adj_v]
-        colors = [(j + 1, (j + 1,), unit_code(k, j, inst.profits[j][v]), ((v, j),)) for j in range(k)]
         for child_key in child_tables[0]:
             head, tail, child_keys = child_key[:pos], child_key[pos:], (child_key,)
             used = {child_key[i] for i in neighbours}
-            yield head + (0,) + tail, child_keys, 0, ()
-            for color, entry, gain, assigned in colors:
-                if color not in used:
-                    yield head + entry + tail, child_keys, gain, assigned
+            for color in range(inst.k + 1):
+                if color == 0 or color not in used:
+                    yield head + (color,) + tail, child_keys, 0, ()
     elif node.kind == "forget":
-        pos = sorted(node.bag | {node.vertex}).index(node.vertex)
+        v = node.vertex
+        pos = sorted(node.bag | {v}).index(v)
+        # the step of each color of v (0 for uncolored)
+        booked = [(0, ())] + [
+            (unit_code(inst.k, j, inst.profits[j][v]), ((v, j),)) for j in range(inst.k)
+        ]
         for child_key in child_tables[0]:
-            yield child_key[:pos] + child_key[pos + 1 :], (child_key,), 0, ()
+            offset, assigned = booked[child_key[pos]]
+            yield child_key[:pos] + child_key[pos + 1 :], (child_key,), offset, assigned
     elif node.kind == "join":
         first, second = child_tables
-        # the code of each bag vertex's profit, by color (0 for uncolored)
-        gains = [
-            (0, *(unit_code(k, j, inst.profits[j][v]) for j in range(k))) for v in sorted(node.bag)
-        ]
         for key in first:
             if key in second:
-                yield key, (key, key), -sum(map(getitem, gains, key)), ()
+                yield key, (key, key), 0, ()
     else:
         raise AssertionError(f"unknown node kind {node.kind}")
 

@@ -52,6 +52,7 @@ from fairkdiv.profiles import (
     encode,
     merge_profile_sets,
     union_cells,
+    unit_code,
 )
 from fairkdiv.treeindep import (
     TreeDecomposition,
@@ -629,7 +630,11 @@ def _random_td_instance(rng, n_max=8, width_max=3, k_max=2, pmax=6):
 
 
 def prop_tin_node_soundness(cases: int, seed: int = 601) -> None:
-    """Every nice node's table matches enumeration over its subtree graph."""
+    """Every nice node's table matches enumeration over its subtree graph.
+
+    A profile counts only the subtree's vertices outside the node's bag:
+    a vertex's profit is booked when it is forgotten.
+    """
     rng = random.Random(seed)
     for _ in range(cases):
         inst, td = _random_td_instance(rng, n_max=7)
@@ -660,7 +665,7 @@ def prop_tin_node_soundness(cases: int, seed: int = 601) -> None:
                         sum(
                             inst.profits[agent][v]
                             for v in vertices
-                            if assignment[v] == agent + 1
+                            if assignment[v] == agent + 1 and v not in node.bag
                         )
                         for agent in range(inst.k)
                     )
@@ -709,24 +714,30 @@ def prop_tin_chordal_route(cases: int, seed: int = 603) -> None:
         assert opt == want
 
 
-def prop_tin_join_correction(cases: int, seed: int = 604) -> None:
-    """Join-node profiles stay >= the shared-bag contribution per agent."""
+def prop_step_offsets_are_assigned_profits(cases: int, seed: int = 604) -> None:
+    """Every kept step of tin, cw and convex, pruned or not, adds exactly the profit it assigns."""
     rng = random.Random(seed)
     for _ in range(cases):
-        inst, td = _random_td_instance(rng, n_max=7)
-        nice = make_nice(td)
-        tables = _node_tables(tin_run, inst, nice)
-        for node in nice.nodes():
-            if node.kind != "join":
-                continue
-            bag_sorted = sorted(node.bag)
-            for key, pset in tables[id(node)].items():
-                w = [0] * inst.k
-                for v, color in zip(bag_sorted, key):
-                    if color > 0:
-                        w[color - 1] += inst.profits[color - 1][v]
-                for q in pset:
-                    assert all(a >= b for a, b in zip(q, w))
+        tin_inst, td = _random_td_instance(rng, n_max=7)
+        expr = support.random_expression(rng, 6, rng.randint(1, 3))
+        cw_inst = support.instance_for_expression(expr, rng, rng.randint(1, 2), 5)
+        parts = [(rng.randint(1, 3), rng.randint(0, 3)) for _ in range(rng.randint(1, 2))]
+        convex_inst = support.shuffled_convex_instance(rng, parts, rng.randint(1, 3), 6)
+        runs = [
+            (tin_inst, lambda run: tin_run(tin_inst, make_nice(td), run)),
+            (cw_inst, lambda run: cw_run(cw_inst, expr, run)),
+            (convex_inst, lambda run: _merged_components(convex_inst, None, run)),
+        ]
+        for dp_inst, dp in runs:
+            for prune in (False, True):
+                run = Run(dp_inst.total_profits(), prune=prune, walk=True)
+                dp(run)
+                for steps in run.kept.values():
+                    for _, _, offset, assigned in steps:
+                        assert offset == sum(
+                            unit_code(dp_inst.k, agent, dp_inst.profits[agent][v])
+                            for v, agent in assigned
+                        ), (offset, assigned)
 
 
 # -------------------------------------------------------------------- approx
@@ -944,7 +955,7 @@ ALL_PROPERTIES = [
     prop_tin_node_soundness,
     prop_tin_single_bag,
     prop_tin_chordal_route,
-    prop_tin_join_correction,
+    prop_step_offsets_are_assigned_profits,
     prop_fptas_guarantee,
     prop_fptas_call_bound,
     prop_fptas_exact_when_unscaled,

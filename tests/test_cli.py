@@ -664,6 +664,13 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert flag in err and "at least 0" in err
 
+    @pytest.mark.parametrize("command", ["profiles", "recognize", "validate"])
+    def test_json_exit_2_where_not_emitted(self, t1_file, command):
+        """Only solve and approx write JSON; elsewhere --json is a usage error, not ignored."""
+        code, out, err = run_cli([command, t1_file, "--json"])
+        assert code == EXIT_USAGE
+        assert "--json" in err and out == ""
+
 
 class TestGen:
     def test_byte_identical_reruns(self, tmp_path):

@@ -207,7 +207,7 @@ class TestPackedLayout:
         # a path on 0..3 plus the isolated vertex 4: convex, two components
         inst = ConflictInstance.build(5, k, [(0, 1), (1, 2), (2, 3)], profits)
         assert inst.total_profits() == (MAX_PROFIT_SUM,) * k
-        # three children under bag 1 give join nodes whose correction is subtracted
+        # three children under bag 1 give join nodes
         td = TreeDecomposition(
             n=5,
             bags={1: frozenset({1, 2}), 2: frozenset({0, 1}), 3: frozenset({2, 3}), 4: frozenset({4})},
@@ -231,7 +231,8 @@ def path_with_isolated_vertex(k: int, profits) -> tuple[ConflictInstance, TreeDe
     """A path on 0..3 plus the isolated vertex 4, and a decomposition with joins at bag {1, 2}.
 
     The graph is convex bipartite with two components; the three children
-    of bag 1 give join nodes that subtract the profits of vertices 1 and 2.
+    of bag 1 give join nodes over vertices 1 and 2, whose profits are
+    booked when the root's chain forgets them.
     """
     inst = ConflictInstance.build(5, k, [(0, 1), (1, 2), (2, 3)], profits)
     td = TreeDecomposition(
@@ -271,7 +272,7 @@ class TestGrid:
         "profits", [[[3, 90000, 70000, 2, 5]], [[3, 200, 240, 2, 5], [1, 230, 250, 4, 0]]]
     )
     def test_tin_join_with_large_bag_profits(self, profits):
-        """The join subtracts the bag's profits as a right shift by a large pos(g)."""
+        """Forgetting a bag vertex of large profit g is a left shift by a large pos(g)."""
         # vertices 1 and 2, in every join bag, carry almost all the profit
         inst, td = path_with_isolated_vertex(len(profits), profits)
         assert any(node.kind == "join" for node in make_nice(td).nodes())

@@ -204,9 +204,10 @@ class TestDpNode:
         intro = NiceNode(kind="introduce", bag=frozenset({0}), vertex=0, children=(leaf,))
         leaf_table = tin_dp_node(leaf, [], inst, run)
         table = tin_dp_node(intro, [leaf_table], inst, run)
+        # the profit is booked when the vertex is forgotten
         assert table == {
             (0,): ProfileSet(1, {(0,)}),
-            (1,): ProfileSet(1, {(5,)}),
+            (1,): ProfileSet(1, {(0,)}),
         }
 
     def test_forget_unions_extensions(self):
@@ -220,10 +221,15 @@ class TestDpNode:
         )
         assert table == {(): ProfileSet(1, {(0,), (5,)})}
 
-    def test_join_corrects_double_count(self):
+    def test_join_adds_equal_keys(self):
+        """Cells count forgotten vertices only, so the join adds them with no correction."""
         inst = ConflictInstance.build(1, 1, [], [[5]])
         run = Run(inst.total_profits())
-        side = {(1,): support.on_grid(run.grid, ProfileSet(1, {(5,)}))}
+        first = {
+            (0,): support.on_grid(run.grid, ProfileSet(1, {(0,)})),
+            (1,): support.on_grid(run.grid, ProfileSet(1, {(1,), (2,)})),
+        }
+        second = {(1,): support.on_grid(run.grid, ProfileSet(1, {(3,)}))}
         join = NiceNode(
             kind="join",
             bag=frozenset({0}),
@@ -232,8 +238,8 @@ class TestDpNode:
                 NiceNode(kind="leaf", bag=frozenset({0})),
             ),
         )
-        table = tin_dp_node(join, [side, side], inst, run)
-        assert table == {(1,): ProfileSet(1, {(5,)})}
+        table = tin_dp_node(join, [first, second], inst, run)
+        assert table == {(1,): ProfileSet(1, {(4,), (5,)})}
 
 
 class TestSolve:
@@ -411,5 +417,5 @@ class TestInvariants:
     def test_chordal_route(self):
         properties.prop_tin_chordal_route(100)
 
-    def test_join_correction(self):
-        properties.prop_tin_join_correction(80)
+    def test_step_offsets_are_assigned_profits(self):
+        properties.prop_step_offsets_are_assigned_profits(80)
