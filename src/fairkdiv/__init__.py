@@ -43,7 +43,6 @@ _EXPORTS = {
         "ProfileSet",
         "best_satisfaction",
         "dominance_prune",
-        "merge_profile_sets",
     ),
     "recognition": (
         "ConvexOrdering",

@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--chordal", action="store_true", help="build a clique tree for --method tin")
         p.add_argument(
             "--threads", type=_int_at_least(1), default=1,
-            help="worker threads (results are identical)",
+            help="accepted and ignored: runs are sequential",
         )
         p.add_argument(
             "--profile-cap", type=_int_at_least(0), default=None, help="max profiles per set"

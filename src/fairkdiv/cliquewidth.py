@@ -13,13 +13,9 @@ from operator import or_
 from typing import Iterator, NamedTuple, Union
 
 from .model import Coloring, ConflictInstance, Profile, Record, validate_coloring
-from .profiles import ProfileSet, Run, Step, best_profile, encode, post_order, unit_code
+from .profiles import ProfileSet, Run, Step, Table, best_profile, encode, post_order, unit_code
 # unused here: kept only as the module attribute the benchmark tracer wraps
 from .profiles import dominance_prune  # noqa: F401
-
-# One bitmask of width num_labels per agent.
-LabelKey = tuple[int, ...]
-CwTable = dict[LabelKey, frozenset[int] | ProfileSet]
 
 
 class ExpressionError(ValueError):
@@ -251,13 +247,14 @@ def check_expression_matches(expr: CliqueExpression, inst: ConflictInstance) -> 
     return None
 
 
-def cw_steps(node: ExprNode, child_tables: list[CwTable], inst: ConflictInstance) -> Iterator[Step]:
+def cw_steps(node: ExprNode, child_tables: list[Table], inst: ConflictInstance) -> Iterator[Step]:
     """The steps of one expression node (see profiles.Step) over its children's keys.
 
-    Keys are per-agent label bitmasks.  A vertex leaves every agent's key
-    empty (unassigned) or gives one agent its label and its profit; a union
-    ORs one key of each side; an edge-add keeps the keys in which no agent
-    holds both labels; a relabel moves label i to j in every mask.
+    Keys are tuples of one label bitmask of width num_labels per agent.  A
+    vertex leaves every agent's key empty (unassigned) or gives one agent
+    its label and its profit; a union ORs one key of each side; an
+    edge-add keeps the keys in which no agent holds both labels; a relabel
+    moves label i to j in every mask.
     """
     k = inst.k
     if isinstance(node, VertexNode):
@@ -287,8 +284,8 @@ def cw_steps(node: ExprNode, child_tables: list[CwTable], inst: ConflictInstance
 
 
 def dp_node(
-    node: ExprNode, child_tables: list[CwTable], inst: ConflictInstance, run: Run
-) -> CwTable:
+    node: ExprNode, child_tables: list[Table], inst: ConflictInstance, run: Run
+) -> Table:
     """Table of one expression node from its children's tables (see cw_steps)."""
     return run.table(node, cw_steps(node, child_tables, inst), child_tables)
 

@@ -172,7 +172,13 @@ def satisfaction_level(profile: Sequence[int]) -> int:
     return min(profile)
 
 
-def normalize_coloring(inst: ConflictInstance, classes: Sequence[Iterable[int]]) -> Coloring:
+def validate_coloring(inst: ConflictInstance, classes: Sequence[Iterable[int]]) -> Coloring:
+    """The classes as a Coloring; InvalidColoringError unless they form a partial k-coloring.
+
+    The error message names the first violation found: the number of
+    classes, a vertex out of range, a vertex present in two classes, or a
+    conflict edge inside one class.
+    """
     if len(classes) != inst.k:
         raise InvalidColoringError(f"expected {inst.k} classes, got {len(classes)}")
     out = []
@@ -184,16 +190,7 @@ def normalize_coloring(inst: ConflictInstance, classes: Sequence[Iterable[int]])
                     f"vertex {v + 1} in class {cls_index + 1} is out of range"
                 )
         out.append(members)
-    return tuple(out)
-
-
-def validate_coloring(inst: ConflictInstance, classes: Sequence[Iterable[int]]) -> Coloring:
-    """The classes as a Coloring; InvalidColoringError unless they form a partial k-coloring.
-
-    The error message names the first violation found: either a vertex
-    present in two classes or a conflict edge inside one class.
-    """
-    coloring = normalize_coloring(inst, classes)
+    coloring = tuple(out)
     owner: dict[int, int] = {}
     for j, cls in enumerate(coloring):
         for v in sorted(cls):

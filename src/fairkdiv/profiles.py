@@ -12,9 +12,9 @@ is the most significant and the order of codes is the lexicographic order of
 profiles.  ConflictInstance bounds every agent's total profit by
 MAX_PROFIT_SUM < 2**FIELD_BITS, so every profile a solver builds fits its
 fields, and the sum of two codes is the code of the vector sum: no carry
-crosses a field.  merge_profile_sets checks that its sums fit and raises
-ValueError otherwise; add_sums and build_table, which the solvers' inner
-loops call, rely on the instance bound.
+crosses a field.  build_table does every sum and union of cells, a run's
+root read-out and merge_profile_sets included, and relies on that bound:
+no sum is checked.
 
 Grid bits.  Every profile of an instance lies in the box [0, T_1] x ... x
 [0, T_k] of the agents' total profits.  A Grid numbers its points in mixed
@@ -40,15 +40,13 @@ time in the grid's size, not the set's, while a sum of code sets costs
 time in the sets' sizes; a larger grid holds sparse sets of large profits,
 for which codes are faster (the FPTAS's unscaled inputs have grids of
 10**8 points and more).  An operation on sets stays on a grid when all
-its operands are held on that one Grid (and, for a sum, the sums fit it);
-otherwise it works on codes, which a grid-backed set decodes when they are
-first read.
+its operands are held on that one Grid; otherwise it works on codes, which
+a grid-backed set decodes when they are first read.
 """
 from __future__ import annotations
 
-from functools import lru_cache, reduce
 from itertools import compress
-from operator import itemgetter, mul, or_
+from operator import itemgetter, mul
 from typing import Any, Callable, Collection, Hashable, Iterable, Iterator, Sequence
 
 from .model import CapError, Coloring, Profile
@@ -297,21 +295,6 @@ def _stored(k: int, codes: Collection[int], cap: int | None, prune: bool) -> fro
     return frozenset(_front(codes, k) if prune and len(codes) > 1 else codes)
 
 
-def _stored_bits(grid: Grid, bits: int, cap: int | None) -> ProfileSet:
-    pset = ProfileSet.from_bits(grid, bits)
-    _check_cap(pset.size, cap)
-    return pset
-
-
-def union_cells(
-    k: int, cells: Iterable, grid: Grid | None = None, cap: int | None = None, prune: bool = False
-) -> ProfileSet:
-    """The union of a table's cells, checked like a cell: on grid if the cells are on its totals."""
-    if grid is not None:
-        return _stored_bits(grid, reduce(or_, [cell.bits for cell in cells], 0), cap)
-    return ProfileSet.from_codes(k, _stored(k, set().union(*cells), cap, prune))
-
-
 def post_order(root: Any, children_of: Callable[[Any], Sequence[Any]]) -> list[Any]:
     """The nodes of a tree, children first, left to right: a reversed right-to-left pre-order."""
     out: list[Any] = []
@@ -476,8 +459,9 @@ class Run:
     ) -> ProfileSet:
         """Every node's table, node_table(node, child_tables) in post-order, then the root's union.
 
-        The union is checked like a cell.  A root of one cell is read as it
-        is: it was checked, and pruned if the run prunes, when it was stored.
+        The union is read out by one more build_table call: one unary step
+        per root key into the key (), so it is checked, and pruned if the
+        run prunes, like a cell, and a root of one code cell is not copied.
         """
         stats, tables = self.stats, self.tables
         for node in post_order(root, children_of):
@@ -486,11 +470,10 @@ class Run:
             stats["dp-cells"] = stats.get("dp-cells", 0) + len(table)
             stats["profiles-stored"] = stats.get("profiles-stored", 0) + stored
             tables[id(node)] = table
-        cells = tables[id(root)].values()
-        if len(cells) == 1:
-            (cell,) = cells
-            return cell if isinstance(cell, ProfileSet) else ProfileSet.from_codes(self.k, cell)
-        return union_cells(self.k, cells, self.grid, self.cap, self.prune)
+        root_table = tables[id(root)]
+        steps = [((), (key,), 0, ()) for key in root_table]
+        cell = build_table(self.k, steps, [root_table], self.cap, self.prune, self.grid)[()]
+        return cell if isinstance(cell, ProfileSet) else ProfileSet.from_codes(self.k, cell)
 
     def walk(self, root: Any, children_of: Callable[[Any], Sequence[Any]], target: int) -> Coloring:
         """A coloring whose profile is the code target, from the first root cell (by key) with it.
@@ -556,57 +539,17 @@ def add_sums(
     return out
 
 
-def _field_maxima(codes: Collection[int], arity: int) -> list[int]:
-    """Each coordinate's largest value over the codes (0 for no codes)."""
-    return [
-        max(((code >> shift) & FIELD_MASK for code in codes), default=0)
-        for shift in range(FIELD_BITS * (arity - 1), -1, -FIELD_BITS)
-    ]
-
-
-@lru_cache(maxsize=None)
-def _top_bits(arity: int) -> int:
-    """The mask of the most significant bit of every field."""
-    return ((1 << FIELD_BITS * arity) - 1) // FIELD_MASK << (FIELD_BITS - 1)
-
-
-def _check_sums_fit(arity: int, left: Collection[int], right: Collection[int]) -> None:
-    """ValueError if a left code plus a right code could carry out of a field.
-
-    Fields below 2**(FIELD_BITS - 1) in both operands cannot carry, which
-    one OR per operand shows; otherwise the per-field maxima are added.
-    """
-    if not reduce(or_, right, reduce(or_, left, 0)) & _top_bits(arity):
-        return
-    maxima = zip(_field_maxima(left, arity), _field_maxima(right, arity))
-    for j, (a, b) in enumerate(maxima):
-        if a + b > FIELD_MASK:
-            raise ValueError(f"coordinate {j + 1} of a sum could reach 2**{FIELD_BITS}")
-
-
 def merge_profile_sets(s1: ProfileSet, s2: ProfileSet, cap: int | None = None) -> ProfileSet:
-    """All pairwise vector sums {q1 + q2}, deduplicated.
+    """All pairwise vector sums {q1 + q2}, deduplicated: one binary build_table step.
 
-    Sets on one grid whose sums fit it are added on it.  Otherwise
-    ValueError if a coordinate of a sum could reach 2**FIELD_BITS, which
-    sets built from one instance's disjoint parts never do.
+    Sets held on one grid are added on it, others as codes.  The sums are
+    not checked: sets built from one instance's disjoint parts fit its
+    grid and its fields.
     """
-    if s1.arity != s2.arity:
-        raise ValueError(f"arity mismatch: {s1.arity} vs {s2.arity}")
-    grid = s1.grid
-    if grid is not None and s2.grid is grid and all(
-        a + b < radix for a, b, radix in zip(_grid_maxima(s1), _grid_maxima(s2), grid.radices)
-    ):
-        if len(s1) > len(s2):
-            s1, s2 = s2, s1
-        return _stored_bits(grid, _sum_bits(_bit_positions(s1.bits), s2.bits), cap)
-    _check_sums_fit(s1.arity, s1.codes, s2.codes)
-    return ProfileSet.from_codes(s1.arity, add_sums(set(), s1.codes, s2.codes, cap=cap))
-
-
-def _grid_maxima(s: ProfileSet) -> list[int]:
-    """Each coordinate's largest value over a grid-backed set (0 for no members)."""
-    return [max(column, default=0) for column in s.grid.columns(s.bits)]
+    grid = s1.grid if s2.grid is s1.grid else None
+    tables = [{(): s if grid is not None else s.codes} for s in (s1, s2)]
+    cell = build_table(s1.arity, [((), ((), ()), 0, ())], tables, cap, grid=grid)[()]
+    return cell if grid is not None else ProfileSet.from_codes(s1.arity, cell)
 
 
 def best_satisfaction(s: ProfileSet) -> int:

@@ -18,15 +18,11 @@ from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .model import CapError, Coloring, ConflictInstance, Profile, Record, validate_coloring
-from .profiles import ProfileSet, Run, Step, best_profile, encode, post_order, unit_code
+from .profiles import ProfileSet, Run, Step, Table, best_profile, encode, post_order, unit_code
 # unused here: kept only as the module attribute the benchmark tracer wraps
 from .profiles import dominance_prune  # noqa: F401
 
 DEFAULT_ALPHA_NODE_CAP = 10**6
-
-# coloring keys are tuples of colors (0 = uncolored) aligned to sorted(bag)
-ColoringKey = tuple[int, ...]
-TinTable = dict[ColoringKey, frozenset[int] | ProfileSet]
 
 
 class DecompositionError(ValueError):
@@ -358,15 +354,16 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
 
 
 def tin_steps(
-    node: NiceNode, child_tables: list[TinTable], inst: ConflictInstance
+    node: NiceNode, child_tables: list[Table], inst: ConflictInstance
 ) -> Iterator[Step]:
     """The steps of one nice node (see profiles.Step) over its children's keys.
 
-    Keys are bag colorings aligned to sorted(bag).  Introduce extends a key
-    by the vertex's color: any agent none of its colored bag neighbours
-    has, or 0.  Forget drops the vertex's entry and books its profit under
-    its color, once per vertex, since a nice decomposition forgets each
-    vertex exactly once.  Join pairs equal keys.  No step subtracts.
+    Keys are bag colorings, tuples of colors (0 = uncolored) aligned to
+    sorted(bag).  Introduce extends a key by the vertex's color: any agent
+    none of its colored bag neighbours has, or 0.  Forget drops the
+    vertex's entry and books its profit under its color, once per vertex,
+    since a nice decomposition forgets each vertex exactly once.  Join
+    pairs equal keys.  No step subtracts.
     """
     if node.kind == "leaf":
         yield (), (), 0, ()
@@ -401,8 +398,8 @@ def tin_steps(
 
 
 def tin_dp_node(
-    node: NiceNode, child_tables: list[TinTable], inst: ConflictInstance, run: Run
-) -> TinTable:
+    node: NiceNode, child_tables: list[Table], inst: ConflictInstance, run: Run
+) -> Table:
     """Table of one nice node from its children's tables (see tin_steps)."""
     return run.table(node, tin_steps(node, child_tables, inst), child_tables)
 

@@ -51,7 +51,6 @@ from fairkdiv.profiles import (
     dominance_prune,
     encode,
     merge_profile_sets,
-    union_cells,
     unit_code,
 )
 from fairkdiv.treeindep import (
@@ -195,40 +194,40 @@ def prop_prune_preserves_best(cases: int, seed: int = 204) -> None:
 
 
 def prop_grid_forms_agree(cases: int, seed: int = 206) -> None:
-    """merge_profile_sets and union_cells give equal sets whichever form their operands have.
+    """merge_profile_sets and a root's read-out give equal sets whichever form their operands have.
 
     Operands are code-backed, held on one grid, or held on two equal grids
-    (two objects, so they are added as codes).  union_cells gets cells as a
-    table holds them: on the grid it is given, or else as code sets.  In
-    about half the cases every sum fits the grid; in the rest most overflow
-    it and are added as codes.
+    (two objects, so they are added as codes).  The read-out (Run.root_set,
+    one unary build_table step per root key) gets the root's cells as a
+    table holds them: on the run's grid, or else as code sets.  Members go
+    up to half the totals, so every sum fits the grid.
     """
     rng = random.Random(seed)
     for _ in range(cases):
         k = rng.randint(1, 3)
         totals = [rng.choice((0, 1, 3, 6)) for _ in range(k)]
         grids = (Grid(totals), Grid(totals))
-        # members up to half the totals: every sum fits the grid
-        tops = [t // 2 for t in totals] if rng.random() < 0.5 else totals
         sets = [
             ProfileSet(k, {
-                tuple(rng.randint(0, t) for t in tops) for _ in range(rng.randint(0, 6))
+                tuple(rng.randint(0, t // 2) for t in totals) for _ in range(rng.randint(0, 6))
             })
             for _ in range(2)
         ]
         forms = [[s, support.on_grid(grids[0], s), support.on_grid(grids[1], s)] for s in sets]
         want_sum = merge_profile_sets(*sets)
-        want_union = union_cells(k, [s.codes for s in sets])
+        want_union = ProfileSet.from_codes(k, sets[0].codes | sets[1].codes)
         for x in forms[0]:
             for y in forms[1]:
-                grid = x.grid if x.grid is not None and x.grid is y.grid else None
-                cells = [x, y] if grid is not None else [x.codes, y.codes]
-                got_sum, got_union = merge_profile_sets(x, y), union_cells(k, cells, grid)
+                run = Run(totals)
+                run.grid = x.grid if x.grid is not None and x.grid is y.grid else None
+                cells = [x, y] if run.grid is not None else [x.codes, y.codes]
+                got_sum = merge_profile_sets(x, y)
+                root = dict(enumerate(cells))  # a one-node tree: its root's table
+                got_union = run.root_set(root, lambda node: (), lambda node, _: node)
                 assert got_sum == want_sum and got_sum.dump() == want_sum.dump()
                 assert got_union == want_union and got_union.dump() == want_union.dump()
                 assert len(got_sum) == len(want_sum) and len(got_union) == len(want_union)
-                if grid is not None:
-                    assert got_union.grid is x.grid
+                assert got_sum.grid is got_union.grid is run.grid
 
 
 def prop_pruned_cells_are_fronts(cases: int, seed: int = 207) -> None:

@@ -96,10 +96,6 @@ class TestMerge:
         right = convex_profile_set(edgeless_instance(2, [(1, 2)]))
         assert set(merge_profile_sets(left, right)) == T1_SET
 
-    def test_arity_mismatch(self):
-        with pytest.raises(ValueError, match="arity"):
-            merge_profile_sets(ProfileSet.zero(1), ProfileSet.zero(2))
-
 
 class TestBestSatisfaction:
     def test_examples(self):
@@ -184,12 +180,6 @@ class TestPackedLayout:
         for probe in [(-1, 0), (0, 0, 0), (3,), (2**64, 0), "ab", 7]:
             assert probe not in s
         assert (3, 4) in s
-
-    def test_sums_that_would_carry_raise(self):
-        # the sum reaches 2**64 in coordinate 2, which packed codes would
-        # carry into coordinate 1
-        with pytest.raises(ValueError, match="coordinate 2"):
-            merge_profile_sets(ProfileSet(2, [(0, 2**64 - 1)]), ProfileSet(2, [(0, 1)]))
 
     def test_sums_up_to_the_field_limit(self):
         top = 2**64 - 1
@@ -308,8 +298,9 @@ class TestGrid:
         }[method]()
         assert (library.grid is not None) == on_grid
 
-    def test_cap_on_grid_cells(self, monkeypatch):
-        """The cap trips at the same size as on code-backed tables: the largest cell, then the union."""
+    @pytest.mark.parametrize("on_grid", [True, False], ids=["grid", "codes"])
+    def test_cap_on_grid_cells(self, monkeypatch, on_grid):
+        """The cap trips at the same size on both forms: the largest cell, then the union."""
         rng = random.Random(7)
         expr = support.random_expression(rng, 8, 3)
         while len(expr.vertex_ids) < 6:
@@ -323,18 +314,21 @@ class TestGrid:
         assert code_run.grid is None
         cells = [cell for table in code_run.tables.values() for cell in table.values()]
         largest = max(map(len, cells))
+        if not on_grid:
+            monkeypatch.setattr(profiles, "GRID_MAX_BITS", 0)
         # every table fits the cap; the union of the root's cells does not
         run = Run(inst.total_profits(), cap=largest)
         with pytest.raises(ProfileCapError):
             cw_run(inst, expr, run)
         assert len(run.tables) == len(code_run.tables)
-        assert all(cell.grid is not None for t in run.tables.values() for cell in t.values())
+        cells = [cell for table in run.tables.values() for cell in table.values()]
+        assert all(isinstance(cell, ProfileSet) == on_grid for cell in cells)
         run = Run(inst.total_profits(), cap=largest - 1)
         with pytest.raises(ProfileCapError):
             cw_run(inst, expr, run)
         assert len(run.tables) < len(code_run.tables)
         full = cliquewidth_profile_set(inst, expr)
-        assert full.grid is not None and len(full) > largest
+        assert (full.grid is not None) == on_grid and len(full) > largest
         with pytest.raises(ProfileCapError):
             cliquewidth_profile_set(inst, expr, cap=len(full) - 1)
         assert cliquewidth_profile_set(inst, expr, cap=len(full)) == full
