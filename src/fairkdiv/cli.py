@@ -2,28 +2,19 @@
 
 Subcommands: solve, profiles, recognize, validate, approx, gen.  Exit codes:
 0 success, 1 infeasible input (recognition failure, invalid decomposition,
-bad instance), 2 usage error, 3 resource cap exceeded.
+bad instance), 2 usage error, 3 resource cap exceeded.  This module runs
+solve and profiles; the other four are in commands, compiled only when one
+runs.  A process enters through entry (see there).
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
-from .model import (
-    CapError,
-    ConflictInstance,
-    SolveResult,
-    parse_instance,
-    profile_of,
-    satisfaction_level,
-    serialize_instance,
-    validate_coloring,
-)
-
-if TYPE_CHECKING:
-    from .recognition import ConvexOrdering
+from .model import CapError, ConflictInstance, SolveResult, parse_instance
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -45,6 +36,13 @@ def _module(name: str):
     return sys.modules[qualified]
 
 
+def __getattr__(name: str):
+    # the ordering-file helpers live in recognition, imported when first read
+    if name in ("parse_ordering_file", "ordering_file_text"):
+        return getattr(_module("recognition"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
@@ -59,66 +57,8 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}", EXIT_INFEASIBLE)
 
 
-def _write(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}", EXIT_INFEASIBLE)
-
-
 def _load_instance(path: str) -> ConflictInstance:
     return parse_instance(_read(path))
-
-
-def parse_ordering_file(text: str, inst: ConflictInstance) -> ConvexOrdering:
-    """Ordering file: line `A: <ids...>` (in order) and line `B: <ids...>`."""
-    recognition = _module("recognition")
-    ids: dict[str, list[int]] = {}  # "A:" or "B:" -> 0-based ids
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        side = line[:2]
-        if side not in ("A:", "B:"):
-            raise recognition.OrderingError(f"line {lineno}: unexpected ordering line: {line!r}")
-        if side in ids:
-            raise recognition.OrderingError(f"line {lineno}: second '{side}' line")
-        try:
-            ids[side] = [int(x) - 1 for x in line[2:].split()]
-        except ValueError:
-            raise recognition.OrderingError(
-                f"line {lineno}: expected integers, got {line[2:].strip()}"
-            )
-    if len(ids) != 2:
-        raise recognition.OrderingError("ordering file needs one 'A:' and one 'B:' line")
-    return recognition.validate_convex_ordering(inst, ids["A:"], ids["B:"])
-
-
-def ordering_file_text(ordering: ConvexOrdering) -> str:
-    a_line = "A: " + " ".join(str(a + 1) for a in ordering.a_order)
-    b_line = "B: " + " ".join(str(b + 1) for b in ordering.b_vertices)
-    return a_line + "\n" + b_line + "\n"
-
-
-def _emit_result(result: SolveResult, as_json: bool) -> None:
-    if as_json:
-        import json
-
-        print(json.dumps(result.to_json_dict(), sort_keys=True))
-        return
-    print(f"optimum: {result.optimum}")
-    print("profile: " + " ".join(str(x) for x in result.profile))
-    if result.witness is not None:
-        for j, cls in enumerate(result.witness):
-            print(f"witness {j + 1}: " + " ".join(str(v + 1) for v in sorted(cls)))
-    print(f"method: {result.method}")
-    stats = result.stats
-    print(
-        "stats: elapsed-ms={:.3f} dp-cells={} profiles-stored={}".format(
-            stats.get("elapsed-ms", 0.0), stats.get("dp-cells", 0), stats.get("profiles-stored", 0)
-        )
-    )
 
 
 class Method(NamedTuple):
@@ -166,7 +106,7 @@ def resolve_method(args, inst: ConflictInstance) -> tuple[str, Method, object]:
     reads = {"ordering", "expression", "td"} if method == "auto" else {METHODS[method].side}
     side: dict[str, object] = dict.fromkeys(("ordering", "expression", "td"))
     if args.ordering and "ordering" in reads:
-        side["ordering"] = parse_ordering_file(_read(args.ordering), inst)
+        side["ordering"] = _module("recognition").parse_ordering_file(_read(args.ordering), inst)
     if args.expression and "expression" in reads:
         side["expression"] = _module("cliquewidth").parse_k_expression(_read(args.expression))
     if args.td and "td" in reads:
@@ -208,10 +148,19 @@ def cmd_solve(args) -> int:
     start = time.perf_counter()
     optimum, profile, witness = solve(inst, side, cap=getattr(args, row.cap), stats=stats)
     stats["elapsed-ms"] = (time.perf_counter() - start) * 1000.0
-    result = SolveResult(
-        optimum=optimum, profile=profile, witness=witness, method=method, stats=stats
-    )
-    _emit_result(result, args.json)
+    if args.json:
+        import json
+
+        result = SolveResult(optimum, profile, method, witness, stats)
+        print(json.dumps(result.to_json_dict(), sort_keys=True))
+        return EXIT_OK
+    print(f"optimum: {optimum}")
+    print("profile: " + " ".join(str(x) for x in profile))
+    for j, cls in enumerate(witness):
+        print(f"witness {j + 1}: " + " ".join(str(v + 1) for v in sorted(cls)))
+    print(f"method: {method}")
+    cells, stored = stats.get("dp-cells", 0), stats.get("profiles-stored", 0)
+    print(f"stats: elapsed-ms={stats['elapsed-ms']:.3f} dp-cells={cells} profiles-stored={stored}")
     return EXIT_OK
 
 
@@ -221,164 +170,6 @@ def cmd_profiles(args) -> int:
     text = row.function("profile_set")(inst, side, cap=getattr(args, row.cap)).dump()
     if text:
         print(text)
-    return EXIT_OK
-
-
-def cmd_recognize(args) -> int:
-    inst = _load_instance(args.instance)
-    ordering = _module("recognition").find_convex_ordering(inst)
-    if ordering is None:
-        raise CliError(_NOT_CONVEX, EXIT_INFEASIBLE)
-    text = ordering_file_text(ordering)
-    if args.output:
-        _write(args.output, text)
-    else:
-        print(text, end="")
-    return EXIT_OK
-
-
-def cmd_validate(args) -> int:
-    inst = _load_instance(args.instance)
-    print(f"instance: ok (n={inst.n}, m={len(inst.edges)}, k={inst.k})")
-    if args.ordering:
-        ordering = parse_ordering_file(_read(args.ordering), inst)
-        print(f"ordering: ok (|A|={len(ordering.a_order)}, |B|={len(ordering.b_vertices)})")
-    if args.td:
-        treeindep = _module("treeindep")
-        td = treeindep.parse_tree_decomposition(_read(args.td))
-        width, ell = treeindep.validate_td(inst, td)
-        print(f"td: ok (bags={len(td.bags)}, width={width}, independence={ell})")
-    if args.expression:
-        cliquewidth = _module("cliquewidth")
-        expression = cliquewidth.parse_k_expression(_read(args.expression))
-        mismatch = cliquewidth.check_expression_matches(expression, inst)
-        if mismatch is not None:
-            raise CliError(f"expression: {mismatch}", EXIT_INFEASIBLE)
-        print(f"expression: ok (labels={expression.num_labels})")
-    if args.result:
-        classes, claimed, optimum = _parse_result(_read(args.result))
-        validate_coloring(inst, classes)
-        profile = profile_of(inst, classes)
-        if list(profile) != claimed:
-            raise CliError(
-                f"result profile {claimed} does not match witness profile {list(profile)}",
-                EXIT_INFEASIBLE,
-            )
-        if satisfaction_level(profile) != optimum:
-            raise CliError("result optimum does not match witness satisfaction", EXIT_INFEASIBLE)
-        print("result: ok (witness validates and matches profile)")
-    return EXIT_OK
-
-
-def _parse_result(text: str) -> tuple[list[frozenset[int]], list[int], int]:
-    """The 0-based witness classes, the profile and the optimum of a result file."""
-    import json
-
-    def malformed(what: str) -> CliError:
-        return CliError(f"malformed result file: {what}", EXIT_INFEASIBLE)
-
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:
-        raise malformed(f"not JSON: {exc}")
-    if not isinstance(payload, dict):
-        raise malformed(f"expected a JSON object, got {type(payload).__name__}")
-    witness = payload.get("witness")
-    if witness is None:
-        raise CliError("result file has no witness to validate", EXIT_INFEASIBLE)
-    if not isinstance(witness, list):
-        raise malformed(f"witness must be a list of classes, got {type(witness).__name__}")
-    classes = []
-    for j, cls in enumerate(witness, start=1):
-        # bool is an int subclass, but true is no vertex id
-        if not isinstance(cls, list) or not all(type(v) is int for v in cls):
-            raise malformed(f"witness class {j} must be a list of vertex ids")
-        classes.append(frozenset(v - 1 for v in cls))
-    # bool is an int subclass and 1.0 == 1, but neither is a profit
-    profile, optimum = payload.get("profile"), payload.get("optimum")
-    if not isinstance(profile, list) or not all(type(x) is int for x in profile):
-        raise malformed("profile must be a list of integers")
-    if type(optimum) is not int:
-        raise malformed(f"optimum must be an integer, got {type(optimum).__name__}")
-    return classes, profile, optimum
-
-
-def cmd_approx(args) -> int:
-    from fractions import Fraction
-
-    inst = _load_instance(args.instance)
-    try:
-        eps = Fraction(args.epsilon)
-    except (ValueError, ZeroDivisionError):
-        raise CliError(f"cannot parse epsilon {args.epsilon!r}", EXIT_USAGE)
-    if not 0 < eps < 1:
-        raise CliError(f"epsilon must lie strictly between 0 and 1, got {eps}", EXIT_USAGE)
-    method, row, side = resolve_method(args, inst)
-    # both imported before the clock starts
-    solve, fptas = row.function("solve"), _module("approx").fptas
-    cap = getattr(args, row.cap)
-    stats: dict = {}
-    start = time.perf_counter()
-    # a scaled instance has the same graph, so the side input carries over
-    result = fptas(inst, eps, lambda scaled: solve(scaled, side, cap=cap, stats=stats))
-    stats["elapsed-ms"] = (time.perf_counter() - start) * 1000.0
-    if args.json:
-        import json
-
-        payload = SolveResult(
-            optimum=result.value,
-            profile=result.profile,
-            witness=result.witness,
-            method=f"approx-{method}",
-            stats=stats,
-        ).to_json_dict()
-        payload["epsilon"] = str(result.epsilon)
-        payload["guarantee"] = str(1 - result.epsilon)
-        payload["solver-calls"] = result.solver_calls
-        payload["upper-bound"] = result.upper_bound
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"value: {result.value} (>= {1 - result.epsilon} of optimum)")
-        print("profile: " + " ".join(str(x) for x in result.profile))
-        for j, cls in enumerate(result.witness):
-            print(f"witness {j + 1}: " + " ".join(str(v + 1) for v in sorted(cls)))
-        print(f"epsilon: {result.epsilon}")
-        print(f"solver-calls: {result.solver_calls}")
-    return EXIT_OK
-
-
-def cmd_gen(args) -> int:
-    generators = _module("generators")
-    # a generator reads nothing but its arguments, so its errors are usage errors
-    try:
-        if args.family == "convex":
-            inst, ordering = generators.gen_convex_bipartite(
-                args.na, args.nb, args.k, args.max_profit, args.seed
-            )
-            side_name, side_text = ".ordering", ordering_file_text(ordering)
-            comment = (
-                f"gen convex --na {args.na} --nb {args.nb} --k {args.k} "
-                f"--max-profit {args.max_profit} --seed {args.seed}"
-            )
-        else:
-            inst, td = generators.gen_partial_ktree(
-                args.n, args.width, args.k, args.max_profit, args.seed, args.delete_prob
-            )
-            side_name, side_text = ".td", _module("treeindep").serialize_tree_decomposition(td)
-            comment = (
-                f"gen ktree --n {args.n} --width {args.width} --k {args.k} "
-                f"--max-profit {args.max_profit} --seed {args.seed} "
-                f"--delete-prob {args.delete_prob}"
-            )
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_USAGE) from exc
-    instance_text = serialize_instance(inst, comment=comment)
-    if args.out:
-        _write(args.out + ".fkd", instance_text)
-        _write(args.out + side_name, side_text)
-        print(f"wrote {args.out}.fkd and {args.out}{side_name}")
-    else:
-        print(instance_text, end="")
     return EXIT_OK
 
 
@@ -425,16 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="compute the optimum and a witness")
     common(p_solve)
     p_solve.add_argument("--json", action="store_true", help="JSON output")
-    p_solve.set_defaults(func=cmd_solve)
 
     p_prof = sub.add_parser("profiles", help="dump the full profile set")
     common(p_prof)
-    p_prof.set_defaults(func=cmd_profiles)
 
     p_rec = sub.add_parser("recognize", help="find a convex bipartite ordering")
     p_rec.add_argument("instance")
     p_rec.add_argument("--output", help="write the ordering file here")
-    p_rec.set_defaults(func=cmd_recognize)
 
     p_val = sub.add_parser("validate", help="validate an instance and side inputs")
     p_val.add_argument("instance")
@@ -442,13 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--td")
     p_val.add_argument("--expression")
     p_val.add_argument("--result", help="JSON result file whose witness to check")
-    p_val.set_defaults(func=cmd_validate)
 
     p_apx = sub.add_parser("approx", help="(1-epsilon)-approximate the optimum")
     common(p_apx)
     p_apx.add_argument("--json", action="store_true", help="JSON output")
     p_apx.add_argument("--epsilon", required=True, help="rational in (0,1), e.g. 0.25 or 1/4")
-    p_apx.set_defaults(func=cmd_approx)
 
     p_gen = sub.add_parser("gen", help="generate a random instance")
     gen_sub = p_gen.add_subparsers(dest="family", required=True)
@@ -459,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     g_convex.add_argument("--max-profit", type=int, default=10)
     g_convex.add_argument("--seed", type=int, required=True)
     g_convex.add_argument("--out", help="output path prefix")
-    g_convex.set_defaults(func=cmd_gen)
     g_ktree = gen_sub.add_parser("ktree")
     g_ktree.add_argument("--n", type=int, required=True)
     g_ktree.add_argument("--width", type=int, required=True)
@@ -468,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     g_ktree.add_argument("--seed", type=int, required=True)
     g_ktree.add_argument("--delete-prob", type=float, default=0.3)
     g_ktree.add_argument("--out", help="output path prefix")
-    g_ktree.set_defaults(func=cmd_gen)
 
     return parser
 
@@ -480,7 +264,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        # solve and profiles run here; the other commands are defined in .commands
+        handler = {"solve": cmd_solve, "profiles": cmd_profiles}.get(args.command)
+        return (handler or getattr(_module("commands"), f"cmd_{args.command}"))(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -492,5 +278,18 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INFEASIBLE
 
 
+def entry(argv: list[str] | None = None) -> int:
+    """main, then gc.freeze(): the entry of `python -m fairkdiv.cli` and the `fairkdiv` script.
+
+    Frozen objects are skipped by the collections the interpreter runs at
+    exit.  main never freezes: tests and benchmarks call it many times.
+    """
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    # `python -m` runs this file as __main__; commands imports it by name
+    sys.modules[f"{__package__}.cli"] = sys.modules[__name__]
+    sys.exit(entry())

@@ -170,21 +170,18 @@ def parse_k_expression(text: str) -> CliqueExpression:
     if pos != len(tokens):
         raise ExpressionError(f"trailing input after expression: {tokens[pos]!r}")
 
-    max_label = 0
     seen_vertices: set[int] = set()
     for node in _walk(root):
         if isinstance(node, VertexNode):
-            max_label = max(max_label, node.label)
             if node.vertex in seen_vertices:
                 raise ExpressionError(f"duplicate vertex id {node.vertex}")
             seen_vertices.add(node.vertex)
-        elif isinstance(node, (EtaNode, RhoNode)):
-            max_label = max(max_label, node.i, node.j)
+    max_label = max(label_bits(root))  # every expression has a leaf
     if declared is not None and max_label > declared:
         raise ExpressionError(f"label {max_label} exceeds the declared budget {declared}")
     return CliqueExpression(
         root=root,
-        num_labels=declared if declared is not None else max(max_label, 1),
+        num_labels=declared if declared is not None else max_label,
         vertex_ids=frozenset(seen_vertices),
     )
 
@@ -247,18 +244,35 @@ def check_expression_matches(expr: CliqueExpression, inst: ConflictInstance) -> 
     return None
 
 
-def cw_steps(node: ExprNode, child_tables: list[Table], inst: ConflictInstance) -> Iterator[Step]:
+def label_bits(root: ExprNode) -> dict[int, int]:
+    """Each label the expression names -> 1 << its rank among them, its bit in a key.
+
+    So no label read from a file sizes an int.  The map is monotone, and on
+    labels 1..l it is l -> 1 << (l - 1).
+    """
+    labels = set()
+    for node in _walk(root):
+        if isinstance(node, VertexNode):
+            labels.add(node.label)
+        elif isinstance(node, (EtaNode, RhoNode)):
+            labels.update((node.i, node.j))
+    return {label: 1 << rank for rank, label in enumerate(sorted(labels))}
+
+
+def cw_steps(
+    node: ExprNode, child_tables: list[Table], inst: ConflictInstance, bits: dict[int, int]
+) -> Iterator[Step]:
     """The steps of one expression node (see profiles.Step) over its children's keys.
 
-    Keys are tuples of one label bitmask of width num_labels per agent.  A
-    vertex leaves every agent's key empty (unassigned) or gives one agent
-    its label and its profit; a union ORs one key of each side; an
-    edge-add keeps the keys in which no agent holds both labels; a relabel
-    moves label i to j in every mask.
+    Keys are tuples of one label bitmask per agent, label l at bits[l] (see
+    label_bits).  A vertex leaves every agent's key empty (unassigned) or
+    gives one agent its label and its profit; a union ORs one key of each
+    side; an edge-add keeps the keys in which no agent holds both labels; a
+    relabel moves label i to j in every mask.
     """
     k = inst.k
     if isinstance(node, VertexNode):
-        bit = 1 << (node.label - 1)
+        bit = bits[node.label]
         v0 = node.vertex - 1
         yield (0,) * k, (), 0, ()
         for j in range(k):
@@ -270,13 +284,12 @@ def cw_steps(node: ExprNode, child_tables: list[Table], inst: ConflictInstance) 
             for key2 in right:
                 yield tuple(map(or_, key1, key2)), (key1, key2), 0, ()
     elif isinstance(node, EtaNode):
-        pair = (1 << (node.i - 1)) | (1 << (node.j - 1))
+        pair = bits[node.i] | bits[node.j]
         for key in child_tables[0]:
             if all((mask & pair) != pair for mask in key):
                 yield key, (key,), 0, ()
     elif isinstance(node, RhoNode):
-        bit_i = 1 << (node.i - 1)
-        bit_j = 1 << (node.j - 1)
+        bit_i, bit_j = bits[node.i], bits[node.j]
         for key in child_tables[0]:
             yield tuple((m & ~bit_i) | bit_j if m & bit_i else m for m in key), (key,), 0, ()
     else:
@@ -284,10 +297,10 @@ def cw_steps(node: ExprNode, child_tables: list[Table], inst: ConflictInstance) 
 
 
 def dp_node(
-    node: ExprNode, child_tables: list[Table], inst: ConflictInstance, run: Run
+    node: ExprNode, child_tables: list[Table], inst: ConflictInstance, run: Run, bits: dict[int, int]
 ) -> Table:
     """Table of one expression node from its children's tables (see cw_steps)."""
-    return run.table(node, cw_steps(node, child_tables, inst), child_tables)
+    return run.table(node, cw_steps(node, child_tables, inst, bits), child_tables)
 
 
 def cw_run(inst: ConflictInstance, expr: CliqueExpression, run: Run) -> ProfileSet:
@@ -295,8 +308,9 @@ def cw_run(inst: ConflictInstance, expr: CliqueExpression, run: Run) -> ProfileS
     mismatch = check_expression_matches(expr, inst)
     if mismatch is not None:
         raise ExpressionError(mismatch)
+    bits = label_bits(expr.root)
     return run.root_set(
-        expr.root, _children, lambda node, children: dp_node(node, children, inst, run)
+        expr.root, _children, lambda node, children: dp_node(node, children, inst, run, bits)
     )
 
 

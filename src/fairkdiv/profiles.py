@@ -4,7 +4,7 @@ A profile set collects the k-tuples of per-agent profits attainable by some
 family of partial colorings.  Sets are combined by vector addition (merging
 independent parts), shifted by fixed contributions, and finally scanned for
 the profile with the best minimum entry.  A set holds its members in one of
-two forms.
+two forms: codes, described here, and grid bits (bitgrid).
 
 Codes.  Each profile is one int, its code: coordinate j (1-based) fills the
 FIELD_BITS-bit field that starts FIELD_BITS * (k - j) bits up, so coordinate 1
@@ -16,40 +16,30 @@ crosses a field.  build_table does every sum and union of cells, a run's
 root read-out and merge_profile_sets included, and relies on that bound:
 no sum is checked.
 
-Grid bits.  Every profile of an instance lies in the box [0, T_1] x ... x
-[0, T_k] of the agents' total profits.  A Grid numbers its points in mixed
-radix, pos(q) = sum_j q_j * stride_j where stride_j is the product of
-T_i + 1 over i > j, and a set is one int whose bit pos(q) marks q, so
-ascending bits are lexicographic order.  A vector sum A + B is the OR of B
-shifted left by pos(a) for each member a of A, one big-int shift per member
-instead of one code per pair: the word-RAM subset-sum of Pisinger ("Dynamic
-programming on the word RAM", Algorithmica 2003).  pos is linear, so
-pos(a) + pos(b) = pos(a + b), but it is one-to-one only on the box.  The
-mixed radix still cannot carry into a wrong point, because every profile a
-DP stores, every sum included, is the profile of a coloring of some of the
-items and so lies in the box.
-
 Which form.  A table cell is a frozenset of codes, or a grid-backed
 ProfileSet in an unpruned table on a grid; callers see a run's result, the
 union of its root's cells, as a ProfileSet (Run.root_set).  A Run makes
 the choice once, from the instance's totals: pruned tables stay on codes,
 since a Pareto front is sparse in its box, and unpruned tables (the
 *_profile_set functions, the `profiles` command) are held on the
-instance's grid when it has at most GRID_MAX_BITS points.  A shift costs
-time in the grid's size, not the set's, while a sum of code sets costs
-time in the sets' sizes; a larger grid holds sparse sets of large profits,
-for which codes are faster (the FPTAS's unscaled inputs have grids of
-10**8 points and more).  An operation on sets stays on a grid when all
-its operands are held on that one Grid; otherwise it works on codes, which
-a grid-backed set decodes when they are first read.
+instance's grid when it has at most GRID_MAX_BITS points; only then is the
+grid code (bitgrid) imported, so a pruned run never compiles it.  A shift
+costs time in the grid's size, not the set's, while a sum of code sets
+costs time in the sets' sizes; a larger grid holds sparse sets of large
+profits, for which codes are faster (the FPTAS's unscaled inputs have
+grids of 10**8 points and more).  An operation on sets stays on a grid
+when all its operands are held on that one Grid; otherwise it works on
+codes, which a grid-backed set decodes when they are first read.
 """
 from __future__ import annotations
 
-from itertools import compress
-from operator import itemgetter, mul
-from typing import Any, Callable, Collection, Hashable, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Callable, Collection, Hashable, Iterable, Iterator, Sequence
 
 from .model import CapError, Coloring, Profile
+
+if TYPE_CHECKING:
+    from .bitgrid import Grid
 
 # A set may hold up to (Q+1)^k profiles; fail loudly instead of thrashing.
 DEFAULT_PROFILE_CAP = 1 << 26
@@ -95,73 +85,6 @@ def unit_code(arity: int, j: int, p: int) -> int:
     return p << (FIELD_BITS * (arity - 1 - j))
 
 
-# maps the digits of bin() to the selectors of compress()
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _bit_positions(bits: int) -> list[int]:
-    """The positions of the set bits of a nonnegative int, ascending.
-
-    A sparse int is scanned from one set bit to the next, a dense one in
-    one pass.
-    """
-    text = bin(bits)[:1:-1]  # text[i] is bit i
-    if bits.bit_count() * 8 >= len(text):
-        return list(compress(range(len(text)), text.encode().translate(_BIT_BYTES)))
-    out = []
-    i = text.find("1")
-    while i >= 0:
-        out.append(i)
-        i = text.find("1", i + 1)
-    return out
-
-
-class Grid:
-    """The box [0, T_1] x ... x [0, T_k] of profiles, one bit per point.
-
-    radices[j] = T_j + 1, and strides[j] is the product of the radices
-    after j: the profile q sits at bit pos(q) = sum_j q_j * strides[j].
-    """
-
-    __slots__ = ("arity", "radices", "strides", "_shifts")
-
-    def __init__(self, totals: Sequence[int]):
-        self.arity = len(totals)
-        self.radices = tuple(t + 1 for t in totals)
-        strides = [1]
-        for radix in reversed(self.radices[1:]):
-            strides.append(strides[-1] * radix)
-        self.strides = tuple(reversed(strides))
-        self._shifts: dict[int, int] = {}  # code offset -> bit shift
-
-    def shift(self, offset: int) -> int:
-        """The left shift that adds the profile whose code is offset.
-
-        Each distinct offset is converted once.
-        """
-        shift = self._shifts.get(offset)
-        if shift is None:
-            shift = self._shifts[offset] = sum(map(mul, decode(offset, self.arity), self.strides))
-        return shift
-
-    def columns(self, bits: int) -> list[list[int]]:
-        """Each coordinate of the members that bits marks, members ascending."""
-        rest = _bit_positions(bits)
-        columns = []
-        for stride in self.strides[:-1]:
-            columns.append([pos // stride for pos in rest])
-            rest = [pos % stride for pos in rest]
-        columns.append(rest)
-        return columns
-
-    def codes(self, bits: int) -> list[int]:
-        """The codes of the members that bits marks, ascending."""
-        codes, *others = self.columns(bits)
-        for column in others:
-            codes = [(code << FIELD_BITS) | x for code, x in zip(codes, column)]
-        return codes
-
-
 def profile_grid(totals: Sequence[int]) -> Grid | None:
     """The grid of the per-agent totals, or None if it has more than GRID_MAX_BITS points."""
     size = 1
@@ -169,6 +92,8 @@ def profile_grid(totals: Sequence[int]) -> Grid | None:
         size *= total + 1
         if size > GRID_MAX_BITS:
             return None
+    from .bitgrid import Grid
+
     return Grid(totals)
 
 
@@ -176,9 +101,9 @@ class ProfileSet:
     """An immutable deduplicated set of equal-arity profit profiles.
 
     Members are held as codes in `codes`; iteration, `in` and the sorted
-    forms speak in profile tuples.  A set held on a Grid (from_bits) keeps
-    the same interface, and sets of either form are equal when their
-    members are.
+    forms speak in profile tuples.  A set held on a Grid (bitgrid) keeps the
+    same interface, and sets of either form are equal when their members
+    are.
     """
 
     __slots__ = ("arity", "codes")
@@ -194,16 +119,6 @@ class ProfileSet:
         pset = cls.__new__(cls)
         pset.arity = arity
         pset.codes = frozenset(codes)
-        return pset
-
-    @staticmethod
-    def from_bits(grid: Grid, bits: int) -> ProfileSet:
-        """The set of the points of grid that bits marks (not checked)."""
-        pset = _GridProfileSet.__new__(_GridProfileSet)
-        pset.arity = grid.arity
-        pset.grid = grid
-        pset.bits = bits
-        pset.size = bits.bit_count()
         return pset
 
     @classmethod
@@ -242,39 +157,7 @@ class ProfileSet:
         return "\n".join(" ".join(map(str, q)) for q in self.sorted_profiles())
 
 
-class _GridProfileSet(ProfileSet):
-    """A ProfileSet held on `grid` as the int `bits` (see the module docstring).
-
-    Its size is a popcount, taken once, and its sorted forms walk the bits
-    upwards; `in`, `==` and hash read `codes`, which it decodes when they
-    are first read, and keeps.  Only this class has __getattr__, which
-    would slow every attribute read of a code-backed set.
-    """
-
-    __slots__ = ("grid", "bits", "size")
-
-    def __getattr__(self, name: str):
-        # called only for the unset slot `codes`
-        if name != "codes":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        codes = self.codes = frozenset(self.grid.codes(self.bits))
-        return codes
-
-    def __iter__(self) -> Iterator[Profile]:
-        return iter(self.sorted_profiles())
-
-    def __len__(self) -> int:
-        return self.size
-
-    def sorted_profiles(self) -> list[Profile]:
-        return list(zip(*self.grid.columns(self.bits)))
-
-    def dump(self) -> str:
-        line = " ".join(["{}"] * self.arity)
-        return "\n".join(map(line.format, *self.grid.columns(self.bits)))
-
-
-def _check_cap(size: int, cap: int | None) -> None:
+def check_cap(size: int, cap: int | None) -> None:
     limit = DEFAULT_PROFILE_CAP if cap is None else cap
     if size > limit:
         raise ProfileCapError(limit)
@@ -290,7 +173,7 @@ def _codes(cell: frozenset[int] | ProfileSet) -> Collection[int]:
 
 
 def _stored(k: int, codes: Collection[int], cap: int | None, prune: bool) -> frozenset[int]:
-    _check_cap(len(codes), cap)
+    check_cap(len(codes), cap)
     # a single profile is its own Pareto front
     return frozenset(_front(codes, k) if prune and len(codes) > 1 else codes)
 
@@ -340,7 +223,7 @@ def build_table(
     cells included.
     """
     if grid is not None:
-        return _grid_table(grid, steps, child_tables, cap)
+        return grid.table(steps, child_tables, cap)
     raw: dict[Hashable, frozenset[int] | set[int]] = {}
     if not child_tables:
         for key, _, offset, _ in steps:
@@ -365,51 +248,6 @@ def build_table(
         key: cell if type(cell) is frozenset else _stored(k, cell, cap, prune)
         for key, cell in raw.items()
     }
-
-
-def _sum_bits(positions: list[int], bits: int) -> int:
-    """The grid form of a vector sum: bits shifted to each of positions, ORed."""
-    acc = 0
-    for pos in positions:
-        acc |= bits << pos
-    return acc
-
-
-def _grid_table(
-    grid: Grid, steps: Iterable[Step], child_tables: list[Table], cap: int | None
-) -> Table:
-    """build_table on grid bits: an offset is a shift, a sum a shift-OR per member.
-
-    A binary step shifts the operand with more members to each member of
-    the other (a cell's members are listed once per call) and then shifts
-    the OR left by the step's offset.  The cells are checked against the
-    cap when they are stored.
-    """
-    shift = grid.shift
-    raw: dict[Hashable, int] = {}
-    if not child_tables:
-        for key, _, offset, _ in steps:
-            raw[key] = raw.get(key, 0) | 1 << shift(offset)
-    elif len(child_tables) == 1:
-        (child,) = child_tables
-        for key, (child_key,), offset, _ in steps:
-            bits = child[child_key].bits
-            raw[key] = raw.get(key, 0) | (bits << shift(offset) if offset else bits)
-    else:
-        left, right = child_tables
-        members: dict[int, list[int]] = {}  # id(cell) -> its bit positions
-        for key, (key1, key2), offset, _ in steps:
-            small, large = left[key1], right[key2]
-            if small.size > large.size:
-                small, large = large, small
-            positions = members.get(id(small))
-            if positions is None:
-                positions = members[id(small)] = _bit_positions(small.bits)
-            bits = _sum_bits(positions, large.bits)
-            raw[key] = raw.get(key, 0) | (bits << shift(offset) if offset else bits)
-    table = {key: ProfileSet.from_bits(grid, bits) for key, bits in raw.items()}
-    _check_cap(max((cell.size for cell in table.values()), default=0), cap)
-    return table
 
 
 class Run:
@@ -449,7 +287,7 @@ class Run:
 
     def zero(self) -> ProfileSet:
         """The set of the all-zero profile, on the run's grid if it has one."""
-        return ProfileSet.zero(self.k) if self.grid is None else ProfileSet.from_bits(self.grid, 1)
+        return ProfileSet.zero(self.k) if self.grid is None else self.grid.profile_set(1)
 
     def root_set(
         self,
@@ -535,7 +373,7 @@ def add_sums(
     for a in left:
         a += offset
         out.update([a + b for b in right])
-        _check_cap(len(out), cap)
+        check_cap(len(out), cap)
     return out
 
 

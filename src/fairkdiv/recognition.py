@@ -3,8 +3,9 @@
 A bipartite graph G = (A ∪ B, E) is convex if A can be ordered so that every
 B-vertex's neighborhood is an interval of consecutive A-vertices.  Finding
 such an order is the consecutive-ones problem on the B-neighborhoods.  This
-module holds the test, the ordering record, and its validation; it needs
-none of the solvers, so recognizing a graph loads no profile code.
+module holds the test, the ordering record, its validation and its file
+format; it needs none of the solvers, so recognizing a graph loads no
+profile code.
 """
 from __future__ import annotations
 
@@ -91,6 +92,33 @@ def _first_repeat(ids: Sequence[int]) -> int | None:
             return v
         seen.add(v)
     return None
+
+
+def parse_ordering_file(text: str, inst: ConflictInstance) -> ConvexOrdering:
+    """Ordering file: line `A: <ids...>` (in order) and line `B: <ids...>`."""
+    ids: dict[str, list[int]] = {}  # "A:" or "B:" -> 0-based ids
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        side = line[:2]
+        if side not in ("A:", "B:"):
+            raise OrderingError(f"line {lineno}: unexpected ordering line: {line!r}")
+        if side in ids:
+            raise OrderingError(f"line {lineno}: second '{side}' line")
+        try:
+            ids[side] = [int(x) - 1 for x in line[2:].split()]
+        except ValueError:
+            raise OrderingError(f"line {lineno}: expected integers, got {line[2:].strip()}")
+    if len(ids) != 2:
+        raise OrderingError("ordering file needs one 'A:' and one 'B:' line")
+    return validate_convex_ordering(inst, ids["A:"], ids["B:"])
+
+
+def ordering_file_text(ordering: ConvexOrdering) -> str:
+    a_line = "A: " + " ".join(str(a + 1) for a in ordering.a_order)
+    b_line = "B: " + " ".join(str(b + 1) for b in ordering.b_vertices)
+    return a_line + "\n" + b_line + "\n"
 
 
 class _Arrangement:

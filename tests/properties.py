@@ -19,6 +19,7 @@ from fairkdiv.cliquewidth import (
     cw_run,
     dp_node,
     evaluate_expression,
+    label_bits,
 )
 from fairkdiv.convex import (
     _ConnectedConvexDP,
@@ -42,8 +43,8 @@ from fairkdiv.model import (
     validate_coloring,
 )
 from fairkdiv.oracle import brute_force_optimum, brute_force_profiles
+from fairkdiv.bitgrid import Grid
 from fairkdiv.profiles import (
-    Grid,
     ProfileSet,
     Run,
     best_satisfaction,
@@ -479,6 +480,7 @@ def prop_convex_walk_realizes_every_member(cases: int, seed: int = 406) -> None:
 def _cw_node_check(expr, inst) -> None:
     """Every node's table equals direct enumeration over the evaluated subgraph."""
     tables = _node_tables(cw_run, inst, expr)
+    bits = label_bits(expr.root)
 
     def subgraph_table(node):
         sub = evaluate_expression(
@@ -498,7 +500,7 @@ def _cw_node_check(expr, inst) -> None:
                     total = 0
                     for v in vertices:
                         if assignment[v] == agent + 1:
-                            mask |= 1 << (sub.labels[v] - 1)
+                            mask |= bits[sub.labels[v]]
                             total += inst.profits[agent][v - 1]
                     key.append(mask)
                     profile.append(total)
@@ -556,7 +558,8 @@ def prop_cw_eta_filter(cases: int, seed: int = 503) -> None:
         )
         inst = support.instance_for_expression(wrapped, rng, rng.randint(1, 2), 3)
         tables = _node_tables(cw_run, inst, wrapped)
-        pair = (1 << (i - 1)) | (1 << (j - 1))
+        bits = label_bits(wrapped.root)
+        pair = bits[i] | bits[j]
         for key in tables[id(wrapped.root)]:
             assert all((mask & pair) != pair for mask in key)
 
@@ -574,7 +577,7 @@ def prop_cw_rho_filter(cases: int, seed: int = 504) -> None:
         )
         inst = support.instance_for_expression(wrapped, rng, rng.randint(1, 2), 3)
         tables = _node_tables(cw_run, inst, wrapped)
-        bit = 1 << (i - 1)
+        bit = label_bits(wrapped.root)[i]
         for key in tables[id(wrapped.root)]:
             assert all(not (mask & bit) for mask in key)
 
@@ -601,20 +604,21 @@ def prop_cw_union_symmetric(cases: int, seed: int = 505) -> None:
         ba = type(left)(root=UnionNode(right_root, left.root), num_labels=2, vertex_ids=ids)
         inst = support.instance_for_expression(ab, rng, rng.randint(1, 2), 4)
         run = Run(inst.total_profits())
-        left_table = _tables_for(inst, left.root, run)
-        right_table = _tables_for(inst, right_root, run)
-        t1 = dp_node(ab.root, [left_table, right_table], inst, run)
-        t2 = dp_node(ba.root, [right_table, left_table], inst, run)
+        bits = label_bits(ab.root)
+        left_table = _tables_for(inst, left.root, run, bits)
+        right_table = _tables_for(inst, right_root, run, bits)
+        t1 = dp_node(ab.root, [left_table, right_table], inst, run, bits)
+        t2 = dp_node(ba.root, [right_table, left_table], inst, run, bits)
         assert t1 == t2
 
 
-def _tables_for(inst, node, run):
+def _tables_for(inst, node, run, bits):
     children = []
     if isinstance(node, UnionNode):
-        children = [_tables_for(inst, node.left, run), _tables_for(inst, node.right, run)]
+        children = [_tables_for(inst, node.left, run, bits), _tables_for(inst, node.right, run, bits)]
     elif isinstance(node, (EtaNode, RhoNode)):
-        children = [_tables_for(inst, node.child, run)]
-    return dp_node(node, children, inst, run)
+        children = [_tables_for(inst, node.child, run, bits)]
+    return dp_node(node, children, inst, run, bits)
 
 
 # ---------------------------------------------------------- tree-independence

@@ -21,7 +21,8 @@ from fairkdiv.cliquewidth import (
 )
 from fairkdiv.convex import ConvexOrdering, validate_convex_ordering
 from fairkdiv.model import ConflictInstance, InstanceFormatError, connected_components
-from fairkdiv.profiles import Grid, ProfileSet
+from fairkdiv.bitgrid import Grid
+from fairkdiv.profiles import ProfileSet
 
 
 def random_instance(rng: random.Random, n: int, k: int, pmax: int, density: float = 0.4) -> ConflictInstance:
@@ -515,4 +516,4 @@ def on_grid(grid: Grid, pset: ProfileSet) -> ProfileSet:
     for q in pset:
         assert all(0 <= x < radix for x, radix in zip(q, grid.radices)), f"{q} is off the grid"
         bits |= 1 << sum(x * stride for x, stride in zip(q, grid.strides))
-    return ProfileSet.from_bits(grid, bits)
+    return grid.profile_set(bits)

@@ -173,15 +173,17 @@ class TestSolve:
         with pytest.raises(RecursionError):
             main(["solve", "--method", "tin", str(instance), "--td", str(td)])
 
-    def test_memory_error_exit_3(self, tmp_path):
-        # relabelling to 10**18 builds the mask 1 << 10**18, which no machine can hold
-        instance = tmp_path / "one.fkd"
-        instance.write_text("p fkd 1 0 1\nw 1 5\n")
-        expression = tmp_path / "e.cw"
-        expression.write_text("(rho 1 1000000000000000000 (v 1 1))\n")
-        code, out, err = run_cli([
-            "solve", str(instance), "--method", "cw", "--expression", str(expression),
-        ])
+    def test_memory_error_exit_3(self, tmp_path, monkeypatch):
+        # an allocation that fails inside a solver is a resource limit, like a cap
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(fairkdiv.treeindep, "solve_tin", exhausted)
+        instance = tmp_path / "p3.fkd"
+        instance.write_text(P3_TEXT)
+        td = tmp_path / "p3.td"
+        td.write_text(P3_SIDE["tin"][1])
+        code, out, err = run_cli(["solve", "--method", "tin", str(instance), "--td", str(td)])
         assert (code, out, err) == (EXIT_RESOURCE, "", "error: out of memory\n")
 
     def test_bad_instance_exit_1(self, tmp_path):

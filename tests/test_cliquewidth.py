@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -13,6 +14,7 @@ from fairkdiv.cliquewidth import (
     UnionNode,
     VertexNode,
     check_expression_matches,
+    cliquewidth_profile_set,
     dp_node,
     evaluate_expression,
     parse_k_expression,
@@ -133,9 +135,9 @@ class TestSolve:
         calls: Counter = Counter()
         cw_steps = cliquewidth.cw_steps
 
-        def counted(node, child_tables, inst):
+        def counted(node, *rest):
             calls[id(node)] += 1
-            return cw_steps(node, child_tables, inst)
+            return cw_steps(node, *rest)
 
         monkeypatch.setattr(cliquewidth, "cw_steps", counted)
         _, profile, witness = solve_cliquewidth(inst, expr, prune=prune)
@@ -152,9 +154,12 @@ class TestSolve:
 class TestDpNode:
     """Unpruned cells are held on the instance's grid; they compare as ProfileSets."""
 
+    # label_bits of an expression that names labels 1 and 2
+    BITS = {1: 0b01, 2: 0b10}
+
     def test_vertex_cells(self):
         inst = ConflictInstance.build(1, 1, [], [[7]])
-        table = dp_node(VertexNode(label=1, vertex=1), [], inst, Run(inst.total_profits()))
+        table = dp_node(VertexNode(label=1, vertex=1), [], inst, Run(inst.total_profits()), self.BITS)
         assert table == {
             (0,): ProfileSet(1, {(0,)}),
             (1,): ProfileSet(1, {(7,)}),
@@ -167,14 +172,14 @@ class TestDpNode:
             (0,): support.on_grid(run.grid, ProfileSet(1, {(0,)})),
             (0b11,): support.on_grid(run.grid, ProfileSet(1, {(5,)})),
         }
-        table = dp_node(EtaNode(1, 2, VertexNode(1, 1)), [child], inst, run)
+        table = dp_node(EtaNode(1, 2, VertexNode(1, 1)), [child], inst, run, self.BITS)
         assert table == {(0,): ProfileSet(1, {(0,)})}
 
     def test_rho_moves_cells(self):
         inst = ConflictInstance.build(1, 1, [], [[7]])
         run = Run(inst.total_profits())
-        child = dp_node(VertexNode(label=1, vertex=1), [], inst, run)
-        table = dp_node(RhoNode(1, 2, VertexNode(1, 1)), [child], inst, run)
+        child = dp_node(VertexNode(label=1, vertex=1), [], inst, run, self.BITS)
+        table = dp_node(RhoNode(1, 2, VertexNode(1, 1)), [child], inst, run, self.BITS)
         assert table == {
             (0,): ProfileSet(1, {(0,)}),
             (0b10,): ProfileSet(1, {(7,)}),
@@ -183,11 +188,52 @@ class TestDpNode:
     def test_union_adds_profiles(self):
         inst = ConflictInstance.build(2, 1, [], [[2, 3]])
         run = Run(inst.total_profits())
-        left = dp_node(VertexNode(1, 1), [], inst, run)
-        right = dp_node(VertexNode(1, 2), [], inst, run)
-        table = dp_node(UnionNode(VertexNode(1, 1), VertexNode(1, 2)), [left, right], inst, run)
+        left = dp_node(VertexNode(1, 1), [], inst, run, self.BITS)
+        right = dp_node(VertexNode(1, 2), [], inst, run, self.BITS)
+        table = dp_node(UnionNode(VertexNode(1, 1), VertexNode(1, 2)), [left, right], inst, run, self.BITS)
         assert set(table[(1,)]) == {(2,), (3,), (5,)}
         assert set(table[(0,)]) == {(0,)}
+
+
+def relabelled(node, label):
+    """The expression tree of node with every label l replaced by label[l]."""
+    if isinstance(node, VertexNode):
+        return VertexNode(label[node.label], node.vertex)
+    if isinstance(node, UnionNode):
+        return UnionNode(relabelled(node.left, label), relabelled(node.right, label))
+    return type(node)(label[node.i], label[node.j], relabelled(node.child, label))
+
+
+def solve_both(inst, expr):
+    """The full set, and the solution with its counters, of one expression."""
+    stats: dict = {}
+    return cliquewidth_profile_set(inst, expr), solve_cliquewidth(inst, expr, stats=stats), stats
+
+
+class TestSparseLabels:
+    """A label sizes no int: each gets the bit of its rank among the expression's labels."""
+
+    def test_label_of_ten_to_the_twelve(self):
+        big = 10**12
+        sparse = parse_k_expression(f"cw {big}\n(eta 1 {big} (u (v 1 1) (v {big} 2)))\n")
+        dense = parse_k_expression("(eta 1 2 (u (v 1 1) (v 2 2)))")
+        inst = ConflictInstance.build(2, 2, [(0, 1)], [[3, 4], [5, 1]])
+        assert solve_both(inst, sparse) == solve_both(inst, dense)
+        assert cliquewidth.label_bits(sparse.root) == {1: 1, big: 2}
+
+    def test_sparse_relabels_give_the_dense_results(self):
+        rng = random.Random(61)
+        for _ in range(40):
+            dense = support.random_expression(rng, 6, rng.randint(1, 4))
+            inst = support.instance_for_expression(dense, rng, rng.randint(1, 2), 5)
+            # increasing gaps, so the relabel keeps the labels' order
+            label, top = {}, 0
+            for old in range(1, dense.num_labels + 1):
+                top = label[old] = top + rng.choice([1, 7, 10**9, 10**15])
+            sparse = parse_k_expression(support.expression_text(dense._replace(
+                root=relabelled(dense.root, label), num_labels=top
+            )))
+            assert solve_both(inst, sparse) == solve_both(inst, dense)
 
 
 class TestInvariants:

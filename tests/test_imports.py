@@ -59,8 +59,8 @@ def test_import_package_loads_no_submodule(tmp_path):
 
 
 SUBMODULES = (
-    "approx", "cli", "cliquewidth", "convex", "generators", "model", "oracle", "profiles",
-    "recognition", "treeindep",
+    "approx", "bitgrid", "cli", "cliquewidth", "commands", "convex", "generators", "model",
+    "oracle", "profiles", "recognition", "treeindep",
 )
 
 
@@ -78,6 +78,7 @@ def test_no_submodule_loads_dataclasses_or_inspect(tmp_path):
 @pytest.mark.parametrize(
     "argv, loaded",
     [
+        # a pruned run compiles no grid code, and solve none of the other commands
         (["solve", "p3.fkd", "--method", "tin", "--td", "p3.td"],
          {"fairkdiv.profiles", "fairkdiv.treeindep"}),
         (["solve", "p3.fkd", "--method", "tin", "--td", "p3.td", "--json"],
@@ -85,23 +86,26 @@ def test_no_submodule_loads_dataclasses_or_inspect(tmp_path):
         # an explicit method reads no other method's side input
         (["solve", "p3.fkd", "--method", "tin", "--td", "p3.td", "--expression", "bad.cw"],
          {"fairkdiv.profiles", "fairkdiv.treeindep"}),
+        # an unpruned run on a small grid holds its tables as grid bits
         (["profiles", "p3.fkd", "--method", "cw", "--expression", "p3.cw"],
-         {"fairkdiv.profiles", "fairkdiv.cliquewidth"}),
+         {"fairkdiv.profiles", "fairkdiv.cliquewidth", "fairkdiv.bitgrid"}),
         # recognition compiles neither the profile code nor the stage DP
-        (["recognize", "p3.fkd"], {"fairkdiv.recognition"}),
+        (["recognize", "p3.fkd"], {"fairkdiv.recognition", "fairkdiv.commands"}),
+        (["validate", "p3.fkd", "--td", "p3.td"],
+         {"fairkdiv.profiles", "fairkdiv.treeindep", "fairkdiv.commands"}),
         (["gen", "ktree", "--n", "6", "--width", "2", "--seed", "1"],
-         {"fairkdiv.profiles", "fairkdiv.treeindep", "fairkdiv.generators"}),
+         {"fairkdiv.profiles", "fairkdiv.treeindep", "fairkdiv.generators", "fairkdiv.commands"}),
         (["solve", "p3.fkd", "--method", "brute"], {"fairkdiv.profiles", "fairkdiv.oracle"}),
         (["approx", "p3.fkd", "--method", "convex", "--epsilon", "1/4"],
          {"fairkdiv.profiles", "fairkdiv.convex", "fairkdiv.recognition", "fairkdiv.approx",
-          "fractions"}),
+          "fairkdiv.commands", "fractions"}),
     ],
-    ids=["tin-solve", "tin-solve-json", "tin-solve-unused-expression", "cw-profiles", "recognize", "gen-ktree", "brute-solve",
-         "approx-convex"],
+    ids=["tin-solve", "tin-solve-json", "tin-solve-unused-expression", "cw-profiles", "recognize",
+         "validate-td", "gen-ktree", "brute-solve", "approx-convex"],
 )
 def test_command_loads_only_what_it_runs(p3, argv, loaded):
     # exact sets: a tin solve, say, loads no convex, cliquewidth, approx,
-    # generators, oracle or fractions
+    # generators, oracle, bitgrid, commands or fractions
     code, modules = run_child([CHILD, *argv], p3)
     assert code == 0
     assert modules == BASE | loaded

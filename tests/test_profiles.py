@@ -19,9 +19,9 @@ from fairkdiv.model import (
     validate_coloring,
 )
 from fairkdiv.oracle import brute_force_optimum, brute_force_profiles
+from fairkdiv.bitgrid import Grid
 from fairkdiv.profiles import (
     GRID_MAX_BITS,
-    Grid,
     ProfileCapError,
     ProfileSet,
     best_profile,
