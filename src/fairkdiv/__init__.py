@@ -11,6 +11,7 @@ import sys
 
 _EXPORTS = {
     "approx": ("FptasResult", "fptas", "scale_profits"),
+    "chordal": ("clique_tree_of_chordal",),
     "cliquewidth": (
         "CliqueExpression",
         "ExpressionError",
@@ -56,7 +57,6 @@ _EXPORTS = {
         "DecompositionError",
         "NiceTreeDecomposition",
         "TreeDecomposition",
-        "clique_tree_of_chordal",
         "make_nice",
         "parse_tree_decomposition",
         "solve_tin",

@@ -112,7 +112,7 @@ def resolve_method(args, inst: ConflictInstance) -> tuple[str, Method, object]:
     if args.td and "td" in reads:
         side["td"] = _module("treeindep").parse_tree_decomposition(_read(args.td))
     if args.chordal and "td" in reads:
-        side["td"] = _module("treeindep").clique_tree_of_chordal(inst)
+        side["td"] = _module("chordal").clique_tree_of_chordal(inst)
         if side["td"] is None:
             raise CliError("instance graph is not chordal", EXIT_INFEASIBLE)
     if method in ("auto", "convex") and side["ordering"] is None:

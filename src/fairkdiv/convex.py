@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
-from typing import Callable, Collection, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .model import Coloring, ConflictInstance, Profile, connected_components, validate_coloring
 from .profiles import (
@@ -88,28 +88,28 @@ def _table(run: Run, node: _Node, child_tables: list[Table]) -> Table:
 
 
 def _vertex_chain(
-    k: int, vertices: Sequence[int], parts: Collection[tuple[tuple[int, ...], ...]]
+    k: int, vertices: Sequence[int], parts: Sequence[tuple[tuple[int, ...], ...]]
 ) -> _Node:
     """Each part's edgeless subset-sum: a leaf, then a node per vertex some part can take.
 
-    A part is its rows: part[i] is each agent's profit for vertices[i].
-    The leaf holds {0} under every part, and the i-th vertex's node keeps
-    every part with the vertex unassigned or given to one agent whose
-    profit is positive.  A vertex whose rows are all zero gets no node: it
-    would only pass every cell through.
+    A part is its rows: part[i] is each agent's profit for vertices[i].  A
+    cell's key is its part's index in parts.  The leaf holds {0} under every
+    part, and the i-th vertex's node keeps every part with the vertex
+    unassigned or given to one agent whose profit is positive.  A vertex
+    whose rows are all zero gets no node: it would only pass cells through.
     """
 
     def vertex_steps(i: int, vertex: int, child_tables: list[Table]) -> list[Step]:
         steps: list[Step] = []
-        for part in child_tables[0]:
-            child_keys = (part,)
-            steps.append((part, child_keys, 0, ()))
-            for agent, p in enumerate(part[i]):
+        for pid in child_tables[0]:
+            child_keys = (pid,)
+            steps.append((pid, child_keys, 0, ()))
+            for agent, p in enumerate(parts[pid][i]):
                 if p > 0:
-                    steps.append((part, child_keys, unit_code(k, agent, p), ((vertex, agent),)))
+                    steps.append((pid, child_keys, unit_code(k, agent, p), ((vertex, agent),)))
         return steps
 
-    node = _Node(lambda child_tables: [(part, (), 0, ()) for part in parts])
+    node = _Node(lambda child_tables: [(pid, (), 0, ()) for pid in range(len(parts))])
     for i, vertex in enumerate(vertices):
         if any(max(part[i]) > 0 for part in parts):
             node = _Node(partial(vertex_steps, i, vertex), node)
@@ -138,14 +138,14 @@ class _Stage:
     built once per stage for every guessed A-position.
 
     A part is its rows: the agents' columns under a guess side by side, with
-    the new A-positions the guess names zeroed.  parts holds each distinct
-    part once, in order of first use, so equal parts of different guesses
-    share one chain cell.  A stage is three node kinds: pred_steps unions
-    the previous cells that agree with each guess wherever it names a
-    position already passed; a vertex chain builds every part's edgeless
-    subset-sum; and stage_steps adds each guess's predecessor union to its
-    part plus delta, the profits of the new A-vertices the guess names, and
-    colors those vertices.
+    the new A-positions the guess names zeroed.  parts lists each distinct
+    part once, in order of first use, and a step names its part by its
+    index there, so equal parts of different guesses share one chain cell.
+    A stage is three node kinds: pred_steps unions the previous cells that
+    agree with each guess wherever it names a position already passed; a
+    vertex chain builds every part's edgeless subset-sum; and stage_steps
+    adds each guess's predecessor union to its part plus delta, the profits
+    of the new A-vertices the guess names, and colors those vertices.
     """
 
     def __init__(self, dp: _ConnectedConvexDP, j: int):
@@ -168,6 +168,7 @@ class _Stage:
             ])
 
         zero = (0,) * k
+        ids: dict[tuple[tuple[int, ...], ...], int] = {}
         self.steps: list[Step] = []
         for guess in _guesses(ss.u[j], k):
             rows = list(zip(*map(list.__getitem__, columns, guess)))
@@ -178,13 +179,14 @@ class _Stage:
                     rows[g - u_prev - 1] = zero
                     delta += unit_code(k, l, dp.inst.profits[l][vertex])
                     assigned += ((vertex, l),)
-            self.steps.append((guess, (self.key(guess), tuple(rows)), delta, assigned))
-        self.parts = dict.fromkeys(step[1][1] for step in self.steps)
+            pid = ids.setdefault(tuple(rows), len(ids))
+            self.steps.append((guess, (self.key(guess), pid), delta, assigned))
+        self.parts = list(ids)
         self.ops = 0
 
     def key(self, guess: tuple[int, ...]) -> tuple[int, ...]:
         """The guess's decided entries, -1 where it names a new A-vertex."""
-        return tuple(g if g <= self.u_prev else -1 for g in guess)
+        return tuple([g if g <= self.u_prev else -1 for g in guess])
 
     def pred_steps(self, child_tables: list[Table]) -> list[Step]:
         """Each previous cell into every key that hides at most na of its entries.
@@ -196,7 +198,7 @@ class _Stage:
         taus = child_tables[0] if child_tables else [(0,) * self.k]
         hidden = [h for h in itertools.product((False, True), repeat=self.k) if sum(h) <= self.na]
         return [
-            (tuple(-1 if x else t for t, x in zip(tau, h)), (tau,) if child_tables else (), 0, ())
+            (tuple([-1 if x else t for t, x in zip(tau, h)]), (tau,) if child_tables else (), 0, ())
             for tau in taus
             for h in hidden
         ]
@@ -209,9 +211,9 @@ class _Stage:
         """
         pred, parts = child_tables
         steps = [step for step in self.steps if step[1][0] in pred]
-        for _, (key, part), _, assigned in steps:
+        for _, (key, pid), _, assigned in steps:
             rows = 1 if self.j else len(self.vertices) - len(assigned)
-            self.ops += len(pred[key]) * rows * len(parts[part])
+            self.ops += len(pred[key]) * rows * len(parts[pid])
         return steps
 
 

@@ -172,12 +172,6 @@ def _codes(cell: frozenset[int] | ProfileSet) -> Collection[int]:
     return cell.codes if isinstance(cell, ProfileSet) else cell
 
 
-def _stored(k: int, codes: Collection[int], cap: int | None, prune: bool) -> frozenset[int]:
-    check_cap(len(codes), cap)
-    # a single profile is its own Pareto front
-    return frozenset(_front(codes, k) if prune and len(codes) > 1 else codes)
-
-
 def post_order(root: Any, children_of: Callable[[Any], Sequence[Any]]) -> list[Any]:
     """The nodes of a tree, children first, left to right: a reversed right-to-left pre-order."""
     out: list[Any] = []
@@ -214,16 +208,17 @@ def build_table(
 ) -> Table:
     """One node's table from its steps: a loop specialised by the arity.
 
-    Each cell is checked against the cap before pruning, and with prune only
-    its Pareto-maximal members are kept.  A cell that one unary step fills
-    is that child's cell shifted by the step's offset.  The child's cell was
-    checked, and with prune pruned, when it was stored, and a shifted front
-    is a front of the same size, so the cell is stored as it is.  With a
-    grid, which excludes prune, every cell is held on it, the children's
-    cells included.
+    Each cell is checked against the cap's limit, worked out once per table,
+    before pruning, and with prune only its Pareto-maximal members are kept.
+    A cell that one unary step fills is that child's cell shifted by the
+    step's offset: the child's cell was checked, and with prune pruned, when
+    it was stored, and a shifted front is a front of the same size, so the
+    cell is stored as it is.  With a grid, which excludes prune, every cell
+    is held on it, the children's cells included.
     """
     if grid is not None:
         return grid.table(steps, child_tables, cap)
+    limit = DEFAULT_PROFILE_CAP if cap is None else cap
     raw: dict[Hashable, frozenset[int] | set[int]] = {}
     if not child_tables:
         for key, _, offset, _ in steps:
@@ -243,11 +238,14 @@ def build_table(
     else:
         left, right = child_tables
         for key, (key1, key2), offset, _ in steps:
-            add_sums(raw.setdefault(key, set()), left[key1], right[key2], offset, cap)
-    return {
-        key: cell if type(cell) is frozenset else _stored(k, cell, cap, prune)
-        for key, cell in raw.items()
-    }
+            add_sums(raw.setdefault(key, set()), left[key1], right[key2], offset, limit)
+    for key, cell in raw.items():
+        if type(cell) is not frozenset:
+            if len(cell) > limit:
+                raise ProfileCapError(limit)
+            # a single profile is its own Pareto front
+            raw[key] = frozenset(_front(cell, k) if prune and len(cell) > 1 else cell)
+    return raw
 
 
 class Run:
@@ -365,15 +363,17 @@ def add_sums(
 ) -> set[int]:
     """Add the code a + b + offset to out for every a in left and b in right.
 
-    The vector-sum kernel of every DP.  out is checked against the cap
-    after each row, so a runaway product fails before it is built.
+    The vector-sum kernel of every DP.  out is checked against the cap's limit,
+    worked out once, after each row, so a runaway product fails early.
     """
+    limit = DEFAULT_PROFILE_CAP if cap is None else cap
     if len(left) > len(right):
         left, right = right, left
     for a in left:
         a += offset
         out.update([a + b for b in right])
-        check_cap(len(out), cap)
+        if len(out) > limit:
+            raise ProfileCapError(limit)
     return out
 
 

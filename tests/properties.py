@@ -54,9 +54,9 @@ from fairkdiv.profiles import (
     merge_profile_sets,
     unit_code,
 )
+from fairkdiv.chordal import clique_tree_of_chordal
 from fairkdiv.treeindep import (
     TreeDecomposition,
-    clique_tree_of_chordal,
     make_nice,
     solve_tin,
     tin_run,

@@ -22,12 +22,8 @@ from fairkdiv.convex import (
 from fairkdiv.generators import gen_convex_bipartite, gen_partial_ktree
 from fairkdiv.model import ConflictInstance, max_total_profit, validate_coloring
 from fairkdiv.oracle import brute_force_optimum, brute_force_profiles
-from fairkdiv.treeindep import (
-    TreeDecomposition,
-    clique_tree_of_chordal,
-    solve_tin,
-    validate_td,
-)
+from fairkdiv.chordal import clique_tree_of_chordal
+from fairkdiv.treeindep import TreeDecomposition, solve_tin, validate_td
 
 
 def test_criterion_1_fixture_exactness():

@@ -333,7 +333,9 @@ class TestConnectedSolver:
             pred, chain = node.children
             assert pred.children == tuple(dp.stage_nodes[j - 1 : j])
             # the chain is one node per stage vertex that a part can take,
-            # over a leaf keyed by the parts
+            # over a leaf keyed by the parts' ids; no two ids name equal rows
+            assert len(set(stage.parts)) == len(stage.parts)
+            assert {step[1][1] for step in stage.steps} == set(range(len(stage.parts)))
             takeable = [
                 {vertex}
                 for i, vertex in enumerate(stage.vertices)
@@ -341,12 +343,12 @@ class TestConnectedSolver:
             ]
             *nodes, leaf = _chain(chain)
             assert [_colored(run, n) for n in reversed(nodes)] == takeable
-            assert list(run.tables[id(leaf)]) == list(stage.parts)
+            assert list(run.tables[id(leaf)]) == list(range(len(stage.parts)))
             pred_table = run.tables[id(pred)]
             guesses = [g for g in _guesses(dp.ss.u[j], inst.k) if stage.key(g) in pred_table]
             assert [step[0] for step in run.kept[id(node)]] == guesses
-            for guess, (key, part), _, _ in run.kept[id(node)]:
-                assert key == stage.key(guess) and part in stage.parts
+            for guess, (key, pid), _, _ in run.kept[id(node)]:
+                assert key == stage.key(guess) and 0 <= pid < len(stage.parts)
 
     @pytest.mark.parametrize("b1, first_chain", [(0, [{0}]), (9, [{1}, {0}])])
     def test_equal_parts_share_a_cell_and_a_vertex_no_part_takes_has_no_node(
@@ -370,7 +372,8 @@ class TestConnectedSolver:
         # the first agent's guess a2 (passed) or a3 (taken) leaves it
         # nothing in this stage, so both guesses name one part
         steps = {step[0]: step for step in run.kept[id(dp.stage_nodes[1])]}
-        assert steps[(2, 0)][1][1] == steps[(3, 0)][1][1] == ((0, 0), (0, 8))
+        pid = steps[(2, 0)][1][1]
+        assert steps[(3, 0)][1][1] == pid and second.parts[pid] == ((0, 0), (0, 8))
         opt, profile, witness = solve_convex(inst, co)
         assert opt == brute_force_optimum(inst)[0]
         assert profile_of(inst, witness) == profile
@@ -383,7 +386,8 @@ class TestConnectedSolver:
         root2, root3 = [root for _, root in parts[1:]]
         assert [_colored(run, n) for n in _chain(root2)[:-1]] == [{2}]
         assert _chain(root3) == [root3]
-        assert list(run.tables[id(root3)]) == [((0, 0),)]
+        # its leaf is keyed by the id of its one part
+        assert list(run.tables[id(root3)]) == [0]
         assert solve_convex(inst)[0] == brute_force_optimum(inst)[0]
 
 

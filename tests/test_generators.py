@@ -2,11 +2,12 @@ import pytest
 
 import properties
 
+from fairkdiv.chordal import clique_tree_of_chordal
 from fairkdiv.convex import solve_convex, validate_convex_ordering
 from fairkdiv.generators import gen_convex_bipartite, gen_partial_ktree
 from fairkdiv.model import serialize_instance
 from fairkdiv.oracle import brute_force_optimum
-from fairkdiv.treeindep import clique_tree_of_chordal, solve_tin, validate_td
+from fairkdiv.treeindep import solve_tin, validate_td
 
 
 class TestGenConvex:

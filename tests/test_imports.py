@@ -59,8 +59,8 @@ def test_import_package_loads_no_submodule(tmp_path):
 
 
 SUBMODULES = (
-    "approx", "bitgrid", "cli", "cliquewidth", "commands", "convex", "generators", "model",
-    "oracle", "profiles", "recognition", "treeindep",
+    "approx", "bitgrid", "chordal", "cli", "cliquewidth", "commands", "convex", "generators",
+    "model", "oracle", "profiles", "recognition", "treeindep",
 )
 
 
@@ -78,9 +78,12 @@ def test_no_submodule_loads_dataclasses_or_inspect(tmp_path):
 @pytest.mark.parametrize(
     "argv, loaded",
     [
-        # a pruned run compiles no grid code, and solve none of the other commands
+        # a pruned run compiles no grid code, and solve none of the other commands;
+        # a tin solve from a .td file compiles no clique-tree code
         (["solve", "p3.fkd", "--method", "tin", "--td", "p3.td"],
          {"fairkdiv.profiles", "fairkdiv.treeindep"}),
+        (["solve", "p3.fkd", "--method", "tin", "--chordal"],
+         {"fairkdiv.profiles", "fairkdiv.treeindep", "fairkdiv.chordal"}),
         (["solve", "p3.fkd", "--method", "tin", "--td", "p3.td", "--json"],
          {"fairkdiv.profiles", "fairkdiv.treeindep", "json"}),
         # an explicit method reads no other method's side input
@@ -100,7 +103,7 @@ def test_no_submodule_loads_dataclasses_or_inspect(tmp_path):
          {"fairkdiv.profiles", "fairkdiv.convex", "fairkdiv.recognition", "fairkdiv.approx",
           "fairkdiv.commands", "fractions"}),
     ],
-    ids=["tin-solve", "tin-solve-json", "tin-solve-unused-expression", "cw-profiles", "recognize",
+    ids=["tin-solve", "tin-chordal", "tin-solve-json", "tin-solve-unused-expression", "cw-profiles", "recognize",
          "validate-td", "gen-ktree", "brute-solve", "approx-convex"],
 )
 def test_command_loads_only_what_it_runs(p3, argv, loaded):

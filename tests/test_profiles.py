@@ -149,6 +149,26 @@ class TestDominancePrune:
                 assert set(dominance_prune(ProfileSet(k, members))) == pareto_front(members)
 
 
+class TestCodeCellCap:
+    @pytest.mark.parametrize(
+        "steps, child_tables, front",
+        [
+            # two unary steps fill the cell with 0, 1, 2 and 5
+            ([("c", ("a",), 0, ()), ("c", ("b",), 0, ())],
+             [{"a": frozenset([0, 1]), "b": frozenset([2, 5])}], 5),
+            # one binary step, through add_sums: {0, 1} + {0, 2} + 1 is 1, 2, 3 and 4
+            ([("c", ("a", "b"), 1, ())], [{"a": frozenset([0, 1])}, {"b": frozenset([0, 2])}], 4),
+        ],
+        ids=["unary", "binary"],
+    )
+    def test_cap_counts_a_pruned_cell_before_its_prune(self, steps, child_tables, front):
+        # k = 1: a code is its profit, and the front of a cell is its largest code
+        with pytest.raises(ProfileCapError):
+            profiles.build_table(1, steps, child_tables, cap=3, prune=True)
+        table = profiles.build_table(1, steps, child_tables, cap=4, prune=True)
+        assert table == {"c": frozenset([front])}
+
+
 class TestDumpFormat:
     def test_sorted_lines(self):
         s = ProfileSet(2, {(3, 2), (0, 4), (1, 0)})

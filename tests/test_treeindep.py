@@ -8,6 +8,7 @@ import properties
 import support
 
 from fairkdiv import treeindep
+from fairkdiv.chordal import clique_tree_of_chordal, maximum_cardinality_search
 from fairkdiv.generators import gen_partial_ktree
 from fairkdiv.model import ConflictInstance, connected_components, profile_of, validate_coloring
 from fairkdiv.oracle import brute_force_optimum, brute_force_profiles
@@ -17,9 +18,7 @@ from fairkdiv.treeindep import (
     DecompositionError,
     NiceNode,
     TreeDecomposition,
-    clique_tree_of_chordal,
     make_nice,
-    maximum_cardinality_search,
     parse_tree_decomposition,
     serialize_tree_decomposition,
     solve_tin,
