@@ -3,9 +3,10 @@
 The input graph is described by an expression over four operations: create a
 labeled vertex, take a disjoint union, add all edges between two label
 classes, and relabel one class into another.  The dynamic program walks the
-expression tree bottom-up; a state records, per agent, the set of labels
-occurring on that agent's vertices, and maps it to the profiles attainable
-with exactly that label footprint.
+expression tree bottom-up; a state records, per agent, the set of live labels
+(those an edge-add above still reads, see live_masks) occurring on that
+agent's vertices, and maps it to the profiles attainable with exactly that
+footprint.  Keys differing only in dead labels have one future, so one cell.
 """
 from __future__ import annotations
 
@@ -259,20 +260,41 @@ def label_bits(root: ExprNode) -> dict[int, int]:
     return {label: 1 << rank for rank, label in enumerate(sorted(labels))}
 
 
+def live_masks(root: ExprNode, bits: dict[int, int]) -> dict[int, int]:
+    """id(node) -> the bits (see label_bits) of the labels an edge-add above it reads.
+
+    Top-down: the root reads none, a union passes its mask to both children,
+    an edge-add i j adds bits i and j, and a relabel i -> j clears bit i and
+    sets it again only if label j is live above.
+    """
+    live = {}
+    stack = [(root, 0)]
+    while stack:
+        node, mask = stack.pop()
+        live[id(node)] = mask
+        if isinstance(node, EtaNode):
+            mask |= bits[node.i] | bits[node.j]
+        elif isinstance(node, RhoNode):
+            mask = mask | bits[node.i] if mask & bits[node.j] else mask & ~bits[node.i]
+        stack.extend((child, mask) for child in _children(node))
+    return live
+
+
 def cw_steps(
-    node: ExprNode, child_tables: list[Table], inst: ConflictInstance, bits: dict[int, int]
+    node: ExprNode, child_tables: list[Table], inst: ConflictInstance, bits: dict[int, int], live: int
 ) -> Iterator[Step]:
     """The steps of one expression node (see profiles.Step) over its children's keys.
 
     Keys are tuples of one label bitmask per agent, label l at bits[l] (see
-    label_bits).  A vertex leaves every agent's key empty (unassigned) or
-    gives one agent its label and its profit; a union ORs one key of each
-    side; an edge-add keeps the keys in which no agent holds both labels; a
-    relabel moves label i to j in every mask.
+    label_bits), holding only the node's live labels (the mask live, see
+    live_masks).  A vertex leaves every agent's key empty (unassigned) or
+    gives one agent its label, if live, and its profit; a union ORs one key
+    of each side; an edge-add keeps the keys in which no agent holds both
+    labels; a relabel moves label i to j in every mask.
     """
     k = inst.k
     if isinstance(node, VertexNode):
-        bit = bits[node.label]
+        bit = bits[node.label] & live
         v0 = node.vertex - 1
         yield (0,) * k, (), 0, ()
         for j in range(k):
@@ -287,20 +309,21 @@ def cw_steps(
         pair = bits[node.i] | bits[node.j]
         for key in child_tables[0]:
             if all((mask & pair) != pair for mask in key):
-                yield key, (key,), 0, ()
+                yield tuple(mask & live for mask in key), (key,), 0, ()
     elif isinstance(node, RhoNode):
-        bit_i, bit_j = bits[node.i], bits[node.j]
+        bit_i, keep, add = bits[node.i], live & ~bits[node.i], live & bits[node.j]
         for key in child_tables[0]:
-            yield tuple((m & ~bit_i) | bit_j if m & bit_i else m for m in key), (key,), 0, ()
+            yield tuple(m & keep | add if m & bit_i else m & keep for m in key), (key,), 0, ()
     else:
         raise TypeError(f"unknown node type {type(node).__name__}")
 
 
 def dp_node(
-    node: ExprNode, child_tables: list[Table], inst: ConflictInstance, run: Run, bits: dict[int, int]
+    node: ExprNode, child_tables: list[Table], inst: ConflictInstance, run: Run,
+    bits: dict[int, int], live: int,
 ) -> Table:
     """Table of one expression node from its children's tables (see cw_steps)."""
-    return run.table(node, cw_steps(node, child_tables, inst, bits), child_tables)
+    return run.table(node, cw_steps(node, child_tables, inst, bits, live), child_tables)
 
 
 def cw_run(inst: ConflictInstance, expr: CliqueExpression, run: Run) -> ProfileSet:
@@ -309,8 +332,9 @@ def cw_run(inst: ConflictInstance, expr: CliqueExpression, run: Run) -> ProfileS
     if mismatch is not None:
         raise ExpressionError(mismatch)
     bits = label_bits(expr.root)
+    live = live_masks(expr.root, bits)
     return run.root_set(
-        expr.root, _children, lambda node, children: dp_node(node, children, inst, run, bits)
+        expr.root, _children, lambda n, tables: dp_node(n, tables, inst, run, bits, live[id(n)])
     )
 
 

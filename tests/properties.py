@@ -15,11 +15,15 @@ from fairkdiv.cliquewidth import (
     EtaNode,
     RhoNode,
     UnionNode,
+    VertexNode,
+    _walk,
     cliquewidth_profile_set,
     cw_run,
     dp_node,
     evaluate_expression,
     label_bits,
+    live_masks,
+    solve_cliquewidth,
 )
 from fairkdiv.convex import (
     _ConnectedConvexDP,
@@ -478,11 +482,16 @@ def prop_convex_walk_realizes_every_member(cases: int, seed: int = 406) -> None:
 # --------------------------------------------------------------- clique-width
 
 def _cw_node_check(expr, inst) -> None:
-    """Every node's table equals direct enumeration over the evaluated subgraph."""
+    """Every node's table equals direct enumeration over the evaluated subgraph.
+
+    A key holds only the labels live at its node (see live_masks).
+    """
     tables = _node_tables(cw_run, inst, expr)
     bits = label_bits(expr.root)
+    live = live_masks(expr.root, bits)
 
     def subgraph_table(node):
+        node_live = live[id(node)]
         sub = evaluate_expression(
             type(expr)(root=node, num_labels=expr.num_labels, vertex_ids=expr.vertex_ids)
         )
@@ -502,7 +511,7 @@ def _cw_node_check(expr, inst) -> None:
                         if assignment[v] == agent + 1:
                             mask |= bits[sub.labels[v]]
                             total += inst.profits[agent][v - 1]
-                    key.append(mask)
+                    key.append(mask & node_live)
                     profile.append(total)
                 want.setdefault(tuple(key), set()).add(tuple(profile))
                 return
@@ -520,8 +529,6 @@ def _cw_node_check(expr, inst) -> None:
 
         enumerate_all(0)
         return want
-
-    from fairkdiv.cliquewidth import _walk
 
     for node in _walk(expr.root):
         got = {key: set(cell) for key, cell in tables[id(node)].items()}
@@ -545,14 +552,19 @@ def prop_cw_root_completeness(cases: int, seed: int = 502) -> None:
 
 
 def prop_cw_eta_filter(cases: int, seed: int = 503) -> None:
-    """After an edge-add between labels i and j, no key holds both."""
+    """After an edge-add between labels i and j, no key holds both.
+
+    The checked eta sits under a second eta i j, so i and j stay live there,
+    and i labels a vertex of its child, so some key is nonzero.
+    """
     rng = random.Random(seed)
     for _ in range(cases):
         expr = support.random_expression(rng, 5, 3)
-        inner = expr.root
-        i, j = rng.sample([1, 2, 3], 2)
+        i = rng.choice(sorted(set(evaluate_expression(expr).labels.values())))
+        j = rng.choice([label for label in (1, 2, 3) if label != i])
+        checked = EtaNode(i, j, expr.root)
         wrapped = type(expr)(
-            root=EtaNode(i, j, inner),
+            root=EtaNode(i, j, checked),
             num_labels=expr.num_labels,
             vertex_ids=expr.vertex_ids,
         )
@@ -560,26 +572,62 @@ def prop_cw_eta_filter(cases: int, seed: int = 503) -> None:
         tables = _node_tables(cw_run, inst, wrapped)
         bits = label_bits(wrapped.root)
         pair = bits[i] | bits[j]
-        for key in tables[id(wrapped.root)]:
+        keys = tables[id(checked)]
+        assert any(any(key) for key in keys)
+        for key in keys:
             assert all((mask & pair) != pair for mask in key)
 
 
 def prop_cw_rho_filter(cases: int, seed: int = 504) -> None:
-    """After relabeling i to j, no key mentions label i."""
+    """After relabeling i to j, no key mentions label i.
+
+    The checked rho sits under an eta i j, so i and j stay live there, and i
+    labels a vertex of its child, so some key holds j.
+    """
     rng = random.Random(seed)
     for _ in range(cases):
         expr = support.random_expression(rng, 5, 3)
-        i, j = rng.sample([1, 2, 3], 2)
+        i = rng.choice(sorted(set(evaluate_expression(expr).labels.values())))
+        j = rng.choice([label for label in (1, 2, 3) if label != i])
+        checked = RhoNode(i, j, expr.root)
         wrapped = type(expr)(
-            root=RhoNode(i, j, expr.root),
+            root=EtaNode(i, j, checked),
             num_labels=expr.num_labels,
             vertex_ids=expr.vertex_ids,
         )
         inst = support.instance_for_expression(wrapped, rng, rng.randint(1, 2), 3)
         tables = _node_tables(cw_run, inst, wrapped)
-        bit = label_bits(wrapped.root)[i]
-        for key in tables[id(wrapped.root)]:
-            assert all(not (mask & bit) for mask in key)
+        bits = label_bits(wrapped.root)
+        keys = tables[id(checked)]
+        assert any(mask & bits[j] for key in keys for mask in key)
+        for key in keys:
+            assert all(not (mask & bits[i]) for mask in key)
+
+
+def prop_cw_dead_labels(cases: int, seed: int = 506) -> None:
+    """On expressions with dead labels, masked keys keep every result.
+
+    The full set equals the oracle's, the pruned optimum equals the oracle's
+    with a valid witness, and every key lies within its node's live mask.
+    """
+    rng = random.Random(seed)
+    dead_leaves = 0
+    for _ in range(cases):
+        expr = support.dead_label_expression(rng, 6, rng.randint(3, 4))
+        inst = support.instance_for_expression(expr, rng, rng.randint(1, 2), 4)
+        run = Run(inst.total_profits())
+        assert cw_run(inst, expr, run) == brute_force_profiles(inst)
+        optimum, profile, witness = solve_cliquewidth(inst, expr)
+        assert optimum == brute_force_optimum(inst)[0]
+        validate_coloring(inst, witness)
+        assert profile_of(inst, witness) == profile
+        bits = label_bits(expr.root)
+        live = live_masks(expr.root, bits)
+        for node in _walk(expr.root):
+            mask = live[id(node)]
+            assert all(not m & ~mask for key in run.tables[id(node)] for m in key)
+            dead_leaves += isinstance(node, VertexNode) and not bits[node.label] & mask
+    assert cases == 0 or dead_leaves > 0
 
 
 def prop_cw_union_symmetric(cases: int, seed: int = 505) -> None:
@@ -605,20 +653,24 @@ def prop_cw_union_symmetric(cases: int, seed: int = 505) -> None:
         inst = support.instance_for_expression(ab, rng, rng.randint(1, 2), 4)
         run = Run(inst.total_profits())
         bits = label_bits(ab.root)
-        left_table = _tables_for(inst, left.root, run, bits)
-        right_table = _tables_for(inst, right_root, run, bits)
-        t1 = dp_node(ab.root, [left_table, right_table], inst, run, bits)
-        t2 = dp_node(ba.root, [right_table, left_table], inst, run, bits)
+        live = sum(bits.values())  # every label live: keys are whole footprints
+        left_table = _tables_for(inst, left.root, run, bits, live)
+        right_table = _tables_for(inst, right_root, run, bits, live)
+        t1 = dp_node(ab.root, [left_table, right_table], inst, run, bits, live)
+        t2 = dp_node(ba.root, [right_table, left_table], inst, run, bits, live)
         assert t1 == t2
 
 
-def _tables_for(inst, node, run, bits):
+def _tables_for(inst, node, run, bits, live):
     children = []
     if isinstance(node, UnionNode):
-        children = [_tables_for(inst, node.left, run, bits), _tables_for(inst, node.right, run, bits)]
+        children = [
+            _tables_for(inst, node.left, run, bits, live),
+            _tables_for(inst, node.right, run, bits, live),
+        ]
     elif isinstance(node, (EtaNode, RhoNode)):
-        children = [_tables_for(inst, node.child, run, bits)]
-    return dp_node(node, children, inst, run, bits)
+        children = [_tables_for(inst, node.child, run, bits, live)]
+    return dp_node(node, children, inst, run, bits, live)
 
 
 # ---------------------------------------------------------- tree-independence
@@ -955,6 +1007,7 @@ ALL_PROPERTIES = [
     prop_cw_eta_filter,
     prop_cw_rho_filter,
     prop_cw_union_symmetric,
+    prop_cw_dead_labels,
     prop_tin_node_soundness,
     prop_tin_single_bag,
     prop_tin_chordal_route,

@@ -135,7 +135,8 @@ def is_chordal_by_elimination(inst: ConflictInstance) -> bool:
     return True
 
 
-def random_expression(rng: random.Random, max_leaves: int, num_labels: int) -> CliqueExpression:
+def _expression(rng: random.Random, max_leaves: int, num_labels: int, operate) -> CliqueExpression:
+    """A random expression: unions split the leaf budget, and operate wraps every node."""
     counter = [0]
 
     def build(budget: int):
@@ -145,12 +146,7 @@ def random_expression(rng: random.Random, max_leaves: int, num_labels: int) -> C
         else:
             split = rng.randint(1, budget - 1)
             node = UnionNode(build(split), build(budget - split))
-        for _ in range(rng.randint(0, 3)):
-            i, j = rng.randint(1, num_labels), rng.randint(1, num_labels)
-            if i == j:
-                continue
-            node = EtaNode(i, j, node) if rng.random() < 0.5 else RhoNode(i, j, node)
-        return node
+        return operate(node)
 
     root = build(rng.randint(1, max_leaves))
     return CliqueExpression(
@@ -158,6 +154,34 @@ def random_expression(rng: random.Random, max_leaves: int, num_labels: int) -> C
         num_labels=num_labels,
         vertex_ids=frozenset(range(1, counter[0] + 1)),
     )
+
+
+def random_expression(rng: random.Random, max_leaves: int, num_labels: int) -> CliqueExpression:
+    def operate(node):
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.randint(1, num_labels), rng.randint(1, num_labels)
+            if i == j:
+                continue
+            node = EtaNode(i, j, node) if rng.random() < 0.5 else RhoNode(i, j, node)
+        return node
+
+    return _expression(rng, max_leaves, num_labels, operate)
+
+
+def dead_label_expression(rng: random.Random, max_leaves: int, num_labels: int) -> CliqueExpression:
+    """A random expression with dead labels: no edge-add names the last label,
+    and relabels come in chains of one to three.  Needs three labels or more.
+    """
+    def operate(node):
+        for _ in range(rng.randint(0, 2)):
+            if rng.random() < 0.4:
+                node = EtaNode(*rng.sample(range(1, num_labels), 2), node)
+            else:
+                for _ in range(rng.randint(1, 3)):
+                    node = RhoNode(*rng.sample(range(1, num_labels + 1), 2), node)
+        return node
+
+    return _expression(rng, max_leaves, num_labels, operate)
 
 
 def instance_for_expression(

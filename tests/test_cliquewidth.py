@@ -17,6 +17,8 @@ from fairkdiv.cliquewidth import (
     cliquewidth_profile_set,
     dp_node,
     evaluate_expression,
+    label_bits,
+    live_masks,
     parse_k_expression,
     solve_cliquewidth,
 )
@@ -154,12 +156,14 @@ class TestSolve:
 class TestDpNode:
     """Unpruned cells are held on the instance's grid; they compare as ProfileSets."""
 
-    # label_bits of an expression that names labels 1 and 2
+    # label_bits of an expression that names labels 1 and 2, and a live mask holding both
     BITS = {1: 0b01, 2: 0b10}
+    LIVE = 0b11
 
     def test_vertex_cells(self):
         inst = ConflictInstance.build(1, 1, [], [[7]])
-        table = dp_node(VertexNode(label=1, vertex=1), [], inst, Run(inst.total_profits()), self.BITS)
+        run = Run(inst.total_profits())
+        table = dp_node(VertexNode(label=1, vertex=1), [], inst, run, self.BITS, self.LIVE)
         assert table == {
             (0,): ProfileSet(1, {(0,)}),
             (1,): ProfileSet(1, {(7,)}),
@@ -172,14 +176,14 @@ class TestDpNode:
             (0,): support.on_grid(run.grid, ProfileSet(1, {(0,)})),
             (0b11,): support.on_grid(run.grid, ProfileSet(1, {(5,)})),
         }
-        table = dp_node(EtaNode(1, 2, VertexNode(1, 1)), [child], inst, run, self.BITS)
+        table = dp_node(EtaNode(1, 2, VertexNode(1, 1)), [child], inst, run, self.BITS, self.LIVE)
         assert table == {(0,): ProfileSet(1, {(0,)})}
 
     def test_rho_moves_cells(self):
         inst = ConflictInstance.build(1, 1, [], [[7]])
         run = Run(inst.total_profits())
-        child = dp_node(VertexNode(label=1, vertex=1), [], inst, run, self.BITS)
-        table = dp_node(RhoNode(1, 2, VertexNode(1, 1)), [child], inst, run, self.BITS)
+        child = dp_node(VertexNode(label=1, vertex=1), [], inst, run, self.BITS, self.LIVE)
+        table = dp_node(RhoNode(1, 2, VertexNode(1, 1)), [child], inst, run, self.BITS, self.LIVE)
         assert table == {
             (0,): ProfileSet(1, {(0,)}),
             (0b10,): ProfileSet(1, {(7,)}),
@@ -188,11 +192,41 @@ class TestDpNode:
     def test_union_adds_profiles(self):
         inst = ConflictInstance.build(2, 1, [], [[2, 3]])
         run = Run(inst.total_profits())
-        left = dp_node(VertexNode(1, 1), [], inst, run, self.BITS)
-        right = dp_node(VertexNode(1, 2), [], inst, run, self.BITS)
-        table = dp_node(UnionNode(VertexNode(1, 1), VertexNode(1, 2)), [left, right], inst, run, self.BITS)
+        left = dp_node(VertexNode(1, 1), [], inst, run, self.BITS, self.LIVE)
+        right = dp_node(VertexNode(1, 2), [], inst, run, self.BITS, self.LIVE)
+        union = UnionNode(VertexNode(1, 1), VertexNode(1, 2))
+        table = dp_node(union, [left, right], inst, run, self.BITS, self.LIVE)
         assert set(table[(1,)]) == {(2,), (3,), (5,)}
         assert set(table[(0,)]) == {(0,)}
+
+
+class TestLiveMasks:
+    def test_hand_built(self):
+        # (u (eta 1 2 (u (rho 3 1 (v 3 1)) (rho 1 3 (v 1 2)))) (v 2 3))
+        v1, v2, v3 = VertexNode(3, 1), VertexNode(1, 2), VertexNode(2, 3)
+        rho_live, rho_dead = RhoNode(3, 1, v1), RhoNode(1, 3, v2)
+        inner = UnionNode(rho_live, rho_dead)
+        eta = EtaNode(1, 2, inner)
+        root = UnionNode(eta, v3)
+        bits = label_bits(root)
+        assert bits == {1: 0b001, 2: 0b010, 3: 0b100}
+        live = live_masks(root, bits)
+        assert {node: live[id(node)] for node in (root, eta, v3)} == {root: 0, eta: 0, v3: 0}
+        # the eta reads labels 1 and 2; the union passes them to both sides
+        assert live[id(inner)] == live[id(rho_live)] == live[id(rho_dead)] == 0b011
+        # 3 -> 1 with label 1 live: label 3 is live below, read as 1 above
+        assert live[id(v1)] == 0b111
+        # 1 -> 3 with label 3 dead: label 1 is dead below
+        assert live[id(v2)] == 0b010
+
+    def test_dead_labels_share_a_cell(self):
+        # label 3 is never read: a vertex labeled 3 adds no key, only profiles
+        inst = ConflictInstance.build(2, 1, [], [[2, 3]])
+        expr = parse_k_expression("(u (v 3 1) (v 3 2))")
+        run = Run(inst.total_profits())
+        cliquewidth.cw_run(inst, expr, run)
+        assert all(list(table) == [(0,)] for table in run.tables.values())
+        assert set(run.tables[id(expr.root)][(0,)]) == {(0,), (2,), (3,), (5,)}
 
 
 def relabelled(node, label):
@@ -251,3 +285,6 @@ class TestInvariants:
 
     def test_union_symmetric(self):
         properties.prop_cw_union_symmetric(100)
+
+    def test_dead_labels(self):
+        properties.prop_cw_dead_labels(150)

@@ -104,18 +104,18 @@ RECOGNIZE = [
 # random_expression(Random(seed), 10, 2) and instance_for_expression(expr,
 # same rng, 2, 6), solved pruned; then (size, first, last) of the profile set
 CW = [
-    (0, 11, (13, 11), "0 1 2 4|3 5 6", (124, 141), (180, "0 0", "15 9")),
-    (1, 5, (6, 5), "1|0 2", (51, 57), (18, "0 0", "10 0")),
-    (2, 0, (0, 6), "|0", (3, 3), (3, "0 0", "2 0")),
-    (3, 3, (3, 8), "1|0 2", (82, 94), (20, "0 0", "4 3")),
-    (4, 6, (6, 8), "1|0 2 3", (48, 56), (23, "0 0", "16 2")),
-    (5, 12, (13, 12), "2 4 6|0 1 3 5 7", (210, 277), (315, "0 0", "28 10")),
-    (6, 13, (13, 22), "3 4 6 8|1 2 5 7 9", (191, 277), (325, "0 0", "18 9")),
-    (7, 9, (9, 11), "1 4 5|0 2 3", (74, 88), (126, "0 0", "15 5")),
-    (8, 6, (6, 11), "1 2|0 3", (62, 66), (53, "0 0", "7 6")),
-    (9, 14, (14, 15), "0 5 6 7|1 2 3 4", (130, 177), (303, "0 0", "23 0")),
-    (10, 24, (24, 24), "2 3 4 5 8|0 1 6 7 9", (188, 230), (764, "0 0", "30 8")),
-    (11, 13, (13, 15), "0 1 2 6|3 4 5 7", (123, 210), (376, "0 0", "25 1")),
+    (0, 11, (13, 11), "0 1 2 4|3 5 6", (80, 102), (180, "0 0", "15 9")),
+    (1, 5, (6, 5), "1|0 2", (48, 55), (18, "0 0", "10 0")),
+    (2, 0, (0, 6), "|0", (1, 2), (3, "0 0", "2 0")),
+    (3, 3, (3, 8), "1|0 2", (75, 87), (20, "0 0", "4 3")),
+    (4, 6, (6, 8), "1|0 2 3", (28, 35), (23, "0 0", "16 2")),
+    (5, 12, (13, 12), "2 4 6|0 1 3 5 7", (202, 263), (315, "0 0", "28 10")),
+    (6, 13, (13, 22), "3 4 6 8|1 2 5 7 9", (183, 261), (325, "0 0", "18 9")),
+    (7, 9, (9, 11), "1 4 5|0 2 3", (28, 44), (126, "0 0", "15 5")),
+    (8, 6, (6, 11), "1 2|0 3", (27, 40), (53, "0 0", "7 6")),
+    (9, 14, (14, 15), "0 5 6 7|1 2 3 4", (127, 175), (303, "0 0", "23 0")),
+    (10, 24, (24, 24), "2 3 4 5 8|0 1 6 7 9", (185, 227), (764, "0 0", "30 8")),
+    (11, 13, (13, 15), "0 1 2 6|3 4 5 7", (38, 97), (376, "0 0", "25 1")),
 ]
 
 

@@ -320,7 +320,11 @@ class TestGrid:
 
     @pytest.mark.parametrize("on_grid", [True, False], ids=["grid", "codes"])
     def test_cap_on_grid_cells(self, monkeypatch, on_grid):
-        """The cap trips at the same size on both forms: the largest cell, then the union."""
+        """The cap trips at the same size on both forms: one below the largest cell.
+
+        A cw root has one key, no live label, so its one cell is the whole set
+        and is the largest cell: no cap fits every table but not the union.
+        """
         rng = random.Random(7)
         expr = support.random_expression(rng, 8, 3)
         while len(expr.vertex_ids) < 6:
@@ -336,19 +340,19 @@ class TestGrid:
         largest = max(map(len, cells))
         if not on_grid:
             monkeypatch.setattr(profiles, "GRID_MAX_BITS", 0)
-        # every table fits the cap; the union of the root's cells does not
-        run = Run(inst.total_profits(), cap=largest)
-        with pytest.raises(ProfileCapError):
-            cw_run(inst, expr, run)
-        assert len(run.tables) == len(code_run.tables)
-        cells = [cell for table in run.tables.values() for cell in table.values()]
-        assert all(isinstance(cell, ProfileSet) == on_grid for cell in cells)
         run = Run(inst.total_profits(), cap=largest - 1)
         with pytest.raises(ProfileCapError):
             cw_run(inst, expr, run)
         assert len(run.tables) < len(code_run.tables)
-        full = cliquewidth_profile_set(inst, expr)
-        assert (full.grid is not None) == on_grid and len(full) > largest
+        # every table fits the cap, the root's one cell included
+        run = Run(inst.total_profits(), cap=largest)
+        full = cw_run(inst, expr, run)
+        assert len(run.tables) == len(code_run.tables)
+        cells = [cell for table in run.tables.values() for cell in table.values()]
+        assert all(isinstance(cell, ProfileSet) == on_grid for cell in cells)
+        assert list(run.tables[id(expr.root)]) == [(0, 0)]
+        assert (full.grid is not None) == on_grid and len(full) == largest
+        assert full == cliquewidth_profile_set(inst, expr)
         with pytest.raises(ProfileCapError):
             cliquewidth_profile_set(inst, expr, cap=len(full) - 1)
         assert cliquewidth_profile_set(inst, expr, cap=len(full)) == full
