@@ -3,18 +3,20 @@
 A bipartite graph G = (A ∪ B, E) is convex if A can be ordered so that every
 B-vertex's neighborhood is an interval of consecutive A-vertices.  The solver
 sweeps the graph in stages, one per distinct larger interval endpoint.  At
-stage j it conditions on, per agent, the largest A-vertex assigned so far.
+stage j it conditions on, per agent, the largest A-vertex g assigned so far.
 Every new B-vertex ends at the stage's last A-position, so under that guess
-an agent may take exactly those whose interval starts after it; the
+an agent may take exactly those whose interval starts after g; the
 candidates left form an independent set, and each stage reduces to the
-edgeless enumeration.  Components are solved separately and merged by
-vector addition.  Finding the A-order is the recognition module's work.
+edgeless enumeration.  Later B-vertices read g by the same test, so stage j
+keys its cells by rep_j(g), the largest later B-start at most g (0 if none):
+equal reps have one future.  Components are solved separately and merged
+by vector addition.  Finding the A-order is the recognition module's work.
 """
 from __future__ import annotations
 
 import itertools
 from functools import partial
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .model import Coloring, ConflictInstance, Profile, connected_components, validate_coloring
 from .profiles import (
@@ -52,17 +54,10 @@ class _StageStructure(NamedTuple):
 
 def _stage_structure(co: ConvexOrdering) -> _StageStructure:
     """Sort B and compute the stage boundary arrays (every B-vertex has an interval)."""
-    b_order = tuple(
-        sorted(co.b_vertices, key=lambda b: (co.intervals[b][1], co.intervals[b][0], b))
-    )
-    u = tuple(sorted({co.intervals[b][1] for b in co.b_vertices}))
-    v = []
-    idx = 0
-    for bound in u:
-        while idx < len(b_order) and co.intervals[b_order[idx]][1] <= bound:
-            idx += 1
-        v.append(idx)
-    return _StageStructure(b_order=b_order, u=u, v=tuple(v))
+    b_order = sorted(co.b_vertices, key=lambda b: (co.intervals[b][1], co.intervals[b][0], b))
+    # u[j] -> v[j]: each larger endpoint, ascending as in b_order, to its last B-position
+    last = {co.intervals[b][1]: m for m, b in enumerate(b_order, 1)}
+    return _StageStructure(tuple(b_order), u=tuple(last), v=tuple(last.values()))
 
 
 class _Node:
@@ -116,14 +111,6 @@ def _vertex_chain(
     return node
 
 
-def _guesses(upper: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Every key of a stage whose largest A-position is upper: no nonzero entry repeats."""
-    for combo in itertools.product(range(upper + 1), repeat=k):
-        nonzero = [x for x in combo if x > 0]
-        if len(nonzero) == len(set(nonzero)):
-            yield combo
-
-
 class _Stage:
     """One stage's profit columns and parts, and the steps of its node kinds.
 
@@ -134,8 +121,13 @@ class _Stage:
     starts after g.  Every new B-vertex ends at u_cur >= g, so it meets one
     of the agent's A-vertices iff its interval starts at or before g, and no
     earlier B-vertex reaches a new A-position: each agent may take any of
-    its column's vertices, whatever the others take.  Each agent's column is
-    built once per stage for every guessed A-position.
+    its column's vertices, whatever the others take.  The table is keyed by
+    rep_j of each entry, the largest start at most g of a B-vertex after
+    v_cur (0 if none): only those are left, and each meets the agent iff it
+    starts at or before g, so equal reps have one future and share a cell;
+    the last stage's one key is (0,) * k.  A passed entry is thus a rep of
+    stage j - 1, which keeps every start a new B-vertex tests, and may equal
+    another; a new entry is a distinct A-position in (u_prev, u_cur].
 
     A part is its rows: the agents' columns under a guess side by side, with
     the new A-positions the guess names zeroed.  parts lists each distinct
@@ -152,26 +144,32 @@ class _Stage:
         ss, k = dp.ss, dp.k
         self.j, self.k = j, k
         u_prev = self.u_prev = ss.u[j - 1] if j else 0
+        v_prev = ss.v[j - 1] if j else 0
         a_pos = range(u_prev + 1, ss.u[j] + 1)
-        b_pos = range(ss.v[j - 1] + 1 if j else 1, ss.v[j] + 1)
+        b_pos = range(v_prev + 1, ss.v[j] + 1)
         na = self.na = len(a_pos)
         self.vertices = [dp.co.a_order[i - 1] for i in a_pos] + [ss.b_order[m - 1] for m in b_pos]
         b_lo = [dp.b_interval[m - 1][0] for m in b_pos]
-        columns = []  # columns[l][g]: agent l's column under guess g
+        values = sorted({0}.union(lo for lo, _ in dp.b_interval[v_prev:] if lo <= u_prev))
+        values += a_pos
+        later = {0}.union(lo for lo, _ in dp.b_interval[ss.v[j] :])
+        rep = {g: max(lo for lo in later if lo <= g) for g in values}
+        columns = []  # columns[l][g]: agent l's column under guess value g
         for profits in dp.inst.profits:
-            pa = [profits[v] for v in self.vertices[:na]]
-            pb = [profits[v] for v in self.vertices[na:]]
-            columns.append([
-                [p if i <= g else 0 for i, p in zip(a_pos, pa)]
-                + [p if g < lo else 0 for lo, p in zip(b_lo, pb)]
-                for g in range(ss.u[j] + 1)
-            ])
+            columns.append({
+                g: [profits[v] if i <= g else 0 for i, v in zip(a_pos, self.vertices)]
+                + [profits[v] if g < lo else 0 for lo, v in zip(b_lo, self.vertices[na:])]
+                for g in values
+            })
 
         zero = (0,) * k
         ids: dict[tuple[tuple[int, ...], ...], int] = {}
         self.steps: list[Step] = []
-        for guess in _guesses(ss.u[j], k):
-            rows = list(zip(*map(list.__getitem__, columns, guess)))
+        for guess in itertools.product(values, repeat=k):
+            new = [g for g in guess if g > u_prev]
+            if len(new) > len(set(new)):
+                continue
+            rows = list(zip(*map(dict.__getitem__, columns, guess)))
             delta, assigned = 0, ()
             for l, g in enumerate(guess):
                 if g > u_prev:
@@ -180,7 +178,8 @@ class _Stage:
                     delta += unit_code(k, l, dp.inst.profits[l][vertex])
                     assigned += ((vertex, l),)
             pid = ids.setdefault(tuple(rows), len(ids))
-            self.steps.append((guess, (self.key(guess), pid), delta, assigned))
+            target = tuple([rep[g] for g in guess])
+            self.steps.append((target, (self.key(guess), pid), delta, assigned))
         self.parts = list(ids)
         self.ops = 0
 

@@ -312,9 +312,18 @@ def prop_oracle_edge_monotone(cases: int, seed: int = 303) -> None:
 
 # -------------------------------------------------------------------- convex
 
+def _later_starts(dp: _ConnectedConvexDP, j: int) -> list[int]:
+    """The interval starts of the B-vertices after stage j, in any order."""
+    return [dp.co.intervals[b][0] for b in dp.ss.b_order[dp.ss.v[j] :]]
+
+
 def _stage_oracle_check(inst: ConflictInstance, co) -> None:
     """Check every stage cell against per-stage enumeration (soundness and
-    completeness of the staged tables for the induced prefix subgraphs)."""
+    completeness of the staged tables for the induced prefix subgraphs).
+
+    An assignment is filed under rep_j of each agent's largest A-position
+    g: the largest start of a B-vertex after stage j that is at most g, or 0.
+    """
     dp = _ConnectedConvexDP(inst, co)
     run = Run(inst.total_profits())
     dp.profile_set(run)
@@ -322,6 +331,7 @@ def _stage_oracle_check(inst: ConflictInstance, co) -> None:
     for j, node in enumerate(dp.stage_nodes):
         table = run.tables[id(node)]
         u_j, v_j = dp.ss.u[j], dp.ss.v[j]
+        later = _later_starts(dp, j)
         vertices = [co.a_order[i] for i in range(u_j)] + [
             dp.ss.b_order[m] for m in range(v_j)
         ]
@@ -339,7 +349,8 @@ def _stage_oracle_check(inst: ConflictInstance, co) -> None:
                         for v, a in zip(vertices, assignment)
                         if a == agent + 1 and v in pos
                     ]
-                    guess.append(max(taken_a) if taken_a else 0)
+                    g = max(taken_a) if taken_a else 0
+                    guess.append(max([lo for lo in later if lo <= g], default=0))
                 q = tuple(
                     sum(
                         inst.profits[agent][v]
@@ -445,7 +456,7 @@ def prop_convex_mis_agreement(cases: int, seed: int = 404) -> None:
 
 
 def prop_convex_guess_hygiene(cases: int, seed: int = 405) -> None:
-    """No stage-table key repeats a nonzero guess entry."""
+    """Every key entry is 0 or a later B-start at most u_j; the last stage has one key, all 0."""
     rng = random.Random(seed)
     done = 0
     while done < cases:
@@ -457,10 +468,11 @@ def prop_convex_guess_hygiene(cases: int, seed: int = 405) -> None:
         dp = _ConnectedConvexDP(inst, co)
         run = Run(inst.total_profits())
         dp.profile_set(run)
-        for node in dp.stage_nodes:
+        for j, node in enumerate(dp.stage_nodes):
+            allowed = {0} | {lo for lo in _later_starts(dp, j) if lo <= dp.ss.u[j]}
             for key in run.tables[id(node)]:
-                nonzero = [x for x in key if x > 0]
-                assert len(nonzero) == len(set(nonzero))
+                assert len(key) == inst.k and set(key) <= allowed
+        assert list(run.tables[id(dp.stage_nodes[-1])]) == [(0,) * inst.k]
         done += 1
 
 

@@ -188,7 +188,7 @@ def test_criterion_8_complexity_smoke():
     rng = random.Random(2008)
     lines = []
     # the counts pin what profile-ops measures: |pred| * |part| per guess
-    pinned = {1: [166, 213], 2: [6276, 7160]}
+    pinned = {1: [144, 197], 2: [4222, 6016]}
     for k in (1, 2):
         base = [[rng.randint(1, 5) for _ in range(na + nb)] for _ in range(k)]
         double = [[2 * p + rng.randint(0, 1) for p in row] for row in base]

@@ -16,8 +16,6 @@ from fairkdiv.cli import (
     EXIT_RESOURCE,
     EXIT_USAGE,
     main,
-    ordering_file_text,
-    parse_ordering_file,
 )
 from fairkdiv.model import (
     ConflictInstance,
@@ -25,6 +23,7 @@ from fairkdiv.model import (
     satisfaction_upper_bound,
     serialize_instance,
 )
+from fairkdiv.recognition import ordering_file_text, parse_ordering_file
 
 T1_TEXT = "p fkd 2 0 2\nw 1 3 1\nw 2 2 2\n"
 # three equal items, k=2: several optimal colorings with different profiles

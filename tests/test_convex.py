@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from collections import Counter
@@ -11,23 +12,22 @@ from conftest import FIXTURE_B_MINUS, FIXTURE_B_PLUS
 from fairkdiv import convex
 from fairkdiv.convex import (
     _ConnectedConvexDP,
-    _guesses,
     _stage_structure,
     convex_profile_set,
     solve_convex,
 )
-from fairkdiv.cli import parse_ordering_file
 from fairkdiv.recognition import (
     ConvexOrdering,
     OrderingError,
     consecutive_ones_order,
     find_convex_ordering,
+    parse_ordering_file,
     validate_convex_ordering,
 )
 from fairkdiv.generators import gen_convex_bipartite
 from fairkdiv.model import ConflictInstance, profile_of, validate_coloring
 from fairkdiv.oracle import brute_force_optimum, brute_force_profiles
-from fairkdiv.profiles import ProfileCapError, Run
+from fairkdiv.profiles import ProfileCapError, Run, decode
 
 
 def path_a1_b1_a2_b2(k=2, profits=None):
@@ -48,6 +48,19 @@ def _chain(node):
 def _colored(run, node):
     """The vertices a chain node's kept steps give to an agent."""
     return {vertex for *_, assigned in run.kept[id(node)] for vertex, _ in assigned}
+
+
+def _rep(dp, m, g):
+    """The largest interval start at most g of the B-positions after m, or 0."""
+    starts = [dp.co.intervals[b][0] for b in dp.ss.b_order[m:]]
+    return max([lo for lo in starts if lo <= g], default=0)
+
+
+def _guess(stage, step):
+    """The guess a stage step was made from: its predecessor key, with each
+    hidden entry the A-position of the new vertex the step gives that agent."""
+    new = {agent: stage.u_prev + 1 + stage.vertices.index(vertex) for vertex, agent in step[3]}
+    return tuple(new.get(agent, g) for agent, g in enumerate(step[1][0]))
 
 
 STRUCTURED = ("nested", "repeated", "shared-ends", "covering", "mixed")
@@ -344,11 +357,23 @@ class TestConnectedSolver:
             *nodes, leaf = _chain(chain)
             assert [_colored(run, n) for n in reversed(nodes)] == takeable
             assert list(run.tables[id(leaf)]) == list(range(len(stage.parts)))
+            # a passed entry is a rep of stage j - 1, a new one a distinct
+            # new A-position; each step is keyed by its guess's reps
             pred_table = run.tables[id(pred)]
-            guesses = [g for g in _guesses(dp.ss.u[j], inst.k) if stage.key(g) in pred_table]
-            assert [step[0] for step in run.kept[id(node)]] == guesses
-            for guess, (key, pid), _, _ in run.kept[id(node)]:
+            u_prev = stage.u_prev
+            passed = {_rep(dp, dp.ss.v[j - 1] if j else 0, g) for g in range(u_prev + 1)}
+            values = sorted(passed) + list(range(u_prev + 1, dp.ss.u[j] + 1))
+            guesses = [
+                g
+                for g in itertools.product(values, repeat=inst.k)
+                if len({x for x in g if x > u_prev}) == sum(x > u_prev for x in g)
+                and stage.key(g) in pred_table
+            ]
+            kept = run.kept[id(node)]
+            assert [_guess(stage, step) for step in kept] == guesses
+            for guess, (target, (key, pid), _, _) in zip(guesses, kept):
                 assert key == stage.key(guess) and 0 <= pid < len(stage.parts)
+                assert target == tuple(_rep(dp, dp.ss.v[j], g) for g in guess)
 
     @pytest.mark.parametrize("b1, first_chain", [(0, [{0}]), (9, [{1}, {0}])])
     def test_equal_parts_share_a_cell_and_a_vertex_no_part_takes_has_no_node(
@@ -370,10 +395,12 @@ class TestConnectedSolver:
         assert [_colored(run, n) for n in chains[0][:-1]] == first_chain
         assert [_colored(run, n) for n in chains[1][:-1]] == [{3}]
         # the first agent's guess a2 (passed) or a3 (taken) leaves it
-        # nothing in this stage, so both guesses name one part
-        steps = {step[0]: step for step in run.kept[id(dp.stage_nodes[1])]}
+        # nothing in this stage, so both guesses name one part; the last
+        # stage keys both by (0, 0)
+        steps = {_guess(second, step): step for step in run.kept[id(dp.stage_nodes[1])]}
         pid = steps[(2, 0)][1][1]
         assert steps[(3, 0)][1][1] == pid and second.parts[pid] == ((0, 0), (0, 8))
+        assert steps[(2, 0)][0] == steps[(3, 0)][0] == (0, 0)
         opt, profile, witness = solve_convex(inst, co)
         assert opt == brute_force_optimum(inst)[0]
         assert profile_of(inst, witness) == profile
@@ -389,6 +416,58 @@ class TestConnectedSolver:
         # its leaf is keyed by the id of its one part
         assert list(run.tables[id(root3)]) == [0]
         assert solve_convex(inst)[0] == brute_force_optimum(inst)[0]
+
+
+class TestFutureQuotient:
+    @staticmethod
+    def _solved(k=2):
+        # A = a1..a4 (ids 0..3); b1 (id 4) on [1, 2], b2 (id 5) on [2, 4]
+        profits = [[1, 2, 0, 0, 4, 0], [8, 16, 0, 0, 32, 0]][:k]
+        edges = [(0, 4), (1, 4), (1, 5), (2, 5), (3, 5)]
+        inst = ConflictInstance.build(6, k, edges, profits)
+        co = validate_convex_ordering(inst, [0, 1, 2, 3], [4, 5])
+        run = Run(inst.total_profits(), walk=True)
+        dp = _ConnectedConvexDP(inst, co)
+        pset = dp.profile_set(run)
+        return inst, run, dp, pset
+
+    def test_guesses_with_no_later_start_between_share_a_cell(self):
+        inst, run, dp, _ = self._solved()
+        assert dp.ss.u == (2, 4) and dp.ss.v == (1, 2)
+        first = dp.stage_nodes[0]
+        # b2 starts at 2, so after stage 1 the guesses 0 and 1 (a1) read
+        # the same future, and 2 (a2) another
+        targets = {_guess(dp.stages[0], step): step[0] for step in run.kept[id(first)]}
+        assert targets == {
+            (0, 0): (0, 0), (0, 1): (0, 0), (1, 0): (0, 0),
+            (0, 2): (0, 2), (1, 2): (0, 2), (2, 0): (2, 0), (2, 1): (2, 0),
+        }
+        table = run.tables[id(first)]
+        assert sorted(table) == [(0, 0), (0, 2), (2, 0)]
+        # the (0, 0) cell unions guesses (0, 0), (1, 0) and (0, 1): a1 and b1 to
+        # different agents or not at all, a2 kept by neither
+        want = {(0, 0), (4, 0), (0, 32), (1, 0), (1, 32), (0, 8), (4, 8)}
+        assert {decode(c, 2) for c in table[(0, 0)].codes} == want
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_last_stage_has_the_one_zero_key(self, k):
+        inst, run, dp, pset = self._solved(k)
+        table = run.tables[id(dp.stage_nodes[-1])]
+        assert list(table) == [(0,) * k]
+        assert set(table[(0,) * k]) == set(pset) == set(brute_force_profiles(inst))
+
+    def test_multi_component_with_an_isolated_vertex_matches_the_oracle(self):
+        rng = random.Random(27)
+        for case in range(60):
+            k = rng.randint(1, 3)
+            size = 2 if k == 3 else 3
+            parts = [(rng.randint(1, size), rng.randint(1, size)) for _ in range(2)] + [(1, 0)]
+            inst = support.shuffled_convex_instance(rng, parts, k, 5)
+            assert convex_profile_set(inst) == brute_force_profiles(inst), case
+            opt, profile, witness = solve_convex(inst, prune=True)
+            assert opt == brute_force_optimum(inst)[0], case
+            validate_coloring(inst, witness)
+            assert profile_of(inst, witness) == profile
 
 
 class TestSolveConvex:

@@ -14,9 +14,10 @@ import random
 
 import support
 
-from fairkdiv.cli import main, ordering_file_text
+from fairkdiv.cli import main
 from fairkdiv.generators import gen_convex_bipartite, gen_partial_ktree
 from fairkdiv.model import serialize_instance
+from fairkdiv.recognition import ordering_file_text
 from fairkdiv.treeindep import serialize_tree_decomposition
 
 SEED = 2024
