@@ -3,8 +3,10 @@
 The decomposition's quality parameter here is not bag size but the largest
 independent set inside any bag: each agent's class meets a bag in at most
 that many vertices, so enumerating the per-bag colorings stays polynomial.
-The decomposition is first normalized to leaf/introduce/forget/join nodes;
-a state is a coloring of the current bag mapped to the profiles of all
+The solvers validate the decomposition as given, trim from its bags the
+vertices that no edge there needs, and normalize the result to
+leaf/introduce/forget/join nodes rooted at a leaf bag; a state is a
+coloring of the current bag mapped to the profiles of all
 colorings of the subtree's vertices agreeing with it.  A profile counts
 only the subtree's vertices outside the bag: a vertex's profit is booked
 when it is forgotten, so every step only adds.
@@ -221,6 +223,17 @@ def bag_independence_number(inst: ConflictInstance, bag: Iterable[int]) -> int:
     return total
 
 
+def _holders(td: TreeDecomposition) -> list[set[int]]:
+    """The ids of the bags that hold each vertex."""
+    holders: list[set[int]] = [set() for _ in range(td.n)]
+    for bag_id, bag in td.bags.items():
+        for v in bag:
+            if not (0 <= v < td.n):
+                raise DecompositionError(f"bag vertex {v + 1} out of range")
+            holders[v].add(bag_id)
+    return holders
+
+
 def validate_td(inst: ConflictInstance, td: TreeDecomposition) -> tuple[int, int]:
     """Check the three decomposition axioms; return (width, independence number).
 
@@ -231,12 +244,7 @@ def validate_td(inst: ConflictInstance, td: TreeDecomposition) -> tuple[int, int
     """
     if td.n != inst.n:
         raise DecompositionError(f"decomposition is for {td.n} vertices, instance has {inst.n}")
-    holders: list[set[int]] = [set() for _ in range(inst.n)]
-    for bag_id, bag in td.bags.items():
-        for v in bag:
-            if not (0 <= v < inst.n):
-                raise DecompositionError(f"bag vertex {v + 1} out of range")
-            holders[v].add(bag_id)
+    holders = _holders(td)
     missing = [v for v in range(inst.n) if not holders[v]]
     if missing:
         raise DecompositionError(f"axiom 1 violated: vertex {missing[0] + 1} is in no bag")
@@ -251,6 +259,39 @@ def validate_td(inst: ConflictInstance, td: TreeDecomposition) -> tuple[int, int
             )
     ell = max((bag_independence_number(inst, td.bags[b]) for b in sorted(td.bags)), default=0)
     return td.width(), ell
+
+
+def trim_td(inst: ConflictInstance, td: TreeDecomposition) -> TreeDecomposition:
+    """The decomposition with each bag vertex that no edge there needs removed.
+
+    Vertex v leaves bag b when b is a leaf of v's holder subtree and every
+    edge of v inside b is also inside b's neighbour there, the only other
+    holder of v that can hold it, since holder sets are subtrees.  An edge
+    that blocks the move lies in b alone and stays there, so one queue pass
+    per vertex reaches the fixpoint.  Bag ids and tree edges are kept and
+    bags only shrink, so the axioms hold and neither width nor ell grows.
+    """
+    bags = {bag_id: set(bag) for bag_id, bag in td.bags.items()}
+    neigh = _tree_adjacency(td.bags, td.edges)
+    adj = inst.adjacency()
+    for v, held in enumerate(_holders(td)):
+        if len(held) < 2:
+            continue
+        near = {b: [c for c in neigh[b] if c in held] for b in held}
+        queue = sorted(b for b, cs in near.items() if len(cs) == 1)
+        while queue:
+            b = queue.pop()
+            if len(near[b]) != 1:
+                continue  # b is the last holder of v
+            (c,) = near[b]
+            if adj[v] & bags[b] <= bags[c]:
+                bags[b].discard(v)
+                near[c].remove(b)
+                if len(near[c]) == 1:
+                    queue.append(c)
+    return TreeDecomposition(
+        td.n, {bag_id: frozenset(bag) for bag_id, bag in bags.items()}, td.edges
+    )
 
 
 class NiceNode:
@@ -319,13 +360,15 @@ def _forget_chain(base: NiceNode, vertices: Iterable[int]) -> NiceNode:
 def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     """Normalize to leaf/introduce/forget/join nodes with an empty root bag.
 
-    Rooted at the smallest bag id; every produced bag is a subset of some
-    original bag, so the independence number cannot grow.
+    Rooted at the bag of least tree degree, ties to the smallest id: a leaf
+    bag at the root saves the join and the leaf chain an inner root bag
+    would add.  Every produced bag is a subset of some original bag, so the
+    independence number cannot grow.
     """
     if not td.bags:
         return NiceTreeDecomposition(root=NiceNode(kind="leaf", bag=frozenset()))
-    root_id = min(td.bags)
     neigh = _tree_adjacency(td.bags, td.edges)
+    root_id = min(td.bags, key=lambda bag_id: (len(neigh[bag_id]), bag_id))
 
     def below(item: tuple[int, int | None]) -> list[tuple[int, int]]:
         bag_id, parent = item
@@ -419,7 +462,8 @@ def tin_profile_set(
 ) -> ProfileSet:
     """Exact full profile set via the root's empty-bag cell."""
     validate_td(inst, td)
-    return tin_run(inst, make_nice(td), Run(inst.total_profits(), cap, stats=stats))
+    nice = make_nice(trim_td(inst, td))
+    return tin_run(inst, nice, Run(inst.total_profits(), cap, stats=stats))
 
 
 def solve_tin(
@@ -431,7 +475,7 @@ def solve_tin(
 ) -> tuple[int, Profile, Coloring]:
     """Optimum satisfaction level, profile, and a validated witness."""
     validate_td(inst, td)
-    nice = make_nice(td)
+    nice = make_nice(trim_td(inst, td))
     run = Run(inst.total_profits(), cap, prune, stats, walk=True)
     optimum, profile = best_profile(tin_run(inst, nice, run))
     witness = run.walk(nice.root, _children, encode(profile, inst.k))

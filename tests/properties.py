@@ -61,9 +61,12 @@ from fairkdiv.profiles import (
 from fairkdiv.chordal import clique_tree_of_chordal
 from fairkdiv.treeindep import (
     TreeDecomposition,
+    _tree_adjacency,
     make_nice,
     solve_tin,
+    tin_profile_set,
     tin_run,
+    trim_td,
     validate_td,
 )
 
@@ -781,6 +784,49 @@ def prop_tin_chordal_route(cases: int, seed: int = 603) -> None:
         assert opt == want
 
 
+def _with_isolated(rng, inst, td):
+    """inst plus up to three isolated vertices, each in a bag and some of its tree neighbours."""
+    extra = rng.randint(1, 3)
+    n = inst.n + extra
+    profits = [list(row) + [rng.randint(0, 6) for _ in range(extra)] for row in inst.profits]
+    bags = {bag_id: set(bag) for bag_id, bag in td.bags.items()}
+    neigh = _tree_adjacency(td.bags, td.edges)
+    for v in range(inst.n, n):
+        home = rng.choice(sorted(bags))
+        for bag_id in [home] + [c for c in neigh[home] if rng.random() < 0.7]:
+            bags[bag_id].add(v)
+    wider = ConflictInstance.build(n, inst.k, inst.edges, profits)
+    return wider, TreeDecomposition(n, {b: frozenset(bag) for b, bag in bags.items()}, td.edges)
+
+
+def prop_tin_trim(cases: int, seed: int = 605) -> None:
+    """The trimmed decomposition only shrinks bags, stays valid and trimmed, and keeps the set.
+
+    Cases cycle through partial k-trees with edge deletion 0, 0.3 and 0.7,
+    clique trees of chordal graphs, and decompositions with isolated
+    vertices held by several bags.
+    """
+    rng = random.Random(seed)
+    for case in range(cases):
+        n = rng.randint(1, 8)
+        width = 0 if n == 1 else rng.randint(1, min(3, n - 1))
+        delete = (0.0, 0.3, 0.7, 0.0, 0.3)[case % 5]
+        inst, td = gen_partial_ktree(n, width, rng.randint(1, 2), 6,
+                                     rng.randrange(1 << 30), delete_prob=delete)
+        if case % 5 == 3:
+            td = clique_tree_of_chordal(inst)
+        elif case % 5 == 4:
+            inst, td = _with_isolated(rng, inst, td)
+        trimmed = trim_td(inst, td)
+        assert trimmed.bags.keys() == td.bags.keys() and trimmed.edges == td.edges
+        assert all(trimmed.bags[b] <= bag for b, bag in td.bags.items())
+        width, ell = validate_td(inst, td)
+        trimmed_width, trimmed_ell = validate_td(inst, trimmed)
+        assert trimmed_width <= width and trimmed_ell <= ell
+        assert trim_td(inst, trimmed).bags == trimmed.bags, "one pass is a fixpoint"
+        assert tin_profile_set(inst, td) == brute_force_profiles(inst)
+
+
 def prop_step_offsets_are_assigned_profits(cases: int, seed: int = 604) -> None:
     """Every kept step of tin, cw and convex, pruned or not, adds exactly the profit it assigns."""
     rng = random.Random(seed)
@@ -1023,6 +1069,7 @@ ALL_PROPERTIES = [
     prop_tin_node_soundness,
     prop_tin_single_bag,
     prop_tin_chordal_route,
+    prop_tin_trim,
     prop_step_offsets_are_assigned_profits,
     prop_fptas_guarantee,
     prop_fptas_call_bound,

@@ -480,6 +480,24 @@ class TestValidate:
                 assert code == EXIT_OK, (name, method, err)
                 assert "result: ok" in out
 
+    def test_validate_td_reports_the_given_decomposition(self, tmp_path):
+        # the path 1-2-3-4: the solver drops vertex 1 from bag 2, validate reports bag 2 as given
+        instance = tmp_path / "p4.fkd"
+        instance.write_text("p fkd 4 3 2\nw 1 3 1 2 2\nw 2 1 2 3 1\ne 1 2\ne 2 3\ne 3 4\n")
+        td = tmp_path / "p4.td"
+        td.write_text("s td 3 3 4\nb 1 1 2\nb 2 1 2 3\nb 3 3 4\n1 2\n2 3\n")
+        inst = parse_instance(instance.read_text())
+        decomposition = fairkdiv.treeindep.parse_tree_decomposition(td.read_text())
+        assert fairkdiv.treeindep.trim_td(inst, decomposition).width() == 1
+        argv = [str(instance), "--td", str(td)]
+        code, out, err = run_cli(["solve", *argv, "--method", "tin", "--json"])
+        assert code == EXIT_OK, err
+        result = tmp_path / "p4.json"
+        result.write_text(out)
+        code, out, err = run_cli(["validate", *argv, "--result", str(result)])
+        assert code == EXIT_OK, err
+        assert "td: ok (bags=3, width=2, independence=2)" in out and "result: ok" in out
+
     def test_validate_catches_bad_witness(self, tmp_path, t1_file):
         payload = {
             "optimum": 3,
@@ -783,6 +801,20 @@ class TestDeepInputs:
         td = tmp_path / "path.td"
         td.write_text("\n".join(lines) + "\n")
         self.solve_and_validate(tmp_path, n, ["--method", "tin", "--td", str(td)])
+
+    def test_tin_trims_redundant_bags_of_path_of_20000_vertices(self, tmp_path):
+        # bag i holds i, i+1, i+2: width 2 where 1 would do
+        n = 20000
+        lines = [f"s td {n - 2} 3 {n}"]
+        lines += [f"b {i} {i} {i + 1} {i + 2}" for i in range(1, n - 1)]
+        lines += [f"{i} {i + 1}" for i in range(1, n - 2)]
+        td = tmp_path / "path.td"
+        td.write_text("\n".join(lines) + "\n")
+        self.solve_and_validate(tmp_path, n, ["--method", "tin", "--td", str(td)])
+        decomposition = fairkdiv.treeindep.parse_tree_decomposition(td.read_text())
+        inst = parse_instance(path_text(n))
+        trimmed = fairkdiv.treeindep.trim_td(inst, decomposition)
+        assert all(trimmed.bags[b] <= bag for b, bag in decomposition.bags.items())
 
     def test_chordal_on_path_of_10000_vertices(self, tmp_path):
         self.solve_and_validate(tmp_path, 10000, ["--method", "tin", "--chordal"])

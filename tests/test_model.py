@@ -222,9 +222,9 @@ class TestComponents:
         # rescanning every edge for each component, O(n * m), takes about 18 s here
         m = 20000
         inst = ConflictInstance.build(2 * m, 1, [(v, v + 1) for v in range(0, 2 * m, 2)], [[1] * 2 * m])
-        start = time.perf_counter()
+        start = time.process_time()
         comps = connected_components(inst)
-        elapsed = time.perf_counter() - start
+        elapsed = time.process_time() - start
         assert comps == [(v, v + 1) for v in range(0, 2 * m, 2)]
         assert elapsed < 1.0, elapsed
 

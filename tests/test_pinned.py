@@ -7,7 +7,9 @@ convex, ["profile-ops"].  A clique-width row also pins the instance's full
 profile set: its size and the first and last line of its dump.  A change
 of how tables hold their cells keeps every row; one that only drops cells
 a DP never needed may lower dp-cells and profiles-stored, and keeps every
-other entry.  A quotient of DP keys, which unions the cells of keys with
+other entry.  A change of the decomposition's shape, such as a trimmed
+bag or another root, may move dp-cells and profiles-stored either way,
+and witnesses with them, never optima or profile sets.  A quotient of DP keys, which unions the cells of keys with
 the same future, may also move witnesses, profile-ops and FPTAS rows,
 never optima or profile sets.  FPTAS rows pin the value, profile and
 exact-solver calls of approx.fptas over solve_convex, which follow the
@@ -36,18 +38,18 @@ COUNTERS = ("dp-cells", "profiles-stored", "profile-ops")
 
 # gen_partial_ktree(13, 2, 2, 10, seed), solved pruned
 TIN = [
-    (0, 36, (36, 40), "0 4 5 6 12|2 3 7 8 9 10 11", (522, 1131)),
-    (1, 36, (36, 39), "1 3 8 9 11|4 5 6 7 10 12", (428, 688)),
-    (2, 38, (38, 41), "3 4 6 8 9|1 7 10 11 12", (432, 588)),
-    (3, 39, (40, 39), "0 4 8 9 10 11|3 5 6 12", (384, 638)),
-    (4, 41, (41, 43), "2 3 4 10 12|5 6 7 8 9 11", (403, 674)),
-    (5, 30, (30, 31), "2 4 8 9 12|0 5 7 10 11", (485, 914)),
-    (6, 33, (33, 40), "3 4 6 7 8 12|0 5 9 10 11", (464, 818)),
-    (7, 36, (36, 38), "3 4 5 8 9 10|0 1 6 11 12", (687, 1211)),
-    (8, 38, (40, 38), "0 3 7 10 11 12|4 5 6 8 9", (541, 803)),
-    (9, 38, (39, 38), "0 3 6 10 12|1 2 8 9 11", (501, 1131)),
-    (10, 36, (36, 36), "0 3 5 6 9 10|4 7 8 11 12", (468, 809)),
-    (11, 29, (32, 29), "1 7 9 12|0 3 4 5 6 8 10 11", (558, 1168)),
+    (0, 36, (36, 40), "0 4 5 6 12|2 3 7 8 9 10 11", (382, 878)),
+    (1, 36, (36, 39), "1 3 8 9 11|4 5 6 7 10 12", (363, 655)),
+    (2, 38, (38, 41), "3 4 6 8 9|1 7 10 11 12", (353, 530)),
+    (3, 39, (40, 39), "0 4 8 9 10 11|1 3 5 12", (301, 640)),
+    (4, 41, (41, 43), "2 3 4 10 12|5 6 7 8 9 11", (324, 625)),
+    (5, 30, (30, 31), "2 4 8 9 12|0 5 7 10 11", (224, 444)),
+    (6, 33, (33, 40), "3 4 6 7 8 12|0 5 9 10 11", (397, 862)),
+    (7, 36, (36, 38), "3 4 5 8 9 10|0 1 6 11 12", (438, 787)),
+    (8, 38, (40, 38), "0 3 7 10 11 12|4 5 6 8 9", (338, 609)),
+    (9, 38, (39, 38), "0 3 6 10 12|1 2 8 9 11", (304, 738)),
+    (10, 36, (36, 36), "0 3 5 6 9 10|4 7 8 11 12", (347, 780)),
+    (11, 29, (32, 29), "1 7 9 12|0 3 4 5 6 8 10 11", (274, 744)),
 ]
 
 # shuffled_convex_instance(Random(seed), CONVEX_PARTS, 2, 40), solved pruned
@@ -172,4 +174,4 @@ def test_tin_unpruned_walks_grid_cells():
     assert profile_grid(inst.total_profits()) is not None
     stats: dict = {}
     got = _row(12, solve_tin(inst, td, prune=False, stats=stats), stats, COUNTERS[:2])
-    assert got == (12, 34, (34, 37), "3 4 7 11 12|0 1 6 8 9 10", (501, 26556))
+    assert got == (12, 34, (34, 37), "3 4 7 11 12|0 1 6 8 9 10", (376, 28293))
