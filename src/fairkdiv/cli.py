@@ -200,8 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--ordering", help="convex ordering file")
         p.add_argument("--expression", help="clique-width expression file")
-        p.add_argument("--td", help="tree decomposition file (.td)")
-        p.add_argument("--chordal", action="store_true", help="build a clique tree for --method tin")
+        # two sources of tin's decomposition: giving both is a usage error
+        td = p.add_mutually_exclusive_group()
+        td.add_argument("--td", help="tree decomposition file (.td)")
+        td.add_argument("--chordal", action="store_true", help="build a clique tree for --method tin")
         p.add_argument(
             "--threads", type=_int_at_least(1), default=1,
             help="accepted and ignored: runs are sequential",

@@ -25,12 +25,11 @@ from .profiles import (
     Step,
     Table,
     best_profile,
+    dominance_prune,
     encode,
     merge_profile_sets,
     unit_code,
 )
-# unused here: kept only as the module attribute the benchmark tracer wraps
-from .profiles import dominance_prune  # noqa: F401
 from .recognition import (
     ConvexOrdering,
     OrderingError,
@@ -259,6 +258,12 @@ def _merged_components(inst: ConflictInstance, ordering: ConvexOrdering | None, 
     merge is the profile set of the whole instance.  The run is made from
     the whole instance's totals, so unpruned every component is held on
     its grid when it is small enough, and the merges are shift-ORs too.
+    A pruned run keeps only the Pareto front of each merge, as of each DP
+    cell: the front of a vector sum is the front of the sum of the fronts,
+    so the last merge's front, and the optimum read from it, do not move,
+    while each merge stays the size of a front instead of growing with the
+    product of the components' fronts.  The cap is checked on each merge
+    before it is pruned.
     """
     if ordering is None:
         co = find_convex_ordering(inst)
@@ -284,7 +289,8 @@ def _merged_components(inst: ConflictInstance, ordering: ConvexOrdering | None, 
         parts.append((pset, root))
     running = [run.zero()]
     for pset, _ in parts:
-        running.append(merge_profile_sets(running[-1], pset, cap=run.cap))
+        merged = merge_profile_sets(running[-1], pset, cap=run.cap)
+        running.append(dominance_prune(merged) if run.prune else merged)
     return parts, running
 
 
@@ -305,7 +311,10 @@ def _witness(run: Run, parts: list, running: list[ProfileSet], target: int) -> C
     each component's smallest member that leaves a member of the running
     merge before it (a difference with a negative field is no member, see
     profiles.Run.walk), and each component's share is walked back through
-    its DP tree.
+    its DP tree.  In a pruned run the running merges are fronts, and the
+    split is the same as over the full sums: the target is Pareto-maximal
+    (see best_profile), and a Pareto-maximal sum has only Pareto-maximal
+    summands, since a dominated one would make the sum dominated.
     """
     classes: list[set[int]] = [set() for _ in range(run.k)]
     for idx in range(len(parts) - 1, -1, -1):

@@ -262,6 +262,22 @@ def prop_pruned_cells_are_fronts(cases: int, seed: int = 207) -> None:
                 assert dominance_prune(pset) == pset
 
 
+def prop_pruned_merges_are_fronts(cases: int, seed: int = 207) -> None:
+    """Every running component merge of a pruned convex run is its own Pareto front.
+
+    Three or four parts give at least two merges of nonzero sets, so a
+    merge kept as the full vector sum of two fronts shows.
+    """
+    rng = random.Random(seed)
+    for _ in range(cases):
+        parts = [(rng.randint(1, 3), rng.randint(0, 3)) for _ in range(rng.randint(3, 4))]
+        inst = support.shuffled_convex_instance(rng, parts, rng.randint(1, 3), 9)
+        run = Run(inst.total_profits(), prune=True, walk=True)
+        _, running = _merged_components(inst, None, run)
+        for merged in running:
+            assert dominance_prune(merged) == merged
+
+
 def prop_profiles_bounded(cases: int, seed: int = 205) -> None:
     """Every produced profile is componentwise at most the total profits."""
     rng = random.Random(seed)
@@ -1050,6 +1066,7 @@ ALL_PROPERTIES = [
     prop_prune_preserves_best,
     prop_grid_forms_agree,
     prop_pruned_cells_are_fronts,
+    prop_pruned_merges_are_fronts,
     prop_profiles_bounded,
     prop_oracle_witness_valid,
     prop_oracle_mis_agreement,

@@ -374,6 +374,16 @@ class TestSideInputs:
         assert code == EXIT_INFEASIBLE
         assert "not chordal" in err
 
+    @pytest.mark.parametrize("command", ["solve", "profiles", "approx"])
+    @pytest.mark.parametrize("td", ["p3.td", "bad.td"])
+    def test_td_and_chordal_are_a_usage_error(self, command, td):
+        # the clique tree would replace the file's decomposition unread
+        argv = [command, "p3.fkd", "--method", "tin", "--td", td, "--chordal"]
+        code, out, err = run_cli(argv + (["--epsilon", "1/4"] if command == "approx" else []))
+        assert code == EXIT_USAGE
+        assert "not allowed with argument" in err
+        assert not out
+
     def test_auto_still_parses_every_side_input(self):
         code, _, err = run_cli(["solve", "p3.fkd", "--td", "p3.td", "--expression", "bad.cw"])
         assert code == EXIT_INFEASIBLE

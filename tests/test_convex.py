@@ -583,6 +583,19 @@ class TestSolveConvex:
             validate_coloring(inst, witness)
             assert profile_of(inst, witness) == profile
 
+    def test_three_or_more_components_match_the_oracle(self):
+        # the pruned witness splits its target over two or more pruned merges
+        rng = random.Random(11)
+        for case in range(60):
+            parts = [(rng.randint(1, 2), rng.randint(0, 1)) for _ in range(rng.randint(3, 4))]
+            k = 3 if sum(map(sum, parts)) <= 8 else 2
+            inst = support.shuffled_convex_instance(rng, parts, k, 4)
+            assert convex_profile_set(inst) == brute_force_profiles(inst), case
+            opt, profile, witness = solve_convex(inst, prune=True)
+            assert opt == brute_force_optimum(inst)[0], case
+            validate_coloring(inst, witness)
+            assert profile_of(inst, witness) == profile
+
     def test_stage_cells_respect_the_cap(self):
         # the full set holds 254 profiles and one stage cell holds 72
         inst, co = gen_convex_bipartite(4, 4, 2, 9, seed=3)

@@ -15,7 +15,6 @@ import fairkdiv
 PRUNE_HOOK = "kept only as the module attribute that bench/tracing.py wraps"
 ALLOWED: dict[str, str] = {
     "cliquewidth.dominance_prune": PRUNE_HOOK,
-    "convex.dominance_prune": PRUNE_HOOK,
     "treeindep.dominance_prune": PRUNE_HOOK,
 }
 

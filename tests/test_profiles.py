@@ -377,5 +377,8 @@ class TestInvariants:
     def test_pruned_cells_are_fronts(self):
         properties.prop_pruned_cells_are_fronts(100)
 
+    def test_pruned_merges_are_fronts(self):
+        properties.prop_pruned_merges_are_fronts(200)
+
     def test_profiles_bounded(self):
         properties.prop_profiles_bounded(150)
