@@ -7,14 +7,14 @@ the profile with the best minimum entry.  A set holds its members in one of
 two forms: codes, described here, and grid bits (bitgrid).
 
 Codes.  Each profile is one int, its code: coordinate j (1-based) fills the
-FIELD_BITS-bit field that starts FIELD_BITS * (k - j) bits up, so coordinate 1
-is the most significant and the order of codes is the lexicographic order of
-profiles.  ConflictInstance bounds every agent's total profit by
-MAX_PROFIT_SUM < 2**FIELD_BITS, so every profile a solver builds fits its
-fields, and the sum of two codes is the code of the vector sum: no carry
-crosses a field.  build_table does every sum and union of cells, a run's
-root read-out and merge_profile_sets included, and relies on that bound:
-no sum is checked.
+low 64 bits of the FIELD_BITS-bit field that starts FIELD_BITS * (k - j) bits
+up, so coordinate 1 is the most significant and the order of codes is the
+lexicographic order of profiles.  Each field's top bit, its guard, is 0 in
+every member: encode rejects coordinates of GUARD = 2**64 or more, and
+ConflictInstance bounds each agent's total by MAX_PROFIT_SUM < 2**63.  So a
+sum of two members is the code of the vector sum, with no carry across a
+field, and build_table, which does every sum and union of cells (a run's
+root read-out and merge_profile_sets included), checks none.
 
 Which form.  A table cell is a frozenset of codes, or a grid-backed
 ProfileSet in an unpruned table on a grid; callers see a run's result, the
@@ -44,8 +44,9 @@ if TYPE_CHECKING:
 # A set may hold up to (Q+1)^k profiles; fail loudly instead of thrashing.
 DEFAULT_PROFILE_CAP = 1 << 26
 
-FIELD_BITS = 64
+FIELD_BITS = 65
 FIELD_MASK = (1 << FIELD_BITS) - 1
+GUARD = 1 << (FIELD_BITS - 1)  # a field's guard bit, above every coordinate
 
 # The largest grid an unpruned table is held on: 2**18 points, 32 KiB a cell.
 # Every measured input up to it ran faster on the grid; above it, the cw
@@ -67,8 +68,8 @@ def encode(profile: Sequence[int], arity: int) -> int:
         raise ValueError(f"profile {tuple(profile)} does not have arity {arity}")
     code = 0
     for x in profile:
-        if not 0 <= x <= FIELD_MASK:
-            raise ValueError(f"profile {tuple(profile)} has a coordinate outside [0, 2**{FIELD_BITS})")
+        if not 0 <= x < GUARD:
+            raise ValueError(f"profile {tuple(profile)} has a coordinate outside [0, 2**64)")
         code = (code << FIELD_BITS) | x
     return code
 
@@ -320,8 +321,8 @@ class Run:
         rest of the target is taken.  A binary step splits the target at the
         smallest code of its first child's cell that leaves a member of the
         second.  A difference in which a field would go negative is either
-        negative or borrows, leaving a field of 2**(FIELD_BITS - 1) or more;
-        no member is either, so no sign check is needed.
+        negative or borrows, leaving a field of at least GUARD, its guard bit
+        set; no member is either, so no sign check is needed.
         """
         tables, kept = self.tables, self.kept
         classes: list[set[int]] = [set() for _ in range(self.k)]
@@ -400,9 +401,9 @@ def best_satisfaction(s: ProfileSet) -> int:
 def best_profile(s: ProfileSet) -> tuple[int, Profile]:
     """Optimum value plus a deterministic witness profile achieving it.
 
-    Among optimal profiles, the componentwise-maximal ones are scanned first
-    and ties break lexicographically, so the chosen profile is Pareto-maximal
-    (witness walks through pruned tables rely on this).
+    Of the optimal members of the Pareto front, the lexicographically least
+    is taken, as witness walks through pruned tables need.  A pruned run's
+    read-out is already a front; unpruned walking solves need the prune.
     """
     best = best_satisfaction(s)
     candidates = dominance_prune(s)
@@ -423,8 +424,9 @@ def _front(codes: Collection[int], k: int) -> list[int]:
     profiles in descending lexicographic order, so a member's dominators
     all come before it.  For k <= 2 a member is then dominated iff an
     earlier one has a last coordinate at least as large, which a running
-    maximum answers (Kung, Luccio & Preparata 1975); for k >= 3 each
-    member is checked against the front kept so far.
+    maximum answers (Kung, Luccio & Preparata 1975).  For k >= 3 each q is
+    checked against each kept p, newest first: (p | guards) - q borrows
+    across no field and keeps a field's guard iff p >= q there (Lamport 1975).
     """
     kept: list[int] = []
     if k <= 2:
@@ -435,10 +437,8 @@ def _front(codes: Collection[int], k: int) -> list[int]:
                 kept.append(code)
                 top = last
     else:
-        front: list[Profile] = []
+        guards = sum(unit_code(k, j, GUARD) for j in range(k))
         for code in sorted(codes, reverse=True):
-            q = decode(code, k)
-            if not any(all(a >= b for a, b in zip(p, q)) for p in front):
-                front.append(q)
+            if not any(((p | guards) - code) & guards == guards for p in reversed(kept)):
                 kept.append(code)
     return kept

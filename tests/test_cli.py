@@ -121,6 +121,18 @@ class TestSolve:
         assert (code, out) == (EXIT_INFEASIBLE, "")
         assert err == "error: no applicable method: supply --td or --expression\n"
 
+    def test_convex_on_a_non_convex_graph_exit_1(self, c6_and_triangle):
+        c6, _ = c6_and_triangle
+        message = "recognition failed: no A-order gives consecutive B-neighborhoods"
+        code, out, err = run_cli(["solve", c6, "--method", "convex"])
+        assert (code, out, err) == (EXIT_INFEASIBLE, "", f"error: {message}\n")
+        with open(c6) as handle:
+            inst = parse_instance(handle.read())
+        with pytest.raises(
+            fairkdiv.recognition.OrderingError, match="^graph admits no convex bipartite ordering$"
+        ):
+            fairkdiv.convex.solve_convex(inst)
+
     def test_convex_on_odd_cycle_exit_1(self, c6_and_triangle):
         _, tri = c6_and_triangle
         code, out, err = run_cli(["solve", tri, "--method", "convex"])
@@ -276,6 +288,11 @@ BAD_TDS = [
     ("s td 1 2 3\nb 1 1 2 3\n", "line 1: header declares bag size 2, largest bag has 3"),
     ("s td 1 4 3\nb 1 1 2 3\n", "line 1: header declares bag size 4, largest bag has 3"),
     ("s td 2 3 3\nb 1 1 2 3\n", "header declares 2 bags, found 1"),
+    ("c only a comment\nc\n", "missing 's td' header"),
+    ("s td 1 3 3\nb\n", "line 2: bag line without id"),
+    ("s td 1 3 3\nb 1 1 2 3\n1 1\n", "tree self-loop at bag 1"),
+    ("s td 3 3 3\nb 1 1 2 3\nb 2 1\nb 3 2\n1 2\n1 2\n", "disconnected tree"),
+    ("s td 1 2 2\nb 1 1 2\n", "decomposition is for 2 vertices, instance has 3"),
 ]
 
 
@@ -287,6 +304,30 @@ class TestDecompositionErrorCorpus:
         argv = ["solve", "p3.fkd", "--method", "tin", "--td", "bad.td"]
         monkeypatch.chdir(tmp_path)
         assert run_cli(argv) == (EXIT_INFEASIBLE, "", f"error: {message}\n")
+
+
+# expressions that do not parse or do not build the path 1-2-3, each with its exact error message
+BAD_EXPRESSIONS = [
+    ("(u (v 1 1) (v 1 2))\n", "expression: vertex 3 missing from expression"),
+    (
+        "cw 2\n(u (u (v 1 1) (v 1 3)) (v 2 2))\n",
+        "expression: expression misses instance edge (1, 2)",
+    ),
+    ("cw 0\n(v 1 1)\n", "label budget must be positive"),
+    ("(", "unexpected end of input"),
+    ("(v 1", "unexpected end of input"),
+]
+
+
+class TestExpressionErrorCorpus:
+    @pytest.mark.parametrize("text, message", BAD_EXPRESSIONS)
+    def test_exact_stderr_and_exit_1(self, tmp_path, monkeypatch, text, message):
+        (tmp_path / "p3.fkd").write_text(P3_TEXT)
+        (tmp_path / "bad.cw").write_text(text)
+        monkeypatch.chdir(tmp_path)
+        argv = ["validate", "p3.fkd", "--expression", "bad.cw"]
+        out = "instance: ok (n=3, m=2, k=2)\n"
+        assert run_cli(argv) == (EXIT_INFEASIBLE, out, f"error: {message}\n")
 
 
 class TestExpressionBudgetLine:
@@ -520,6 +561,25 @@ class TestValidate:
         result_path.write_text(json.dumps(payload))
         code, _, err = run_cli(["validate", t1_file, "--result", str(result_path)])
         assert code == EXIT_INFEASIBLE
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            # the witness {1} | {2} has profile (3, 2) on t1, so satisfaction 2
+            (
+                {"witness": [[1], [2]], "profile": [3, 2], "optimum": 3},
+                "result optimum does not match witness satisfaction",
+            ),
+            ({"profile": [3, 2], "optimum": 2}, "result file has no witness to validate"),
+        ],
+        ids=["optimum", "no-witness"],
+    )
+    def test_inconsistent_result_exit_1(self, tmp_path, t1_file, payload, message):
+        result_path = tmp_path / "result.json"
+        result_path.write_text(json.dumps(payload))
+        code, out, err = run_cli(["validate", t1_file, "--result", str(result_path)])
+        assert (code, out) == (EXIT_INFEASIBLE, "instance: ok (n=2, m=0, k=2)\n")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "payload, problem",

@@ -176,6 +176,17 @@ class TestFindOrdering:
                         ps = sorted(pos[c] for c in r)
                         assert ps[-1] - ps[0] + 1 == len(ps)
 
+    @pytest.mark.parametrize("rows", [
+        # {3, 4, 7} overlaps the components {1, 2, 3} and {4, 5, 6}, both in one class of {1..7}
+        [{1, 2, 3, 4, 5, 6, 7}, {7, 8, 9}, {1, 2, 3}, {4, 5, 6}, {3, 4, 7}],
+        # {3, 4, 7} overlaps three components of the top class
+        [{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {3, 4, 7}],
+    ], ids=["two-in-one-class", "three-at-the-top"])
+    def test_row_overlapping_too_many_components(self, rows):
+        columns = list(range(1, 10))
+        assert support.c1p_first_by_search(columns, rows) is None
+        assert consecutive_ones_order(columns, rows) is None
+
     def test_row_outside_the_columns_raises(self):
         with pytest.raises(ValueError, match="outside the universe"):
             consecutive_ones_order([1, 2, 3], [{1, 2}, {3, 4}])

@@ -193,6 +193,11 @@ class TestValidateColoring:
         with pytest.raises(InvalidColoringError, match="out of range"):
             validate_coloring(inst, [{5}])
 
+    def test_wrong_number_of_classes(self):
+        inst = ConflictInstance.build(1, 2, [], [[1], [1]])
+        with pytest.raises(InvalidColoringError, match="^expected 2 classes, got 1$"):
+            validate_coloring(inst, [set()])
+
 
 class TestProfileOf:
     def test_t1_examples(self, t1_instance):

@@ -140,13 +140,27 @@ class TestDominancePrune:
         pruned = dominance_prune(ProfileSet(2, T1_SET))
         assert set(pruned) == {(4, 0), (3, 2), (0, 4)}
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_matches_definition(self, k):
         rng = random.Random(100 + k)
         for _ in range(300):
             for values in (range(5), EDGE_VALUES):
                 members = random_profiles(rng, k, rng.randint(0, 15), values)
                 assert set(dominance_prune(ProfileSet(k, members))) == pareto_front(members)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_front_compares_codes_without_decoding(self, k, monkeypatch):
+        rng = random.Random(200 + k)
+        members = random_profiles(rng, k, 60, values=range(4))
+        s = ProfileSet(k, members)
+        want = ProfileSet(k, pareto_front(members)).codes
+        assert len(want) < len(s)
+
+        def no_decode(code, arity):
+            raise AssertionError("a k >= 3 prune decoded a code")
+
+        monkeypatch.setattr(profiles, "decode", no_decode)
+        assert dominance_prune(s).codes == want
 
 
 class TestCodeCellCap:
