@@ -10,7 +10,6 @@ footprint.  Keys differing only in dead labels have one future, so one cell.
 """
 from __future__ import annotations
 
-from operator import or_
 from typing import Iterator, NamedTuple, Union
 
 from .model import Coloring, ConflictInstance, Profile, Record, validate_coloring
@@ -246,7 +245,7 @@ def check_expression_matches(expr: CliqueExpression, inst: ConflictInstance) -> 
 
 
 def label_bits(root: ExprNode) -> dict[int, int]:
-    """Each label the expression names -> 1 << its rank among them, its bit in a key.
+    """Each label the expression names -> 1 << its rank among them, its bit in a key's fields.
 
     So no label read from a file sizes an int.  The map is monotone, and on
     labels 1..l it is l -> 1 << (l - 1).
@@ -285,35 +284,46 @@ def cw_steps(
 ) -> Iterator[Step]:
     """The steps of one expression node (see profiles.Step) over its children's keys.
 
-    Keys are tuples of one label bitmask per agent, label l at bits[l] (see
-    label_bits), holding only the node's live labels (the mask live, see
-    live_masks).  A vertex leaves every agent's key empty (unassigned) or
-    gives one agent its label, if live, and its profit; a union ORs one key
-    of each side; an edge-add keeps the keys in which no agent holds both
-    labels; a relabel moves label i to j in every mask.
+    A key is one int of k fields of w = len(bits) bits, one label bitmask
+    per agent, agent 1 in the top field, so the order of keys is the
+    lexicographic order of their masks; label l is at bits[l] (see
+    label_bits) in each field, and a key holds only the node's live labels
+    (the mask live, see live_masks).  With ones the int that has the lowest
+    bit of each field set, a step works on all agents at once (SWAR,
+    Lamport 1975).  A vertex leaves every field empty (unassigned) or gives
+    one agent its label, if live, and its profit; a union ORs one key of
+    each side; an edge-add on labels at bit positions p_i and p_j keeps the
+    keys with (key >> p_i) & (key >> p_j) & ones == 0, no agent holding
+    both, and masks them with live * ones; a relabel i -> j moves bit p_i
+    of each field to j's bit: (key >> p_i) & ones has at most the lowest
+    bit of each field set, and multiplying it by a mask below 2**w carries
+    into no other field.
     """
-    k = inst.k
+    width = len(bits)
+    shifts = range(width * (inst.k - 1), -1, -width)  # each agent's field, agent 1 first
+    ones = sum(1 << shift for shift in shifts)
     if isinstance(node, VertexNode):
         bit = bits[node.label] & live
         v0 = node.vertex - 1
-        yield (0,) * k, (), 0, ()
-        for j in range(k):
-            key = tuple(bit if idx == j else 0 for idx in range(k))
-            yield key, (), unit_code(k, j, inst.profits[j][v0]), ((v0, j),)
+        yield 0, (), 0, ()
+        for j, shift in enumerate(shifts):
+            yield bit << shift, (), unit_code(inst.k, j, inst.profits[j][v0]), ((v0, j),)
     elif isinstance(node, UnionNode):
         left, right = child_tables
         for key1 in left:
             for key2 in right:
-                yield tuple(map(or_, key1, key2)), (key1, key2), 0, ()
+                yield key1 | key2, (key1, key2), 0, ()
     elif isinstance(node, EtaNode):
-        pair = bits[node.i] | bits[node.j]
+        p_i, p_j = bits[node.i].bit_length() - 1, bits[node.j].bit_length() - 1
+        mask = live * ones
         for key in child_tables[0]:
-            if all((mask & pair) != pair for mask in key):
-                yield tuple(mask & live for mask in key), (key,), 0, ()
+            if not (key >> p_i) & (key >> p_j) & ones:
+                yield key & mask, (key,), 0, ()
     elif isinstance(node, RhoNode):
-        bit_i, keep, add = bits[node.i], live & ~bits[node.i], live & bits[node.j]
+        p_i = bits[node.i].bit_length() - 1
+        keep, add = (live & ~bits[node.i]) * ones, live & bits[node.j]
         for key in child_tables[0]:
-            yield tuple(m & keep | add if m & bit_i else m & keep for m in key), (key,), 0, ()
+            yield key & keep | ((key >> p_i) & ones) * add, (key,), 0, ()
     else:
         raise TypeError(f"unknown node type {type(node).__name__}")
 

@@ -193,7 +193,10 @@ def post_order(root: Any, children_of: Callable[[Any], Sequence[Any]]) -> list[A
 # forward pass (build_table) sums them into the node's table; a Run that
 # walks a witness keeps the list in a Kept map, and Run.walk reads it back.
 # The tree DPs color at most one vertex per step; a convex stage step colors
-# the new A-vertices its guess names.
+# the new A-vertices its guess names.  Keys are opaque here, but Run.walk
+# tries them in sorted order: the tree DPs pack each key into one int (see
+# treeindep.tin_steps and cliquewidth.cw_steps) that sorts as the tuple of
+# bag colors or label masks it stands for.
 Step = tuple[Hashable, tuple[Hashable, ...], int, tuple[tuple[int, int], ...]]
 # id(node) -> the steps its table was built from
 Kept = dict[int, list[Step]]

@@ -401,36 +401,48 @@ def tin_steps(
 ) -> Iterator[Step]:
     """The steps of one nice node (see profiles.Step) over its children's keys.
 
-    Keys are bag colorings, tuples of colors (0 = uncolored) aligned to
-    sorted(bag).  Introduce extends a key by the vertex's color: any agent
-    none of its colored bag neighbours has, or 0.  Forget drops the
-    vertex's entry and books its profit under its color, once per vertex,
-    since a nice decomposition forgets each vertex exactly once.  Join
-    pairs equal keys.  No step subtracts.
+    A key is a bag coloring packed into one int: one digit of
+    b = k.bit_length() bits per vertex of sorted(bag), the first in the top
+    digit, each a color (0 = uncolored) at most k < 2**b, so no digit spills
+    into the next and the order of keys is the lexicographic order of the
+    colorings.  Introduce opens a digit for the vertex, the digits above it
+    shifted up by b, and fills it with any agent none of its colored bag
+    neighbours has, or 0.  Forget reads the vertex's digit, closes it, and
+    books the vertex's profit under its color, once per vertex, since a nice
+    decomposition forgets each vertex exactly once.  Join pairs equal keys.
+    No step subtracts.
     """
+    b = inst.k.bit_length()
+    digit = (1 << b) - 1
     if node.kind == "leaf":
-        yield (), (), 0, ()
+        yield 0, (), 0, ()
     elif node.kind == "introduce":
         v = node.vertex
-        pos = sorted(node.bag).index(v)
+        bag = sorted(node.bag)
+        low = b * (len(bag) - 1 - bag.index(v))  # the digits below v's
+        below = (1 << low) - 1
         adj_v = inst.adjacency()[v]
-        neighbours = [i for i, w in enumerate(sorted(node.bag - {v})) if w in adj_v]
+        rest = [w for w in bag if w != v]
+        neighbours = [b * (len(rest) - 1 - i) for i, w in enumerate(rest) if w in adj_v]
         for child_key in child_tables[0]:
-            head, tail, child_keys = child_key[:pos], child_key[pos:], (child_key,)
-            used = {child_key[i] for i in neighbours}
+            base, child_keys = (child_key >> low) << (low + b) | child_key & below, (child_key,)
+            used = {(child_key >> shift) & digit for shift in neighbours}
             for color in range(inst.k + 1):
                 if color == 0 or color not in used:
-                    yield head + (color,) + tail, child_keys, 0, ()
+                    yield base | color << low, child_keys, 0, ()
     elif node.kind == "forget":
         v = node.vertex
-        pos = sorted(node.bag | {v}).index(v)
+        bag = sorted(node.bag | {v})
+        low = b * (len(bag) - 1 - bag.index(v))
+        below = (1 << low) - 1
         # the step of each color of v (0 for uncolored)
         booked = [(0, ())] + [
             (unit_code(inst.k, j, inst.profits[j][v]), ((v, j),)) for j in range(inst.k)
         ]
         for child_key in child_tables[0]:
-            offset, assigned = booked[child_key[pos]]
-            yield child_key[:pos] + child_key[pos + 1 :], (child_key,), offset, assigned
+            offset, assigned = booked[(child_key >> low) & digit]
+            key = (child_key >> (low + b)) << low | child_key & below
+            yield key, (child_key,), offset, assigned
     elif node.kind == "join":
         first, second = child_tables
         for key in first:

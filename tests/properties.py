@@ -562,15 +562,20 @@ def _cw_node_check(expr, inst) -> None:
         return want
 
     for node in _walk(expr.root):
-        got = {key: set(cell) for key, cell in tables[id(node)].items()}
+        got = {
+            support.cw_key_masks(key, inst.k, len(bits)): set(cell)
+            for key, cell in tables[id(node)].items()
+        }
         assert got == subgraph_table(node), "node table disagrees with enumeration"
 
 
 def prop_cw_node_soundness(cases: int, seed: int = 501) -> None:
     rng = random.Random(seed)
     for _ in range(cases):
-        expr = support.random_expression(rng, 6, rng.randint(1, 3))
-        inst = support.instance_for_expression(expr, rng, rng.randint(1, 2), 4)
+        k = rng.randint(1, 3)
+        # three agents on at most 5 leaves keep the enumeration at 4**5 colorings
+        expr = support.random_expression(rng, 6 if k < 3 else 5, rng.randint(1, 3))
+        inst = support.instance_for_expression(expr, rng, k, 4)
         _cw_node_check(expr, inst)
 
 
@@ -578,7 +583,7 @@ def prop_cw_root_completeness(cases: int, seed: int = 502) -> None:
     rng = random.Random(seed)
     for _ in range(cases):
         expr = support.random_expression(rng, 6, rng.randint(1, 3))
-        inst = support.instance_for_expression(expr, rng, rng.randint(1, 2), 5)
+        inst = support.instance_for_expression(expr, rng, rng.randint(1, 3), 5)
         assert cliquewidth_profile_set(inst, expr) == brute_force_profiles(inst)
 
 
@@ -599,11 +604,11 @@ def prop_cw_eta_filter(cases: int, seed: int = 503) -> None:
             num_labels=expr.num_labels,
             vertex_ids=expr.vertex_ids,
         )
-        inst = support.instance_for_expression(wrapped, rng, rng.randint(1, 2), 3)
+        inst = support.instance_for_expression(wrapped, rng, rng.randint(1, 3), 3)
         tables = _node_tables(cw_run, inst, wrapped)
         bits = label_bits(wrapped.root)
         pair = bits[i] | bits[j]
-        keys = tables[id(checked)]
+        keys = [support.cw_key_masks(key, inst.k, len(bits)) for key in tables[id(checked)]]
         assert any(any(key) for key in keys)
         for key in keys:
             assert all((mask & pair) != pair for mask in key)
@@ -626,10 +631,10 @@ def prop_cw_rho_filter(cases: int, seed: int = 504) -> None:
             num_labels=expr.num_labels,
             vertex_ids=expr.vertex_ids,
         )
-        inst = support.instance_for_expression(wrapped, rng, rng.randint(1, 2), 3)
+        inst = support.instance_for_expression(wrapped, rng, rng.randint(1, 3), 3)
         tables = _node_tables(cw_run, inst, wrapped)
         bits = label_bits(wrapped.root)
-        keys = tables[id(checked)]
+        keys = [support.cw_key_masks(key, inst.k, len(bits)) for key in tables[id(checked)]]
         assert any(mask & bits[j] for key in keys for mask in key)
         for key in keys:
             assert all(not (mask & bits[i]) for mask in key)
@@ -656,7 +661,8 @@ def prop_cw_dead_labels(cases: int, seed: int = 506) -> None:
         live = live_masks(expr.root, bits)
         for node in _walk(expr.root):
             mask = live[id(node)]
-            assert all(not m & ~mask for key in run.tables[id(node)] for m in key)
+            keys = [support.cw_key_masks(key, inst.k, len(bits)) for key in run.tables[id(node)]]
+            assert all(not m & ~mask for key in keys for m in key)
             dead_leaves += isinstance(node, VertexNode) and not bits[node.label] & mask
     assert cases == 0 or dead_leaves > 0
 
@@ -722,8 +728,10 @@ def prop_tin_node_soundness(cases: int, seed: int = 601) -> None:
     a vertex's profit is booked when it is forgotten.
     """
     rng = random.Random(seed)
-    for _ in range(cases):
-        inst, td = _random_td_instance(rng, n_max=7)
+    for case in range(cases):
+        # every other case may have three agents, and then at most 6 vertices
+        wide = case % 2 == 1
+        inst, td = _random_td_instance(rng, n_max=6 if wide else 7, k_max=3 if wide else 2)
         nice = make_nice(td)
         tables = _node_tables(tin_run, inst, nice)
         adj = inst.adjacency()
@@ -768,7 +776,10 @@ def prop_tin_node_soundness(cases: int, seed: int = 601) -> None:
                 del assignment[v]
 
             enumerate_all(0)
-            got = {key: set(cell) for key, cell in tables[id(node)].items()}
+            got = {
+                support.tin_key_colors(key, inst.k, len(bag_sorted)): set(cell)
+                for key, cell in tables[id(node)].items()
+            }
             assert got == want, f"{node.kind} node table disagrees with enumeration"
 
         check(nice.root)
@@ -777,7 +788,9 @@ def prop_tin_node_soundness(cases: int, seed: int = 601) -> None:
 def prop_tin_single_bag(cases: int, seed: int = 602) -> None:
     rng = random.Random(seed)
     for _ in range(cases):
-        inst = support.random_instance(rng, rng.randint(1, 7), rng.randint(1, 2), 6)
+        k = rng.randint(1, 3)
+        # three agents on at most 5 vertices keep the one bag at 4**5 colorings
+        inst = support.random_instance(rng, rng.randint(1, 7 if k < 3 else 5), k, 6)
         td = TreeDecomposition(n=inst.n, bags={1: frozenset(range(inst.n))}, edges=())
         opt, _, _ = solve_tin(inst, td)
         want, _ = brute_force_optimum(inst)
@@ -867,6 +880,32 @@ def prop_step_offsets_are_assigned_profits(cases: int, seed: int = 604) -> None:
                             unit_code(dp_inst.k, agent, dp_inst.profits[agent][v])
                             for v, agent in assigned
                         ), (offset, assigned)
+
+
+def prop_packed_key_order(cases: int, seed: int = 606) -> None:
+    """Packed tin and cw keys sort as the bag colorings and label masks they stand for.
+
+    Run.walk tries root keys and each node's steps in sorted key order, so
+    this order is what makes a walk pick the same witness as over tuple keys.
+    """
+    rng = random.Random(seed)
+    for _ in range(cases):
+        inst, td = _random_td_instance(rng, n_max=7, k_max=3)
+        nice = make_nice(td)
+        tables = _node_tables(tin_run, inst, nice)
+        decoded = [
+            [support.tin_key_colors(key, inst.k, len(node.bag)) for key in sorted(tables[id(node)])]
+            for node in nice.nodes()
+        ]
+        expr = support.random_expression(rng, 6, rng.randint(1, 3))
+        inst = support.instance_for_expression(expr, rng, rng.randint(1, 3), 4)
+        width = len(label_bits(expr.root))
+        decoded += [
+            [support.cw_key_masks(key, inst.k, width) for key in sorted(table)]
+            for table in _node_tables(cw_run, inst, expr).values()
+        ]
+        for keys in decoded:
+            assert keys == sorted(keys), "packed key order differs from tuple order"
 
 
 # -------------------------------------------------------------------- approx
@@ -1088,6 +1127,7 @@ ALL_PROPERTIES = [
     prop_tin_chordal_route,
     prop_tin_trim,
     prop_step_offsets_are_assigned_profits,
+    prop_packed_key_order,
     prop_fptas_guarantee,
     prop_fptas_call_bound,
     prop_fptas_exact_when_unscaled,

@@ -541,3 +541,26 @@ def on_grid(grid: Grid, pset: ProfileSet) -> ProfileSet:
         assert all(0 <= x < radix for x, radix in zip(q, grid.radices)), f"{q} is off the grid"
         bits |= 1 << sum(x * stride for x, stride in zip(q, grid.strides))
     return grid.profile_set(bits)
+
+
+def cw_key_masks(key: int, k: int, width: int) -> tuple[int, ...]:
+    """The per-agent label masks of a clique-width DP key, agent 1 first.
+
+    The key holds k fields of width bits, agent 1 in the top one; a bit above
+    the top field is a malformed key.
+    """
+    assert 0 <= key < 1 << (width * k), f"key {key:#b} has bits outside {k} fields of {width}"
+    return tuple((key >> (width * (k - 1 - j))) & ((1 << width) - 1) for j in range(k))
+
+
+def tin_key_colors(key: int, k: int, size: int) -> tuple[int, ...]:
+    """The bag coloring of a tree-independence DP key, aligned to the sorted bag.
+
+    The key holds size digits of k.bit_length() bits, the first vertex in the
+    top one; a bit above the top digit or a digit above k is a malformed key.
+    """
+    b = k.bit_length()
+    assert 0 <= key < 1 << (b * size), f"key {key:#b} has bits outside {size} digits of {b}"
+    colors = tuple((key >> (b * (size - 1 - i))) & ((1 << b) - 1) for i in range(size))
+    assert max(colors, default=0) <= k, f"key {key:#b} has a color above {k}"
+    return colors

@@ -154,17 +154,24 @@ class TestSolve:
 
 
 class TestDpNode:
-    """Unpruned cells are held on the instance's grid; they compare as ProfileSets."""
+    """Unpruned cells are held on the instance's grid; they compare as ProfileSets.
+
+    With k = 1 a key is its one agent's mask; tables are compared decoded.
+    """
 
     # label_bits of an expression that names labels 1 and 2, and a live mask holding both
     BITS = {1: 0b01, 2: 0b10}
     LIVE = 0b11
 
+    @staticmethod
+    def masks(table):
+        return {support.cw_key_masks(key, 1, 2): cell for key, cell in table.items()}
+
     def test_vertex_cells(self):
         inst = ConflictInstance.build(1, 1, [], [[7]])
         run = Run(inst.total_profits())
         table = dp_node(VertexNode(label=1, vertex=1), [], inst, run, self.BITS, self.LIVE)
-        assert table == {
+        assert self.masks(table) == {
             (0,): ProfileSet(1, {(0,)}),
             (1,): ProfileSet(1, {(7,)}),
         }
@@ -173,18 +180,18 @@ class TestDpNode:
         inst = ConflictInstance.build(2, 1, [(0, 1)], [[2, 3]])
         run = Run(inst.total_profits())
         child = {
-            (0,): support.on_grid(run.grid, ProfileSet(1, {(0,)})),
-            (0b11,): support.on_grid(run.grid, ProfileSet(1, {(5,)})),
+            0: support.on_grid(run.grid, ProfileSet(1, {(0,)})),
+            0b11: support.on_grid(run.grid, ProfileSet(1, {(5,)})),
         }
         table = dp_node(EtaNode(1, 2, VertexNode(1, 1)), [child], inst, run, self.BITS, self.LIVE)
-        assert table == {(0,): ProfileSet(1, {(0,)})}
+        assert self.masks(table) == {(0,): ProfileSet(1, {(0,)})}
 
     def test_rho_moves_cells(self):
         inst = ConflictInstance.build(1, 1, [], [[7]])
         run = Run(inst.total_profits())
         child = dp_node(VertexNode(label=1, vertex=1), [], inst, run, self.BITS, self.LIVE)
         table = dp_node(RhoNode(1, 2, VertexNode(1, 1)), [child], inst, run, self.BITS, self.LIVE)
-        assert table == {
+        assert self.masks(table) == {
             (0,): ProfileSet(1, {(0,)}),
             (0b10,): ProfileSet(1, {(7,)}),
         }
@@ -195,7 +202,7 @@ class TestDpNode:
         left = dp_node(VertexNode(1, 1), [], inst, run, self.BITS, self.LIVE)
         right = dp_node(VertexNode(1, 2), [], inst, run, self.BITS, self.LIVE)
         union = UnionNode(VertexNode(1, 1), VertexNode(1, 2))
-        table = dp_node(union, [left, right], inst, run, self.BITS, self.LIVE)
+        table = self.masks(dp_node(union, [left, right], inst, run, self.BITS, self.LIVE))
         assert set(table[(1,)]) == {(2,), (3,), (5,)}
         assert set(table[(0,)]) == {(0,)}
 
@@ -225,8 +232,13 @@ class TestLiveMasks:
         expr = parse_k_expression("(u (v 3 1) (v 3 2))")
         run = Run(inst.total_profits())
         cliquewidth.cw_run(inst, expr, run)
-        assert all(list(table) == [(0,)] for table in run.tables.values())
-        assert set(run.tables[id(expr.root)][(0,)]) == {(0,), (2,), (3,), (5,)}
+        # one label, so one field of one bit
+        tables = {
+            node: {support.cw_key_masks(key, 1, 1): cell for key, cell in table.items()}
+            for node, table in run.tables.items()
+        }
+        assert all(list(table) == [(0,)] for table in tables.values())
+        assert set(tables[id(expr.root)][(0,)]) == {(0,), (2,), (3,), (5,)}
 
 
 def relabelled(node, label):

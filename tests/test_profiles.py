@@ -9,7 +9,7 @@ import support
 
 from fairkdiv.cli import main
 from fairkdiv import profiles
-from fairkdiv.cliquewidth import cliquewidth_profile_set, cw_run, solve_cliquewidth
+from fairkdiv.cliquewidth import cliquewidth_profile_set, cw_run, label_bits, solve_cliquewidth
 from fairkdiv.convex import convex_profile_set, solve_convex
 from fairkdiv.model import (
     MAX_PROFIT_SUM,
@@ -364,7 +364,8 @@ class TestGrid:
         assert len(run.tables) == len(code_run.tables)
         cells = [cell for table in run.tables.values() for cell in table.values()]
         assert all(isinstance(cell, ProfileSet) == on_grid for cell in cells)
-        assert list(run.tables[id(expr.root)]) == [(0, 0)]
+        width = len(label_bits(expr.root))
+        assert [support.cw_key_masks(key, 2, width) for key in run.tables[id(expr.root)]] == [(0, 0)]
         assert (full.grid is not None) == on_grid and len(full) == largest
         assert full == cliquewidth_profile_set(inst, expr)
         with pytest.raises(ProfileCapError):
@@ -375,6 +376,9 @@ class TestGrid:
 class TestInvariants:
     def test_edgeless_oracle_equivalence(self):
         properties.prop_edgeless_oracle(150)
+
+    def test_packed_keys_sort_as_tuples(self):
+        properties.prop_packed_key_order(150)
 
     def test_merge_algebra(self):
         properties.prop_merge_algebra(200)

@@ -250,7 +250,14 @@ class TestEnumerateBagColorings:
 
 
 class TestDpNode:
-    """Unpruned cells are held on the instance's grid; they compare as ProfileSets."""
+    """Unpruned cells are held on the instance's grid; they compare as ProfileSets.
+
+    With k = 1 a key's digits are single bits; tables are compared decoded.
+    """
+
+    @staticmethod
+    def colors(table, size):
+        return {support.tin_key_colors(key, 1, size): cell for key, cell in table.items()}
 
     def test_introduce_into_empty_bag(self):
         inst = ConflictInstance.build(1, 1, [], [[5]])
@@ -260,7 +267,7 @@ class TestDpNode:
         leaf_table = tin_dp_node(leaf, [], inst, run)
         table = tin_dp_node(intro, [leaf_table], inst, run)
         # the profit is booked when the vertex is forgotten
-        assert table == {
+        assert self.colors(table, 1) == {
             (0,): ProfileSet(1, {(0,)}),
             (1,): ProfileSet(1, {(0,)}),
         }
@@ -274,17 +281,18 @@ class TestDpNode:
         table = tin_dp_node(
             forget, [tin_dp_node(intro, [tin_dp_node(leaf, [], inst, run)], inst, run)], inst, run
         )
-        assert table == {(): ProfileSet(1, {(0,), (5,)})}
+        assert self.colors(table, 0) == {(): ProfileSet(1, {(0,), (5,)})}
 
     def test_join_adds_equal_keys(self):
         """Cells count forgotten vertices only, so the join adds them with no correction."""
         inst = ConflictInstance.build(1, 1, [], [[5]])
         run = Run(inst.total_profits())
+        # keys of the bag {0}: 0 leaves vertex 0 uncolored, 1 gives it agent 1
         first = {
-            (0,): support.on_grid(run.grid, ProfileSet(1, {(0,)})),
-            (1,): support.on_grid(run.grid, ProfileSet(1, {(1,), (2,)})),
+            0: support.on_grid(run.grid, ProfileSet(1, {(0,)})),
+            1: support.on_grid(run.grid, ProfileSet(1, {(1,), (2,)})),
         }
-        second = {(1,): support.on_grid(run.grid, ProfileSet(1, {(3,)}))}
+        second = {1: support.on_grid(run.grid, ProfileSet(1, {(3,)}))}
         join = NiceNode(
             kind="join",
             bag=frozenset({0}),
@@ -294,7 +302,7 @@ class TestDpNode:
             ),
         )
         table = tin_dp_node(join, [first, second], inst, run)
-        assert table == {(1,): ProfileSet(1, {(4,), (5,)})}
+        assert self.colors(table, 1) == {(1,): ProfileSet(1, {(4,), (5,)})}
 
 
 class TestSolve:
