@@ -11,8 +11,11 @@ the word RAM", Algorithmica 2003).  pos is linear, so pos(a) + pos(b) =
 pos(a + b), but it is one-to-one only on the box.  The mixed radix still
 cannot carry into a wrong point, because every profile a DP stores, every
 sum included, is the profile of a coloring of some of the items and so lies
-in the box.  profiles.profile_grid imports this module only when it
-returns a grid, so a pruned run never compiles it.
+in the box.  Grid.table makes a node's cells in the loop that finds its
+largest for the cap check, each a grid-backed ProfileSet whose size is
+its popcount, taken once, so a cell costs no call.  profiles.profile_grid
+imports this module only when it returns a grid, so a pruned run never
+compiles it.
 """
 from __future__ import annotations
 
@@ -111,8 +114,9 @@ class Grid:
 
         A binary step shifts the operand with more members to each member of
         the other (a cell's members are listed once per call) and then shifts
-        the OR left by the step's offset.  The cells are checked against the
-        cap when they are stored.
+        the OR left by the step's offset.  The cells are made in one loop,
+        as profile_set makes them, and the largest is checked against the
+        cap.
         """
         shift = self.shift
         raw: dict[Hashable, int] = {}
@@ -136,8 +140,13 @@ class Grid:
                     positions = members[id(small)] = _bit_positions(small.bits)
                 bits = _sum_bits(positions, large.bits)
                 raw[key] = raw.get(key, 0) | (bits << shift(offset) if offset else bits)
-        table = {key: self.profile_set(bits) for key, bits in raw.items()}
-        check_cap(max((cell.size for cell in table.values()), default=0), cap)
+        table: Table = {}
+        largest = 0
+        for key, bits in raw.items():
+            cell = table[key] = _GridProfileSet.__new__(_GridProfileSet)
+            cell.arity, cell.grid, cell.bits, cell.size = self.arity, self, bits, bits.bit_count()
+            largest = cell.size if cell.size > largest else largest
+        check_cap(largest, cap)
         return table
 
 

@@ -82,7 +82,10 @@ def parse_k_expression(text: str) -> CliqueExpression:
     An optional leading line `cw <l>` declares the label budget; otherwise
     the largest label used is taken.  Every other line whose first token
     starts with `c` is a comment, wherever it stands, as in the other file
-    formats; no token of the grammar starts with `c`.
+    formats; no token of the grammar starts with `c`.  Vertex ids and
+    labels are recorded as each node is built, so the tree is not walked;
+    a duplicate vertex id is reported only once the text has parsed, and
+    the label budget after that.
     """
     declared = None
     leading = True  # no expression line seen yet
@@ -129,6 +132,9 @@ def parse_k_expression(text: str) -> CliqueExpression:
     # until its last child is parsed, so nesting depth is not bounded by the
     # recursion limit.
     stack: list[tuple[str, tuple[int, ...], list[ExprNode]]] = []
+    seen_vertices: set[int] = set()
+    duplicate = None  # the first vertex id met twice, in text order
+    max_label = 0
     while True:
         expect("(")
         if pos >= len(tokens):
@@ -141,6 +147,10 @@ def parse_k_expression(text: str) -> CliqueExpression:
                 raise ExpressionError(f"label {label} out of range")
             if vertex < 1:
                 raise ExpressionError(f"vertex id {vertex} out of range")
+            if vertex in seen_vertices and duplicate is None:
+                duplicate = vertex
+            seen_vertices.add(vertex)
+            max_label = max(max_label, label)
             node: ExprNode = VertexNode(label=label, vertex=vertex)
         elif op in _OPERATIONS:
             labels: tuple[int, ...] = ()
@@ -150,6 +160,7 @@ def parse_k_expression(text: str) -> CliqueExpression:
                     raise ExpressionError(f"label out of range in {op}")
                 if i == j:
                     raise ExpressionError(f"{op} requires two distinct labels, got {i} twice")
+                max_label = max(max_label, i, j)
             stack.append((op, labels, []))
             continue
         else:
@@ -166,21 +177,14 @@ def parse_k_expression(text: str) -> CliqueExpression:
             expect(")")
         else:
             break
-    root = node
     if pos != len(tokens):
         raise ExpressionError(f"trailing input after expression: {tokens[pos]!r}")
-
-    seen_vertices: set[int] = set()
-    for node in _walk(root):
-        if isinstance(node, VertexNode):
-            if node.vertex in seen_vertices:
-                raise ExpressionError(f"duplicate vertex id {node.vertex}")
-            seen_vertices.add(node.vertex)
-    max_label = max(label_bits(root))  # every expression has a leaf
+    if duplicate is not None:
+        raise ExpressionError(f"duplicate vertex id {duplicate}")
     if declared is not None and max_label > declared:
         raise ExpressionError(f"label {max_label} exceeds the declared budget {declared}")
     return CliqueExpression(
-        root=root,
+        root=node,
         num_labels=declared if declared is not None else max_label,
         vertex_ids=frozenset(seen_vertices),
     )
@@ -193,15 +197,16 @@ class LabeledGraph(NamedTuple):
     edges: frozenset[tuple[int, int]]
 
 
-def evaluate_expression(expr: CliqueExpression) -> LabeledGraph:
+def evaluate_expression(expr: CliqueExpression, nodes: list | None = None) -> LabeledGraph:
     """Build the labeled graph an expression describes.
 
-    Each subexpression's vertices are kept as lists per label, so a union,
-    an edge-add or a relabel touches only the classes it names.
+    nodes is the post-order of expr.root if the caller has walked it.  Each
+    subexpression's vertices are kept as lists per label, so a union, an
+    edge-add or a relabel touches only the classes it names.
     """
     classes: dict[int, dict[int, list[int]]] = {}  # id(node) -> label -> vertices
     edges: set[tuple[int, int]] = set()
-    for node in _walk(expr.root):
+    for node in _walk(expr.root) if nodes is None else nodes:
         if isinstance(node, VertexNode):
             classes[id(node)] = {node.label: [node.vertex]}
             continue
@@ -223,9 +228,14 @@ def evaluate_expression(expr: CliqueExpression) -> LabeledGraph:
     return LabeledGraph(labels=labels, edges=frozenset(edges))
 
 
-def check_expression_matches(expr: CliqueExpression, inst: ConflictInstance) -> str | None:
-    """None if the expression builds exactly the instance graph, else a report."""
-    graph = evaluate_expression(expr)
+def check_expression_matches(
+    expr: CliqueExpression, inst: ConflictInstance, nodes: list | None = None
+) -> str | None:
+    """None if the expression builds exactly the instance graph, else a report.
+
+    nodes is the post-order of expr.root if the caller has walked it.
+    """
+    graph = evaluate_expression(expr, nodes)
     want_vertices = set(range(1, inst.n + 1))
     have_vertices = set(graph.labels)
     unknown = sorted(have_vertices - want_vertices)
@@ -244,14 +254,15 @@ def check_expression_matches(expr: CliqueExpression, inst: ConflictInstance) -> 
     return None
 
 
-def label_bits(root: ExprNode) -> dict[int, int]:
-    """Each label the expression names -> 1 << its rank among them, its bit in a key's fields.
+def label_bits(nodes: list[ExprNode]) -> dict[int, int]:
+    """Each label the nodes name -> 1 << its rank among them, its bit in a key's fields.
 
-    So no label read from a file sizes an int.  The map is monotone, and on
-    labels 1..l it is l -> 1 << (l - 1).
+    nodes is every node of an expression, in any order.  So no label read
+    from a file sizes an int.  The map is monotone, and on labels 1..l it is
+    l -> 1 << (l - 1).
     """
     labels = set()
-    for node in _walk(root):
+    for node in nodes:
         if isinstance(node, VertexNode):
             labels.add(node.label)
         elif isinstance(node, (EtaNode, RhoNode)):
@@ -259,28 +270,31 @@ def label_bits(root: ExprNode) -> dict[int, int]:
     return {label: 1 << rank for rank, label in enumerate(sorted(labels))}
 
 
-def live_masks(root: ExprNode, bits: dict[int, int]) -> dict[int, int]:
+def live_masks(nodes: list[ExprNode], bits: dict[int, int]) -> dict[int, int]:
     """id(node) -> the bits (see label_bits) of the labels an edge-add above it reads.
 
-    Top-down: the root reads none, a union passes its mask to both children,
-    an edge-add i j adds bits i and j, and a relabel i -> j clears bit i and
-    sets it again only if label j is live above.
+    nodes is the post-order of the expression, so reversed it lists every
+    parent before its children.  Top-down: the root reads none, a union
+    passes its mask to both children, an edge-add i j adds bits i and j, and
+    a relabel i -> j clears bit i and sets it again only if label j is live
+    above.
     """
-    live = {}
-    stack = [(root, 0)]
-    while stack:
-        node, mask = stack.pop()
-        live[id(node)] = mask
-        if isinstance(node, EtaNode):
-            mask |= bits[node.i] | bits[node.j]
+    live = {id(nodes[-1]): 0}
+    for node in reversed(nodes):
+        mask = live[id(node)]
+        if isinstance(node, UnionNode):
+            live[id(node.left)] = live[id(node.right)] = mask
+        elif isinstance(node, EtaNode):
+            live[id(node.child)] = mask | bits[node.i] | bits[node.j]
         elif isinstance(node, RhoNode):
-            mask = mask | bits[node.i] if mask & bits[node.j] else mask & ~bits[node.i]
-        stack.extend((child, mask) for child in _children(node))
+            i = bits[node.i]
+            live[id(node.child)] = mask | i if mask & bits[node.j] else mask & ~i
     return live
 
 
 def cw_steps(
-    node: ExprNode, child_tables: list[Table], inst: ConflictInstance, bits: dict[int, int], live: int
+    node: ExprNode, child_tables: list[Table], inst: ConflictInstance, bits: dict[int, int],
+    live: int, shifts: range, ones: int,
 ) -> Iterator[Step]:
     """The steps of one expression node (see profiles.Step) over its children's keys.
 
@@ -288,10 +302,11 @@ def cw_steps(
     per agent, agent 1 in the top field, so the order of keys is the
     lexicographic order of their masks; label l is at bits[l] (see
     label_bits) in each field, and a key holds only the node's live labels
-    (the mask live, see live_masks).  With ones the int that has the lowest
-    bit of each field set, a step works on all agents at once (SWAR,
-    Lamport 1975).  A vertex leaves every field empty (unassigned) or gives
-    one agent its label, if live, and its profit; a union ORs one key of
+    (the mask live, see live_masks).  shifts is each field's shift, agent 1
+    first.  With ones the int that has the lowest bit of each field set
+    (cw_run computes both once per run), a step works on all agents at once
+    (SWAR, Lamport 1975).  A vertex leaves every field empty (unassigned) or
+    gives one agent its label, if live, and its profit; a union ORs one key of
     each side; an edge-add on labels at bit positions p_i and p_j keeps the
     keys with (key >> p_i) & (key >> p_j) & ones == 0, no agent holding
     both, and masks them with live * ones; a relabel i -> j moves bit p_i
@@ -299,9 +314,6 @@ def cw_steps(
     bit of each field set, and multiplying it by a mask below 2**w carries
     into no other field.
     """
-    width = len(bits)
-    shifts = range(width * (inst.k - 1), -1, -width)  # each agent's field, agent 1 first
-    ones = sum(1 << shift for shift in shifts)
     if isinstance(node, VertexNode):
         bit = bits[node.label] & live
         v0 = node.vertex - 1
@@ -330,21 +342,30 @@ def cw_steps(
 
 def dp_node(
     node: ExprNode, child_tables: list[Table], inst: ConflictInstance, run: Run,
-    bits: dict[int, int], live: int,
+    bits: dict[int, int], live: int, shifts: range, ones: int,
 ) -> Table:
     """Table of one expression node from its children's tables (see cw_steps)."""
-    return run.table(node, cw_steps(node, child_tables, inst, bits, live), child_tables)
+    steps = cw_steps(node, child_tables, inst, bits, live, shifts, ones)
+    return run.table(node, steps, child_tables)
 
 
 def cw_run(inst: ConflictInstance, expr: CliqueExpression, run: Run) -> ProfileSet:
-    """Every node's table, into run.tables, once the expression is checked; the root's union."""
-    mismatch = check_expression_matches(expr, inst)
+    """Every node's table, into run.tables, once the expression is checked; the root's union.
+
+    The expression is walked once: the check, the label bits, the live
+    masks and the DP all read that one post-order.
+    """
+    nodes = _walk(expr.root)
+    mismatch = check_expression_matches(expr, inst, nodes)
     if mismatch is not None:
         raise ExpressionError(mismatch)
-    bits = label_bits(expr.root)
-    live = live_masks(expr.root, bits)
+    bits = label_bits(nodes)
+    live = live_masks(nodes, bits)
+    shifts = range(len(bits) * (inst.k - 1), -1, -len(bits))  # each agent's field, agent 1 first
+    ones = sum(1 << shift for shift in shifts)
     return run.root_set(
-        expr.root, _children, lambda n, tables: dp_node(n, tables, inst, run, bits, live[id(n)])
+        nodes, _children,
+        lambda n, tables: dp_node(n, tables, inst, run, bits, live[id(n)], shifts, ones),
     )
 
 

@@ -82,32 +82,38 @@ def _table(run: Run, node: _Node, child_tables: list[Table]) -> Table:
 
 
 def _vertex_chain(
-    k: int, vertices: Sequence[int], parts: Sequence[tuple[tuple[int, ...], ...]]
-) -> _Node:
+    k: int, vertices: Sequence[int], parts: Sequence[tuple[tuple[int, ...], ...]], prune: bool
+) -> list[_Node]:
     """Each part's edgeless subset-sum: a leaf, then a node per vertex some part can take.
 
-    A part is its rows: part[i] is each agent's profit for vertices[i].  A
+    The chain's nodes are returned leaf first, so its last is its root.  A
+    part is its rows: part[i] is each agent's profit for vertices[i].  A
     cell's key is its part's index in parts.  The leaf holds {0} under every
     part, and the i-th vertex's node keeps every part with the vertex
     unassigned or given to one agent whose profit is positive.  A vertex
     whose rows are all zero gets no node: it would only pass cells through.
+    In a pruned run a part whose row has a positive entry p_l leaves the
+    vertex unassigned in no step: prev + 0 <= prev + p_l * e_l, so those
+    sums never reach the cell's Pareto front.
     """
 
     def vertex_steps(i: int, vertex: int, child_tables: list[Table]) -> list[Step]:
         steps: list[Step] = []
         for pid in child_tables[0]:
             child_keys = (pid,)
-            steps.append((pid, child_keys, 0, ()))
-            for agent, p in enumerate(parts[pid][i]):
+            row = parts[pid][i]
+            if not prune or max(row) == 0:
+                steps.append((pid, child_keys, 0, ()))
+            for agent, p in enumerate(row):
                 if p > 0:
                     steps.append((pid, child_keys, unit_code(k, agent, p), ((vertex, agent),)))
         return steps
 
-    node = _Node(lambda child_tables: [(pid, (), 0, ()) for pid in range(len(parts))])
+    chain = [_Node(lambda child_tables: [(pid, (), 0, ()) for pid in range(len(parts))])]
     for i, vertex in enumerate(vertices):
         if any(max(part[i]) > 0 for part in parts):
-            node = _Node(partial(vertex_steps, i, vertex), node)
-    return node
+            chain.append(_Node(partial(vertex_steps, i, vertex), chain[-1]))
+    return chain
 
 
 class _Stage:
@@ -220,10 +226,11 @@ class _ConnectedConvexDP:
 
     co orders that component alone, in inst's vertex ids.  Stage j's node
     has two children: a predecessor union over stage j - 1's node, and its
-    vertex chain.
+    vertex chain (see _vertex_chain for prune).  nodes lists every node in
+    the order it is built, which is a post-order of the tree.
     """
 
-    def __init__(self, inst: ConflictInstance, co: ConvexOrdering):
+    def __init__(self, inst: ConflictInstance, co: ConvexOrdering, prune: bool):
         self.inst = inst
         self.co = co
         self.k = inst.k
@@ -232,15 +239,17 @@ class _ConnectedConvexDP:
         self.b_interval = [co.intervals[b] for b in self.ss.b_order]
         self.stages = [_Stage(self, j) for j in range(len(self.ss.u))]
         self.stage_nodes: list[_Node] = []
+        self.nodes: list[_Node] = []
         for stage in self.stages:
             pred = _Node(stage.pred_steps, *self.stage_nodes[-1:])
-            chain = _vertex_chain(self.k, stage.vertices, stage.parts)
-            self.stage_nodes.append(_Node(stage.stage_steps, pred, chain))
+            chain = _vertex_chain(self.k, stage.vertices, stage.parts, prune)
+            self.stage_nodes.append(_Node(stage.stage_steps, pred, chain[-1]))
+            self.nodes += [pred, *chain, self.stage_nodes[-1]]
         self.root = self.stage_nodes[-1]
 
     def profile_set(self, run: Run) -> ProfileSet:
         """Every node's table, into run.tables; the union of the last stage's cells."""
-        pset = run.root_set(self.root, _children, partial(_table, run))
+        pset = run.root_set(self.nodes, _children, partial(_table, run))
         ops = sum(stage.ops for stage in self.stages)
         run.stats["profile-ops"] = run.stats.get("profile-ops", 0) + ops
         return pset
@@ -274,8 +283,9 @@ def _merged_components(inst: ConflictInstance, ordering: ConvexOrdering | None, 
     parts = []
     for comp in connected_components(inst):
         if len(comp) == 1:
-            root = _vertex_chain(inst.k, comp, [(tuple([row[comp[0]] for row in inst.profits]),)])
-            pset = run.root_set(root, _children, partial(_table, run))
+            row = tuple([profits[comp[0]] for profits in inst.profits])
+            chain = _vertex_chain(inst.k, comp, [(row,)], run.prune)
+            pset, root = run.root_set(chain, _children, partial(_table, run)), chain[-1]
         else:
             b_side = [b for b in comp if b in co.intervals]
             s = min(co.intervals[b][0] for b in b_side) - 1
@@ -284,7 +294,7 @@ def _merged_components(inst: ConflictInstance, ordering: ConvexOrdering | None, 
                 tuple(b_side),
                 {b: (co.intervals[b][0] - s, co.intervals[b][1] - s) for b in b_side},
             )
-            dp = _ConnectedConvexDP(inst, block)
+            dp = _ConnectedConvexDP(inst, block, run.prune)
             pset, root = dp.profile_set(run), dp.root
         parts.append((pset, root))
     running = [run.zero()]

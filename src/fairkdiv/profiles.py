@@ -260,7 +260,8 @@ class Run:
     pruned ones stay on codes (see the module docstring).  A walking run
     keeps every node's steps for walk.  A DP module turns a node and its
     children's tables into the node's steps and passes them to table;
-    root_set does that for every node of a tree.  The trees of one run,
+    root_set does that for every node of a tree, from the node list the
+    module built or walked once for the run.  The trees of one run,
     such as the components of a convex instance, share its grid and its
     table map.
     """
@@ -293,24 +294,27 @@ class Run:
 
     def root_set(
         self,
-        root: Any,
+        nodes: Sequence[Any],
         children_of: Callable[[Any], Sequence[Any]],
         node_table: Callable[[Any, list[Table]], Table],
     ) -> ProfileSet:
-        """Every node's table, node_table(node, child_tables) in post-order, then the root's union.
+        """Each node's table, node_table(node, child_tables) in list order; the root's union.
 
-        The union is read out by one more build_table call: one unary step
-        per root key into the key (), so it is checked, and pruned if the
-        run prunes, like a cell, and a root of one code cell is not copied.
+        nodes is the tree's node list, children before parents and the root
+        last, as the DP module already holds it (a post-order, or the order
+        the nodes were built in), so the tree is not walked again here.  The
+        union is read out by one more build_table call: one unary step per
+        root key into the key (), so it is checked, and pruned if the run
+        prunes, like a cell, and a root of one code cell is not copied.
         """
         stats, tables = self.stats, self.tables
-        for node in post_order(root, children_of):
+        for node in nodes:
             table = node_table(node, [tables[id(child)] for child in children_of(node)])
             stored = sum(map(len, table.values()))
             stats["dp-cells"] = stats.get("dp-cells", 0) + len(table)
             stats["profiles-stored"] = stats.get("profiles-stored", 0) + stored
             tables[id(node)] = table
-        root_table = tables[id(root)]
+        root_table = tables[id(nodes[-1])]
         steps = [((), (key,), 0, ()) for key in root_table]
         cell = build_table(self.k, steps, [root_table], self.cap, self.prune, self.grid)[()]
         return cell if isinstance(cell, ProfileSet) else ProfileSet.from_codes(self.k, cell)

@@ -334,10 +334,11 @@ class NiceNode:
 
 class NiceTreeDecomposition(NamedTuple):
     root: NiceNode
+    order: tuple[NiceNode, ...]  # post-order, walked once by make_nice
 
-    def nodes(self) -> list[NiceNode]:
+    def nodes(self) -> tuple[NiceNode, ...]:
         """Post-order: children before parents."""
-        return post_order(self.root, _children)
+        return self.order
 
 
 _children = attrgetter("children")
@@ -366,7 +367,8 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     independence number cannot grow.
     """
     if not td.bags:
-        return NiceTreeDecomposition(root=NiceNode(kind="leaf", bag=frozenset()))
+        leaf = NiceNode(kind="leaf", bag=frozenset())
+        return NiceTreeDecomposition(root=leaf, order=(leaf,))
     neigh = _tree_adjacency(td.bags, td.edges)
     root_id = min(td.bags, key=lambda bag_id: (len(neigh[bag_id]), bag_id))
 
@@ -390,10 +392,10 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
 
     top = built[root_id]
     root = _forget_chain(top, top.bag)
-    nice = NiceTreeDecomposition(root=root)
-    for node in nice.nodes():
+    order = tuple(post_order(root, _children))
+    for node in order:
         node.check()
-    return nice
+    return NiceTreeDecomposition(root=root, order=order)
 
 
 def tin_steps(
@@ -462,7 +464,7 @@ def tin_dp_node(
 def tin_run(inst: ConflictInstance, nice: NiceTreeDecomposition, run: Run) -> ProfileSet:
     """Every nice node's table, into run.tables; the root's empty-bag cell."""
     return run.root_set(
-        nice.root, _children, lambda node, children: tin_dp_node(node, children, inst, run)
+        nice.nodes(), _children, lambda node, children: tin_dp_node(node, children, inst, run)
     )
 
 

@@ -231,7 +231,7 @@ def prop_grid_forms_agree(cases: int, seed: int = 206) -> None:
                 cells = [x, y] if run.grid is not None else [x.codes, y.codes]
                 got_sum = merge_profile_sets(x, y)
                 root = dict(enumerate(cells))  # a one-node tree: its root's table
-                got_union = run.root_set(root, lambda node: (), lambda node, _: node)
+                got_union = run.root_set([root], lambda node: (), lambda node, _: node)
                 assert got_sum == want_sum and got_sum.dump() == want_sum.dump()
                 assert got_union == want_union and got_union.dump() == want_union.dump()
                 assert len(got_sum) == len(want_sum) and len(got_union) == len(want_union)
@@ -343,7 +343,7 @@ def _stage_oracle_check(inst: ConflictInstance, co) -> None:
     An assignment is filed under rep_j of each agent's largest A-position
     g: the largest start of a B-vertex after stage j that is at most g, or 0.
     """
-    dp = _ConnectedConvexDP(inst, co)
+    dp = _ConnectedConvexDP(inst, co, False)
     run = Run(inst.total_profits())
     dp.profile_set(run)
     pos = {a: i + 1 for i, a in enumerate(co.a_order)}
@@ -484,7 +484,7 @@ def prop_convex_guess_hygiene(cases: int, seed: int = 405) -> None:
         if len(connected_components(inst)) != 1 or not inst.edges:
             continue
         co = validate_convex_ordering(inst, range(na), range(na, na + nb))
-        dp = _ConnectedConvexDP(inst, co)
+        dp = _ConnectedConvexDP(inst, co, False)
         run = Run(inst.total_profits())
         dp.profile_set(run)
         for j, node in enumerate(dp.stage_nodes):
@@ -518,8 +518,9 @@ def _cw_node_check(expr, inst) -> None:
     A key holds only the labels live at its node (see live_masks).
     """
     tables = _node_tables(cw_run, inst, expr)
-    bits = label_bits(expr.root)
-    live = live_masks(expr.root, bits)
+    nodes = _walk(expr.root)
+    bits = label_bits(nodes)
+    live = live_masks(nodes, bits)
 
     def subgraph_table(node):
         node_live = live[id(node)]
@@ -606,7 +607,7 @@ def prop_cw_eta_filter(cases: int, seed: int = 503) -> None:
         )
         inst = support.instance_for_expression(wrapped, rng, rng.randint(1, 3), 3)
         tables = _node_tables(cw_run, inst, wrapped)
-        bits = label_bits(wrapped.root)
+        bits = label_bits(_walk(wrapped.root))
         pair = bits[i] | bits[j]
         keys = [support.cw_key_masks(key, inst.k, len(bits)) for key in tables[id(checked)]]
         assert any(any(key) for key in keys)
@@ -633,7 +634,7 @@ def prop_cw_rho_filter(cases: int, seed: int = 504) -> None:
         )
         inst = support.instance_for_expression(wrapped, rng, rng.randint(1, 3), 3)
         tables = _node_tables(cw_run, inst, wrapped)
-        bits = label_bits(wrapped.root)
+        bits = label_bits(_walk(wrapped.root))
         keys = [support.cw_key_masks(key, inst.k, len(bits)) for key in tables[id(checked)]]
         assert any(mask & bits[j] for key in keys for mask in key)
         for key in keys:
@@ -657,9 +658,10 @@ def prop_cw_dead_labels(cases: int, seed: int = 506) -> None:
         assert optimum == brute_force_optimum(inst)[0]
         validate_coloring(inst, witness)
         assert profile_of(inst, witness) == profile
-        bits = label_bits(expr.root)
-        live = live_masks(expr.root, bits)
-        for node in _walk(expr.root):
+        nodes = _walk(expr.root)
+        bits = label_bits(nodes)
+        live = live_masks(nodes, bits)
+        for node in nodes:
             mask = live[id(node)]
             keys = [support.cw_key_masks(key, inst.k, len(bits)) for key in run.tables[id(node)]]
             assert all(not m & ~mask for key in keys for m in key)
@@ -689,25 +691,26 @@ def prop_cw_union_symmetric(cases: int, seed: int = 505) -> None:
         ba = type(left)(root=UnionNode(right_root, left.root), num_labels=2, vertex_ids=ids)
         inst = support.instance_for_expression(ab, rng, rng.randint(1, 2), 4)
         run = Run(inst.total_profits())
-        bits = label_bits(ab.root)
+        bits = label_bits(_walk(ab.root))
         live = sum(bits.values())  # every label live: keys are whole footprints
-        left_table = _tables_for(inst, left.root, run, bits, live)
-        right_table = _tables_for(inst, right_root, run, bits, live)
-        t1 = dp_node(ab.root, [left_table, right_table], inst, run, bits, live)
-        t2 = dp_node(ba.root, [right_table, left_table], inst, run, bits, live)
+        fields = support.cw_fields(inst.k, len(bits))
+        left_table = _tables_for(inst, left.root, run, bits, live, fields)
+        right_table = _tables_for(inst, right_root, run, bits, live, fields)
+        t1 = dp_node(ab.root, [left_table, right_table], inst, run, bits, live, *fields)
+        t2 = dp_node(ba.root, [right_table, left_table], inst, run, bits, live, *fields)
         assert t1 == t2
 
 
-def _tables_for(inst, node, run, bits, live):
+def _tables_for(inst, node, run, bits, live, fields):
     children = []
     if isinstance(node, UnionNode):
         children = [
-            _tables_for(inst, node.left, run, bits, live),
-            _tables_for(inst, node.right, run, bits, live),
+            _tables_for(inst, node.left, run, bits, live, fields),
+            _tables_for(inst, node.right, run, bits, live, fields),
         ]
     elif isinstance(node, (EtaNode, RhoNode)):
-        children = [_tables_for(inst, node.child, run, bits, live)]
-    return dp_node(node, children, inst, run, bits, live)
+        children = [_tables_for(inst, node.child, run, bits, live, fields)]
+    return dp_node(node, children, inst, run, bits, live, *fields)
 
 
 # ---------------------------------------------------------- tree-independence
@@ -899,7 +902,7 @@ def prop_packed_key_order(cases: int, seed: int = 606) -> None:
         ]
         expr = support.random_expression(rng, 6, rng.randint(1, 3))
         inst = support.instance_for_expression(expr, rng, rng.randint(1, 3), 4)
-        width = len(label_bits(expr.root))
+        width = len(label_bits(_walk(expr.root)))
         decoded += [
             [support.cw_key_masks(key, inst.k, width) for key in sorted(table)]
             for table in _node_tables(cw_run, inst, expr).values()

@@ -553,6 +553,16 @@ def cw_key_masks(key: int, k: int, width: int) -> tuple[int, ...]:
     return tuple((key >> (width * (k - 1 - j))) & ((1 << width) - 1) for j in range(k))
 
 
+def cw_fields(k: int, width: int) -> tuple[range, int]:
+    """The shifts and ones that cw_run passes to dp_node for k fields of width bits.
+
+    shifts is each field's shift, agent 1 first; ones has the lowest bit of
+    each field set.
+    """
+    shifts = range(width * (k - 1), -1, -width)
+    return shifts, sum(1 << shift for shift in shifts)
+
+
 def tin_key_colors(key: int, k: int, size: int) -> tuple[int, ...]:
     """The bag coloring of a tree-independence DP key, aligned to the sorted bag.
 

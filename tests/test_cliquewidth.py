@@ -62,6 +62,27 @@ class TestParse:
         with pytest.raises(ExpressionError, match="trailing"):
             parse_k_expression("(v 1 1) junk")
 
+    @pytest.mark.parametrize("text, message", [
+        ("(u (v 1 1) (v 2 1)) (v 1 3)", "trailing input after expression: '('"),
+        ("cw 1\n(u (v 1 1) (v 2 1))", "duplicate vertex id 1"),
+        ("(u (v 1 1) (v 1 1)", "expected ')', found 'end of input'"),
+        ("(u (v 2 1) (u (v 1 2) (v 3 2)))", "duplicate vertex id 2"),
+    ])
+    def test_error_order(self, text, message):
+        # the parser meets the duplicate id before the error in the text, but
+        # reports it only once the text has parsed, and before the budget
+        with pytest.raises(ExpressionError) as caught:
+            parse_k_expression(text)
+        assert str(caught.value) == message
+
+    def test_records_ids_and_labels_without_a_walk(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("the parser walked the tree")
+
+        monkeypatch.setattr(cliquewidth, "post_order", walk)
+        expr = parse_k_expression("(rho 3 1 (u (v 1 2) (eta 1 2 (u (v 2 5) (v 1 1)))))")
+        assert expr.vertex_ids == {1, 2, 5} and expr.num_labels == 3
+
 
 class TestEvaluate:
     def test_k3(self):
@@ -162,6 +183,10 @@ class TestDpNode:
     # label_bits of an expression that names labels 1 and 2, and a live mask holding both
     BITS = {1: 0b01, 2: 0b10}
     LIVE = 0b11
+    SHIFTS, ONES = range(1), 0b01  # one field, at shift 0: its lowest bit
+
+    def dp(self, node, child_tables, inst, run):
+        return dp_node(node, child_tables, inst, run, self.BITS, self.LIVE, self.SHIFTS, self.ONES)
 
     @staticmethod
     def masks(table):
@@ -170,7 +195,7 @@ class TestDpNode:
     def test_vertex_cells(self):
         inst = ConflictInstance.build(1, 1, [], [[7]])
         run = Run(inst.total_profits())
-        table = dp_node(VertexNode(label=1, vertex=1), [], inst, run, self.BITS, self.LIVE)
+        table = self.dp(VertexNode(label=1, vertex=1), [], inst, run)
         assert self.masks(table) == {
             (0,): ProfileSet(1, {(0,)}),
             (1,): ProfileSet(1, {(7,)}),
@@ -183,14 +208,14 @@ class TestDpNode:
             0: support.on_grid(run.grid, ProfileSet(1, {(0,)})),
             0b11: support.on_grid(run.grid, ProfileSet(1, {(5,)})),
         }
-        table = dp_node(EtaNode(1, 2, VertexNode(1, 1)), [child], inst, run, self.BITS, self.LIVE)
+        table = self.dp(EtaNode(1, 2, VertexNode(1, 1)), [child], inst, run)
         assert self.masks(table) == {(0,): ProfileSet(1, {(0,)})}
 
     def test_rho_moves_cells(self):
         inst = ConflictInstance.build(1, 1, [], [[7]])
         run = Run(inst.total_profits())
-        child = dp_node(VertexNode(label=1, vertex=1), [], inst, run, self.BITS, self.LIVE)
-        table = dp_node(RhoNode(1, 2, VertexNode(1, 1)), [child], inst, run, self.BITS, self.LIVE)
+        child = self.dp(VertexNode(label=1, vertex=1), [], inst, run)
+        table = self.dp(RhoNode(1, 2, VertexNode(1, 1)), [child], inst, run)
         assert self.masks(table) == {
             (0,): ProfileSet(1, {(0,)}),
             (0b10,): ProfileSet(1, {(7,)}),
@@ -199,10 +224,10 @@ class TestDpNode:
     def test_union_adds_profiles(self):
         inst = ConflictInstance.build(2, 1, [], [[2, 3]])
         run = Run(inst.total_profits())
-        left = dp_node(VertexNode(1, 1), [], inst, run, self.BITS, self.LIVE)
-        right = dp_node(VertexNode(1, 2), [], inst, run, self.BITS, self.LIVE)
+        left = self.dp(VertexNode(1, 1), [], inst, run)
+        right = self.dp(VertexNode(1, 2), [], inst, run)
         union = UnionNode(VertexNode(1, 1), VertexNode(1, 2))
-        table = self.masks(dp_node(union, [left, right], inst, run, self.BITS, self.LIVE))
+        table = self.masks(self.dp(union, [left, right], inst, run))
         assert set(table[(1,)]) == {(2,), (3,), (5,)}
         assert set(table[(0,)]) == {(0,)}
 
@@ -215,9 +240,10 @@ class TestLiveMasks:
         inner = UnionNode(rho_live, rho_dead)
         eta = EtaNode(1, 2, inner)
         root = UnionNode(eta, v3)
-        bits = label_bits(root)
+        nodes = cliquewidth._walk(root)
+        bits = label_bits(nodes)
         assert bits == {1: 0b001, 2: 0b010, 3: 0b100}
-        live = live_masks(root, bits)
+        live = live_masks(nodes, bits)
         assert {node: live[id(node)] for node in (root, eta, v3)} == {root: 0, eta: 0, v3: 0}
         # the eta reads labels 1 and 2; the union passes them to both sides
         assert live[id(inner)] == live[id(rho_live)] == live[id(rho_dead)] == 0b011
@@ -265,7 +291,7 @@ class TestSparseLabels:
         dense = parse_k_expression("(eta 1 2 (u (v 1 1) (v 2 2)))")
         inst = ConflictInstance.build(2, 2, [(0, 1)], [[3, 4], [5, 1]])
         assert solve_both(inst, sparse) == solve_both(inst, dense)
-        assert cliquewidth.label_bits(sparse.root) == {1: 1, big: 2}
+        assert cliquewidth.label_bits(cliquewidth._walk(sparse.root)) == {1: 1, big: 2}
 
     def test_sparse_relabels_give_the_dense_results(self):
         rng = random.Random(61)

@@ -351,7 +351,7 @@ class TestConnectedSolver:
     def test_stage_node_joins_pred_and_chain_once_per_guess(self):
         inst, co = gen_convex_bipartite(4, 4, 2, 9, seed=3)
         run = Run(inst.total_profits(), walk=True)
-        dp = _ConnectedConvexDP(inst, co)
+        dp = _ConnectedConvexDP(inst, co, False)
         dp.profile_set(run)
         for j, (stage, node) in enumerate(zip(dp.stages, dp.stage_nodes)):
             pred, chain = node.children
@@ -395,7 +395,7 @@ class TestConnectedSolver:
         inst = ConflictInstance.build(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4)], profits)
         co = validate_convex_ordering(inst, [0, 2, 4], [1, 3])
         run = Run(inst.total_profits(), walk=True)
-        dp = _ConnectedConvexDP(inst, co)
+        dp = _ConnectedConvexDP(inst, co, False)
         dp.profile_set(run)
         first, second = dp.stages
         assert first.vertices == [0, 2, 1] and second.vertices == [4, 3]
@@ -438,7 +438,7 @@ class TestFutureQuotient:
         inst = ConflictInstance.build(6, k, edges, profits)
         co = validate_convex_ordering(inst, [0, 1, 2, 3], [4, 5])
         run = Run(inst.total_profits(), walk=True)
-        dp = _ConnectedConvexDP(inst, co)
+        dp = _ConnectedConvexDP(inst, co, False)
         pset = dp.profile_set(run)
         return inst, run, dp, pset
 

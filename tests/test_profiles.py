@@ -8,8 +8,9 @@ import properties
 import support
 
 from fairkdiv.cli import main
-from fairkdiv import profiles
-from fairkdiv.cliquewidth import cliquewidth_profile_set, cw_run, label_bits, solve_cliquewidth
+from fairkdiv import cliquewidth as cliquewidth_module, profiles, treeindep as treeindep_module
+from fairkdiv.generators import gen_convex_bipartite, gen_partial_ktree
+from fairkdiv.cliquewidth import _walk, cliquewidth_profile_set, cw_run, label_bits, solve_cliquewidth
 from fairkdiv.convex import convex_profile_set, solve_convex
 from fairkdiv.model import (
     MAX_PROFIT_SUM,
@@ -364,13 +365,104 @@ class TestGrid:
         assert len(run.tables) == len(code_run.tables)
         cells = [cell for table in run.tables.values() for cell in table.values()]
         assert all(isinstance(cell, ProfileSet) == on_grid for cell in cells)
-        width = len(label_bits(expr.root))
+        width = len(label_bits(_walk(expr.root)))
         assert [support.cw_key_masks(key, 2, width) for key in run.tables[id(expr.root)]] == [(0, 0)]
         assert (full.grid is not None) == on_grid and len(full) == largest
         assert full == cliquewidth_profile_set(inst, expr)
         with pytest.raises(ProfileCapError):
             cliquewidth_profile_set(inst, expr, cap=len(full) - 1)
         assert cliquewidth_profile_set(inst, expr, cap=len(full)) == full
+
+
+class TestGridCap:
+    """Grid.table checks its largest cell against the cap, each cell sized by its popcount."""
+
+    GRID = Grid([3, 3])
+
+    def table(self, profiles, cap):
+        # a leaf's steps: key 0 gets every profile, key 1 only the first
+        steps = [(0, (), profiles_code, ()) for profiles_code in map(self.code, profiles)]
+        steps.append((1, (), self.code(profiles[0]), ()))
+        return self.GRID.table(steps, [], cap)
+
+    @staticmethod
+    def code(profile):
+        return profiles.encode(profile, 2)
+
+    def test_a_cell_at_the_cap_passes(self):
+        table = self.table([(0, 0), (1, 0), (0, 2)], cap=3)
+        assert [len(table[0]), len(table[1])] == [3, 1]
+        assert set(table[0]) == {(0, 0), (1, 0), (0, 2)}
+
+    def test_one_profile_more_raises(self):
+        with pytest.raises(ProfileCapError):
+            self.table([(0, 0), (1, 0), (0, 2), (3, 3)], cap=3)
+
+    def test_cells_are_sized_by_their_bits(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            points = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(1, 9))]
+            leaf = self.table(points, cap=None)
+            unary = self.GRID.table([(key, (key,), self.code((0, 1)), ()) for key in leaf], [leaf], None)
+            binary = self.GRID.table([(0, (0, 1), 0, ())], [leaf, leaf], None)
+            for cell in [*leaf.values(), *unary.values(), *binary.values()]:
+                assert len(cell) == cell.bits.bit_count() == len(set(cell))
+
+
+class TestOneWalk:
+    """A DP run walks each of its trees at most once: the check, the masks and the DP share it.
+
+    Every module that binds post_order has it wrapped; the clique-width
+    walk (_walk) goes through cliquewidth.post_order.  A tin run walks its
+    bag tree and its nice tree once each, and a convex run builds its node
+    lists with its trees, so it walks none.
+    """
+
+    @staticmethod
+    def walked(monkeypatch):
+        roots = []
+        for module in (profiles, cliquewidth_module, treeindep_module):
+            original = module.post_order
+
+            def counted(root, children_of, original=original):
+                roots.append(root)
+                return original(root, children_of)
+
+            monkeypatch.setattr(module, "post_order", counted)
+        return roots
+
+    @pytest.mark.parametrize("prune", [None, False, True])
+    def test_cliquewidth(self, monkeypatch, prune):
+        rng = random.Random(5)
+        for _ in range(10):
+            expr = support.random_expression(rng, 6, 3)
+            inst = support.instance_for_expression(expr, rng, 2, 5)
+            roots = self.walked(monkeypatch)
+            if prune is None:
+                cliquewidth_profile_set(inst, expr)
+            else:
+                solve_cliquewidth(inst, expr, prune=prune)
+            assert roots == [expr.root]
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_tin(self, monkeypatch, prune):
+        for seed in range(5):
+            inst, td = gen_partial_ktree(9, 2, 2, 6, seed)
+            roots = self.walked(monkeypatch)
+            solve_tin(inst, td, prune=prune)
+            nice_roots = [root for root in roots if isinstance(root, treeindep_module.NiceNode)]
+            assert len(nice_roots) == 1 and len(roots) == 2
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_convex(self, monkeypatch, prune):
+        for seed in range(5):
+            inst, _ = gen_convex_bipartite(3, 3, 2, 6, seed)
+            roots = self.walked(monkeypatch)
+            solve_convex(inst, prune=prune)
+            assert roots == []
+            monkeypatch.undo()
 
 
 class TestInvariants:
